@@ -214,7 +214,7 @@ impl<'a> NodeApi<'a> {
             .hierarchy
             .access(agent, pa, AccessKind::Write, now)
             .latency;
-        node.write_virt(wq_va, &bytes).expect("WQ mapped");
+        node.write_translated(wq_va, pa, &bytes).expect("WQ mapped");
 
         let posted_index = wq_index;
         let entries = node.rmc.qps[qp.index()].entries();

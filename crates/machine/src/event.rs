@@ -91,7 +91,32 @@ pub enum ClusterEvent {
     /// Anchors the event clock at the scheduled time so the simulated
     /// duration includes work performed in a final wake-up; no state
     /// change.
-    Anchor,
+    Anchor {
+        /// Node whose core finished.
+        node: u16,
+    },
+}
+
+impl ClusterEvent {
+    /// The node this event happens to — the only node whose state its
+    /// handler touches, and the only node the handler schedules further
+    /// events for (invariant 1 of [`crate::shard`]). The match is
+    /// exhaustive on purpose: a new variant has to say whose it is.
+    #[inline]
+    pub fn node(&self) -> u16 {
+        match *self {
+            ClusterEvent::RgpService { node }
+            | ClusterEvent::RgpResume { node }
+            | ClusterEvent::InjectBurst { node, .. }
+            | ClusterEvent::CqWake { node, .. }
+            | ClusterEvent::CoreWake { node, .. }
+            | ClusterEvent::RgpTimeout { node, .. }
+            | ClusterEvent::NodeCrash { node }
+            | ClusterEvent::NodeRestart { node }
+            | ClusterEvent::Anchor { node } => node,
+            ClusterEvent::Deliver { ref pkt } => pkt.dst.0,
+        }
+    }
 }
 
 /// Why a [`ClusterEvent::CoreWake`] was scheduled.
@@ -192,7 +217,7 @@ impl World for Cluster {
             }
             ClusterEvent::NodeCrash { node } => self.node_crash(engine, node as usize),
             ClusterEvent::NodeRestart { node } => self.node_restart(engine, node as usize),
-            ClusterEvent::Anchor => {}
+            ClusterEvent::Anchor { .. } => {}
         }
     }
 }

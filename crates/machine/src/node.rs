@@ -272,13 +272,15 @@ impl Node {
     /// Estimated heap bytes this node's model state actually occupies.
     ///
     /// Counts what is *resident*, not what is addressable: touched
-    /// physical frames, materialized cache/coherence lines, grown ITT/CT
-    /// slots, page-table entries, and per-QP cursor state. Fixed-capacity
-    /// zero-page-backed arrays (cache tags) and untouched table slots
-    /// contribute nothing, which is exactly the property the rack4096
-    /// memory diet relies on.
+    /// physical frames, valid cache-tag ways (the hierarchy keeps no
+    /// coherence entries beside them), grown ITT/CT slots, page-table
+    /// entries, and per-QP cursor state. Fixed-capacity zero-page-backed
+    /// arrays (cache tags) and untouched table slots contribute nothing,
+    /// which is exactly the property the rack4096 memory diet relies on.
     pub fn resident_bytes(&self) -> u64 {
-        const LINE_STATE_BYTES: u64 = 17; // tag + lru + flags per way
+        // Per valid way: 8 B tag + 8 B LRU stamp + 1 B flags. Coherence
+        // state is those flags, so a line costs nothing beyond its ways.
+        const LINE_STATE_BYTES: u64 = 17;
         const PTE_BYTES: u64 = 16; // vpn -> pfn BTreeMap payload
         let frames = self.phys.resident_frames() as u64 * PAGE_BYTES;
         let lines = self.hierarchy.resident_lines() as u64 * LINE_STATE_BYTES;
@@ -336,6 +338,49 @@ impl Node {
             done += take;
         }
         Ok(())
+    }
+
+    /// Whether `[va, va + len)` lies inside one page — and is therefore
+    /// contiguous in physical memory starting at `va`'s translation.
+    #[inline]
+    fn within_page(va: VAddr, len: usize) -> bool {
+        va.page_offset() + len as u64 <= PAGE_BYTES
+    }
+
+    /// [`Node::read_virt`] for a caller that already holds `va`'s
+    /// translation `pa` (the pipelines translate once for timing): a range
+    /// inside one page — every line-aligned queue entry and payload line —
+    /// is read straight from `pa` without walking the page table again;
+    /// only a range that crosses a page (an unaligned application buffer)
+    /// takes the `read_virt` path.
+    ///
+    /// # Errors
+    ///
+    /// Fails if a page of a crossing range is unmapped.
+    pub fn read_translated(&self, va: VAddr, pa: PAddr, buf: &mut [u8]) -> Result<(), MemError> {
+        debug_assert_eq!(self.translate(va), Ok(pa), "stale translation for {va:?}");
+        if Self::within_page(va, buf.len()) {
+            self.phys.read(pa, buf);
+            Ok(())
+        } else {
+            self.read_virt(va, buf)
+        }
+    }
+
+    /// [`Node::write_virt`] for a caller that already holds `va`'s
+    /// translation `pa`; see [`Node::read_translated`].
+    ///
+    /// # Errors
+    ///
+    /// Fails if a page of a crossing range is unmapped.
+    pub fn write_translated(&mut self, va: VAddr, pa: PAddr, data: &[u8]) -> Result<(), MemError> {
+        debug_assert_eq!(self.translate(va), Ok(pa), "stale translation for {va:?}");
+        if Self::within_page(va, data.len()) {
+            self.phys.write(pa, data);
+            Ok(())
+        } else {
+            self.write_virt(va, data)
+        }
     }
 
     /// One cache-line access by the RMC through the MAQ: bounded
@@ -446,6 +491,29 @@ mod tests {
         let mut back = vec![0u8; data.len()];
         n.read_virt(va, &mut back).unwrap();
         assert_eq!(back, data);
+    }
+
+    #[test]
+    fn translated_rw_matches_virt_rw_inside_and_across_pages() {
+        let mut n = node();
+        // Burn a frame between the two pages so they are adjacent
+        // virtually but not physically: writing through the first page's
+        // translation past its end would land in the wrong frame.
+        let base = n.heap_alloc(PAGE_BYTES).unwrap();
+        n.alloc.alloc().unwrap();
+        n.heap_alloc(PAGE_BYTES).unwrap();
+        let data: Vec<u8> = (0..64).map(|i| i as u8 ^ 0x5a).collect();
+        for offset in [0, 64, PAGE_BYTES - 64, PAGE_BYTES - 36, PAGE_BYTES - 1] {
+            let va = base.offset(offset);
+            let pa = n.translate(va).unwrap();
+            n.write_translated(va, pa, &data).unwrap();
+            let mut virt = vec![0u8; 64];
+            n.read_virt(va, &mut virt).unwrap();
+            assert_eq!(virt, data, "write at page offset {offset}");
+            let mut direct = vec![0u8; 64];
+            n.read_translated(va, pa, &mut direct).unwrap();
+            assert_eq!(direct, data, "read at page offset {offset}");
+        }
     }
 
     #[test]

@@ -83,10 +83,11 @@ impl Cluster {
             t = node.rmc_line_access(t_xl, pa, AccessKind::Write);
             let payload = pkt.payload.expect("reply carries payload");
             if pkt.op.is_atomic() {
-                node.write_virt(dest, &payload[0..8])
+                node.write_translated(dest, pa, &payload[0..8])
                     .expect("buffer mapped");
             } else {
-                node.write_virt(dest, &payload).expect("buffer mapped");
+                node.write_translated(dest, pa, &payload)
+                    .expect("buffer mapped");
                 node.bytes_read += CACHE_LINE_BYTES;
             }
         } else if pkt.op == RemoteOp::Write {
@@ -129,7 +130,7 @@ impl Cluster {
         let pa = pa.expect("CQ rings are pinned");
         t = node.rmc_line_access(t_xl, pa, AccessKind::Write);
         let bytes = CqEntry { wq_index, status }.encode(cq_phase);
-        node.write_virt(cq_va, &bytes).expect("CQ mapped");
+        node.write_translated(cq_va, pa, &bytes).expect("CQ mapped");
         node.rmc.qps[qp.index()].advance_cq();
         node.rmc.rcp.completions += 1;
         node.ops_completed += 1;

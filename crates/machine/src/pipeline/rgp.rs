@@ -514,7 +514,7 @@ impl Cluster {
         let pa = pa.expect("WQ rings are pinned by the driver");
         let t_read = node.rmc_line_access(t_xl, pa, AccessKind::Read);
         let mut line = [0u8; 64];
-        node.read_virt(wq_va, &mut line)
+        node.read_translated(wq_va, pa, &mut line)
             .expect("WQ rings are mapped");
         node.rmc.rgp.wq_polls += 1;
 
@@ -657,7 +657,8 @@ impl Cluster {
                 let pa = pa.expect("local buffer validated at post time");
                 t = node.rmc_line_access(t_xl, pa, AccessKind::Read);
                 let mut buf = [0u8; 64];
-                node.read_virt(va, &mut buf).expect("local buffer mapped");
+                node.read_translated(va, pa, &mut buf)
+                    .expect("local buffer mapped");
                 payload = Some(buf);
             }
             RemoteOp::FetchAdd | RemoteOp::CompSwap | RemoteOp::Interrupt => {

@@ -135,12 +135,14 @@ impl Cluster {
             RemoteOp::Interrupt => unreachable!("handled before translation"),
             RemoteOp::Read => {
                 let mut buf = [0u8; 64];
-                node.read_virt(va, &mut buf).expect("segment mapped");
+                node.read_translated(va, pa, &mut buf)
+                    .expect("segment mapped");
                 reply_payload = Some(buf);
             }
             RemoteOp::Write => {
                 let data = pkt.payload.expect("write request carries payload");
-                node.write_virt(va, &data).expect("segment mapped");
+                node.write_translated(va, pa, &data)
+                    .expect("segment mapped");
                 node.note_remote_write(va, CACHE_LINE_BYTES, t_mem);
             }
             RemoteOp::FetchAdd => {

@@ -231,7 +231,7 @@ impl Cluster {
                 self.node_mut(n).cores[core].block = BlockState::Idle;
                 // Anchor the work performed in this final wake-up on the
                 // event clock, so total simulated time includes it.
-                engine.schedule_at(now, ClusterEvent::Anchor);
+                engine.schedule_at(now, ClusterEvent::Anchor { node: n as u16 });
             }
             Step::Sleep(d) => {
                 self.node_mut(n).cores[core].block = BlockState::Sleeping;

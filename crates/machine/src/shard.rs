@@ -48,6 +48,27 @@
 //! `EpochWorld::snapshot`/`restore` checkpoint when refuted), never which
 //! events execute or in what per-shard order.
 //!
+//! # Why node-major order inside a window is bit-identical
+//!
+//! A shard (`ShardSlot::run_epoch`) does not execute a window in global
+//! `(time, seq)` order: it runs it node by node
+//! (`EventEngine::run_until_by_lane` with [`ClusterEvent::node`] as the
+//! lane), so a rack touches one node's state for a run of consecutive
+//! events instead of a different node's cold state on every event. This
+//! is the `--threads 512` execution of the window, and the same
+//! invariants license it: inside one window no packet sent can arrive
+//! (that is the lookahead; a loopback delivery targets the sender
+//! itself), every event a node schedules targets that node (invariant 1
+//! — so a node's events and their `(time, seq)` order, schedule-order
+//! tie-breaks included, are untouched by any other node's execution),
+//! and all inter-node traffic goes through the `(t, src, seq)`-sorted
+//! mailbox merge (invariant 2 — so outbox push order is erased). Debug
+//! builds assert on every executed event that it belongs to the node
+//! being run, which turns invariant 1 into a check every debug-mode test
+//! of this crate exercises. The serial [`Cluster`] (`RoutePath::Direct`)
+//! keeps `run_until`: its fabric sends resolve inline and do depend on
+//! global time order.
+//!
 //! # Conservative safety with per-pair lookahead
 //!
 //! Within an epoch, shard `d` runs to
@@ -145,7 +166,10 @@ impl ShardSlot {
 
 impl EpochWorld for ShardSlot {
     fn run_epoch(&mut self, horizon: SimTime) -> u64 {
-        self.engine.run_until(&mut self.world, horizon)
+        // Node-major, not time-major: see "Why node-major order inside a
+        // window is bit-identical" in the module docs.
+        self.engine
+            .run_until_by_lane(&mut self.world, horizon, |event| u32::from(event.node()))
     }
 
     fn next_event_time(&mut self) -> Option<SimTime> {

@@ -43,7 +43,10 @@ impl AppProcess for ReadOnce {
     fn wake(&mut self, api: &mut NodeApi<'_>, why: Wake) -> Step {
         match why {
             Wake::Start => {
-                let buf = api.heap_alloc(self.len).unwrap();
+                // A test may pre-place the landing buffer.
+                let buf = self
+                    .buf
+                    .unwrap_or_else(|| api.heap_alloc(self.len).unwrap());
                 self.buf = Some(buf);
                 self.posted_at = api.now();
                 api.post_read(self.qp, self.dst, CTX, self.offset, buf, self.len)
@@ -222,6 +225,52 @@ fn multi_line_read_reassembles_in_order() {
     );
     assert_eq!(r.status, Some(Status::Ok));
     assert_eq!(r.data, pattern);
+}
+
+#[test]
+fn unaligned_landing_buffer_across_a_page_reassembles() {
+    // The RCP writes line-aligned payloads straight through the
+    // translation it already holds; a landing buffer that is not
+    // line-aligned can straddle a page and must still take the
+    // page-by-page path. The two pages are adjacent virtually but not
+    // physically, so a write that ran off the first frame would be lost.
+    use sonuma_memory::PAGE_BYTES;
+    let pattern: Vec<u8> = (0..256u32).map(|i| (i * 13 + 5) as u8).collect();
+    let (mut cluster, mut engine) = setup(MachineConfig::simulated_hardware(2));
+    cluster.write_ctx(NodeId(1), CTX, 4096, &pattern);
+    let qp = cluster.create_qp(NodeId(0), CTX, 0).unwrap();
+    let node = cluster.node_mut(0);
+    let base = node.heap_alloc(PAGE_BYTES).unwrap();
+    node.alloc.alloc().unwrap();
+    node.heap_alloc(PAGE_BYTES).unwrap();
+    // Lines land at page offsets -100, -36 (crosses), +28, +92.
+    let buf = base.offset(PAGE_BYTES - 100);
+    let out: Out<ReadResult> = Rc::new(RefCell::new(ReadResult::default()));
+    cluster.spawn(
+        &mut engine,
+        NodeId(0),
+        0,
+        Box::new(ReadOnce {
+            qp,
+            dst: NodeId(1),
+            offset: 4096,
+            len: 256,
+            buf: Some(buf),
+            posted_at: SimTime::ZERO,
+            out: out.clone(),
+        }),
+    );
+    engine.run(&mut cluster);
+    let r = out.borrow();
+    assert_eq!(r.status, Some(Status::Ok));
+    assert_eq!(r.data, pattern);
+    // Nothing spilled past the buffer's end.
+    let mut after = [0u8; 64];
+    cluster
+        .node(0)
+        .read_virt(buf.offset(256), &mut after)
+        .unwrap();
+    assert_eq!(after, [0u8; 64]);
 }
 
 #[test]

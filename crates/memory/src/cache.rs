@@ -129,6 +129,9 @@ pub struct CacheArray {
     tick: u64,
     hits: u64,
     misses: u64,
+    /// Ways currently `VALID`, maintained by fill and `invalidate` so
+    /// reading it never walks (and faults in) the flags array.
+    resident: usize,
 }
 
 impl CacheArray {
@@ -143,6 +146,7 @@ impl CacheArray {
             tick: 0,
             hits: 0,
             misses: 0,
+            resident: 0,
         }
     }
 
@@ -167,12 +171,25 @@ impl CacheArray {
         base..base + w
     }
 
-    /// Whether `addr`'s line is resident, without disturbing LRU or stats.
-    pub fn probe(&self, addr: PAddr) -> bool {
+    /// Index of the valid way holding `addr`'s line, if any.
+    #[inline]
+    fn way_of(&self, addr: PAddr) -> Option<usize> {
         let set = self.geom.set_of(addr);
         let tag = self.geom.tag_of(addr);
         self.set_range(set)
-            .any(|i| self.flags[i] & VALID != 0 && self.tags[i] == tag)
+            .find(|&i| self.flags[i] & VALID != 0 && self.tags[i] == tag)
+    }
+
+    /// Whether `addr`'s line is resident, without disturbing LRU or stats.
+    pub fn probe(&self, addr: PAddr) -> bool {
+        self.way_of(addr).is_some()
+    }
+
+    /// `Some(dirty)` if `addr`'s line is resident, without disturbing LRU
+    /// or stats — the coherence directory's "who holds this line, and who
+    /// holds it modified" question, answered from the tags themselves.
+    pub fn probe_state(&self, addr: PAddr) -> Option<bool> {
+        self.way_of(addr).map(|i| self.flags[i] & DIRTY != 0)
     }
 
     /// Accesses `addr`'s line, filling on miss; `write` marks it dirty.
@@ -187,10 +204,7 @@ impl CacheArray {
         let range = self.set_range(set);
 
         // Hit path.
-        if let Some(i) = range
-            .clone()
-            .find(|&i| self.flags[i] & VALID != 0 && self.tags[i] == tag)
-        {
+        if let Some(i) = self.way_of(addr) {
             self.lru[i] = tick;
             if write {
                 self.flags[i] |= DIRTY;
@@ -218,6 +232,7 @@ impl CacheArray {
                 }
             }
         } else {
+            self.resident += 1;
             LookupResult::Miss {
                 evicted_clean: None,
             }
@@ -232,35 +247,26 @@ impl CacheArray {
     ///
     /// Used for coherence: a remote writer invalidates other agents' copies.
     pub fn invalidate(&mut self, addr: PAddr) -> Option<bool> {
-        let set = self.geom.set_of(addr);
-        let tag = self.geom.tag_of(addr);
-        for i in self.set_range(set) {
-            if self.flags[i] & VALID != 0 && self.tags[i] == tag {
-                let dirty = self.flags[i] & DIRTY != 0;
-                self.flags[i] &= !VALID;
-                return Some(dirty);
-            }
-        }
-        None
+        let i = self.way_of(addr)?;
+        let dirty = self.flags[i] & DIRTY != 0;
+        self.flags[i] &= !VALID;
+        self.resident -= 1;
+        Some(dirty)
     }
 
     /// Downgrades `addr`'s line to clean (e.g. after a sharer reads a line
     /// this cache held modified). Returns whether the line was present.
     pub fn clean(&mut self, addr: PAddr) -> bool {
-        let set = self.geom.set_of(addr);
-        let tag = self.geom.tag_of(addr);
-        for i in self.set_range(set) {
-            if self.flags[i] & VALID != 0 && self.tags[i] == tag {
-                self.flags[i] &= !DIRTY;
-                return true;
-            }
-        }
-        false
+        let Some(i) = self.way_of(addr) else {
+            return false;
+        };
+        self.flags[i] &= !DIRTY;
+        true
     }
 
     /// Number of resident lines (for tests and occupancy stats).
     pub fn resident_lines(&self) -> usize {
-        self.flags.iter().filter(|&&f| f & VALID != 0).count()
+        self.resident
     }
 }
 
@@ -389,9 +395,34 @@ mod tests {
     #[test]
     fn resident_count() {
         let mut c = tiny();
+        let walk = |c: &CacheArray| c.flags.iter().filter(|&&f| f & VALID != 0).count();
         assert_eq!(c.resident_lines(), 0);
         c.access(line(0), false);
         c.access(line(1), false);
         assert_eq!(c.resident_lines(), 2);
+        // Refills of a full set and invalidations keep the counter equal
+        // to a walk of the flags.
+        for i in [4, 8, 12, 0, 5, 9] {
+            c.access(line(i), i % 2 == 0);
+            assert_eq!(c.resident_lines(), walk(&c));
+        }
+        assert!(c.invalidate(line(9)).is_some());
+        assert!(c.invalidate(line(9)).is_none());
+        assert_eq!(c.resident_lines(), walk(&c));
+    }
+
+    #[test]
+    fn probe_state_tracks_write_clean_and_invalidate() {
+        let mut c = tiny();
+        assert_eq!(c.probe_state(line(0)), None);
+        c.access(line(0), false);
+        assert_eq!(c.probe_state(line(0)), Some(false));
+        c.access(line(0), true);
+        assert_eq!(c.probe_state(line(0)), Some(true));
+        c.clean(line(0));
+        assert_eq!(c.probe_state(line(0)), Some(false));
+        c.access(line(0), true);
+        c.invalidate(line(0));
+        assert_eq!(c.probe_state(line(0)), None);
     }
 }

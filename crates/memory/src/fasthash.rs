@@ -1,13 +1,13 @@
 //! A tiny deterministic hasher for the model's internal integer-keyed
 //! maps.
 //!
-//! The functional memory and coherence maps sit on the per-packet hot
-//! path: every simulated cache-line access probes them several times, and
-//! `std`'s default SipHash costs more than the arithmetic around it. This
-//! is an FxHash-style multiplicative hasher — one multiply per word —
-//! which is plenty for the dense, low-entropy keys involved (frame and
-//! line numbers). None of the maps using it ever expose iteration order,
-//! so swapping the hasher cannot change simulation results.
+//! The functional memory's frame map sits on the per-packet hot path:
+//! every simulated cache-line read or write probes it, and `std`'s
+//! default SipHash costs more than the arithmetic around it. This is an
+//! FxHash-style multiplicative hasher — one multiply per word — which is
+//! plenty for the dense, low-entropy keys involved (frame numbers). No
+//! map using it ever exposes iteration order, so swapping the hasher
+//! cannot change simulation results.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};

@@ -9,13 +9,22 @@
 //! transfer costs instead of magic zero-cost sharing. This is the mechanism
 //! behind the paper's claim that RMC/core communication avoids PCIe DMA:
 //! here it costs a ~15 ns on-chip transfer rather than ~450 ns per crossing.
+//!
+//! There is no separate coherence directory. "Which other agents hold
+//! this line" and "which of them holds it modified" are exactly the valid
+//! and dirty bits of the other agents' L1 tag arrays — every transition
+//! that would set or clear a directory entry also fills, invalidates,
+//! cleans or evicts the matching L1 way — so an access answers both by
+//! probing those arrays (a handful of 2-way sets) instead of looking up an
+//! ever-growing line map. `tests/directory_equivalence.rs` keeps the
+//! map-based version as a reference and checks the two agree access by
+//! access.
 
 use sonuma_sim::SimTime;
 
 use crate::addr::PAddr;
 use crate::cache::{CacheArray, CacheGeometry, LookupResult};
 use crate::dram::{DramConfig, DramModel};
-use crate::fasthash::FastMap;
 
 /// Identifies an agent (core or RMC) attached to the hierarchy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -101,14 +110,6 @@ impl Default for HierarchyConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct LineState {
-    /// Bitmask of agents whose L1 may hold the line.
-    holders: u64,
-    /// Agent holding the line modified, if any.
-    dirty_owner: Option<AgentId>,
-}
-
 /// A node's memory hierarchy: per-agent L1s, shared LLC, one DRAM channel.
 ///
 /// # Example
@@ -131,9 +132,6 @@ pub struct MemoryHierarchy {
     l1s: Vec<CacheArray>,
     l2: CacheArray,
     dram: DramModel,
-    /// Line number → coherence state. Fast-hashed: probed several times
-    /// per access, never iterated.
-    lines: FastMap<u64, LineState>,
     hits_by_level: [u64; 4],
 }
 
@@ -152,7 +150,6 @@ impl MemoryHierarchy {
                 .collect(),
             l2: CacheArray::new(config.l2_geometry),
             dram: DramModel::new(config.dram),
-            lines: FastMap::default(),
             hits_by_level: [0; 4],
         }
     }
@@ -177,17 +174,16 @@ impl MemoryHierarchy {
         &self.dram
     }
 
-    /// Cache lines with materialized state across all levels, plus the
-    /// coherence lines tracked so far. The tag arrays are virtually sized
-    /// by geometry but zero-page-backed until touched, so this — not
-    /// `size_bytes()` — tracks what the hierarchy actually costs.
+    /// Cache lines with materialized state across all levels. The tag
+    /// arrays are virtually sized by geometry but zero-page-backed until
+    /// touched, so this — not `size_bytes()` — tracks what the hierarchy
+    /// actually costs. O(agents): each array keeps its own count.
     pub fn resident_lines(&self) -> usize {
         self.l1s
             .iter()
             .map(CacheArray::resident_lines)
             .sum::<usize>()
             + self.l2.resident_lines()
-            + self.lines.len()
     }
 
     fn note(&mut self, level: HitLevel) {
@@ -198,27 +194,6 @@ impl MemoryHierarchy {
             HitLevel::Dram => 3,
         };
         self.hits_by_level[i] += 1;
-    }
-
-    fn apply_l1_side_effects(&mut self, agent: AgentId, result: LookupResult) {
-        // Keep the coherence map consistent with L1 evictions; dirty
-        // victims conceptually write back into the LLC.
-        let evicted = match result {
-            LookupResult::Hit => None,
-            LookupResult::Miss { evicted_clean } => evicted_clean,
-            LookupResult::MissDirtyEviction { victim_line } => {
-                self.l2.access(PAddr::new(victim_line * 64), true);
-                Some(victim_line)
-            }
-        };
-        if let Some(line) = evicted {
-            if let Some(st) = self.lines.get_mut(&line) {
-                st.holders &= !(1u64 << agent.0);
-                if st.dirty_owner == Some(agent) {
-                    st.dirty_owner = None;
-                }
-            }
-        }
     }
 
     fn apply_l2_side_effects(&mut self, now: SimTime, result: LookupResult) {
@@ -241,32 +216,37 @@ impl MemoryHierarchy {
         now: SimTime,
     ) -> AccessResult {
         assert!(agent.0 < self.l1s.len(), "unknown agent {agent:?}");
-        let line = addr.line_index();
         let write = kind == AccessKind::Write;
-        let me = 1u64 << agent.0;
 
         let mut latency = self.config.l1_latency;
         let l1_result = self.l1s[agent.0].access(addr, write);
-        self.apply_l1_side_effects(agent, l1_result);
+        if let LookupResult::MissDirtyEviction { victim_line } = l1_result {
+            // Dirty victims conceptually write back into the LLC.
+            self.l2.access(PAddr::new(victim_line * 64), true);
+        }
 
-        let state = self.lines.entry(line).or_default();
-        let holders_others = state.holders & !me;
-        let dirty_other = match state.dirty_owner {
-            Some(o) if o != agent => Some(o),
-            _ => None,
-        };
+        // The directory, read off the other agents' tags: who else holds
+        // the line, and who (at most one agent) holds it modified.
+        let mut shared = false;
+        let mut dirty_other = None;
+        for (i, l1) in self.l1s.iter().enumerate() {
+            if i == agent.0 {
+                continue;
+            }
+            if let Some(dirty) = l1.probe_state(addr) {
+                shared = true;
+                if dirty {
+                    dirty_other = Some(i);
+                }
+            }
+        }
 
         if l1_result.is_hit() && dirty_other.is_none() {
             // L1 hit. A write to a shared line pays an upgrade (invalidate
             // sharers through the LLC's directory).
-            if write && holders_others != 0 {
+            if write && shared {
                 latency += self.config.l2_latency;
-                self.invalidate_others(line, agent);
-            }
-            let state = self.lines.entry(line).or_default();
-            state.holders |= me;
-            if write {
-                state.dirty_owner = Some(agent);
+                self.invalidate_others(addr, agent);
             }
             self.note(HitLevel::L1);
             return AccessResult {
@@ -276,18 +256,17 @@ impl MemoryHierarchy {
         }
 
         // L1 miss (or stale hit while another agent owns the line dirty):
-        // go through the LLC lookup.
+        // go through the LLC lookup. Our own L1 was already filled by the
+        // access() above.
         latency += self.config.l2_latency;
 
         let level = if let Some(owner) = dirty_other {
             // Dirty in another agent's L1: cache-to-cache transfer. The
-            // owner's copy is downgraded (read) or invalidated (write), and
-            // the line lands in the LLC.
+            // owner's copy is downgraded (read; it keeps a clean copy) or
+            // invalidated (write), and the line lands in the LLC.
             latency += self.config.cache_to_cache;
-            if write {
-                self.l1s[owner.0].invalidate(addr);
-            } else {
-                self.l1s[owner.0].clean(addr);
+            if !write {
+                self.l1s[owner].clean(addr);
             }
             let l2r = self.l2.access(addr, true);
             self.apply_l2_side_effects(now, l2r);
@@ -306,46 +285,19 @@ impl MemoryHierarchy {
             }
         };
 
-        // Fill our L1 (unless a stale tag already matched, in which case the
-        // earlier access() call refreshed it).
-        if !l1_result.is_hit() {
-            // already filled by the access() above
-        }
-
-        let state = self.lines.entry(line).or_default();
-        if write {
-            self.invalidate_others(line, agent);
-            let state = self.lines.entry(line).or_default();
-            state.holders = me;
-            state.dirty_owner = Some(agent);
-        } else {
-            state.holders |= me;
-            if let Some(owner) = dirty_other {
-                // Value now clean in LLC; previous owner keeps a clean copy.
-                let state = self.lines.entry(line).or_default();
-                if state.dirty_owner == Some(owner) {
-                    state.dirty_owner = None;
-                }
-            }
+        if write && shared {
+            self.invalidate_others(addr, agent);
         }
 
         self.note(level);
         AccessResult { latency, level }
     }
 
-    fn invalidate_others(&mut self, line: u64, keep: AgentId) {
-        let state = self.lines.entry(line).or_default();
-        let holders = state.holders;
-        state.holders &= 1u64 << keep.0;
-        if let Some(owner) = state.dirty_owner {
-            if owner != keep {
-                state.dirty_owner = None;
-            }
-        }
-        let addr = PAddr::new(line * 64);
-        for i in 0..self.l1s.len() {
-            if i != keep.0 && holders & (1u64 << i) != 0 {
-                self.l1s[i].invalidate(addr);
+    /// Invalidates `addr`'s line in every L1 but `keep`'s.
+    fn invalidate_others(&mut self, addr: PAddr, keep: AgentId) {
+        for (i, l1) in self.l1s.iter_mut().enumerate() {
+            if i != keep.0 {
+                l1.invalidate(addr);
             }
         }
     }

@@ -12,6 +12,15 @@
 //!
 //! The acceptance bar for the typed engine is >= 2x events/sec over the
 //! boxed engine at 100k queued events.
+//!
+//! The `window` group prices the lane-major epoch window
+//! (`run_until_by_lane`: drain + sort by lane + merge) against the plain
+//! time-major `run_until` on the same self-rescheduling load: N events per
+//! window spread over L lanes, at the shapes the rack scenarios produce
+//! (~11 events per node per window on a neighbor rack, ~1.5 on a torus
+//! scan, a dozen events in total under faults). The handlers do no work,
+//! so the ratio is the pure engine overhead a machine run has to win back
+//! through locality.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sonuma_sim::{Engine, EventEngine, SimTime, World};
@@ -75,6 +84,67 @@ fn boxed_run(n: u64) -> u64 {
     world.1
 }
 
+/// The window world: every event re-arms itself one window later in its
+/// own lane, so each window executes exactly the seeded `n` events.
+struct Rearm {
+    window_ps: u64,
+    hits: u64,
+}
+
+struct LaneTick {
+    lane: u32,
+}
+
+impl World for Rearm {
+    type Event = LaneTick;
+    fn handle(&mut self, engine: &mut EventEngine<Self>, event: LaneTick) {
+        self.hits += 1;
+        engine.schedule_in(SimTime::from_ps(self.window_ps), event);
+    }
+}
+
+/// Runs `windows` windows of `n` events over `lanes` lanes, lane-major
+/// or time-major.
+fn window_run(n: u64, lanes: u32, windows: u64, by_lane: bool) -> u64 {
+    const WINDOW_PS: u64 = 100_000;
+    let mut engine = EventEngine::new();
+    let mut world = Rearm {
+        window_ps: WINDOW_PS,
+        hits: 0,
+    };
+    let mut seed = 0x9E37_79B9_7F4A_7C15u64;
+    for id in 0..n {
+        let at = time_of(&mut seed, 1).as_ps() % WINDOW_PS;
+        let lane = (id % u64::from(lanes)) as u32;
+        engine.schedule_at(SimTime::from_ps(at), LaneTick { lane });
+    }
+    for w in 1..=windows {
+        let horizon = SimTime::from_ps(w * WINDOW_PS - 1);
+        let ran = if by_lane {
+            engine.run_until_by_lane(&mut world, horizon, |e| e.lane)
+        } else {
+            engine.run_until(&mut world, horizon)
+        };
+        assert_eq!(ran, n);
+    }
+    world.hits
+}
+
+fn bench_windows(c: &mut Criterion) {
+    let mut group = c.benchmark_group("window");
+    group.sample_size(5);
+    // (events per window, lanes): neighbor512-, scan512- and faults512-like.
+    for (n, lanes) in [(5_632u64, 512u32), (768, 512), (11, 11)] {
+        let windows = 2_000_000 / n;
+        for (mode, by_lane) in [("time", false), ("lane", true)] {
+            group.bench_function(&format!("{mode}/{n}x{lanes}"), |b| {
+                b.iter(|| window_run(n, lanes, windows, by_lane))
+            });
+        }
+    }
+    group.finish();
+}
+
 fn bench_engines(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine");
     group.sample_size(5);
@@ -85,5 +155,5 @@ fn bench_engines(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_engines);
+criterion_group!(benches, bench_engines, bench_windows);
 criterion_main!(benches);

@@ -23,6 +23,24 @@
 //! order, where `seq` is the schedule order, so runs are bit-reproducible
 //! exactly like the closure engine's.
 //!
+//! # Lane windows
+//!
+//! [`EventEngine::run_until`] executes a window in global `(time, seq)`
+//! order. When the world is a set of *lanes* (the machine's nodes) whose
+//! events only ever schedule into their own lane,
+//! [`EventEngine::run_until_by_lane`] executes the same window lane by
+//! lane instead: it drains every key at or below the horizon from the
+//! calendar queue, sorts the batch by `(lane, time, seq)` and runs each
+//! lane's events back to back, so a lane's state is touched once per
+//! window instead of once per event. Events a handler schedules at or
+//! below the horizon never enter the calendar queue; they go to a small
+//! window-local min-heap that is merged into the running lane by
+//! `(time, seq)`. Each lane sees exactly the `(time, seq)`-ordered event
+//! sequence it would see under `run_until` — schedule sequence numbers
+//! differ in absolute value but not in their order *within a lane*, which
+//! is all a tie-break compares — so a world whose lanes share no state
+//! ends the window in the same state either way.
+//!
 //! # Example
 //!
 //! ```
@@ -51,6 +69,9 @@
 //! engine.run(&mut clock);
 //! assert_eq!(clock.ticks, 4); // t = 0, 10, 20, 30
 //! ```
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
 
@@ -265,6 +286,20 @@ pub struct EventEngine<W: World> {
     now: SimTime,
     next_seq: u64,
     executed: u64,
+    /// Horizon (ps) of the lane window in progress; `None` outside
+    /// [`EventEngine::run_until_by_lane`].
+    window: Option<u64>,
+    /// The window's drained keys in pop — `(time, seq)` — order. Empty
+    /// outside a lane window; the buffer is reused across windows.
+    drained: Vec<Key>,
+    /// The window's execution order: `lane << 32 | index into drained`
+    /// for every drained key not yet executed, sorted descending so the
+    /// next event to run pops from the tail.
+    order: Vec<u64>,
+    /// Window-local events: scheduled by a handler of the running lane at
+    /// or below the window's horizon. Min-heap by `(time, seq)`; empty
+    /// outside a lane window and between lanes.
+    local: BinaryHeap<Reverse<Key>>,
 }
 
 impl<W: World> Default for EventEngine<W> {
@@ -283,11 +318,21 @@ impl<W: World> EventEngine<W> {
             now: SimTime::ZERO,
             next_seq: 0,
             executed: 0,
+            window: None,
+            drained: Vec::new(),
+            order: Vec::new(),
+            local: BinaryHeap::new(),
         }
     }
 
     /// The current simulated time (the timestamp of the event being, or
     /// last, executed).
+    ///
+    /// Monotone under `run`/`run_until`/`run_steps`. Inside
+    /// [`EventEngine::run_until_by_lane`] it is monotone *per lane*, not
+    /// per engine: it steps back when the window moves on to the next
+    /// lane (never below its value at window entry), and settles on the
+    /// latest executed timestamp when the window returns.
     #[inline]
     pub fn now(&self) -> SimTime {
         self.now
@@ -299,10 +344,11 @@ impl<W: World> EventEngine<W> {
         self.executed
     }
 
-    /// Number of events currently pending.
+    /// Number of events currently pending. Called from a handler inside
+    /// a lane window, this includes the window's not-yet-executed events.
     #[inline]
     pub fn pending(&self) -> usize {
-        self.queue.len
+        self.queue.len + self.order.len() + self.local.len()
     }
 
     /// Schedules `event` at absolute time `at`.
@@ -339,8 +385,12 @@ impl<W: World> EventEngine<W> {
                 (self.arena.len() - 1) as u32
             }
         };
-        self.queue
-            .insert((at.as_ps(), (seq << SLOT_BITS) | slot as u64));
+        let key = (at.as_ps(), (seq << SLOT_BITS) | slot as u64);
+        if self.window.is_some_and(|horizon| key.0 <= horizon) {
+            self.local.push(Reverse(key));
+        } else {
+            self.queue.insert(key);
+        }
     }
 
     /// Schedules `event` to fire `delay` after the current time.
@@ -351,7 +401,9 @@ impl<W: World> EventEngine<W> {
     /// Timestamp of the earliest pending event, without popping it.
     ///
     /// Takes `&mut self` because locating the minimum advances the
-    /// calendar queue's day cursor (the queue itself is untouched).
+    /// calendar queue's day cursor (the queue itself is untouched). Not
+    /// meaningful from a handler inside a lane window, whose remaining
+    /// events are held outside the queue.
     pub fn next_time(&mut self) -> Option<SimTime> {
         let idx = self.queue.locate_min()?;
         self.queue.buckets[idx]
@@ -390,9 +442,13 @@ impl<W: World> EventEngine<W> {
         self.now = to;
     }
 
-    /// Drops every pending event (terminate a simulation early).
+    /// Drops every pending event (terminate a simulation early),
+    /// including — when called from a handler inside a lane window — the
+    /// rest of the window.
     pub fn clear(&mut self) {
         self.queue.clear();
+        self.order.clear();
+        self.local.clear();
         self.arena.clear();
         self.free.clear();
     }
@@ -433,18 +489,96 @@ impl<W: World> EventEngine<W> {
         ran
     }
 
+    /// Runs events with timestamps `<= horizon` *lane by lane* instead of
+    /// in global time order: every event of the lowest lane in
+    /// `(time, seq)` order, then every event of the next lane, and so on
+    /// (see the module docs). `lane` names the lane an event belongs to.
+    ///
+    /// The caller promises that a handler only schedules events into the
+    /// lane of the event it is handling, and that lanes share no state
+    /// the handlers read; debug builds assert the first half on every
+    /// executed event. Under that promise the per-lane executed
+    /// sequences, the return value, [`EventEngine::events_executed`], the
+    /// final [`EventEngine::now`] and the events left pending all equal
+    /// those of [`EventEngine::run_until`].
+    pub fn run_until_by_lane(
+        &mut self,
+        world: &mut W,
+        horizon: SimTime,
+        lane: impl Fn(&W::Event) -> u32,
+    ) -> u64 {
+        debug_assert!(self.window.is_none(), "lane windows do not nest");
+        let horizon = horizon.as_ps();
+        while let Some(key) = self.queue.pop_min_through(horizon) {
+            let event = self.arena[(key.1 & SLOT_MASK) as usize]
+                .as_ref()
+                .expect("queued slot holds an event");
+            // Pops arrive in `(time, seq)` order, so a key's index in
+            // `drained` is its rank and `(lane, index)` — one word —
+            // sorts exactly like `(lane, time, seq)`.
+            self.order
+                .push(u64::from(lane(event)) << 32 | self.drained.len() as u64);
+            self.drained.push(key);
+        }
+        self.order.sort_unstable_by(|a, b| b.cmp(a));
+        self.window = Some(horizon);
+        let mut latest = self.now.as_ps();
+        let mut ran = 0;
+        while let Some(&head) = self.order.last() {
+            let current = head >> 32;
+            while let Some(key) = self.next_in_lane(current) {
+                let event = self.take_event(key);
+                debug_assert_eq!(
+                    u64::from(lane(&event)),
+                    current,
+                    "an event scheduled into another lane ran inside this lane's window"
+                );
+                latest = latest.max(key.0);
+                ran += 1;
+                world.handle(self, event);
+            }
+        }
+        self.window = None;
+        self.drained.clear();
+        self.now = SimTime::from_ps(latest);
+        ran
+    }
+
+    /// Pops the running lane's next event inside a lane window: the
+    /// earlier of the lane's drained run's head and the earliest event a
+    /// handler scheduled inside the window.
+    fn next_in_lane(&mut self, lane: u64) -> Option<Key> {
+        let drained = self
+            .order
+            .last()
+            .filter(|&&o| o >> 32 == lane)
+            .map(|&o| self.drained[o as u32 as usize]);
+        let scheduled = self.local.peek().map(|&Reverse(key)| key);
+        match (drained, scheduled) {
+            (Some(d), Some(s)) if s < d => self.local.pop().map(|_| s),
+            (Some(d), _) => self.order.pop().map(|_| d),
+            (None, _) => self.local.pop().map(|Reverse(s)| s),
+        }
+    }
+
     /// Pops the earliest event not after `horizon`, advancing the clock.
     fn pop_through(&mut self, horizon: SimTime) -> Option<W::Event> {
-        let (t, meta) = self.queue.pop_min_through(horizon.as_ps())?;
+        let key = self.queue.pop_min_through(horizon.as_ps())?;
+        debug_assert!(key.0 >= self.now.as_ps(), "event queue went backwards");
+        Some(self.take_event(key))
+    }
+
+    /// Takes the event `key` names out of the arena, setting the clock to
+    /// its timestamp and recycling its slot.
+    fn take_event(&mut self, (t, meta): Key) -> W::Event {
         let slot = (meta & SLOT_MASK) as u32;
-        debug_assert!(t >= self.now.as_ps(), "event queue went backwards");
         self.now = SimTime::from_ps(t);
         self.executed += 1;
         let event = self.arena[slot as usize]
             .take()
             .expect("queued slot holds an event");
         self.free.push(slot);
-        Some(event)
+        event
     }
 }
 
@@ -452,7 +586,7 @@ impl<W: World> std::fmt::Debug for EventEngine<W> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventEngine")
             .field("now", &self.now)
-            .field("pending", &self.queue.len)
+            .field("pending", &self.pending())
             .field("executed", &self.executed)
             .finish()
     }
@@ -660,5 +794,140 @@ mod tests {
         e.schedule_at(SimTime::from_ms(100), Ev::Seed);
         e.run(&mut w);
         assert_eq!(w.order, vec![1, 2]);
+    }
+
+    /// A two-lane world for the lane-window bookkeeping tests: lane =
+    /// `id / 100`; `Stop` clears the engine, `Hop` schedules into the
+    /// other lane (a contract violation).
+    #[derive(Default)]
+    struct LaneWorld {
+        fired: Vec<(u64, u32)>,
+        pending_seen: Vec<usize>,
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    enum LaneEvent {
+        Mark(u32),
+        Chain { id: u32, delay_ns: u64 },
+        Stop(u32),
+        Hop(u32),
+    }
+
+    fn lane_of(event: &LaneEvent) -> u32 {
+        match *event {
+            LaneEvent::Mark(id)
+            | LaneEvent::Chain { id, .. }
+            | LaneEvent::Stop(id)
+            | LaneEvent::Hop(id) => id / 100,
+        }
+    }
+
+    impl World for LaneWorld {
+        type Event = LaneEvent;
+        fn handle(&mut self, engine: &mut EventEngine<Self>, event: LaneEvent) {
+            let now = engine.now().as_ps();
+            self.pending_seen.push(engine.pending());
+            match event {
+                LaneEvent::Mark(id) => self.fired.push((now, id)),
+                LaneEvent::Chain { id, delay_ns } => {
+                    self.fired.push((now, id));
+                    engine.schedule_in(SimTime::from_ns(delay_ns), LaneEvent::Mark(id + 1));
+                }
+                LaneEvent::Stop(id) => {
+                    self.fired.push((now, id));
+                    engine.clear();
+                }
+                LaneEvent::Hop(id) => {
+                    engine.schedule_in(SimTime::from_ns(1), LaneEvent::Mark((id + 100) % 200));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lane_window_runs_lanes_back_to_back_and_settles_the_clock() {
+        let mut e = EventEngine::new();
+        let mut w = LaneWorld::default();
+        // Lane 1 is scheduled first and holds the latest in-window event.
+        e.schedule_at(
+            SimTime::from_ns(10),
+            LaneEvent::Chain {
+                id: 100,
+                delay_ns: 30,
+            },
+        );
+        e.schedule_at(SimTime::from_ns(20), LaneEvent::Mark(0));
+        e.schedule_at(
+            SimTime::from_ns(30),
+            LaneEvent::Chain {
+                id: 1,
+                delay_ns: 100,
+            },
+        );
+        e.schedule_at(SimTime::from_ns(60), LaneEvent::Mark(150));
+        let ran = e.run_until_by_lane(&mut w, SimTime::from_ns(50), lane_of);
+        // Lane 0 first (its clock reaching 30 ns), then lane 1 from 10 ns:
+        // the in-window chain child at 40 ns runs, the 130 ns one stays.
+        assert_eq!(
+            w.fired,
+            vec![(20_000, 0), (30_000, 1), (10_000, 100), (40_000, 101)]
+        );
+        assert_eq!(ran, 4);
+        assert_eq!(e.events_executed(), 4);
+        assert_eq!(e.now(), SimTime::from_ns(40), "latest executed timestamp");
+        assert_eq!(e.pending(), 2);
+        assert_eq!(e.next_time(), Some(SimTime::from_ns(60)));
+    }
+
+    #[test]
+    fn pending_inside_a_lane_window_counts_the_rest_of_the_window() {
+        // One lane, so the lane run executes in the same global order as
+        // run_until and every handler must see the same pending count.
+        let schedule = |e: &mut EventEngine<LaneWorld>| {
+            e.schedule_at(SimTime::from_ns(1), LaneEvent::Chain { id: 0, delay_ns: 2 });
+            e.schedule_at(SimTime::from_ns(2), LaneEvent::Mark(5));
+            e.schedule_at(SimTime::from_ns(9), LaneEvent::Mark(6));
+            e.schedule_at(SimTime::from_ns(90), LaneEvent::Mark(7));
+        };
+        let (mut by_time, mut w_time) = (EventEngine::new(), LaneWorld::default());
+        schedule(&mut by_time);
+        by_time.run_until(&mut w_time, SimTime::from_ns(10));
+        let (mut by_lane, mut w_lane) = (EventEngine::new(), LaneWorld::default());
+        schedule(&mut by_lane);
+        by_lane.run_until_by_lane(&mut w_lane, SimTime::from_ns(10), lane_of);
+        assert_eq!(w_time.pending_seen, vec![3, 3, 2, 1]);
+        assert_eq!(w_lane.pending_seen, w_time.pending_seen);
+        assert_eq!(by_lane.pending(), 1);
+    }
+
+    #[test]
+    fn clear_inside_a_lane_window_drops_the_rest_of_the_window() {
+        let mut e = EventEngine::new();
+        let mut w = LaneWorld::default();
+        e.schedule_at(SimTime::from_ns(1), LaneEvent::Chain { id: 0, delay_ns: 5 });
+        e.schedule_at(SimTime::from_ns(2), LaneEvent::Stop(9));
+        e.schedule_at(SimTime::from_ns(3), LaneEvent::Mark(10)); // drained, same lane
+        e.schedule_at(SimTime::from_ns(4), LaneEvent::Mark(110)); // drained, later lane
+        e.schedule_at(SimTime::from_ns(99), LaneEvent::Mark(11)); // past the horizon
+        let ran = e.run_until_by_lane(&mut w, SimTime::from_ns(50), lane_of);
+        // The chain child at 6 ns sat in the window-local heap when the
+        // stop fired; it is gone with everything else.
+        assert_eq!(w.fired, vec![(1_000, 0), (2_000, 9)]);
+        assert_eq!(ran, 2);
+        assert_eq!(e.pending(), 0);
+        assert_eq!(e.run_until(&mut w, SimTime::MAX), 0);
+        // The engine is reusable afterwards.
+        e.schedule_in(SimTime::from_ns(1), LaneEvent::Mark(12));
+        assert_eq!(e.run_until_by_lane(&mut w, SimTime::MAX, lane_of), 1);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "another lane")]
+    fn scheduling_into_another_lane_inside_a_window_is_caught() {
+        let mut e = EventEngine::new();
+        let mut w = LaneWorld::default();
+        e.schedule_at(SimTime::from_ns(1), LaneEvent::Hop(0));
+        e.run_until_by_lane(&mut w, SimTime::from_ns(50), lane_of);
     }
 }

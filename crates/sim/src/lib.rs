@@ -15,7 +15,10 @@
 //!   ordered by a calendar queue, so the scheduling hot path is
 //!   allocation-free. Events are executed in `(time, sequence-number)`
 //!   order, which makes runs bit-reproducible: two runs with the same
-//!   seed schedule and execute identical event sequences.
+//!   seed schedule and execute identical event sequences. A world made
+//!   of independent *lanes* can run a bounded window lane by lane
+//!   instead ([`EventEngine::run_until_by_lane`]): same per-lane
+//!   sequences, far better host locality.
 //! * [`Engine`] is the legacy boxed-closure engine (one `Box<dyn FnOnce>`
 //!   heap allocation per event). It is kept as the reference
 //!   implementation and as the comparison baseline for the
