@@ -272,16 +272,17 @@ impl Node {
     /// Estimated heap bytes this node's model state actually occupies.
     ///
     /// Counts what is *resident*, not what is addressable: touched
-    /// physical frames, valid cache-tag ways (the hierarchy keeps no
+    /// physical frames, valid cache ways (the hierarchy keeps no
     /// coherence entries beside them), grown ITT/CT slots, page-table
-    /// entries, and per-QP cursor state. Fixed-capacity zero-page-backed
-    /// arrays (cache tags) and untouched table slots contribute nothing,
-    /// which is exactly the property the rack4096 memory diet relies on.
+    /// entries, and per-QP cursor state. The way arrays are sized by
+    /// geometry but their untouched pages are never faulted in, and
+    /// untouched table slots contribute nothing, which is exactly the
+    /// property the rack4096 memory diet relies on.
     pub fn resident_bytes(&self) -> u64 {
-        // Per valid way: 8 B tag + 8 B LRU stamp + 1 B flags. Coherence
-        // state is those flags, so a line costs nothing beyond its ways.
-        const LINE_STATE_BYTES: u64 = 17;
-        const PTE_BYTES: u64 = 16; // vpn -> pfn BTreeMap payload
+        // One packed word per way: stamp | tag | dirty | valid. Coherence
+        // state is those bits, so a line costs nothing beyond its ways.
+        const LINE_STATE_BYTES: u64 = 8;
+        const PTE_BYTES: u64 = 8; // one pfn per page in an extent's run
         let frames = self.phys.resident_frames() as u64 * PAGE_BYTES;
         let lines = self.hierarchy.resident_lines() as u64 * LINE_STATE_BYTES;
         let ptes = self.space.mapped_pages() as u64 * PTE_BYTES;
@@ -402,17 +403,18 @@ impl Node {
     /// as the paper's shared-page-table argument expects.
     pub fn rmc_translate(&mut self, now: SimTime, va: VAddr) -> (Result<PAddr, MemError>, SimTime) {
         let mut t = now + self.rmc.timing.tlb_lookup;
+        let pa = self.space.translate(va);
         let hit = self.rmc.tlb.lookup(0, va).is_some();
         if !hit {
             for level in 0..self.space.walk_references() {
                 let pt_pa = self.pt_line_addr(va, level);
                 t = self.rmc_line_access(t, pt_pa, AccessKind::Read);
             }
-            if let Ok(pa) = self.space.translate(va) {
+            if let Ok(pa) = pa {
                 self.rmc.tlb.insert(0, va, pa.frame_number());
             }
         }
-        (self.space.translate(va), t)
+        (pa, t)
     }
 
     /// Physical address of the page-table line the walker touches for

@@ -1,0 +1,123 @@
+//! `MemoryHierarchy::access` throughput in the four states a run meets it.
+//!
+//! * `warm/l1_hits`: 64 lines resident in the agent's L1 — the model's
+//!   arithmetic alone.
+//! * `llc_stream/64MB`: a 64 MB stream through one hierarchy — every
+//!   access misses both levels and evicts from a full LLC set.
+//! * `rack/512_nodes`: 512 Table 1 hierarchies visited round-robin, one
+//!   LLC access each — the shape of a rack run, where every node's state
+//!   has left the host caches by the time its next event runs.
+//! * `first_touch/llc_pages`: a fresh hierarchy per iteration and one
+//!   access per 4 KB of LLC state — what the first access to a page of
+//!   the way array costs (a page fault).
+//!
+//! Runs offline through the in-repo criterion shim:
+//!
+//! ```text
+//! cargo bench -p sonuma-memory --bench hierarchy
+//! ```
+
+use criterion::{criterion_group, criterion_main, Criterion};
+use sonuma_memory::{AccessKind, AgentId, HierarchyConfig, MemoryHierarchy, PAddr};
+use sonuma_sim::SimTime;
+
+const CORE: AgentId = AgentId(0);
+
+fn table1() -> MemoryHierarchy {
+    MemoryHierarchy::new(HierarchyConfig::table1(), 2)
+}
+
+/// Reads line `line` as the `nth` access of its hierarchy, 20 ns after
+/// the one before (under the DRAM channel's bandwidth, so misses do not
+/// queue); returns the latency in picoseconds.
+fn read(h: &mut MemoryHierarchy, line: u64, nth: u64) -> u64 {
+    let now = SimTime::from_ns(20 * nth);
+    h.access(CORE, PAddr::new(line * 64), AccessKind::Read, now)
+        .latency
+        .as_ps()
+}
+
+fn bench_warm(c: &mut Criterion) {
+    let mut g = c.benchmark_group("warm");
+    g.sample_size(10);
+    let mut h = table1();
+    g.bench_function("l1_hits", |b| {
+        b.iter(|| {
+            (0..1_000_000u64)
+                .map(|i| read(&mut h, i % 64, i))
+                .sum::<u64>()
+        })
+    });
+    g.finish();
+}
+
+fn bench_llc_stream(c: &mut Criterion) {
+    let mut g = c.benchmark_group("llc_stream");
+    g.sample_size(10);
+    let mut h = table1();
+    let mut next = 0u64;
+    g.bench_function("64MB", |b| {
+        b.iter(|| {
+            let lines = next..next + (64 << 20) / 64;
+            next = lines.end;
+            lines.map(|l| read(&mut h, l, l)).sum::<u64>()
+        })
+    });
+    g.finish();
+}
+
+fn bench_rack(c: &mut Criterion) {
+    let mut g = c.benchmark_group("rack");
+    g.sample_size(10);
+    let mut nodes: Vec<MemoryHierarchy> = (0..512).map(|_| table1()).collect();
+    // A pseudorandom line per visit (xorshift64) inside a 64 MB segment.
+    let mut seed = 0x9E37_79B9_7F4A_7C15u64;
+    let mut round = 0;
+    g.bench_function("512_nodes", |b| {
+        b.iter(|| {
+            let mut sum = 0;
+            for _ in 0..256 {
+                for h in &mut nodes {
+                    seed ^= seed << 13;
+                    seed ^= seed >> 7;
+                    seed ^= seed << 17;
+                    sum += read(h, seed % (1 << 20), round);
+                }
+                round += 1;
+            }
+            sum
+        })
+    });
+    g.finish();
+}
+
+fn bench_first_touch(c: &mut Criterion) {
+    let mut g = c.benchmark_group("first_touch");
+    g.sample_size(10);
+    let llc = HierarchyConfig::table1().l2_geometry;
+    let sets_per_page = 4096 / (8 * llc.ways() as u64);
+    g.bench_function("llc_pages", |b| {
+        // The hierarchies outlive the timed body (the shim drops its
+        // result after the clock stops), so the allocator cannot hand the
+        // next one pages the last one already faulted in.
+        b.iter(|| {
+            let mut fresh: Vec<MemoryHierarchy> = (0..64).map(|_| table1()).collect();
+            for h in &mut fresh {
+                for set in (0..llc.sets()).step_by(sets_per_page as usize) {
+                    read(h, set, set);
+                }
+            }
+            fresh
+        })
+    });
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_warm,
+    bench_llc_stream,
+    bench_rack,
+    bench_first_touch
+);
+criterion_main!(benches);

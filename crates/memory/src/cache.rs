@@ -23,6 +23,8 @@ use crate::addr::{PAddr, CACHE_LINE_BYTES};
 pub struct CacheGeometry {
     size_bytes: u64,
     ways: u32,
+    /// `log2(sets)`, cached so `set_of`/`tag_of` are a mask and a shift.
+    set_shift: u32,
 }
 
 impl CacheGeometry {
@@ -43,7 +45,11 @@ impl CacheGeometry {
             sets > 0 && sets.is_power_of_two(),
             "set count must be a nonzero power of two"
         );
-        CacheGeometry { size_bytes, ways }
+        CacheGeometry {
+            size_bytes,
+            ways,
+            set_shift: sets.trailing_zeros(),
+        }
     }
 
     /// Total capacity in bytes.
@@ -58,7 +64,7 @@ impl CacheGeometry {
 
     /// Number of sets.
     pub fn sets(&self) -> u64 {
-        self.size_bytes / CACHE_LINE_BYTES / self.ways as u64
+        1 << self.set_shift
     }
 
     /// Set index for a physical address.
@@ -70,13 +76,9 @@ impl CacheGeometry {
     /// Tag for a physical address.
     #[inline]
     pub fn tag_of(&self, addr: PAddr) -> u64 {
-        addr.line_index() / self.sets()
+        addr.line_index() >> self.set_shift
     }
 }
-
-/// Per-way flag bits (see [`CacheArray`]'s parallel arrays).
-const VALID: u8 = 1;
-const DIRTY: u8 = 2;
 
 /// Outcome of a cache lookup-with-fill.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -118,31 +120,45 @@ impl LookupResult {
 #[derive(Debug, Clone)]
 pub struct CacheArray {
     geom: CacheGeometry,
-    // Way state as parallel arrays (sets × ways, row-major by set), all
-    // zero-initialized. `vec![0; n]` allocates zeroed pages straight from
-    // the allocator, so building a rack of 4 MB LLC tag arrays costs
-    // virtual address space, not hundreds of megabytes of writes — pages
-    // materialize only for sets the workload actually touches.
-    tags: Vec<u64>,
-    lru: Vec<u64>,
-    flags: Vec<u8>, // VALID | DIRTY
-    tick: u64,
+    /// One word per way, a set being `ways` consecutive words:
+    /// `stamp (32) | tag (30) | dirty | valid`. Zero-initialized, so
+    /// `vec![0; n]` takes untouched pages from the allocator and a rack
+    /// of 4 MB LLCs costs address space, not memory, until sets fill.
+    words: Vec<u64>,
+    /// One bit per set: has any way of it ever been filled. A set whose
+    /// bit is clear is known empty *without loading its words*, so the
+    /// first touch of a fresh page of `words` is the fill's store. A
+    /// load first would map the kernel's shared zero page and the store
+    /// after it would fault again to replace it (DESIGN.md, "First
+    /// touch").
+    filled: Vec<u64>,
+    /// LRU clock: the stamp of the latest access. Never wraps; see
+    /// [`CacheArray::rerank`].
+    tick: u32,
     hits: u64,
     misses: u64,
-    /// Ways currently `VALID`, maintained by fill and `invalidate` so
-    /// reading it never walks (and faults in) the flags array.
+    /// Ways currently valid, maintained by fill and `invalidate` so
+    /// reading it never walks (and faults in) the way array.
     resident: usize,
 }
+
+const VALID: u64 = 1;
+const DIRTY: u64 = 2;
+const TAG_SHIFT: u32 = 2;
+const TAG_BITS: u32 = 30;
+const STAMP_SHIFT: u32 = 32;
+/// What a lookup compares: the tag and the valid bit.
+const KEY_MASK: u64 = ((1 << TAG_BITS) - 1) << TAG_SHIFT | VALID;
+const STAMP_MASK: u64 = !0 << STAMP_SHIFT;
 
 impl CacheArray {
     /// Creates an empty (all-invalid) cache.
     pub fn new(geom: CacheGeometry) -> Self {
-        let n = (geom.sets() * geom.ways() as u64) as usize;
+        let sets = geom.sets() as usize;
         CacheArray {
             geom,
-            tags: vec![0; n],
-            lru: vec![0; n],
-            flags: vec![0; n],
+            words: vec![0; sets * geom.ways() as usize],
+            filled: vec![0; sets.div_ceil(64)],
             tick: 0,
             hits: 0,
             misses: 0,
@@ -165,19 +181,33 @@ impl CacheArray {
         self.misses
     }
 
-    fn set_range(&self, set: u64) -> std::ops::Range<usize> {
-        let w = self.geom.ways() as usize;
-        let base = set as usize * w;
-        base..base + w
+    #[inline]
+    fn is_filled(&self, set: usize) -> bool {
+        self.filled[set / 64] >> (set % 64) & 1 != 0
+    }
+
+    /// `addr`'s set index, the index of the set's first word, and the
+    /// masked word a valid way holding `addr`'s line compares equal to. A
+    /// tag wider than [`TAG_BITS`] spills out of [`KEY_MASK`] and so
+    /// matches no way.
+    #[inline]
+    fn locate(&self, addr: PAddr) -> (usize, usize, u64) {
+        let set = self.geom.set_of(addr) as usize;
+        let key = self.geom.tag_of(addr) << TAG_SHIFT | VALID;
+        (set, set * self.geom.ways() as usize, key)
     }
 
     /// Index of the valid way holding `addr`'s line, if any.
     #[inline]
     fn way_of(&self, addr: PAddr) -> Option<usize> {
-        let set = self.geom.set_of(addr);
-        let tag = self.geom.tag_of(addr);
-        self.set_range(set)
-            .find(|&i| self.flags[i] & VALID != 0 && self.tags[i] == tag)
+        let (set, base, key) = self.locate(addr);
+        if !self.is_filled(set) {
+            return None;
+        }
+        self.words[base..base + self.geom.ways() as usize]
+            .iter()
+            .position(|&w| w & KEY_MASK == key)
+            .map(|i| base + i)
     }
 
     /// Whether `addr`'s line is resident, without disturbing LRU or stats.
@@ -189,58 +219,101 @@ impl CacheArray {
     /// or stats — the coherence directory's "who holds this line, and who
     /// holds it modified" question, answered from the tags themselves.
     pub fn probe_state(&self, addr: PAddr) -> Option<bool> {
-        self.way_of(addr).map(|i| self.flags[i] & DIRTY != 0)
+        self.way_of(addr).map(|i| self.words[i] & DIRTY != 0)
     }
 
     /// Accesses `addr`'s line, filling on miss; `write` marks it dirty.
     ///
     /// Returns what happened, including any eviction the fill caused.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr`'s tag does not fit the packed word (30 bits:
+    /// addresses below 64 GiB × the set count).
     pub fn access(&mut self, addr: PAddr, write: bool) -> LookupResult {
+        if self.tick == u32::MAX {
+            self.rerank();
+        }
         self.tick += 1;
-        let tick = self.tick;
-        let set = self.geom.set_of(addr);
-        let tag = self.geom.tag_of(addr);
-        let sets = self.geom.sets();
-        let range = self.set_range(set);
+        let stamp = (self.tick as u64) << STAMP_SHIFT;
+        let dirty = if write { DIRTY } else { 0 };
+        let (set, base, key) = self.locate(addr);
+        assert!(
+            key & !KEY_MASK == 0,
+            "tag of {addr} exceeds {TAG_BITS} bits"
+        );
 
-        // Hit path.
-        if let Some(i) = self.way_of(addr) {
-            self.lru[i] = tick;
-            if write {
-                self.flags[i] |= DIRTY;
+        if !self.is_filled(set) {
+            // First fill of the set: way 0, by a store alone.
+            self.filled[set / 64] |= 1 << (set % 64);
+            self.words[base] = stamp | key | dirty;
+            self.misses += 1;
+            self.resident += 1;
+            return LookupResult::Miss {
+                evicted_clean: None,
+            };
+        }
+
+        // One pass: the hit way, else the victim — the first invalid way
+        // (rank 0; a valid way's stamp is at least 1), else the LRU way.
+        let ways = &mut self.words[base..base + self.geom.ways() as usize];
+        let mut victim = 0;
+        let mut victim_rank = u64::MAX;
+        for (i, w) in ways.iter_mut().enumerate() {
+            if *w & KEY_MASK == key {
+                *w = stamp | (*w & !STAMP_MASK) | dirty;
+                self.hits += 1;
+                return LookupResult::Hit;
             }
-            self.hits += 1;
-            return LookupResult::Hit;
+            let rank = if *w & VALID == 0 {
+                0
+            } else {
+                *w >> STAMP_SHIFT
+            };
+            if rank < victim_rank {
+                victim = i;
+                victim_rank = rank;
+            }
         }
 
         self.misses += 1;
-
-        // Miss: pick an invalid way, else the LRU way.
-        let idx = match range.clone().find(|&i| self.flags[i] & VALID == 0) {
-            Some(i) => i,
-            None => range
-                .min_by_key(|&i| self.lru[i])
-                .expect("nonzero associativity"),
-        };
-        let result = if self.flags[idx] & VALID != 0 {
-            let victim_line = self.tags[idx] * sets + set;
-            if self.flags[idx] & DIRTY != 0 {
-                LookupResult::MissDirtyEviction { victim_line }
-            } else {
-                LookupResult::Miss {
-                    evicted_clean: Some(victim_line),
-                }
-            }
-        } else {
+        let old = ways[victim];
+        ways[victim] = stamp | key | dirty;
+        if old & VALID == 0 {
             self.resident += 1;
-            LookupResult::Miss {
+            return LookupResult::Miss {
                 evicted_clean: None,
+            };
+        }
+        let victim_line = (old & KEY_MASK) >> TAG_SHIFT << self.geom.set_shift | set as u64;
+        if old & DIRTY != 0 {
+            LookupResult::MissDirtyEviction { victim_line }
+        } else {
+            LookupResult::Miss {
+                evicted_clean: Some(victim_line),
             }
-        };
-        self.tags[idx] = tag;
-        self.lru[idx] = tick;
-        self.flags[idx] = VALID | if write { DIRTY } else { 0 };
-        result
+        }
+    }
+
+    /// Renumbers every filled set's stamps `1..=ways` in their current
+    /// order and restarts the clock above them. Runs when the 32-bit tick
+    /// is exhausted, so stamps never wrap and LRU order stays exact.
+    fn rerank(&mut self) {
+        let ways = self.geom.ways() as usize;
+        let mut order: Vec<usize> = Vec::with_capacity(ways);
+        for set in 0..self.geom.sets() as usize {
+            if !self.is_filled(set) {
+                continue;
+            }
+            let set_words = &mut self.words[set * ways..(set + 1) * ways];
+            order.clear();
+            order.extend(0..ways);
+            order.sort_by_key(|&i| set_words[i] >> STAMP_SHIFT);
+            for (rank, &i) in order.iter().enumerate() {
+                set_words[i] = (rank as u64 + 1) << STAMP_SHIFT | (set_words[i] & !STAMP_MASK);
+            }
+        }
+        self.tick = self.geom.ways();
     }
 
     /// Invalidates `addr`'s line if resident; returns whether it was dirty.
@@ -248,8 +321,8 @@ impl CacheArray {
     /// Used for coherence: a remote writer invalidates other agents' copies.
     pub fn invalidate(&mut self, addr: PAddr) -> Option<bool> {
         let i = self.way_of(addr)?;
-        let dirty = self.flags[i] & DIRTY != 0;
-        self.flags[i] &= !VALID;
+        let dirty = self.words[i] & DIRTY != 0;
+        self.words[i] &= !VALID;
         self.resident -= 1;
         Some(dirty)
     }
@@ -260,7 +333,7 @@ impl CacheArray {
         let Some(i) = self.way_of(addr) else {
             return false;
         };
-        self.flags[i] &= !DIRTY;
+        self.words[i] &= !DIRTY;
         true
     }
 
@@ -273,6 +346,15 @@ impl CacheArray {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl CacheArray {
+        /// An empty cache whose LRU clock already reads `tick`.
+        fn with_tick(geom: CacheGeometry, tick: u32) -> Self {
+            let mut c = CacheArray::new(geom);
+            c.tick = tick;
+            c
+        }
+    }
 
     fn tiny() -> CacheArray {
         // 4 sets x 2 ways x 64B = 512B cache: easy to force evictions.
@@ -395,13 +477,13 @@ mod tests {
     #[test]
     fn resident_count() {
         let mut c = tiny();
-        let walk = |c: &CacheArray| c.flags.iter().filter(|&&f| f & VALID != 0).count();
+        let walk = |c: &CacheArray| c.words.iter().filter(|&&w| w & VALID != 0).count();
         assert_eq!(c.resident_lines(), 0);
         c.access(line(0), false);
         c.access(line(1), false);
         assert_eq!(c.resident_lines(), 2);
         // Refills of a full set and invalidations keep the counter equal
-        // to a walk of the flags.
+        // to a walk of the words.
         for i in [4, 8, 12, 0, 5, 9] {
             c.access(line(i), i % 2 == 0);
             assert_eq!(c.resident_lines(), walk(&c));
@@ -424,5 +506,58 @@ mod tests {
         c.access(line(0), true);
         c.invalidate(line(0));
         assert_eq!(c.probe_state(line(0)), None);
+    }
+
+    fn evicted(r: LookupResult) -> Option<u64> {
+        match r {
+            LookupResult::Hit => None,
+            LookupResult::Miss { evicted_clean } => evicted_clean,
+            LookupResult::MissDirtyEviction { victim_line } => Some(victim_line),
+        }
+    }
+
+    #[test]
+    fn tick_exhaustion_reranks_and_keeps_victim_order() {
+        // 4 sets x 4 ways, the clock six accesses short of its limit.
+        let mut c = CacheArray::with_tick(CacheGeometry::new(4 * 4 * 64, 4), u32::MAX - 6);
+        for l in [0, 4, 8, 12, 0, 1] {
+            c.access(line(l), l == 8);
+        }
+        assert_eq!(c.tick, u32::MAX);
+        // Set 0 from LRU to MRU: 4, 8 (dirty), 12, 0. The next access
+        // exhausts the clock: stamps restart at 1..=4 per filled set.
+        assert_eq!(evicted(c.access(line(5), false)), None);
+        assert!(!c.is_filled(2) && c.words[8..12] == [0; 4]);
+        assert_eq!(
+            c.access(line(16), false),
+            LookupResult::Miss {
+                evicted_clean: Some(4)
+            }
+        );
+        assert_eq!(
+            c.access(line(20), false),
+            LookupResult::MissDirtyEviction { victim_line: 8 }
+        );
+        assert!(c.access(line(12), false).is_hit()); // promoted across the re-rank
+        assert_eq!(evicted(c.access(line(24), false)), Some(0));
+        assert_eq!(evicted(c.access(line(28), false)), Some(16));
+        // Set 1 kept its order too: 1 is older than 5.
+        for l in [9, 13] {
+            assert_eq!(evicted(c.access(line(l), false)), None);
+        }
+        assert_eq!(evicted(c.access(line(17), false)), Some(1));
+        assert_eq!((c.hits(), c.misses()), (2, 13));
+    }
+
+    #[test]
+    fn over_wide_tag_probes_absent_and_refuses_to_fill() {
+        let mut c = tiny();
+        // Tag 1 << 30 in a 4-set cache: one bit more than a word holds.
+        let wide = line(4 << TAG_BITS);
+        c.access(line(0), false);
+        assert!(!c.probe(wide));
+        assert_eq!(c.invalidate(wide), None);
+        let fill = std::panic::catch_unwind(move || c.access(wide, false));
+        assert!(fill.is_err());
     }
 }

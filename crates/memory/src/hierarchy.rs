@@ -174,10 +174,11 @@ impl MemoryHierarchy {
         &self.dram
     }
 
-    /// Cache lines with materialized state across all levels. The tag
-    /// arrays are virtually sized by geometry but zero-page-backed until
-    /// touched, so this — not `size_bytes()` — tracks what the hierarchy
-    /// actually costs. O(agents): each array keeps its own count.
+    /// Valid ways across all levels. Each way array is sized by geometry,
+    /// but a page of it is faulted in only by the first fill that lands
+    /// there, so this — not `size_bytes()` — tracks what the hierarchy
+    /// actually costs (8 bytes a way). O(agents): each array keeps its own
+    /// count.
     pub fn resident_lines(&self) -> usize {
         self.l1s
             .iter()

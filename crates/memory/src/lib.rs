@@ -33,7 +33,6 @@ pub mod addr;
 pub mod cache;
 pub mod dram;
 pub mod error;
-pub mod fasthash;
 pub mod hierarchy;
 pub mod page;
 pub mod phys;
@@ -43,7 +42,6 @@ pub use addr::{PAddr, VAddr, CACHE_LINE_BYTES, PAGE_BYTES};
 pub use cache::{CacheArray, CacheGeometry, LookupResult};
 pub use dram::{DramConfig, DramModel};
 pub use error::MemError;
-pub use fasthash::{FastHasher, FastMap};
 pub use hierarchy::{
     AccessKind, AccessResult, AgentId, HierarchyConfig, HitLevel, MemoryHierarchy,
 };

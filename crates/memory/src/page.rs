@@ -7,8 +7,6 @@
 //! references, standing in for a radix walk) and a bump-with-free-list frame
 //! allocator per node.
 
-use std::collections::BTreeMap;
-
 use crate::addr::{PAddr, VAddr, PAGE_BYTES};
 use crate::error::MemError;
 
@@ -87,15 +85,31 @@ impl FrameAllocator {
 #[derive(Debug, Clone)]
 pub struct AddressSpace {
     asid: u32,
-    table: BTreeMap<u64, u64>, // vpn -> pfn
+    /// The page table: runs of consecutive virtual pages, sorted by first
+    /// page and non-overlapping. A node's heap and context segment are two
+    /// such runs, so a translation is a search over a handful of entries
+    /// and one indexed load.
+    extents: Vec<Extent>,
+    mapped: usize,
 }
+
+/// Frame numbers of the virtual pages `first_vpn..first_vpn + pfns.len()`.
+#[derive(Debug, Clone)]
+struct Extent {
+    first_vpn: u64,
+    pfns: Vec<u64>,
+}
+
+/// The `pfn` of an unmapped page inside an extent.
+const HOLE: u64 = u64::MAX;
 
 impl AddressSpace {
     /// Creates an empty address space with identifier `asid`.
     pub fn new(asid: u32) -> Self {
         AddressSpace {
             asid,
-            table: BTreeMap::new(),
+            extents: Vec::new(),
+            mapped: 0,
         }
     }
 
@@ -106,7 +120,39 @@ impl AddressSpace {
 
     /// Number of mapped pages.
     pub fn mapped_pages(&self) -> usize {
-        self.table.len()
+        self.mapped
+    }
+
+    /// The frame `vpn` maps to, if any: looked up in the last extent
+    /// starting at or below it.
+    #[inline]
+    fn pfn_of(&self, vpn: u64) -> Option<u64> {
+        let below = self.extents.partition_point(|e| e.first_vpn <= vpn);
+        let e = &self.extents[below.checked_sub(1)?];
+        let pfn = *e.pfns.get((vpn - e.first_vpn) as usize)?;
+        (pfn != HOLE).then_some(pfn)
+    }
+
+    /// The table slot of `vpn`: inside an extent, else one past an
+    /// extent's end (the heap growing), else the head of a new extent.
+    fn slot_mut(&mut self, vpn: u64) -> &mut u64 {
+        let at = self.extents.partition_point(|e| e.first_vpn <= vpn);
+        if let Some(i) = at.checked_sub(1) {
+            let e = &mut self.extents[i];
+            let off = (vpn - e.first_vpn) as usize;
+            if off <= e.pfns.len() {
+                if off == e.pfns.len() {
+                    e.pfns.push(HOLE);
+                }
+                return &mut self.extents[i].pfns[off];
+            }
+        }
+        let head = Extent {
+            first_vpn: vpn,
+            pfns: vec![HOLE],
+        };
+        self.extents.insert(at, head);
+        &mut self.extents[at].pfns[0]
     }
 
     /// Maps `len` bytes starting at page-aligned `base`, allocating frames.
@@ -130,14 +176,13 @@ impl AddressSpace {
         assert!(len > 0, "empty mapping");
         let first = base.page_number();
         let pages = len.div_ceil(PAGE_BYTES);
-        for vpn in first..first + pages {
-            if self.table.contains_key(&vpn) {
-                return Err(MemError::AlreadyMapped(VAddr::new(vpn * PAGE_BYTES)));
-            }
+        if let Some(vpn) = (first..first + pages).find(|&vpn| self.pfn_of(vpn).is_some()) {
+            return Err(MemError::AlreadyMapped(VAddr::new(vpn * PAGE_BYTES)));
         }
         for vpn in first..first + pages {
             let pfn = alloc.alloc()?;
-            self.table.insert(vpn, pfn);
+            *self.slot_mut(vpn) = pfn;
+            self.mapped += 1;
         }
         Ok(())
     }
@@ -147,8 +192,10 @@ impl AddressSpace {
         let first = base.page_number();
         let pages = len.div_ceil(PAGE_BYTES);
         for vpn in first..first + pages {
-            if let Some(pfn) = self.table.remove(&vpn) {
+            if let Some(pfn) = self.pfn_of(vpn) {
                 alloc.free(pfn);
+                *self.slot_mut(vpn) = HOLE;
+                self.mapped -= 1;
             }
         }
     }
@@ -158,10 +205,10 @@ impl AddressSpace {
     /// # Errors
     ///
     /// Returns [`MemError::Unmapped`] if no mapping covers `va`.
+    #[inline]
     pub fn translate(&self, va: VAddr) -> Result<PAddr, MemError> {
         let pfn = self
-            .table
-            .get(&va.page_number())
+            .pfn_of(va.page_number())
             .ok_or(MemError::Unmapped(va))?;
         Ok(PAddr::new(pfn * PAGE_BYTES + va.page_offset()))
     }
@@ -241,6 +288,70 @@ mod tests {
         assert_eq!(alloc.available(), 2);
         assert!(s.translate(VAddr::new(0)).is_err());
         assert!(s.translate(VAddr::new(2 * PAGE_BYTES)).is_ok());
+    }
+
+    #[test]
+    fn out_of_frames_keeps_the_pages_mapped_so_far() {
+        let mut alloc = FrameAllocator::new(2 * PAGE_BYTES);
+        let mut s = AddressSpace::new(1);
+        assert_eq!(
+            s.map_range(VAddr::new(0), 4 * PAGE_BYTES, &mut alloc),
+            Err(MemError::OutOfFrames)
+        );
+        assert_eq!(s.mapped_pages(), 2);
+        assert!(s.translate(VAddr::new(PAGE_BYTES)).is_ok());
+        assert!(s.translate(VAddr::new(2 * PAGE_BYTES)).is_err());
+    }
+
+    #[test]
+    fn unmap_leaves_a_hole_that_remaps() {
+        let mut alloc = FrameAllocator::new(8 * PAGE_BYTES);
+        let mut s = AddressSpace::new(1);
+        let page = |i: u64| VAddr::new(i * PAGE_BYTES);
+        s.map_range(page(0), 4 * PAGE_BYTES, &mut alloc).unwrap();
+        s.unmap_range(page(1), 2 * PAGE_BYTES, &mut alloc);
+        // Unmapping twice, or past the table, frees nothing more.
+        s.unmap_range(page(1), 9 * PAGE_BYTES, &mut alloc);
+        assert_eq!((s.mapped_pages(), alloc.available()), (1, 7));
+        assert_eq!(s.translate(page(2)), Err(MemError::Unmapped(page(2))));
+        assert_eq!(
+            s.map_range(page(2), 2 * PAGE_BYTES, &mut alloc),
+            Ok(()),
+            "pages 2 and 3 are both holes now"
+        );
+        assert_eq!(
+            s.map_range(page(1), 2 * PAGE_BYTES, &mut alloc),
+            Err(MemError::AlreadyMapped(page(2)))
+        );
+        s.map_range(page(1), PAGE_BYTES, &mut alloc).unwrap();
+        assert_eq!((s.mapped_pages(), s.extents.len()), (4, 1));
+    }
+
+    #[test]
+    fn segments_are_sorted_extents_and_the_heap_grows_in_place() {
+        let mut alloc = FrameAllocator::new(64 * PAGE_BYTES);
+        let mut s = AddressSpace::new(1);
+        let page = |i: u64| VAddr::new(i * PAGE_BYTES);
+        // A context segment high up, then a heap below it that grows by
+        // consecutive ranges, then a range bridging into the segment.
+        s.map_range(page(100), 4 * PAGE_BYTES, &mut alloc).unwrap();
+        s.map_range(page(10), 2 * PAGE_BYTES, &mut alloc).unwrap();
+        s.map_range(page(12), 3 * PAGE_BYTES, &mut alloc).unwrap();
+        assert_eq!(s.extents.len(), 2);
+        assert_eq!(s.extents[0].first_vpn, 10);
+        s.unmap_range(page(100), PAGE_BYTES, &mut alloc);
+        s.map_range(page(98), 3 * PAGE_BYTES, &mut alloc).unwrap();
+        assert_eq!(s.mapped_pages(), 11);
+        let mut frames: Vec<u64> = (10..15)
+            .chain(98..104)
+            .map(|i| s.translate(page(i)).unwrap().frame_number())
+            .collect();
+        frames.sort_unstable();
+        frames.dedup();
+        assert_eq!(frames.len(), 11, "every page has its own frame");
+        for i in [9, 15, 97, 104] {
+            assert!(s.translate(page(i)).is_err(), "page {i}");
+        }
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Functional physical memory: the bytes behind every simulated node.
 
 use crate::addr::{PAddr, PAGE_BYTES};
-use crate::fasthash::FastMap;
 
 /// One simulated node's physical memory: a sparse array of 8 KB frames.
 ///
@@ -20,9 +19,11 @@ use crate::fasthash::FastMap;
 /// ```
 #[derive(Debug, Clone)]
 pub struct PhysicalMemory {
-    /// Frame number → bytes. Fast-hashed: probed on every functional read
-    /// and write, and never iterated (order cannot leak into results).
-    frames: FastMap<u64, Box<[u8]>>,
+    /// Indexed by frame number and grown on first write: frames come from
+    /// a bump allocator, so the touched indices are dense from zero. `None`
+    /// (and everything past the end) is a frame never written.
+    frames: Vec<Option<Box<[u8]>>>,
+    resident: usize,
     capacity: u64,
 }
 
@@ -36,7 +37,8 @@ impl PhysicalMemory {
         assert!(capacity > 0, "zero-capacity memory");
         let capacity = capacity.div_ceil(PAGE_BYTES) * PAGE_BYTES;
         PhysicalMemory {
-            frames: FastMap::default(),
+            frames: Vec::new(),
+            resident: 0,
             capacity,
         }
     }
@@ -48,13 +50,18 @@ impl PhysicalMemory {
 
     /// Number of frames currently materialized.
     pub fn resident_frames(&self) -> usize {
-        self.frames.len()
+        self.resident
     }
 
     fn frame_mut(&mut self, frame_no: u64) -> &mut [u8] {
-        self.frames
-            .entry(frame_no)
-            .or_insert_with(|| vec![0u8; PAGE_BYTES as usize].into_boxed_slice())
+        let i = frame_no as usize;
+        if i >= self.frames.len() {
+            self.frames.resize_with(i + 1, || None);
+        }
+        self.frames[i].get_or_insert_with(|| {
+            self.resident += 1;
+            vec![0u8; PAGE_BYTES as usize].into_boxed_slice()
+        })
     }
 
     /// Reads `buf.len()` bytes starting at `addr`.
@@ -77,9 +84,11 @@ impl PhysicalMemory {
             let frame_no = cur / PAGE_BYTES;
             let off = (cur % PAGE_BYTES) as usize;
             let take = ((PAGE_BYTES as usize) - off).min(buf.len() - done);
-            match self.frames.get(&frame_no) {
-                Some(frame) => buf[done..done + take].copy_from_slice(&frame[off..off + take]),
-                None => buf[done..done + take].fill(0),
+            match self.frames.get(frame_no as usize) {
+                Some(Some(frame)) => {
+                    buf[done..done + take].copy_from_slice(&frame[off..off + take])
+                }
+                _ => buf[done..done + take].fill(0),
             }
             cur += take as u64;
             done += take;
@@ -178,6 +187,19 @@ mod tests {
         mem.read(PAddr::new(4096), &mut buf);
         assert_eq!(buf, [0u8; 16]);
         assert_eq!(mem.resident_frames(), 0);
+    }
+
+    #[test]
+    fn only_written_frames_are_resident() {
+        let mut mem = PhysicalMemory::new(1 << 20);
+        mem.store_u8(PAddr::new(5 * PAGE_BYTES + 1), 9);
+        mem.store_u8(PAddr::new(5 * PAGE_BYTES), 1);
+        assert_eq!(mem.resident_frames(), 1);
+        // A gap below the written frame and a frame past the table.
+        assert_eq!(mem.load_u8(PAddr::new(2 * PAGE_BYTES)), 0);
+        assert_eq!(mem.load_u8(PAddr::new(9 * PAGE_BYTES)), 0);
+        assert_eq!(mem.load_u8(PAddr::new(5 * PAGE_BYTES + 1)), 9);
+        assert_eq!(mem.resident_frames(), 1);
     }
 
     #[test]

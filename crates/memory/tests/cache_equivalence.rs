@@ -1,0 +1,332 @@
+//! Differential test of the packed cache way array, and of the two
+//! properties its layout exists for: exact LRU and store-first fills.
+//!
+//! `CacheArray` keeps a way as one packed word (stamp | tag | dirty |
+//! valid) and knows a never-filled set empty from one bit, without loading
+//! its words. Until that change a way was 17 bytes in three parallel
+//! arrays. [`ThreeArrayCache`] below is that earlier implementation, kept
+//! verbatim (on the public `CacheGeometry`) as the reference: over random
+//! operation streams the two must agree on every result, victim lines
+//! included, and on every counter.
+
+use proptest::collection::vec;
+use proptest::prelude::*;
+
+use sonuma_memory::{CacheArray, CacheGeometry, LookupResult, PAddr};
+
+const VALID: u8 = 1;
+const DIRTY: u8 = 2;
+
+/// One level of set-associative, LRU, write-back cache tags.
+#[derive(Debug, Clone)]
+struct ThreeArrayCache {
+    geom: CacheGeometry,
+    // Way state as parallel arrays (sets × ways, row-major by set), all
+    // zero-initialized. `vec![0; n]` allocates zeroed pages straight from
+    // the allocator, so building a rack of 4 MB LLC tag arrays costs
+    // virtual address space, not hundreds of megabytes of writes — pages
+    // materialize only for sets the workload actually touches.
+    tags: Vec<u64>,
+    lru: Vec<u64>,
+    flags: Vec<u8>, // VALID | DIRTY
+    tick: u64,
+    hits: u64,
+    misses: u64,
+    /// Ways currently `VALID`, maintained by fill and `invalidate` so
+    /// reading it never walks (and faults in) the flags array.
+    resident: usize,
+}
+
+impl ThreeArrayCache {
+    /// Creates an empty (all-invalid) cache.
+    fn new(geom: CacheGeometry) -> Self {
+        let n = (geom.sets() * geom.ways() as u64) as usize;
+        ThreeArrayCache {
+            geom,
+            tags: vec![0; n],
+            lru: vec![0; n],
+            flags: vec![0; n],
+            tick: 0,
+            hits: 0,
+            misses: 0,
+            resident: 0,
+        }
+    }
+
+    /// Lifetime hit count.
+    fn hits(&self) -> u64 {
+        self.hits
+    }
+
+    /// Lifetime miss count.
+    fn misses(&self) -> u64 {
+        self.misses
+    }
+
+    fn set_range(&self, set: u64) -> std::ops::Range<usize> {
+        let w = self.geom.ways() as usize;
+        let base = set as usize * w;
+        base..base + w
+    }
+
+    /// Index of the valid way holding `addr`'s line, if any.
+    #[inline]
+    fn way_of(&self, addr: PAddr) -> Option<usize> {
+        let set = self.geom.set_of(addr);
+        let tag = self.geom.tag_of(addr);
+        self.set_range(set)
+            .find(|&i| self.flags[i] & VALID != 0 && self.tags[i] == tag)
+    }
+
+    /// Whether `addr`'s line is resident, without disturbing LRU or stats.
+    fn probe(&self, addr: PAddr) -> bool {
+        self.way_of(addr).is_some()
+    }
+
+    /// `Some(dirty)` if `addr`'s line is resident, without disturbing LRU
+    /// or stats — the coherence directory's "who holds this line, and who
+    /// holds it modified" question, answered from the tags themselves.
+    fn probe_state(&self, addr: PAddr) -> Option<bool> {
+        self.way_of(addr).map(|i| self.flags[i] & DIRTY != 0)
+    }
+
+    /// Accesses `addr`'s line, filling on miss; `write` marks it dirty.
+    ///
+    /// Returns what happened, including any eviction the fill caused.
+    fn access(&mut self, addr: PAddr, write: bool) -> LookupResult {
+        self.tick += 1;
+        let tick = self.tick;
+        let set = self.geom.set_of(addr);
+        let tag = self.geom.tag_of(addr);
+        let sets = self.geom.sets();
+        let range = self.set_range(set);
+
+        // Hit path.
+        if let Some(i) = self.way_of(addr) {
+            self.lru[i] = tick;
+            if write {
+                self.flags[i] |= DIRTY;
+            }
+            self.hits += 1;
+            return LookupResult::Hit;
+        }
+
+        self.misses += 1;
+
+        // Miss: pick an invalid way, else the LRU way.
+        let idx = match range.clone().find(|&i| self.flags[i] & VALID == 0) {
+            Some(i) => i,
+            None => range
+                .min_by_key(|&i| self.lru[i])
+                .expect("nonzero associativity"),
+        };
+        let result = if self.flags[idx] & VALID != 0 {
+            let victim_line = self.tags[idx] * sets + set;
+            if self.flags[idx] & DIRTY != 0 {
+                LookupResult::MissDirtyEviction { victim_line }
+            } else {
+                LookupResult::Miss {
+                    evicted_clean: Some(victim_line),
+                }
+            }
+        } else {
+            self.resident += 1;
+            LookupResult::Miss {
+                evicted_clean: None,
+            }
+        };
+        self.tags[idx] = tag;
+        self.lru[idx] = tick;
+        self.flags[idx] = VALID | if write { DIRTY } else { 0 };
+        result
+    }
+
+    /// Invalidates `addr`'s line if resident; returns whether it was dirty.
+    ///
+    /// Used for coherence: a remote writer invalidates other agents' copies.
+    fn invalidate(&mut self, addr: PAddr) -> Option<bool> {
+        let i = self.way_of(addr)?;
+        let dirty = self.flags[i] & DIRTY != 0;
+        self.flags[i] &= !VALID;
+        self.resident -= 1;
+        Some(dirty)
+    }
+
+    /// Downgrades `addr`'s line to clean (e.g. after a sharer reads a line
+    /// this cache held modified). Returns whether the line was present.
+    fn clean(&mut self, addr: PAddr) -> bool {
+        let Some(i) = self.way_of(addr) else {
+            return false;
+        };
+        self.flags[i] &= !DIRTY;
+        true
+    }
+
+    /// Number of resident lines (for tests and occupancy stats).
+    fn resident_lines(&self) -> usize {
+        self.resident
+    }
+}
+
+/// Geometries from "every fill evicts" up to Table 1's L1 and LLC.
+const GEOMETRIES: [(u64, u32); 8] = [
+    (64, 1),
+    (128, 2),
+    (256, 1),
+    (512, 2),
+    (2048, 4),
+    (8192, 8),
+    (32 * 1024, 2),
+    (4 * 1024 * 1024, 16),
+];
+
+/// Line `k` of the lines that map to set `s`: a few sets, and more lines
+/// per set than it has ways, so every geometry sees evictions.
+fn line_addr(geom: CacheGeometry, k: u64, s: u64) -> PAddr {
+    let k = k % (2 * geom.ways() as u64 + 2);
+    let s = s % geom.sets().min(8);
+    PAddr::new((k * geom.sets() + s) * 64)
+}
+
+/// Runs `ops` = `(operation, k, s)` through both implementations and
+/// compares everything observable.
+fn check(shape: usize, ops: &[(u8, u64, u64)]) {
+    let (size, ways) = GEOMETRIES[shape];
+    let geom = CacheGeometry::new(size, ways);
+    let mut packed = CacheArray::new(geom);
+    let mut reference = ThreeArrayCache::new(geom);
+    for (i, &(op, k, s)) in ops.iter().enumerate() {
+        let addr = line_addr(geom, k, s);
+        let ctx = || format!("op {i}: {op} on {addr:?} ({size} B, {ways}-way)");
+        match op {
+            // Accesses dominate, as they do in a run; one in four writes.
+            0..=5 => {
+                let write = op == 0 || (op == 1 && k % 2 == 0);
+                assert_eq!(
+                    packed.access(addr, write),
+                    reference.access(addr, write),
+                    "{}",
+                    ctx()
+                );
+            }
+            6 => assert_eq!(packed.probe(addr), reference.probe(addr), "{}", ctx()),
+            7 => assert_eq!(
+                packed.probe_state(addr),
+                reference.probe_state(addr),
+                "{}",
+                ctx()
+            ),
+            8 => assert_eq!(
+                packed.invalidate(addr),
+                reference.invalidate(addr),
+                "{}",
+                ctx()
+            ),
+            _ => assert_eq!(packed.clean(addr), reference.clean(addr), "{}", ctx()),
+        }
+        assert_eq!(
+            packed.resident_lines(),
+            reference.resident_lines(),
+            "{}",
+            ctx()
+        );
+    }
+    assert_eq!(packed.hits(), reference.hits());
+    assert_eq!(packed.misses(), reference.misses());
+    for k in 0..2 * ways as u64 + 2 {
+        for s in 0..8 {
+            let addr = line_addr(geom, k, s);
+            assert_eq!(packed.probe_state(addr), reference.probe_state(addr));
+        }
+    }
+}
+
+proptest! {
+    #[test]
+    fn packed_ways_match_the_three_array_reference(
+        shape in 0usize..GEOMETRIES.len(),
+        ops in vec((0u8..10, 0u64..64, 0u64..8), 1..2_000),
+    ) {
+        check(shape, &ops);
+    }
+}
+
+/// What the filled bit buys, measured: page faults around lookups and
+/// fills of a fresh LLC-sized array.
+#[cfg(target_os = "linux")]
+mod first_touch {
+    use super::*;
+
+    /// Minor page faults the calling thread has taken (`minflt`, field 10 of
+    /// its `stat` line). The thread's own file rather than `/proc/self/stat`:
+    /// the other tests of this binary fault concurrently on their threads.
+    fn minor_faults() -> u64 {
+        let stat = std::fs::read_to_string("/proc/thread-self/stat").expect("procfs");
+        // Field 2 (the thread name) may contain spaces; it ends at the last ')'.
+        let after_name = stat.rsplit_once(')').expect("comm field").1;
+        after_name
+            .split_whitespace()
+            .nth(7)
+            .and_then(|f| f.parse().ok())
+            .expect("minflt field")
+    }
+
+    /// Host pages are at least this big, so one touch per `PAGE` bytes of an
+    /// array touches every page of it at most once.
+    const PAGE: u64 = 4096;
+
+    /// Table 1's LLC: 65,536 ways, a 512 KB way array.
+    fn llc() -> CacheGeometry {
+        CacheGeometry::new(4 * 1024 * 1024, 16)
+    }
+
+    /// A lookup in a never-filled set answers from the set's "ever filled"
+    /// bit: it must not load the way words, which would fault every page of a
+    /// fresh array in (as the shared zero page) just to learn it is empty.
+    #[test]
+    fn lookups_in_never_filled_sets_fault_nothing_in() {
+        let geom = llc();
+        let mut c = CacheArray::new(geom);
+        let line = |set: u64| PAddr::new(set * 64);
+        c.probe(line(0)); // the bitmap and this code are resident from here on
+        let before = minor_faults();
+        for set in 0..geom.sets() {
+            assert!(!c.probe(line(set)));
+            assert_eq!(c.probe_state(line(set)), None);
+            assert_eq!(c.invalidate(line(set)), None);
+            assert!(!c.clean(line(set)));
+        }
+        let faults = minor_faults() - before;
+        assert!(
+            faults <= 4,
+            "{faults} faults probing an empty 512 KB way array"
+        );
+    }
+
+    /// The first touch of a fresh page of the way array is the fill's store,
+    /// so it costs one fault. A load before it would cost two: one to map the
+    /// zero page, one to replace it when the store follows.
+    #[test]
+    fn first_fill_of_a_fresh_page_takes_one_fault() {
+        let geom = llc();
+        let sets_per_page = PAGE / (8 * geom.ways() as u64);
+        let mut c = CacheArray::new(geom);
+        let pages = geom.sets() / sets_per_page;
+        c.access(PAddr::new(0), false);
+        let before = minor_faults();
+        for page in 1..pages {
+            let fill = c.access(PAddr::new(page * sets_per_page * 64), true);
+            assert_eq!(
+                fill,
+                LookupResult::Miss {
+                    evicted_clean: None
+                }
+            );
+        }
+        let faults = minor_faults() - before;
+        assert!(
+            faults <= pages + pages / 4,
+            "{faults} faults filling one set in each of {pages} fresh pages"
+        );
+    }
+}
