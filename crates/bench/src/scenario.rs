@@ -16,7 +16,7 @@
 //! two runs of the same spec + seed render byte-identical JSON once those
 //! fields are stripped, which the determinism test under `tests/` asserts.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::time::Instant;
 
@@ -47,9 +47,10 @@ use crate::trafficgen::{jain_index, ArrivalGen, ArrivalKind, ZipfSampler};
 /// the parallel-equivalence CI gate diffs two reports with those
 /// stripped (see [`equivalence_diff`]).
 /// v5 added the `qp_entries` spec field (`[execution]` section, WQ/CQ
-/// ring depth) and grew the `sharding` section with the distance-aware
-/// engine's metadata: `cut_links`, `lookahead_min_ns`/`lookahead_max_ns`
-/// (the per-shard-pair matrix bounds), `pair_bound_violations` (always 0
+/// ring depth) and grew the `sharding` section with the sharded
+/// engine's metadata: `cut_links`, `lookahead_ns` (the engine's
+/// lookahead; a min/max pair of keys while the engine kept one bound per
+/// shard pair), `pair_bound_violations` (always 0
 /// when the conservative bound holds), `resident_bytes` (the modeled
 /// machine's resident-heap estimate), and the optional `compare_serial`
 /// object written by `--compare-threads` (serial wall time, wall ratio,
@@ -1001,7 +1002,7 @@ impl ScenarioSpec {
     }
 
     /// Parses a flat TOML spec (comments and blank lines allowed; every
-    /// key checked; unknown keys rejected).
+    /// key checked; unknown and repeated keys and tables rejected).
     ///
     /// # Errors
     ///
@@ -1012,7 +1013,7 @@ impl ScenarioSpec {
         let mut saw_name = false;
         let mut saw_nodes = false;
         /// Which TOML table the parser is inside.
-        #[derive(PartialEq, Clone, Copy)]
+        #[derive(PartialEq, Eq, Hash, Clone, Copy)]
         enum Section {
             Top,
             Tenants,
@@ -1023,6 +1024,9 @@ impl ScenarioSpec {
             Kv,
         }
         let mut section = Section::Top;
+        // TOML forbids defining a table or a key twice: `(table, key)`
+        // pairs seen so far, a table header being its own `""` key.
+        let mut seen: HashSet<(Section, &str)> = HashSet::new();
         for (idx, raw) in text.lines().enumerate() {
             let lineno = idx + 1;
             let line = raw.trim();
@@ -1063,17 +1067,23 @@ impl ScenarioSpec {
                         )))
                     }
                 };
+                if !seen.insert((section, "")) {
+                    return Err(parse_err(&format!("duplicate section [{name}]")));
+                }
                 continue;
             }
             let (key, value) = line
                 .split_once('=')
                 .ok_or_else(|| parse_err("expected `key = value`"))?;
             let key = key.trim();
+            if !seen.insert((section, key)) {
+                return Err(parse_err(&format!("duplicate key {key:?}")));
+            }
             let value = parse_scalar(value.trim()).map_err(|m| SpecError::Parse(lineno, m))?;
             if section == Section::Tenants {
                 let tn = spec.tenancy.as_mut().expect("section initialized");
                 match key {
-                    "count" => tn.tenants = value.into_u64(lineno, "count")? as usize,
+                    "count" => tn.tenants = value.into_uint(lineno, "count")?,
                     "scheduler" => {
                         tn.scheduler = SchedPolicy::parse(&value.into_string(lineno, "scheduler")?)
                             .map_err(|m| SpecError::Parse(lineno, m))?;
@@ -1093,13 +1103,12 @@ impl ScenarioSpec {
             }
             if section == Section::Execution {
                 match key {
-                    "threads" => spec.threads = value.into_u64(lineno, "threads")? as usize,
+                    "threads" => spec.threads = value.into_uint(lineno, "threads")?,
                     "qp_entries" => {
-                        spec.qp_entries = value.into_u64(lineno, "qp_entries")? as u16;
+                        spec.qp_entries = value.into_uint(lineno, "qp_entries")?;
                     }
                     "speculate_epochs" => {
-                        spec.speculate_epochs =
-                            value.into_u64(lineno, "speculate_epochs")? as usize;
+                        spec.speculate_epochs = value.into_uint(lineno, "speculate_epochs")?;
                     }
                     other => {
                         return Err(SpecError::Parse(
@@ -1115,21 +1124,21 @@ impl ScenarioSpec {
                 match key {
                     "seed" => f.seed = value.into_u64(lineno, "seed")?,
                     "degraded_links" => {
-                        f.degraded_links = value.into_u64(lineno, "degraded_links")? as usize;
+                        f.degraded_links = value.into_uint(lineno, "degraded_links")?;
                     }
                     "drop_prob" => f.drop_prob = value.into_f64(lineno, "drop_prob")?,
                     "corrupt_prob" => f.corrupt_prob = value.into_f64(lineno, "corrupt_prob")?,
                     "derate" => f.derate = value.into_f64(lineno, "derate")?,
                     "credit_loss" => {
-                        f.credit_loss = value.into_u64(lineno, "credit_loss")? as usize;
+                        f.credit_loss = value.into_uint(lineno, "credit_loss")?;
                     }
                     "killed_links" => {
-                        f.killed_links = value.into_u64(lineno, "killed_links")? as usize;
+                        f.killed_links = value.into_uint(lineno, "killed_links")?;
                     }
                     "kill_at_us" => f.kill_at_us = value.into_f64(lineno, "kill_at_us")?,
                     "revive_at_us" => f.revive_at_us = value.into_f64(lineno, "revive_at_us")?,
                     "crashed_nodes" => {
-                        f.crashed_nodes = value.into_u64(lineno, "crashed_nodes")? as usize;
+                        f.crashed_nodes = value.into_uint(lineno, "crashed_nodes")?;
                     }
                     "crash_at_us" => f.crash_at_us = value.into_f64(lineno, "crash_at_us")?,
                     "restart_at_us" => {
@@ -1137,7 +1146,7 @@ impl ScenarioSpec {
                     }
                     "timeout_us" => f.timeout_us = value.into_f64(lineno, "timeout_us")?,
                     "max_retries" => {
-                        f.max_retries = value.into_u64(lineno, "max_retries")? as u32;
+                        f.max_retries = value.into_uint(lineno, "max_retries")?;
                     }
                     other => {
                         return Err(SpecError::Parse(
@@ -1153,13 +1162,13 @@ impl ScenarioSpec {
                 match key {
                     "interval_us" => t.interval_us = value.into_f64(lineno, "interval_us")?,
                     "link_capacity" => {
-                        t.link_capacity = value.into_u64(lineno, "link_capacity")? as usize;
+                        t.link_capacity = value.into_uint(lineno, "link_capacity")?;
                     }
                     "node_capacity" => {
-                        t.node_capacity = value.into_u64(lineno, "node_capacity")? as usize;
+                        t.node_capacity = value.into_uint(lineno, "node_capacity")?;
                     }
                     "event_capacity" => {
-                        t.event_capacity = value.into_u64(lineno, "event_capacity")? as usize;
+                        t.event_capacity = value.into_uint(lineno, "event_capacity")?;
                     }
                     other => {
                         return Err(SpecError::Parse(
@@ -1202,7 +1211,7 @@ impl ScenarioSpec {
                     "duration_us" => tr.duration_us = value.into_f64(lineno, "duration_us")?,
                     "zipf_addr" => tr.zipf_addr = value.into_f64(lineno, "zipf_addr")?,
                     "zipf_dst" => tr.zipf_dst = value.into_f64(lineno, "zipf_dst")?,
-                    "burst" => tr.burst = value.into_u64(lineno, "burst")? as u32,
+                    "burst" => tr.burst = value.into_uint(lineno, "burst")?,
                     other => {
                         return Err(SpecError::Parse(
                             lineno,
@@ -1218,7 +1227,7 @@ impl ScenarioSpec {
                     saw_name = true;
                 }
                 "nodes" => {
-                    spec.nodes = value.into_u64(lineno, "nodes")? as usize;
+                    spec.nodes = value.into_uint(lineno, "nodes")?;
                     saw_nodes = true;
                 }
                 "topology" => {
@@ -1270,7 +1279,7 @@ impl ScenarioSpec {
                 "read_fraction" => spec.read_fraction = value.into_f64(lineno, "read_fraction")?,
                 "op_bytes" => spec.op_bytes = value.into_u64(lineno, "op_bytes")?,
                 "ops_per_node" => spec.ops_per_node = value.into_u64(lineno, "ops_per_node")?,
-                "window" => spec.window = value.into_u64(lineno, "window")? as usize,
+                "window" => spec.window = value.into_uint(lineno, "window")?,
                 "segment_bytes" => spec.segment_bytes = value.into_u64(lineno, "segment_bytes")?,
                 "seed" => spec.seed = value.into_u64(lineno, "seed")?,
                 other => {
@@ -1433,6 +1442,13 @@ impl Scalar {
                 format!("{key} must be an unquoted integer"),
             )),
         }
+    }
+
+    /// An integer narrowed to the field's own width, rejecting values the
+    /// field cannot hold.
+    fn into_uint<T: TryFrom<u64>>(self, lineno: usize, key: &str) -> Result<T, SpecError> {
+        let n = self.into_u64(lineno, key)?;
+        T::try_from(n).map_err(|_| SpecError::Parse(lineno, format!("{key} = {n} is out of range")))
     }
 
     fn into_f64(self, lineno: usize, key: &str) -> Result<f64, SpecError> {
@@ -1704,9 +1720,9 @@ pub struct BackendRun {
     /// baselines, which have no internal parallelism).
     pub shards: usize,
     /// Conservative epochs the sharded engine ran (soNUMA; 0 otherwise).
-    /// Shard *metadata*: with the distance-aware lookahead matrix the
-    /// epoch structure depends on the partition, so this is excluded
-    /// from the parallel-equivalence diff.
+    /// Partition-invariant at speculation depth 0; with speculation the
+    /// batching depends on host scheduling, so it stays shard *metadata*,
+    /// excluded from the parallel-equivalence diff.
     pub epochs: u64,
     /// Logical events executed per shard (soNUMA runs only). Shard
     /// *metadata*: depends on the partition, excluded from the
@@ -1715,10 +1731,10 @@ pub struct BackendRun {
     /// Fabric links the shard partition cuts (0 on one shard). Shard
     /// metadata, like `shard_events`.
     pub cut_links: usize,
-    /// `(min, max)` over the per-shard-pair lookahead matrix (soNUMA
-    /// runs only; both zero otherwise). Shard metadata.
-    pub lookahead_bounds: Option<(SimTime, SimTime)>,
-    /// Cross-shard deliveries that beat the lookahead matrix's promise.
+    /// The sharded engine's lookahead (soNUMA runs only). Shard
+    /// metadata.
+    pub lookahead: Option<SimTime>,
+    /// Deliveries that beat the lookahead's promise.
     /// Must be 0 — recorded so a report can prove the conservative
     /// bound held, not just assume it.
     pub pair_bound_violations: u64,
@@ -1787,9 +1803,8 @@ pub struct CompareSerial {
     /// Serial wall time over this run's wall time (> 1 means the shards
     /// paid off).
     pub wall_ratio: f64,
-    /// Epochs the single-shard engine ran. With the lookahead matrix the
-    /// epoch structure is partition-dependent (each shard pair earns its
-    /// own horizon), so this differs from the sharded `epochs`.
+    /// Epochs the single-shard engine ran — equal to the sharded
+    /// `epochs` at speculation depth 0.
     pub epochs: u64,
 }
 
@@ -2049,7 +2064,7 @@ fn drive(spec: &ScenarioSpec, backend: &mut dyn RemoteBackend) -> BackendRun {
         epochs: 0,
         shard_events: Vec::new(),
         cut_links: 0,
-        lookahead_bounds: None,
+        lookahead: None,
         pair_bound_violations: 0,
         resident_bytes: 0,
         speculation: None,
@@ -2314,7 +2329,7 @@ fn drive_open_loop(
         epochs: 0,
         shard_events: Vec::new(),
         cut_links: 0,
-        lookahead_bounds: None,
+        lookahead: None,
         pair_bound_violations: 0,
         resident_bytes: 0,
         speculation: None,
@@ -2565,7 +2580,7 @@ fn drive_kv(
         epochs: 0,
         shard_events: Vec::new(),
         cut_links: 0,
-        lookahead_bounds: None,
+        lookahead: None,
         pair_bound_violations: 0,
         resident_bytes: 0,
         speculation: None,
@@ -2668,7 +2683,7 @@ fn run_spec_with_reps(spec: &ScenarioSpec, reps: u32) -> ScenarioResult {
             run.epochs = b.epochs();
             run.shard_events = b.shard_events();
             run.cut_links = b.cut_links();
-            run.lookahead_bounds = Some(b.lookahead_bounds());
+            run.lookahead = Some(b.lookahead());
             run.pair_bound_violations = b.pair_bound_violations();
             run.resident_bytes = b.resident_bytes();
             if b.speculation_depth() > 0 {
@@ -3165,9 +3180,8 @@ fn run_json(run: &BackendRun) -> Json {
             Json::Num(run.resident_bytes as f64),
         ),
     ];
-    if let Some((lo, hi)) = run.lookahead_bounds {
-        sharding.push(("lookahead_min_ns".to_string(), Json::Num(lo.as_ns_f64())));
-        sharding.push(("lookahead_max_ns".to_string(), Json::Num(hi.as_ns_f64())));
+    if let Some(lookahead) = run.lookahead {
+        sharding.push(("lookahead_ns".to_string(), Json::Num(lookahead.as_ns_f64())));
     }
     if let Some((committed, rolled_back)) = run.speculation {
         let settled = committed + rolled_back;
@@ -4313,10 +4327,11 @@ pub fn rack4096_spec() -> ScenarioSpec {
 /// The speculation rack: 8192 nodes as a 16×16×32 3D torus on 8 shard
 /// threads with speculative run-ahead (`K = 2`) enabled. This is the
 /// scale ROADMAP item 2 names past `rack4096`: a fully-synchronized
-/// symmetric rack where the lookahead matrix's diagonal binds, so the
-/// conservative engine pays one barrier per scalar lookahead and the
-/// speculative engine's extra in-release levels and clock bets are what
-/// keep the barrier count (and wall time) in budget. Memory rides the
+/// symmetric rack where the conservative engine pays one barrier per
+/// lookahead, and the one canned scenario that exercises the
+/// speculative engine's extra in-release levels and clock bets
+/// (measured here: 15 barriers at `K` = 0, 2 and 4 alike — see
+/// DESIGN.md, "Prove or remove"). Memory rides the
 /// rack4096 diet (16-entry QP rings, lazy tables, sparse memory); the
 /// CI lane budgets the whole run under 4 GiB peak RSS. The report's
 /// `sharding.speculation` counters record how the bets settled.

@@ -133,6 +133,26 @@ fn malformed_specs_are_rejected() {
         ScenarioSpec::from_toml("name = \"x\"\nnodes 2\n"),
         Err(SpecError::Parse(2, _))
     ));
+    // Integers too wide for their field are rejected, not truncated
+    // (65600 as u16 is 64, which `validate` would accept), and a
+    // repeated key or table is an error, not last-one-wins.
+    for (line, needle, body) in [
+        (4, "out of range", "[execution]\nqp_entries = 65600\n"),
+        (4, "out of range", "[faults]\nmax_retries = 4294967296\n"),
+        (4, "out of range", "[traffic]\nburst = 4294967297\n"),
+        (3, "duplicate", "nodes = 9\n"),
+        (5, "duplicate", "[execution]\nthreads = 2\nthreads = 1\n"),
+        (5, "duplicate", "[execution]\nthreads = 1\n[execution]\n"),
+    ] {
+        let text = format!("name = \"x\"\nnodes = 2\n{body}");
+        match ScenarioSpec::from_toml(&text) {
+            Err(SpecError::Parse(l, msg)) if l == line && msg.contains(needle) => {}
+            other => panic!("{text:?} parsed as {other:?}"),
+        }
+    }
+    // The same key name in two different tables is not a repeat.
+    ScenarioSpec::from_toml("name = \"x\"\nnodes = 2\nseed = 1\n[faults]\nseed = 2\n")
+        .expect("one `seed` per table is legal");
     // Errors render.
     let err = ScenarioSpec::from_toml(zero_nodes).unwrap_err();
     assert!(err.to_string().contains("nodes"));

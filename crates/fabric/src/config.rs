@@ -94,20 +94,6 @@ impl FabricConfig {
     pub fn min_delivery_delay(&self, min_packet_bytes: u64) -> SimTime {
         self.hop_latency + self.serialization(min_packet_bytes)
     }
-
-    /// A lower bound on the injection-to-delivery latency of any packet of
-    /// at least `min_packet_bytes` whose route is at least `min_hops` hops
-    /// long: every hop pays the hop latency, and at least one link's
-    /// serialization of the smallest packet is paid before anything can
-    /// arrive (in fact every hop pays it, but one is all the bound needs).
-    /// Credits and contention only delay further.
-    ///
-    /// `delivery_delay_for_hops(1, b) == min_delivery_delay(b)`; together
-    /// with [`crate::Topology::min_hops`] this gives the per-shard-pair
-    /// lookahead of the distance-aware conservative engine.
-    pub fn delivery_delay_for_hops(&self, min_hops: u32, min_packet_bytes: u64) -> SimTime {
-        self.hop_latency * u64::from(min_hops.max(1)) + self.serialization(min_packet_bytes)
-    }
 }
 
 #[cfg(test)]
@@ -129,18 +115,6 @@ mod tests {
         assert_eq!(two, one * 2);
         // 88 B at 32 GB/s = 2.75 ns.
         assert_eq!(one, SimTime::from_ps(2750));
-    }
-
-    #[test]
-    fn delivery_delay_scales_with_hops_and_reduces_at_one() {
-        let c = FabricConfig::torus2d(4, 4);
-        assert_eq!(c.delivery_delay_for_hops(1, 24), c.min_delivery_delay(24));
-        // Zero hops is clamped: distinct nodes are at least one hop apart.
-        assert_eq!(c.delivery_delay_for_hops(0, 24), c.min_delivery_delay(24));
-        assert_eq!(
-            c.delivery_delay_for_hops(3, 24),
-            c.hop_latency * 3 + c.serialization(24)
-        );
     }
 
     #[test]

@@ -229,100 +229,6 @@ impl Topology {
         out.dedup();
         out
     }
-
-    /// A lower bound on the hop distance between any node in range `a` and
-    /// any node in range `b`, clamped to at least 1.
-    ///
-    /// Computed per dimension: the minimum ring (torus) or line (mesh)
-    /// distance between the coordinate sets each range occupies in that
-    /// dimension, summed over dimensions. Because the per-dimension minima
-    /// may be achieved by *different* node pairs, the sum is a lower bound
-    /// on the true minimum pairwise distance — exact when both ranges are
-    /// whole slabs (products of coordinate intervals), which is what
-    /// plane-aligned shard plans produce. A lower bound is the safe
-    /// direction for conservative lookahead: promising *less* distance than
-    /// packets actually travel never admits an early delivery.
-    ///
-    /// The clamp to 1 covers overlapping or adjacent ranges: two distinct
-    /// nodes are always at least one hop apart, and no fabric packet is
-    /// ever sent node-to-self.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either range is empty or reaches past the node count.
-    pub fn min_hops(&self, a: std::ops::Range<usize>, b: std::ops::Range<usize>) -> u32 {
-        let n = self.nodes();
-        assert!(!a.is_empty() && !b.is_empty(), "empty node range");
-        assert!(a.end <= n && b.end <= n, "node id out of range");
-        let bound = match *self {
-            Topology::Crossbar { .. } => 1,
-            Topology::Torus2D { width, height } => {
-                grid_min_hops(&[(width, true), (height, true)], &a, &b)
-            }
-            Topology::Torus3D { x, y, z } => {
-                grid_min_hops(&[(x, true), (y, true), (z, true)], &a, &b)
-            }
-            Topology::Mesh2D { width, height } => {
-                grid_min_hops(&[(width, false), (height, false)], &a, &b)
-            }
-        };
-        bound.max(1)
-    }
-}
-
-/// Sum over dimensions of the minimum distance between the coordinate sets
-/// `a` and `b` occupy in that dimension. `dims` lists `(extent, wraps)`
-/// fastest-varying first, matching the x-major node id encoding.
-fn grid_min_hops(
-    dims: &[(usize, bool)],
-    a: &std::ops::Range<usize>,
-    b: &std::ops::Range<usize>,
-) -> u32 {
-    let mut total = 0u32;
-    let mut stride = 1usize;
-    for &(k, wraps) in dims {
-        let pa = coords_present(k, stride, a);
-        let pb = coords_present(k, stride, b);
-        total += coord_set_distance(k, wraps, &pa, &pb);
-        stride *= k;
-    }
-    total
-}
-
-/// Which coordinates of a `k`-extent dimension (id stride `stride`) the
-/// contiguous id range `r` touches.
-fn coords_present(k: usize, stride: usize, r: &std::ops::Range<usize>) -> Vec<bool> {
-    // A range spanning a full revolution of this dimension touches every
-    // coordinate; skip the per-id walk.
-    if r.len() >= k * stride {
-        return vec![true; k];
-    }
-    let mut present = vec![false; k];
-    for id in r.clone() {
-        present[(id / stride) % k] = true;
-    }
-    present
-}
-
-/// Minimum ring/line distance between two non-empty coordinate sets.
-fn coord_set_distance(k: usize, wraps: bool, a: &[bool], b: &[bool]) -> u32 {
-    let mut best = u32::MAX;
-    for (i, _) in a.iter().enumerate().filter(|(_, &p)| p) {
-        for (j, _) in b.iter().enumerate().filter(|(_, &p)| p) {
-            let d = if wraps {
-                ring_distance(k, i, j)
-            } else {
-                i.abs_diff(j) as u32
-            };
-            if d < best {
-                best = d;
-                if best == 0 {
-                    return 0;
-                }
-            }
-        }
-    }
-    best
 }
 
 /// The grid neighbors of node id `v`: ±1 in every dimension, wrapping on
@@ -823,64 +729,6 @@ mod tests {
         // Self-pointing next hop is the unreachable marker.
         assert_eq!(table.next_hop(NodeId(0), NodeId(1)), NodeId(0));
         assert_eq!(table.next_hop(NodeId(1), NodeId(0)), NodeId(0));
-    }
-
-    #[test]
-    fn min_hops_is_a_lower_bound_on_pair_distance() {
-        for topo in [
-            Topology::crossbar(12),
-            Topology::torus2d(4, 4),
-            Topology::torus3d(3, 4, 2),
-            Topology::mesh2d(5, 3),
-        ] {
-            let n = topo.nodes();
-            // Arbitrary contiguous splits, including overlapping ones.
-            let ranges = [0..n / 2, n / 2..n, n / 3..n, 0..1, n - 1..n, 0..n];
-            for a in &ranges {
-                for b in &ranges {
-                    let bound = topo.min_hops(a.clone(), b.clone());
-                    assert_eq!(
-                        bound,
-                        topo.min_hops(b.clone(), a.clone()),
-                        "{topo:?} min_hops must be symmetric"
-                    );
-                    let true_min = a
-                        .clone()
-                        .flat_map(|s| b.clone().map(move |d| (s, d)))
-                        .filter(|(s, d)| s != d)
-                        .map(|(s, d)| topo.distance(NodeId(s as u16), NodeId(d as u16)))
-                        .min()
-                        .unwrap_or(u32::MAX);
-                    assert!(
-                        bound <= true_min,
-                        "{topo:?} {a:?}->{b:?}: bound {bound} exceeds true min {true_min}"
-                    );
-                    assert!(bound >= 1);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn min_hops_is_exact_for_plane_aligned_slabs() {
-        let t = Topology::torus3d(4, 4, 8); // plane = 16
-                                            // z in {0,1} vs z in {4,5}: nearest pair is z=1 to z=4, three hops.
-        assert_eq!(t.min_hops(0..32, 64..96), 3);
-        // Adjacent plane slabs: one z hop.
-        assert_eq!(t.min_hops(0..32, 32..64), 1);
-        // Wraparound: first plane vs last plane is one z hop.
-        assert_eq!(t.min_hops(0..16, 112..128), 1);
-        // Mesh rows have no wraparound shortcut.
-        let m = Topology::mesh2d(4, 8);
-        assert_eq!(m.min_hops(0..4, 28..32), 7);
-        // Crossbar: everything is one hop.
-        assert_eq!(Topology::crossbar(16).min_hops(0..8, 8..16), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "empty node range")]
-    fn min_hops_rejects_empty_ranges() {
-        Topology::torus2d(2, 2).min_hops(0..0, 0..4);
     }
 
     #[test]

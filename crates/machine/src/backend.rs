@@ -249,14 +249,13 @@ impl SonumaBackend {
         self.sharded.cut_links()
     }
 
-    /// `(min, max)` over the per-shard-pair lookahead matrix. On a single
-    /// shard or a crossbar both equal the scalar fabric lookahead.
-    pub fn lookahead_bounds(&self) -> (SimTime, SimTime) {
-        self.sharded.lookahead_bounds()
+    /// The lookahead bounding every epoch of the sharded engine.
+    pub fn lookahead(&self) -> SimTime {
+        self.sharded.lookahead()
     }
 
-    /// Cross-shard deliveries that arrived earlier than the lookahead
-    /// matrix promised. Always 0 when the conservative bound is sound;
+    /// Deliveries that arrived earlier than the lookahead promised.
+    /// Always 0 when the conservative bound is sound;
     /// the sharding tests assert on it.
     pub fn pair_bound_violations(&self) -> u64 {
         self.sharded.pair_bound_violations()

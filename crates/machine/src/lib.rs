@@ -4,7 +4,8 @@
 //! This crate is the reproduction's stand-in for Flexus full-system
 //! simulation. A [`Cluster`] owns every node (physical memory, coherent
 //! cache hierarchy, RMC, cores) plus the fabric, and is driven as the world
-//! of a `sonuma_sim::Engine`. The crate is layered:
+//! of a typed `sonuma_sim::EventEngine` ([`ClusterEngine`]). The crate is
+//! layered:
 //!
 //! * [`cluster`] — world ownership and the OS-driver surface of §5.1
 //!   (contexts, queue pairs, process attachment);

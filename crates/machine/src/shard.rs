@@ -4,12 +4,10 @@
 //! shards (one per thread, planned by `sonuma_fabric::ShardPlan` so grid
 //! shards are whole torus slabs), gives each shard *ownership* of its
 //! slice of world state — a [`Cluster`] in mailbox mode plus its own
-//! `ClusterEngine` — and advances all shards in epochs bounded by a
-//! *distance-aware lookahead matrix*: `lookahead[s][d]` is the fabric
-//! delivery delay over the minimum hop distance between shard `s`'s and
-//! shard `d`'s node slabs (`Topology::min_hops` ×
-//! `FabricConfig::delivery_delay_for_hops`), so distant slabs of a torus
-//! stop throttling each other to the single worst-case minimum delay.
+//! `ClusterEngine` — and advances all shards in epochs bounded by the
+//! fabric's *lookahead* `L`: no packet is delivered sooner than one hop
+//! plus one header serialization after its injection
+//! (`FabricConfig::min_delivery_delay`, 15.75 ns on the paper's torus).
 //! The single global [`Fabric`] lives here, not in any shard.
 //!
 //! # Why `--threads N` is bit-identical to `--threads 1`
@@ -30,16 +28,20 @@
 //!    the same order. Both keys are pure functions of simulated history,
 //!    so link-state evolution and delivery order never depend on the
 //!    partition.
-//! 3. **Round boundaries are partition-invariant.** Execution proceeds in
-//!    *quanta* of [`QUANTUM_EPOCHS`] scalar lookaheads anchored at the
-//!    globally earliest pending work — both partition-invariant
-//!    quantities. Within a quantum, per-shard horizons (and with them the
-//!    epoch structure) depend on the partition, but every quantum runs to
-//!    completion — all events and staged traffic up to the quantum
-//!    boundary are final — and every shard clock re-aligns to the
-//!    boundary. Rounds hand control back to the driver only at quantum
-//!    boundaries, so harness-level posts charge from the same simulated
-//!    time at any thread count.
+//! 3. **Epoch and round boundaries are partition-invariant.** Every
+//!    epoch runs all shards to the one horizon `min floor + L - 1`, a
+//!    function of the global event set alone, so the epoch structure —
+//!    and [`ShardedCluster::epochs`] at speculation depth 0 — is the same
+//!    for every partition. Execution proceeds in *quanta* of
+//!    [`QUANTUM_EPOCHS`] lookaheads anchored at the globally earliest
+//!    pending work; every quantum runs to completion — all events and
+//!    staged traffic up to the quantum boundary are final — and every
+//!    shard clock re-aligns to the boundary. Rounds hand control back to
+//!    the driver only at quantum boundaries, so harness-level posts
+//!    charge from the same simulated time at any thread count. (With one
+//!    horizon per epoch the quanta no longer guard anything the epochs do
+//!    not; they survive because removing them moves the instants at
+//!    which the driver regains control, which changes results.)
 //!
 //! Speculative run-ahead ([`ShardedCluster::set_speculation`]) preserves
 //! all three: it only changes how epochs *batch* between barriers (safe
@@ -69,19 +71,15 @@
 //! keeps `run_until`: its fabric sends resolve inline and do depend on
 //! global time order.
 //!
-//! # Conservative safety with per-pair lookahead
+//! # Conservative safety
 //!
-//! Within an epoch, shard `d` runs to
-//! `min over s of (floor[s] + lookahead[s][d]) - 1`, where `floor[s]` is
-//! the earliest pending event or staged departure of shard `s`. Any
-//! influence of shard `s` on shard `d` is a chain of packets over real
-//! nodes, and node-level hop distance is a metric (the triangle
-//! inequality holds hop-wise), so the chain crosses at least
-//! `min_hops(s, d)` hops and pays at least one serialization — i.e. at
-//! least `lookahead[s][d]` of simulated time after the chain's origin,
-//! which cannot predate `floor[s]`. Hence nothing can land at or before
-//! shard `d`'s horizon, and committing staged traffic at the frontier
-//! `min over d of horizon[d]` never schedules into any shard's past.
+//! Within an epoch every shard runs to `min over s of floor[s] + L - 1`,
+//! where `floor[s]` is the earliest pending event or staged departure of
+//! shard `s`. Any influence of one node on another is a fabric packet,
+//! injected no earlier than the earliest floor and delivered at least `L`
+//! later — after the horizon. Hence nothing can land at or before the
+//! horizon, and committing staged traffic at that frontier never
+//! schedules into any shard's past.
 //! Between epochs the cluster additionally *pre-commits* staged
 //! departures below `min(frontier bound, earliest pending event - 1)`:
 //! no shard can inject a departure earlier than its own next event, so
@@ -89,16 +87,13 @@
 //! `(t, src, seq)` order and can be applied without running an epoch.
 //! Pre-committing before anchoring a quantum also settles the anchor on
 //! true event floors, keeping epoch windows tiled to the lookahead grid
-//! instead of split across staged-head offsets. A
-//! shard's horizon may *regress* when an empty peer gains a floor;
-//! running and aligning are then no-ops and the bound above still holds
-//! for everything already executed. The per-delivery
+//! instead of split across staged-head offsets. The per-delivery
 //! [`ShardedCluster::pair_bound_violations`] counter (asserted zero by
 //! the partition property tests) checks the promise at runtime.
 
 use sonuma_fabric::{Fabric, ShardPlan};
 use sonuma_protocol::{CtxId, NodeId, Packet, QpId, TenantId, HEADER_BYTES};
-use sonuma_sim::{EpochWorld, LookaheadMatrix, ShardedEngine, SimTime};
+use sonuma_sim::{EpochWorld, ShardedEngine, SimTime};
 use sonuma_trace::{FaultKind, FlightRecorder, NodeCounters, TraceConfig};
 
 use crate::cluster::{Cluster, Departure, RoutePath};
@@ -116,14 +111,12 @@ use crate::ClusterEngine;
 /// thread count. 64 matches the pre-sharding `run_steps(64)` burst.
 pub const ADVANCE_ROUND_EVENTS: u64 = 64;
 
-/// Width of one execution quantum, in scalar lookaheads
+/// Width of one execution quantum, in lookaheads
 /// (`FabricConfig::min_delivery_delay` of the smallest packet). A quantum
 /// spans `[S, S + QUANTUM_EPOCHS * L)` where `S` is the globally earliest
 /// pending work — a topology constant times a partition-invariant anchor,
-/// so quantum boundaries are partition-invariant. Larger quanta let the
-/// lookahead matrix merge more distant activity clusters into one epoch
-/// (fewer barriers) but coarsen the driver's observation granularity;
-/// 4 balances the two on the canned rack workloads.
+/// so quantum boundaries are partition-invariant. The width sets the
+/// driver's observation granularity, so changing it changes results.
 pub const QUANTUM_EPOCHS: u64 = 4;
 
 /// One shard: its slice of the world plus the engine that drives it.
@@ -335,7 +328,7 @@ pub struct ShardedCluster {
     /// Cached engine events + batched logical events, refreshed at round
     /// boundaries (`events_processed` is a `&self` query).
     events: u64,
-    /// Width of one quantum: `QUANTUM_EPOCHS` scalar lookaheads.
+    /// Width of one quantum: `QUANTUM_EPOCHS` lookaheads.
     quantum: SimTime,
     /// Per-source-shard staging of drained mailbox departures.
     staging: Vec<SourceQueue>,
@@ -346,12 +339,10 @@ pub struct ShardedCluster {
     /// Scratch: deliveries bound for each destination shard in the
     /// current commit, so the scheduling pass skips untouched shards.
     delivery_counts: Vec<usize>,
-    /// Scratch for one iteration's per-shard floors, reused across epochs.
-    floors: Vec<Option<SimTime>>,
     /// Cross-shard cut of the plan in force (directed links).
     cut_links: usize,
-    /// Deliveries that landed at or before a promise the lookahead matrix
-    /// made — always zero when the conservative bounds are sound; counted
+    /// Deliveries that landed sooner than the lookahead promised —
+    /// always zero when the conservative bound is sound; counted
     /// in release builds too so the property tests can assert on it.
     pair_bound_violations: u64,
     /// The armed flight recorder, if any. Boxed so the (large, cold)
@@ -404,20 +395,6 @@ impl ShardedCluster {
             "shard plan must cover every node"
         );
         let lookahead = config.fabric.min_delivery_delay(HEADER_BYTES as u64);
-        // The distance-aware lookahead matrix: entry [s][d] is the fabric
-        // delivery delay over the minimum hop distance between the two
-        // shards' slabs. On a crossbar (or between adjacent slabs) this
-        // reduces to the scalar `lookahead`; distant slabs get
-        // proportionally more run-ahead.
-        let matrix = LookaheadMatrix::from_fn(plan.shards(), |s, d| {
-            config.fabric.delivery_delay_for_hops(
-                config
-                    .fabric
-                    .topology
-                    .min_hops(plan.range(s), plan.range(d)),
-                HEADER_BYTES as u64,
-            )
-        });
         let cut_links = plan.cut_links(&config.fabric.topology);
         // Shard worlds are independent slices built from shared read-only
         // inputs, so a multi-shard build runs one construction thread per
@@ -446,7 +423,7 @@ impl ShardedCluster {
         };
         let num_shards = shards.len();
         ShardedCluster {
-            engine: ShardedEngine::with_matrix(shards, matrix),
+            engine: ShardedEngine::new(shards, lookahead),
             fabric: Fabric::new(config.fabric.clone()),
             plan,
             config,
@@ -457,7 +434,6 @@ impl ShardedCluster {
             deliveries: Vec::new(),
             delivery_hwm: 0,
             delivery_counts: vec![0; num_shards],
-            floors: vec![None; num_shards],
             cut_links,
             pair_bound_violations: 0,
             trace: None,
@@ -511,9 +487,9 @@ impl ShardedCluster {
         &self.plan
     }
 
-    /// Epoch barriers executed so far. With the distance-aware matrix the
-    /// per-shard horizon structure (and so this count) depends on the
-    /// partition; results stay bit-identical regardless.
+    /// Epoch barriers executed so far. At speculation depth 0 the count
+    /// is partition-invariant: every epoch's horizon is a function of the
+    /// global event set alone.
     pub fn epochs(&self) -> u64 {
         self.engine.epochs()
     }
@@ -538,14 +514,10 @@ impl ShardedCluster {
         self.engine.speculation()
     }
 
-    /// The per-shard-pair lookahead matrix in force.
-    pub fn lookahead_matrix(&self) -> &LookaheadMatrix {
-        self.engine.matrix()
-    }
-
-    /// Tightest and loosest entries of the lookahead matrix.
-    pub fn lookahead_bounds(&self) -> (SimTime, SimTime) {
-        (self.engine.matrix().min(), self.engine.matrix().max())
+    /// The lookahead `L` bounding every epoch: the fabric's minimum
+    /// delivery delay of a header-only packet.
+    pub fn lookahead(&self) -> SimTime {
+        self.engine.lookahead()
     }
 
     /// Directed links cut by the plan in force.
@@ -553,8 +525,8 @@ impl ShardedCluster {
         self.cut_links
     }
 
-    /// Deliveries that beat a lookahead-matrix promise — zero when the
-    /// conservative bounds are sound (the partition property tests assert
+    /// Deliveries that beat the lookahead promise — zero when the
+    /// conservative bound is sound (the partition property tests assert
     /// this stays zero in release builds; debug builds also assert at the
     /// point of violation).
     pub fn pair_bound_violations(&self) -> u64 {
@@ -838,7 +810,7 @@ impl ShardedCluster {
     }
 
     /// Executes one quantum `[S, S + QUANTUM_EPOCHS * L)` anchored at the
-    /// globally earliest pending event, running matrix-bounded epochs —
+    /// globally earliest pending event, running lookahead-bounded epochs —
     /// with an outbox drain and a commit-frontier merge after each —
     /// until everything inside the quantum is final, then aligns every
     /// shard clock to the (partition-invariant) quantum boundary.
@@ -863,7 +835,7 @@ impl ShardedCluster {
         // hit the (order-dependent) fabric in globally nondecreasing
         // `(t, src, seq)` order.
         let mut frontier = SimTime::ZERO;
-        if let Some(bound) = self.precommit_bound(frontier, min_event) {
+        if let Some(bound) = self.precommit_bound(frontier, min_floor, min_event) {
             frontier = bound;
             if self.commit(frontier) > 0 {
                 (min_floor, min_event) = self.gather_floors();
@@ -893,7 +865,7 @@ impl ShardedCluster {
             // below every pending event, so no departure injected later
             // can slot under anything committed here.
             let mut pre = 0;
-            if let Some(bound) = self.precommit_bound(frontier, min_event) {
+            if let Some(bound) = self.precommit_bound(frontier, min_floor, min_event) {
                 frontier = bound;
                 pre = self.commit(frontier);
                 if pre > 0 {
@@ -910,7 +882,7 @@ impl ShardedCluster {
             }
             let ran = self.engine.run_epoch();
             let drained = self.drain_outboxes();
-            frontier = frontier.max(self.engine.min_horizon());
+            frontier = frontier.max(self.engine.horizon());
             let committed = pre + self.commit(frontier);
             ran_quantum += ran;
             debug_assert!(
@@ -1016,11 +988,11 @@ impl ShardedCluster {
         self.trace = Some(rec);
     }
 
-    /// Refreshes `self.floors` — shard `s`'s earliest pending work, the
-    /// min of its next event and its staged head — publishes the staged
-    /// heads to the engine as source floors, and returns the global
-    /// minimum floor plus the global minimum *event* time (the earliest
-    /// instant any shard could inject a not-yet-staged departure).
+    /// Publishes the staged heads to the engine as source floors and
+    /// returns the global minimum floor — a shard's floor is its earliest
+    /// pending work, the min of its next event and its staged head — plus
+    /// the global minimum *event* time (the earliest instant any shard
+    /// could inject a not-yet-staged departure).
     fn gather_floors(&mut self) -> (Option<SimTime>, Option<SimTime>) {
         let mut min_floor: Option<SimTime> = None;
         let mut min_event: Option<SimTime> = None;
@@ -1032,7 +1004,6 @@ impl ShardedCluster {
                 (a, b) => a.or(b),
             };
             self.engine.set_source_floor(s, head);
-            self.floors[s] = floor;
             min_floor = match (min_floor, floor) {
                 (Some(a), Some(b)) => Some(a.min(b)),
                 (a, b) => a.or(b),
@@ -1047,13 +1018,18 @@ impl ShardedCluster {
 
     /// The largest frontier advance the current floors admit without an
     /// epoch: staged departures below both the would-be epoch frontier
-    /// (`LookaheadMatrix::min_horizon`) and every pending event are
-    /// final — no shard can inject a departure below its next event, so
-    /// committing them cannot reorder the global `(t, src, seq)` send
-    /// sequence. `None` when nothing is pending or the bound does not
-    /// move past `frontier`.
-    fn precommit_bound(&self, frontier: SimTime, min_event: Option<SimTime>) -> Option<SimTime> {
-        let h = self.engine.matrix().min_horizon(&self.floors)?;
+    /// (`min_floor + L - 1`) and every pending event are final — no shard
+    /// can inject a departure below its next event, so committing them
+    /// cannot reorder the global `(t, src, seq)` send sequence. `None`
+    /// when nothing is pending or the bound does not move past
+    /// `frontier`.
+    fn precommit_bound(
+        &self,
+        frontier: SimTime,
+        min_floor: Option<SimTime>,
+        min_event: Option<SimTime>,
+    ) -> Option<SimTime> {
+        let h = min_floor? + self.engine.lookahead() - SimTime::from_ps(1);
         let bound = match min_event {
             Some(e) => h.min(SimTime::from_ps(e.as_ps().saturating_sub(1))),
             None => h,
@@ -1149,10 +1125,9 @@ impl ShardedCluster {
                 sonuma_fabric::PacketFate::Delivered => {}
             }
             let dst_shard = self.plan.shard_of(pkt.dst.index());
-            // The per-pair promise: the matrix said nothing from shard q
-            // lands in dst_shard sooner than lookahead[q][dst] after its
-            // inject time.
-            let promise = t + self.engine.matrix().get(q, dst_shard);
+            // The promise every horizon rests on: nothing lands sooner
+            // than one lookahead after its inject time.
+            let promise = t + self.engine.lookahead();
             if arrival < promise {
                 self.pair_bound_violations += 1;
                 debug_assert!(

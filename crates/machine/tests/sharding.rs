@@ -13,8 +13,8 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use sonuma_fabric::{FabricConfig, FaultPlan, LinkFault, NodeFault, ShardPlan, Topology};
-use sonuma_machine::{MachineConfig, PipelineStats, ShardedCluster, SonumaBackend};
+use sonuma_fabric::{FabricConfig, FaultPlan, LinkFault, NodeFault, Topology};
+use sonuma_machine::{MachineConfig, PipelineStats, SonumaBackend};
 use sonuma_protocol::{NodeId, RemoteBackend, RemoteCompletion, RemoteRequest};
 use sonuma_sim::SimTime;
 use sonuma_trace::{render_jsonl, TraceConfig, TraceMeta};
@@ -50,10 +50,12 @@ struct Outcome {
 }
 
 /// Drives a deterministic closed-loop read/write stream over `b` and
-/// snapshots every invariant observable. With `traced`, a flight
-/// recorder is armed and its rendered JSONL rides along in the outcome
-/// so trace bytes are pinned partition- and speculation-invariant too.
-fn drive(b: SonumaBackend, ops_per_node: u64, stride: usize, op_bytes: u64) -> Outcome {
+/// snapshots every invariant observable, plus the epoch-barrier count
+/// (partition-invariant at speculation depth 0 only, so it rides beside
+/// the outcome rather than in it). With `traced`, a flight recorder is
+/// armed and its rendered JSONL rides along in the outcome so trace
+/// bytes are pinned partition- and speculation-invariant too.
+fn drive(b: SonumaBackend, ops_per_node: u64, stride: usize, op_bytes: u64) -> (Outcome, u64) {
     drive_opts(b, ops_per_node, stride, op_bytes, false)
 }
 
@@ -63,7 +65,7 @@ fn drive_opts(
     stride: usize,
     op_bytes: u64,
     traced: bool,
-) -> Outcome {
+) -> (Outcome, u64) {
     if traced {
         b.arm_trace(&TraceConfig {
             interval: SimTime::from_ns(1_000),
@@ -120,9 +122,9 @@ fn drive_opts(
     assert_eq!(
         b.pair_bound_violations(),
         0,
-        "a cross-shard delivery beat its lookahead-matrix promise"
+        "a delivery beat the lookahead promise"
     );
-    Outcome {
+    let outcome = Outcome {
         now: b.now(),
         events: b.events_processed(),
         delivery_hashes: (0..nodes)
@@ -144,7 +146,8 @@ fn drive_opts(
             render_jsonl(&meta, Some(rec), None)
         }),
         completions,
-    }
+    };
+    (outcome, b.epochs())
 }
 
 /// Builds strictly increasing partition bounds over `nodes` from raw cut
@@ -182,12 +185,12 @@ proptest! {
         let nodes = topology.nodes();
         let stride = 1 + stride_seed % (nodes - 1);
         let config = config_for(topology);
-        let serial = drive(
+        let (serial, serial_epochs) = drive(
             SonumaBackend::with_partition(config.clone(), 1 << 16, vec![0, nodes]),
             ops, stride, 128,
         );
         let bounds = bounds_from(&cuts, nodes);
-        let sharded = drive(
+        let (sharded, epochs) = drive(
             SonumaBackend::with_partition(config, 1 << 16, bounds.clone()),
             ops, stride, 128,
         );
@@ -196,6 +199,10 @@ proptest! {
             "delivery order diverged under partition {:?}", &bounds
         );
         prop_assert_eq!(serial, sharded);
+        prop_assert_eq!(
+            serial_epochs, epochs,
+            "epoch count moved under partition {:?}", &bounds
+        );
     }
 
     /// Speculative run-ahead is observationally invisible: for random
@@ -203,7 +210,8 @@ proptest! {
     /// torus3d topologies — optionally with a link-kill + node-crash
     /// fault plan installed — delivery orders, completions, pipeline
     /// stats, fabric totals, and rendered trace bytes are identical to
-    /// the conservative engine (`K = 0`) on the same partition.
+    /// the conservative engine (`K = 0`) on the same partition, whose
+    /// epoch count in turn equals the one-shard run's.
     #[test]
     fn random_speculation_depths_match_conservative(
         shape in 0usize..2,
@@ -233,13 +241,21 @@ proptest! {
             config.fabric.faults = Some(plan);
         }
         let bounds = bounds_from(&cuts, nodes);
-        let conservative = drive_opts(
+        let (_, serial_epochs) = drive_opts(
+            SonumaBackend::with_partition(config.clone(), 1 << 16, vec![0, nodes]),
+            3, 2, 128, true,
+        );
+        let (conservative, epochs) = drive_opts(
             SonumaBackend::with_partition(config.clone(), 1 << 16, bounds.clone()),
             3, 2, 128, true,
         );
+        prop_assert_eq!(
+            serial_epochs, epochs,
+            "epoch count moved under partition {:?} (faulty={})", &bounds, faulty
+        );
         let mut spec = SonumaBackend::with_partition(config, 1 << 16, bounds.clone());
         spec.set_speculation(k);
-        let speculative = drive_opts(spec, 3, 2, 128, true);
+        let (speculative, _) = drive_opts(spec, 3, 2, 128, true);
         prop_assert_eq!(
             conservative, speculative,
             "speculation K={} diverged under partition {:?} (faulty={})",
@@ -248,71 +264,36 @@ proptest! {
     }
 }
 
-/// The machine-level lookahead matrix mirrors hop distance: symmetric
-/// pairs get identical entries, every entry matches the fabric's
-/// hop-count delivery bound for that pair, and distant pairs earn
-/// strictly wider lookahead than adjacent ones.
-#[test]
-fn lookahead_matrix_symmetric_and_hop_scaled() {
-    use sonuma_protocol::HEADER_BYTES;
-    let config = config_for(Topology::torus3d(4, 4, 4));
-    let plan = ShardPlan::for_topology(&config.fabric.topology, 4);
-    let cluster = ShardedCluster::with_plan(config.clone(), plan.clone());
-    let m = cluster.lookahead_matrix();
-    for a in 0..plan.shards() {
-        for b in 0..plan.shards() {
-            assert_eq!(m.get(a, b), m.get(b, a), "asymmetric at ({a},{b})");
-            let hops = config
-                .fabric
-                .topology
-                .min_hops(plan.range(a), plan.range(b));
-            assert_eq!(
-                m.get(a, b),
-                config
-                    .fabric
-                    .delivery_delay_for_hops(hops, HEADER_BYTES as u64),
-                "entry ({a},{b}) disagrees with the {hops}-hop fabric bound"
-            );
-        }
-    }
-    let (min, max) = cluster.lookahead_bounds();
-    assert!(
-        max > min,
-        "a 4-shard 4x4x4 torus must have non-adjacent shard pairs"
-    );
-}
-
-/// On a crossbar every pair is one hop, so the matrix collapses to the
-/// scalar lookahead the pre-matrix engine used.
-#[test]
-fn crossbar_matrix_reduces_to_scalar_lookahead() {
-    use sonuma_protocol::HEADER_BYTES;
-    let config = config_for(Topology::crossbar(16));
-    let cluster = ShardedCluster::new(config.clone(), 4);
-    let (min, max) = cluster.lookahead_bounds();
-    assert_eq!(min, max, "crossbar pairs are all equidistant");
-    assert_eq!(min, config.fabric.min_delivery_delay(HEADER_BYTES as u64));
-}
-
 /// The topology-aware default partition is equivalent too, at every
 /// thread count up to the node count — the non-random complement of the
 /// property above (this is the exact configuration `--threads` uses).
+/// The second topology has slabs several hops apart, where a horizon
+/// that depended on shard distance would batch epochs differently.
 #[test]
 fn default_partitions_match_serial_at_every_thread_count() {
-    let config = config_for(Topology::torus2d(4, 3));
-    let serial = drive(
-        SonumaBackend::with_threads(config.clone(), 1 << 16, 1),
-        4,
-        5,
-        256,
-    );
-    for threads in [2, 3, 5, 12] {
-        let sharded = drive(
-            SonumaBackend::with_threads(config.clone(), 1 << 16, threads),
+    for (topology, thread_counts) in [
+        (Topology::torus2d(4, 3), &[2, 3, 5, 12][..]),
+        (Topology::torus3d(2, 2, 8), &[2, 4, 8][..]),
+    ] {
+        let config = config_for(topology);
+        let (serial, serial_epochs) = drive(
+            SonumaBackend::with_threads(config.clone(), 1 << 16, 1),
             4,
             5,
             256,
         );
-        assert_eq!(serial, sharded, "diverged at {threads} threads");
+        for &threads in thread_counts {
+            let (sharded, epochs) = drive(
+                SonumaBackend::with_threads(config.clone(), 1 << 16, threads),
+                4,
+                5,
+                256,
+            );
+            assert_eq!(serial, sharded, "diverged at {threads} threads");
+            assert_eq!(
+                serial_epochs, epochs,
+                "epoch count moved at {threads} threads"
+            );
+        }
     }
 }

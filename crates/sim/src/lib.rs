@@ -66,5 +66,5 @@ pub mod time;
 pub use engine::Engine;
 pub use event::{EventEngine, World};
 pub use rng::DetRng;
-pub use sharded::{EpochWorld, LookaheadMatrix, ShardedEngine};
+pub use sharded::{EpochWorld, ShardedEngine};
 pub use time::SimTime;

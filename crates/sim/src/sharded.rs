@@ -3,14 +3,13 @@
 //!
 //! [`ShardedEngine`] runs `N` shard worlds — each an independent
 //! discrete-event simulation over its own slice of state — in *epochs*
-//! bounded by a [`LookaheadMatrix`]: `lookahead[s][d]` is the minimum
-//! simulated time any action of shard `s` needs before it can affect
-//! shard `d` (for the soNUMA fabric: the minimum hop distance between the
-//! shards' node ranges times the per-hop latency, plus one serialization).
-//! Each epoch, every shard `d` advances to
+//! bounded by one scalar *lookahead* `L`: the minimum simulated time any
+//! action of any shard needs before it can affect another (for the soNUMA
+//! fabric: one hop plus one header serialization). Each epoch, every
+//! shard advances to the same horizon
 //!
 //! ```text
-//! horizon[d] = min over shards s of (floor[s] + lookahead[s][d]) - 1
+//! horizon = min over shards s of floor[s] + L - 1
 //! ```
 //!
 //! where `floor[s]` is the earliest thing shard `s` could still do: its
@@ -19,20 +18,18 @@
 //! via [`ShardedEngine::set_source_floor`]). Within an epoch every shard
 //! executes its local events concurrently; cross-shard effects are staged
 //! by the worlds and exchanged by the *caller* between epochs, and by
-//! construction they can only land after the receiver's horizon — the
-//! classic conservative (no-rollback) synchronization argument, sharpened
-//! per shard pair. A [uniform matrix](LookaheadMatrix::uniform) reduces
-//! exactly to the old scalar behavior: every horizon collapses to
-//! `global min + lookahead - 1`.
+//! construction they can only land after the horizon — the classic
+//! conservative (no-rollback) synchronization argument.
 //!
 //! Determinism is the point: the epoch boundaries are a pure function of
-//! event timestamps and the matrix, never of host thread scheduling, so a
-//! run's event interleaving — and therefore its results — is bit-identical
-//! for any shard count, provided the caller's exchange step merges staged
-//! traffic in a partition-independent order (see `sonuma-machine`'s
+//! event timestamps and `L`, never of host thread scheduling or of how
+//! the events are split across shards, so a run's event interleaving —
+//! and therefore its results and its epoch count — is identical for any
+//! shard count, provided the caller's exchange step merges staged traffic
+//! in a partition-independent order (see `sonuma-machine`'s
 //! `ShardedCluster` for the fabric merge that does this, and for how it
-//! re-aligns shard clocks to partition-invariant quantum boundaries so
-//! externally injected work charges invariant times).
+//! re-aligns shard clocks to quantum boundaries so externally injected
+//! work charges invariant times).
 //!
 //! Shards execute on a pool of persistent worker threads. Between epochs a
 //! worker spins briefly (epochs are microseconds of host time apart, so
@@ -63,16 +60,16 @@
 //! provably safe horizon, it checkpoints its frontier
 //! ([`EpochWorld::snapshot`]) and advances its clock to a *predicted*
 //! horizon — betting that slower peers will publish the floors their
-//! current level implies. At the barrier the coordinator re-derives every
+//! current level implies. At the barrier the coordinator re-derives the
 //! horizon from the now-exact floors and validates each speculated clock
 //! against it: within the certified bound the speculation commits (the
 //! next region starts from the advanced clock); past it the shard is
 //! rolled back ([`EpochWorld::restore`]). Because speculation never
 //! *executes* an event — only the clock moves — rollback cannot leak
 //! simulated state, and the executed event set and per-shard order are
-//! identical to the conservative engine for every `K`. Only the
-//! commit/rollback tallies ([`ShardedEngine::speculation`]) depend on
-//! host timing.
+//! identical to the conservative engine for every `K`. Only the epoch
+//! count and the commit/rollback tallies
+//! ([`ShardedEngine::speculation`]) depend on host timing.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -96,9 +93,7 @@ pub trait EpochWorld: Send + 'static {
 
     /// Aligns the shard's clock to the epoch boundary `to` (which is at
     /// or after every event executed so far, and before every pending
-    /// one). A target at or before the current clock is a no-op — the
-    /// engine passes stale targets when a shard's horizon regresses after
-    /// an empty peer gains a floor.
+    /// one). A target at or before the current clock is a no-op.
     fn align_clock(&mut self, to: SimTime);
 
     /// The earliest pending work of the shard: its earliest pending local
@@ -125,114 +120,15 @@ pub trait EpochWorld: Send + 'static {
     fn restore(&mut self);
 }
 
-/// Per-shard-pair conservative lookahead, in simulated time.
-///
-/// `get(s, d)` bounds from below how long any action of shard `s` takes to
-/// affect shard `d` — including `s == d`, because in the sharded machine
-/// even intra-shard packets take the staged mailbox path. Every entry must
-/// be positive: a zero lookahead admits no epoch in which concurrency is
-/// safe.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LookaheadMatrix {
-    n: usize,
-    ps: Vec<u64>,
-}
-
-impl LookaheadMatrix {
-    /// A matrix with every entry equal to `lookahead` — the scalar
-    /// conservative bound. [`ShardedEngine`] behaves exactly like the
-    /// historical global-barrier engine under a uniform matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero or `lookahead` is zero.
-    pub fn uniform(shards: usize, lookahead: SimTime) -> Self {
-        LookaheadMatrix::from_fn(shards, |_, _| lookahead)
-    }
-
-    /// Builds an `shards x shards` matrix from `f(src, dst)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero or any entry is zero.
-    pub fn from_fn(shards: usize, mut f: impl FnMut(usize, usize) -> SimTime) -> Self {
-        assert!(shards > 0, "need at least one shard");
-        let mut ps = Vec::with_capacity(shards * shards);
-        for s in 0..shards {
-            for d in 0..shards {
-                let l = f(s, d);
-                assert!(
-                    l > SimTime::ZERO,
-                    "conservative execution requires a positive lookahead \
-                     (entry [{s}][{d}] is zero)"
-                );
-                ps.push(l.as_ps());
-            }
-        }
-        LookaheadMatrix { n: shards, ps }
-    }
-
-    /// Number of shards the matrix covers.
-    pub fn shards(&self) -> usize {
-        self.n
-    }
-
-    /// The `src -> dst` lookahead.
-    pub fn get(&self, src: usize, dst: usize) -> SimTime {
-        SimTime::from_ps(self.ps[src * self.n + dst])
-    }
-
-    #[inline]
-    fn entry_ps(&self, src: usize, dst: usize) -> u64 {
-        self.ps[src * self.n + dst]
-    }
-
-    /// Inclusive horizon shard `dst` may run to under `floors_ps`
-    /// (`u64::MAX` = no floor): `min over s (floor[s] + la[s][dst]) - 1`,
-    /// or `u64::MAX` when no shard has a floor. Shared by
-    /// [`ShardedEngine::run_epoch`] and [`LookaheadMatrix::min_horizon`]
-    /// so the two can never drift.
-    fn horizon_ps(&self, dst: usize, floors_ps: &[u64]) -> u64 {
-        let mut h = u64::MAX;
-        for (s, &f) in floors_ps.iter().enumerate() {
-            if f != u64::MAX {
-                h = h.min(f.saturating_add(self.entry_ps(s, dst)).saturating_sub(1));
-            }
-        }
-        h
-    }
-
-    /// The tightest horizon any shard would get in an epoch whose
-    /// per-shard floors are `floors` — i.e. the commit frontier that
-    /// epoch would establish (`ShardedEngine::min_horizon` after
-    /// `run_epoch`). `None` when no shard has a floor.
-    ///
-    /// Horizons are pure floor arithmetic, so a caller that already knows
-    /// every floor can advance its commit frontier — and turn staged
-    /// traffic into delivery events — *before* running the epoch, instead
-    /// of spending a whole (possibly empty) epoch just to publish the
-    /// frontier.
-    pub fn min_horizon(&self, floors: &[Option<SimTime>]) -> Option<SimTime> {
-        assert_eq!(floors.len(), self.n, "one floor per shard");
-        let ps: Vec<u64> = floors
-            .iter()
-            .map(|f| f.map_or(u64::MAX, SimTime::as_ps))
-            .collect();
-        let h = (0..self.n)
-            .map(|d| self.horizon_ps(d, &ps))
-            .min()
-            .expect("nonempty matrix");
-        (h != u64::MAX).then(|| SimTime::from_ps(h))
-    }
-
-    /// The tightest entry — the scalar lookahead the matrix sharpens.
-    pub fn min(&self) -> SimTime {
-        SimTime::from_ps(*self.ps.iter().min().expect("nonempty matrix"))
-    }
-
-    /// The loosest entry — how much run-ahead the most distant pair gets.
-    pub fn max(&self) -> SimTime {
-        SimTime::from_ps(*self.ps.iter().max().expect("nonempty matrix"))
+/// Inclusive horizon implied by the earliest floor `min_floor_ps`: epoch
+/// windows are half-open, hence the `- 1` ps. `u64::MAX` (no shard has a
+/// floor) stays `u64::MAX`.
+#[inline]
+fn horizon_ps(min_floor_ps: u64, lookahead_ps: u64) -> u64 {
+    if min_floor_ps == u64::MAX {
+        u64::MAX
+    } else {
+        min_floor_ps.saturating_add(lookahead_ps).saturating_sub(1)
     }
 }
 
@@ -279,8 +175,8 @@ struct Control<S> {
     slots: Vec<Mutex<S>>,
     /// Monotone epoch sequence number; bumping it releases the workers.
     epoch: AtomicU64,
-    /// Per-shard horizons of the epoch currently being executed, in ps.
-    horizons_ps: Vec<AtomicU64>,
+    /// The horizon of the epoch currently being executed, in ps.
+    horizon_ps: AtomicU64,
     /// Per-worker completion acknowledgements (last finished epoch).
     done: Vec<AtomicU64>,
     /// Events executed by each worker in its last epoch.
@@ -288,9 +184,8 @@ struct Control<S> {
     /// Whether each worker is (about to be) parked and needs an unpark.
     parked: Vec<AtomicBool>,
     shutdown: AtomicBool,
-    /// Row-major copy of the lookahead matrix, so workers can compute
-    /// speculative-level horizons without touching the engine.
-    matrix_ps: Vec<u64>,
+    /// The lookahead `L`, in ps.
+    lookahead_ps: u64,
     /// Busy-wait budget for barrier waits (adaptive, see [`relax`]).
     spin_limit: u32,
     /// Spin budget of the idle ladder before yielding (adaptive).
@@ -308,8 +203,8 @@ struct Control<S> {
     /// each shard after every level it completes.
     pub_floor_ps: Vec<AtomicU64>,
     /// Per-shard last *safe* (non-speculative) horizon reached in the
-    /// current region — peers predict from it, the coordinator reads the
-    /// final values back as the region's horizons.
+    /// current region — peers predict from it, and the lowest of the
+    /// final values is what the region certainly executed through.
     pub_exec_ps: Vec<AtomicU64>,
     /// Per-shard speculated clock (`u64::MAX` = the shard did not
     /// speculate this region), validated by the coordinator at the
@@ -324,20 +219,14 @@ pub struct ShardedEngine<S: EpochWorld> {
     workers: Vec<JoinHandle<()>>,
     /// Worker thread handles for unparking, indexed like `ctl.done`.
     worker_threads: Vec<Thread>,
-    matrix: LookaheadMatrix,
     /// Earliest staged-but-undelivered external input per shard, set by
     /// the caller between epochs; participates in that shard's floor.
     source_floors: Vec<Option<SimTime>>,
     /// Optional inclusive upper bound on every horizon (the caller's
     /// partition-invariant quantum boundary).
     cap: Option<SimTime>,
-    /// Scratch: per-shard floors of the epoch being planned (ps;
-    /// `u64::MAX` = no floor).
-    floors_ps: Vec<u64>,
-    /// Per-shard horizons of the last executed epoch.
-    horizons: Vec<SimTime>,
     epochs: u64,
-    /// Highest horizon of the last executed epoch.
+    /// The boundary every shard executed through in the last epoch.
     horizon: SimTime,
     /// Speculative run-ahead depth `K` (0 = conservative only).
     spec_k: u32,
@@ -348,33 +237,19 @@ pub struct ShardedEngine<S: EpochWorld> {
 }
 
 impl<S: EpochWorld> ShardedEngine<S> {
-    /// Builds an engine with the scalar lookahead — every pair bounded by
-    /// the same `lookahead`, the maximally pessimistic (but always safe)
-    /// matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is empty or `lookahead` is zero.
-    pub fn new(shards: Vec<S>, lookahead: SimTime) -> Self {
-        assert!(!shards.is_empty(), "need at least one shard");
-        let matrix = LookaheadMatrix::uniform(shards.len(), lookahead);
-        ShardedEngine::with_matrix(shards, matrix)
-    }
-
-    /// Builds an engine over `shards` with a per-pair lookahead matrix,
+    /// Builds an engine over `shards` with lookahead `lookahead`,
     /// spawning `shards.len() - 1` worker threads (shard 0 runs on the
     /// calling thread).
     ///
     /// # Panics
     ///
-    /// Panics if `shards` is empty or the matrix's shard count does not
-    /// match.
-    pub fn with_matrix(shards: Vec<S>, matrix: LookaheadMatrix) -> Self {
+    /// Panics if `shards` is empty or `lookahead` is zero: a zero
+    /// lookahead admits no epoch in which concurrency is safe.
+    pub fn new(shards: Vec<S>, lookahead: SimTime) -> Self {
         assert!(!shards.is_empty(), "need at least one shard");
-        assert_eq!(
-            matrix.shards(),
-            shards.len(),
-            "lookahead matrix must cover every shard"
+        assert!(
+            lookahead > SimTime::ZERO,
+            "conservative execution requires a positive lookahead"
         );
         let n = shards.len();
         // Oversubscribed runs must not busy-wait: every spin steals
@@ -383,7 +258,7 @@ impl<S: EpochWorld> ShardedEngine<S> {
         let ctl = Arc::new(Control {
             slots: shards.into_iter().map(Mutex::new).collect(),
             epoch: AtomicU64::new(0),
-            horizons_ps: (0..n).map(|_| AtomicU64::new(0)).collect(),
+            horizon_ps: AtomicU64::new(0),
             done: (0..n.saturating_sub(1))
                 .map(|_| AtomicU64::new(0))
                 .collect(),
@@ -394,10 +269,7 @@ impl<S: EpochWorld> ShardedEngine<S> {
                 .map(|_| AtomicBool::new(false))
                 .collect(),
             shutdown: AtomicBool::new(false),
-            matrix_ps: (0..n)
-                .flat_map(|s| (0..n).map(move |d| (s, d)))
-                .map(|(s, d)| matrix.entry_ps(s, d))
-                .collect(),
+            lookahead_ps: lookahead.as_ps(),
             spin_limit: if oversubscribed {
                 OVERSUBSCRIBED_SPIN_LIMIT
             } else {
@@ -429,11 +301,8 @@ impl<S: EpochWorld> ShardedEngine<S> {
             ctl,
             workers,
             worker_threads,
-            matrix,
             source_floors: vec![None; n],
             cap: None,
-            floors_ps: vec![u64::MAX; n],
-            horizons: vec![SimTime::ZERO; n],
             epochs: 0,
             horizon: SimTime::ZERO,
             spec_k: 0,
@@ -472,41 +341,25 @@ impl<S: EpochWorld> ShardedEngine<S> {
         self.ctl.slots.len()
     }
 
-    /// The tightest pairwise lookahead — the scalar epoch width the
-    /// matrix sharpens (and equals, under a uniform matrix).
+    /// The lookahead `L` every epoch is bounded by.
     pub fn lookahead(&self) -> SimTime {
-        self.matrix.min()
+        SimTime::from_ps(self.ctl.lookahead_ps)
     }
 
-    /// The per-pair lookahead matrix.
-    pub fn matrix(&self) -> &LookaheadMatrix {
-        &self.matrix
-    }
-
-    /// Epochs executed so far. Partition-*dependent*: per-destination
-    /// horizons are shaped by the lookahead matrix, so equivalent runs at
-    /// different shard counts may batch the same events into different
-    /// epoch structures (only quantum boundaries are invariant).
+    /// Epochs executed so far. At speculation depth 0 this is a pure
+    /// function of the global event set and `L` — the same at every shard
+    /// count.
     pub fn epochs(&self) -> u64 {
         self.epochs
     }
 
-    /// The highest per-shard boundary of the last completed epoch.
+    /// The boundary every shard has fully executed through after the
+    /// last epoch — the caller's commit frontier: staged traffic injected
+    /// at or before it is final. Without speculation it is the epoch's
+    /// one horizon; a speculative region reports the lowest safe level
+    /// any shard reached.
     pub fn horizon(&self) -> SimTime {
         self.horizon
-    }
-
-    /// The lowest per-shard boundary of the last completed epoch — the
-    /// caller's commit frontier: every shard has fully executed
-    /// `[.., min_horizon]`, so staged traffic injected at or before it is
-    /// final.
-    pub fn min_horizon(&self) -> SimTime {
-        *self.horizons.iter().min().expect("nonempty horizons")
-    }
-
-    /// The boundary shard `i` was advanced to by the last epoch.
-    pub fn shard_horizon(&self, i: usize) -> SimTime {
-        self.horizons[i]
     }
 
     /// Publishes the earliest staged-but-undelivered external input bound
@@ -558,28 +411,23 @@ impl<S: EpochWorld> ShardedEngine<S> {
     }
 
     /// Executes one epoch: gathers per-shard floors (earliest pending
-    /// event, merged with the caller-published source floor), computes
-    /// every shard's horizon from the lookahead matrix, runs all shards
-    /// to their horizons in parallel, aligns each clock to its horizon,
-    /// and returns the number of events executed.
+    /// event, merged with the caller-published source floor), runs all
+    /// shards in parallel to the horizon the earliest floor implies,
+    /// aligns every clock to it, and returns the number of events
+    /// executed.
     ///
     /// Returns 0 without running when no shard has a floor. Note that
     /// with source floors set, a return of 0 does *not* mean the system
     /// is drained — staged traffic may still need committing; the machine
     /// layer's quantum loop terminates on "nothing ran, nothing staged,
     /// nothing committed".
-    ///
-    /// A shard's horizon may be below its clock when a previously empty
-    /// peer gained a floor since the last epoch; running and aligning are
-    /// both no-ops then, and conservative safety is unaffected (delivery
-    /// bounds derive from node-level hop distances, which satisfy the
-    /// triangle inequality).
     pub fn run_epoch(&mut self) -> u64 {
         let n = self.ctl.slots.len();
-        // Per-shard floors; all locks are free here. `pending_floor`
+        let spec = self.spec_k > 0;
+        // The earliest floor; all locks are free here. `pending_floor`
         // rather than `next_event_time`: any output a shard staged but
         // the caller has not exchanged yet fences its peers too.
-        let mut any = false;
+        let mut min_floor = u64::MAX;
         for i in 0..n {
             let next = self.ctl.slots[i]
                 .lock()
@@ -589,34 +437,29 @@ impl<S: EpochWorld> ShardedEngine<S> {
                 (Some(a), Some(b)) => Some(a.min(b)),
                 (a, b) => a.or(b),
             };
-            self.floors_ps[i] = floor.map_or(u64::MAX, SimTime::as_ps);
-            any |= floor.is_some();
+            let floor = floor.map_or(u64::MAX, SimTime::as_ps);
+            min_floor = min_floor.min(floor);
+            if spec {
+                // A region starts from the exact per-shard floors.
+                self.ctl.pub_floor_ps[i].store(floor, Ordering::Relaxed);
+            }
         }
-        if !any {
+        if min_floor == u64::MAX {
             return 0;
         }
-        // Every epoch window is half-open; horizons are inclusive, hence
-        // the - 1 ps.
         let cap_ps = self.cap.map_or(u64::MAX, SimTime::as_ps);
-        for d in 0..n {
-            let h = self.matrix.horizon_ps(d, &self.floors_ps).min(cap_ps);
-            self.horizons[d] = SimTime::from_ps(h);
-            self.ctl.horizons_ps[d].store(h, Ordering::Relaxed);
-        }
-        let spec = self.spec_k > 0;
+        let h = horizon_ps(min_floor, self.ctl.lookahead_ps).min(cap_ps);
+        self.ctl.horizon_ps.store(h, Ordering::Relaxed);
+        self.horizon = SimTime::from_ps(h);
         if spec {
-            // Seed the region: exact floors, the frozen staging floors,
-            // the cap, and cleared speculation slots. The epoch release
-            // below publishes these to the workers.
+            // Seed the rest of the region: the frozen staging floors, the
+            // cap, and cleared speculation slots. The epoch release below
+            // publishes these to the workers.
             self.ctl.cap_ps.store(cap_ps, Ordering::Relaxed);
             for i in 0..n {
                 let src = self.source_floors[i].map_or(u64::MAX, SimTime::as_ps);
                 self.ctl.src_floor_ps[i].store(src, Ordering::Relaxed);
-                self.ctl.pub_floor_ps[i].store(self.floors_ps[i], Ordering::Relaxed);
-                self.ctl.pub_exec_ps[i].store(
-                    self.ctl.horizons_ps[i].load(Ordering::Relaxed),
-                    Ordering::Relaxed,
-                );
+                self.ctl.pub_exec_ps[i].store(h, Ordering::Relaxed);
                 self.ctl.spec_clock_ps[i].store(u64::MAX, Ordering::Relaxed);
             }
         }
@@ -627,7 +470,7 @@ impl<S: EpochWorld> ShardedEngine<S> {
             total += run_region(&self.ctl, 0, &mut shard);
         } else {
             let seq = self.ctl.epoch.load(Ordering::Relaxed) + 1;
-            // Release the workers (the store publishes the horizons);
+            // Release the workers (the store publishes the horizon);
             // SeqCst pairs with the park handshake in `worker_loop`.
             self.ctl.epoch.store(seq, Ordering::SeqCst);
             for (w, parked) in self.ctl.parked.iter().enumerate() {
@@ -652,30 +495,33 @@ impl<S: EpochWorld> ShardedEngine<S> {
             self.settle_region();
         }
         self.epochs += 1;
-        self.horizon = *self.horizons.iter().max().expect("nonempty horizons");
         total
     }
 
-    /// Barrier-time settlement of a speculative region: adopt the safe
-    /// horizons every shard actually reached, then validate each
+    /// Barrier-time settlement of a speculative region: adopt the lowest
+    /// safe horizon any shard actually reached, then validate each
     /// speculated clock against the horizon the now-exact floors certify,
     /// rolling back only the shards whose bet failed.
     fn settle_region(&mut self) {
-        let n = self.ctl.slots.len();
+        // Post-region values are exact: every shard published after its
+        // last level, and the barrier ordered those stores before our
+        // loads.
+        let min_of = |slots: &[AtomicU64]| {
+            slots
+                .iter()
+                .map(|a| a.load(Ordering::Acquire))
+                .min()
+                .expect("nonempty shards")
+        };
+        self.horizon = SimTime::from_ps(min_of(&self.ctl.pub_exec_ps));
         let cap_ps = self.cap.map_or(u64::MAX, SimTime::as_ps);
-        for i in 0..n {
-            self.horizons[i] = SimTime::from_ps(self.ctl.pub_exec_ps[i].load(Ordering::Acquire));
-            // Post-region floors are exact: every shard published after
-            // its last level, and the barrier ordered those stores before
-            // our loads.
-            self.floors_ps[i] = self.ctl.pub_floor_ps[i].load(Ordering::Acquire);
-        }
-        for d in 0..n {
-            let clock = self.ctl.spec_clock_ps[d].load(Ordering::Acquire);
+        let certified =
+            horizon_ps(min_of(&self.ctl.pub_floor_ps), self.ctl.lookahead_ps).min(cap_ps);
+        for (d, clock) in self.ctl.spec_clock_ps.iter().enumerate() {
+            let clock = clock.load(Ordering::Acquire);
             if clock == u64::MAX {
                 continue;
             }
-            let certified = self.matrix.horizon_ps(d, &self.floors_ps).min(cap_ps);
             if clock <= certified {
                 self.spec_committed += 1;
             } else {
@@ -686,30 +532,24 @@ impl<S: EpochWorld> ShardedEngine<S> {
     }
 }
 
-/// Horizon shard `dst` may advance to given the currently *published*
+/// Horizon a shard may advance to given the currently *published*
 /// floors — conservative because published floors are monotone lower
 /// bounds within a region. With `predicted`, each peer's floor is bumped
 /// to what finishing its current level would imply (one past its last
 /// safe horizon, never past its frozen staging floor): the optimistic
 /// bet the barrier validates.
-fn region_horizon<S>(ctl: &Control<S>, dst: usize, predicted: bool) -> u64 {
-    let n = ctl.slots.len();
-    let mut h = u64::MAX;
-    for s in 0..n {
+fn region_horizon<S>(ctl: &Control<S>, predicted: bool) -> u64 {
+    let mut min_floor = u64::MAX;
+    for s in 0..ctl.slots.len() {
         let mut f = ctl.pub_floor_ps[s].load(Ordering::Acquire);
         if predicted && f != u64::MAX {
             let exec = ctl.pub_exec_ps[s].load(Ordering::Acquire);
             let src = ctl.src_floor_ps[s].load(Ordering::Relaxed);
             f = f.max(exec.saturating_add(1).min(src));
         }
-        if f != u64::MAX {
-            h = h.min(
-                f.saturating_add(ctl.matrix_ps[s * n + dst])
-                    .saturating_sub(1),
-            );
-        }
+        min_floor = min_floor.min(f);
     }
-    h.min(ctl.cap_ps.load(Ordering::Relaxed))
+    horizon_ps(min_floor, ctl.lookahead_ps).min(ctl.cap_ps.load(Ordering::Relaxed))
 }
 
 /// Publishes shard `index`'s floor (pending work merged with the frozen
@@ -729,7 +569,7 @@ fn publish_progress<S: EpochWorld>(ctl: &Control<S>, index: usize, shard: &mut S
 /// peers' published floors, then at most one clock-only speculation.
 /// Shared by the coordinator (shard 0) and the worker loop.
 fn run_region<S: EpochWorld>(ctl: &Control<S>, index: usize, shard: &mut S) -> u64 {
-    let mut h = ctl.horizons_ps[index].load(Ordering::Relaxed);
+    let mut h = ctl.horizon_ps.load(Ordering::Relaxed);
     let mut ran = shard.run_epoch(SimTime::from_ps(h));
     shard.align_clock(SimTime::from_ps(h));
     let k = ctl.spec_k.load(Ordering::Relaxed);
@@ -738,7 +578,7 @@ fn run_region<S: EpochWorld>(ctl: &Control<S>, index: usize, shard: &mut S) -> u
     }
     publish_progress(ctl, index, shard, h);
     for _ in 0..k {
-        let next = region_horizon(ctl, index, false);
+        let next = region_horizon(ctl, false);
         if next == u64::MAX || next <= h {
             break;
         }
@@ -750,7 +590,7 @@ fn run_region<S: EpochWorld>(ctl: &Control<S>, index: usize, shard: &mut S) -> u
     // Out of provable horizon: bet the clock (never an event) on peers
     // completing their current level. Capped below the next pending
     // event so a refuted bet needs only a clock rewind to undo.
-    let predicted = region_horizon(ctl, index, true);
+    let predicted = region_horizon(ctl, true);
     let event_cap = shard
         .next_event_time()
         .map_or(u64::MAX, |t| t.as_ps().saturating_sub(1));
@@ -823,7 +663,7 @@ impl<S: EpochWorld> std::fmt::Debug for ShardedEngine<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedEngine")
             .field("shards", &self.ctl.slots.len())
-            .field("lookahead", &self.matrix.min())
+            .field("lookahead", &self.lookahead())
             .field("epochs", &self.epochs)
             .field("horizon", &self.horizon)
             .finish()
@@ -984,43 +824,9 @@ mod tests {
         assert_eq!(engine.run_epoch(), 1);
         let horizon = engine.horizon();
         assert_eq!(horizon, SimTime::from_ps(100_000 + 10_000 - 1));
-        assert_eq!(engine.min_horizon(), horizon, "uniform matrix: one bound");
         // Both shards — including the one that ran nothing — sit exactly
         // on the boundary.
         engine.for_each_shard(|_, s| assert_eq!(s.engine.now(), horizon));
-    }
-
-    #[test]
-    fn distant_shards_run_ahead_of_the_scalar_bound() {
-        // Shard 1 is "far" from shard 0 (100 ns each way) but close to
-        // itself (its own staged traffic round-trips in 100 ns too); with
-        // only shard 1 holding events, its horizon is bounded by its own
-        // pair entry, far past the scalar minimum.
-        let mut shards: Vec<Slot> = (0..2).map(slot).collect();
-        shards[1].engine.schedule_at(SimTime::ZERO, Ev::Mark(1));
-        let la = |s: usize, d: usize| {
-            if s == d {
-                SimTime::from_ns(100)
-            } else {
-                SimTime::from_ns(10)
-            }
-        };
-        let mut engine = ShardedEngine::with_matrix(shards, LookaheadMatrix::from_fn(2, la));
-        assert_eq!(engine.matrix().min(), SimTime::from_ns(10));
-        assert_eq!(engine.matrix().max(), SimTime::from_ns(100));
-        assert_eq!(engine.run_epoch(), 1);
-        // Shard 1's horizon: min(floor1 + la[1][1]) - 1 = 100 ns - 1 ps.
-        assert_eq!(engine.shard_horizon(1), SimTime::from_ps(100_000 - 1));
-        // Shard 0's horizon: min(floor1 + la[1][0]) - 1 = 10 ns - 1 ps —
-        // it cannot outrun traffic shard 1 might send it.
-        assert_eq!(engine.shard_horizon(0), SimTime::from_ps(10_000 - 1));
-        assert_eq!(engine.min_horizon(), SimTime::from_ps(10_000 - 1));
-        engine.peek_shard(0, |s| {
-            assert_eq!(s.engine.now(), SimTime::from_ps(10_000 - 1))
-        });
-        engine.peek_shard(1, |s| {
-            assert_eq!(s.engine.now(), SimTime::from_ps(100_000 - 1))
-        });
     }
 
     #[test]
@@ -1037,12 +843,12 @@ mod tests {
         assert_eq!(ran, 0, "nothing executable below the horizon");
         assert_eq!(engine.epochs(), 1);
         // Both horizons: min(50 + 10, 200 + 10) - 1.
-        assert_eq!(engine.min_horizon(), SimTime::from_ps(60_000 - 1));
+        assert_eq!(engine.horizon(), SimTime::from_ps(60_000 - 1));
         engine.for_each_shard(|_, s| assert_eq!(s.engine.now(), SimTime::from_ps(60_000 - 1)));
         // Clearing the floor lets the 200 ns event bound the next epoch.
         engine.set_source_floor(0, None);
         assert_eq!(engine.run_epoch(), 1);
-        assert_eq!(engine.min_horizon(), SimTime::from_ps(210_000 - 1));
+        assert_eq!(engine.horizon(), SimTime::from_ps(210_000 - 1));
     }
 
     #[test]
@@ -1057,31 +863,6 @@ mod tests {
         engine.set_cap(None);
         engine.align_all(SimTime::from_ns(40));
         engine.for_each_shard(|_, s| assert_eq!(s.engine.now(), SimTime::from_ns(40)));
-    }
-
-    #[test]
-    fn uniform_matrix_matches_scalar_engine_epochs() {
-        // A from_fn matrix with constant entries must behave exactly like
-        // the scalar constructor: same epoch count, same horizons.
-        let build = |uniform: bool| -> (u64, SimTime) {
-            let mut shards: Vec<Slot> = (0..3).map(slot).collect();
-            for k in 0..9u64 {
-                shards[k as usize % 3]
-                    .engine
-                    .schedule_at(SimTime::from_ns(5 * k), Ev::Mark(k));
-            }
-            let mut engine = if uniform {
-                ShardedEngine::new(shards, SimTime::from_ns(7))
-            } else {
-                ShardedEngine::with_matrix(
-                    shards,
-                    LookaheadMatrix::from_fn(3, |_, _| SimTime::from_ns(7)),
-                )
-            };
-            while engine.run_epoch() > 0 {}
-            (engine.epochs(), engine.horizon())
-        };
-        assert_eq!(build(true), build(false));
     }
 
     #[test]
@@ -1199,14 +980,5 @@ mod tests {
     #[should_panic(expected = "positive lookahead")]
     fn zero_lookahead_panics() {
         let _ = ShardedEngine::new(vec![slot(0)], SimTime::ZERO);
-    }
-
-    #[test]
-    #[should_panic(expected = "must cover every shard")]
-    fn mismatched_matrix_panics() {
-        let _ = ShardedEngine::with_matrix(
-            vec![slot(0)],
-            LookaheadMatrix::uniform(2, SimTime::from_ns(1)),
-        );
     }
 }
