@@ -240,7 +240,7 @@ fn main() {
 fn showcase_trace() -> String {
     use sonuma_bench::scenario::{self, TraceSpec};
 
-    let mut spec = scenario::rack1024_nodekill_spec();
+    let mut spec = scenario::canned("rack1024-nodekill").expect("a canned scenario");
     spec.trace = Some(TraceSpec {
         interval_us: 5.0,
         ..TraceSpec::default()
@@ -264,7 +264,7 @@ fn showcase_trace() -> String {
 fn showcase_kv_report() -> sonuma_bench::json::Json {
     use sonuma_bench::scenario;
 
-    let spec = scenario::rack512_kv_spec();
+    let spec = scenario::canned("rack512-kv").expect("a canned scenario");
     eprintln!(
         "running {} on all backends (pass --kv-report to skip the run)...",
         spec.name

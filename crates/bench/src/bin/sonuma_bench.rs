@@ -41,9 +41,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use sonuma_bench::json::Json;
 use sonuma_bench::scenario::{
-    self, calibrate, canned_specs, check_baseline, check_fault_baseline, check_kv_baseline,
-    equivalence_diff, report_calibrated, run_spec, run_spec_compare_threads, run_specs,
-    slim_report, smoke_specs, validate_report, ScenarioSpec, TraceSpec, REPORT_SCHEMA,
+    self, calibrate, canned, canned_names, canned_specs, check_baseline, equivalence_diff,
+    report_calibrated, run_spec, run_spec_compare_threads, run_specs, slim_report, validate_report,
+    ScenarioSpec, TraceSpec, REPORT_SCHEMA,
 };
 
 /// System allocator wrapped with a live-bytes high-water mark, so every
@@ -267,8 +267,8 @@ fn chrome_trace_cmd(args: Vec<String>) -> ExitCode {
 /// `baseline [--regen] [--file PATH]`: without `--regen`, asserts the
 /// checked-in baseline's schema matches this binary's (the friendly
 /// version of the raw missing-field cascade a stale baseline used to
-/// produce); with `--regen`, re-runs the full bench-smoke scenario set
-/// and rewrites the baseline.
+/// produce); with `--regen`, re-runs every canned scenario — the set the
+/// bench-smoke lane gates on — and rewrites the baseline.
 fn baseline_cmd(args: Vec<String>) -> ExitCode {
     let mut regen = false;
     let mut path = PathBuf::from("bench/baseline.json");
@@ -309,7 +309,7 @@ fn baseline_cmd(args: Vec<String>) -> ExitCode {
             }
         };
     }
-    let specs = baseline_specs();
+    let specs = canned_specs();
     let results = run_specs(&specs);
     let calibration = calibrate();
     let doc = report_calibrated(&results, calibration);
@@ -333,31 +333,6 @@ fn baseline_cmd(args: Vec<String>) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// The scenario set the bench-smoke lane gates on — what `baseline
-/// --regen` records.
-fn baseline_specs() -> Vec<ScenarioSpec> {
-    let keep = [
-        "rack64-tenants",
-        "rack64-tenants-strict",
-        "rack512-neighbor",
-        "rack512-torus-scan",
-        "rack1024-shard",
-        "rack4096",
-        "rack8192",
-        "rack512-linkflap",
-        "rack1024-nodekill",
-        "rack512-kv",
-        "rack1024-kv-zipf",
-    ];
-    let mut specs = smoke_specs();
-    specs.extend(
-        canned_specs()
-            .into_iter()
-            .filter(|s| keep.contains(&s.name.as_str())),
-    );
-    specs
-}
-
 fn scenario_cmd(args: Vec<String>) -> ExitCode {
     let mut specs: Vec<ScenarioSpec> = Vec::new();
     let mut out = PathBuf::from("BENCH.json");
@@ -379,17 +354,18 @@ fn scenario_cmd(args: Vec<String>) -> ExitCode {
             })
         };
         match arg.as_str() {
-            "--smoke" => specs.extend(smoke_specs()),
-            "--canned" => {
-                let name = value("--canned");
-                match canned_specs().into_iter().find(|s| s.name == name) {
-                    Some(spec) => specs.push(spec),
-                    None => {
-                        eprintln!("unknown canned spec {name:?}; try --list");
-                        return ExitCode::from(2);
-                    }
+            "--smoke" => specs.extend(
+                canned_names()
+                    .filter(|name| name.starts_with("smoke-"))
+                    .map(|name| canned(name).expect("canned specs parse")),
+            ),
+            "--canned" => match canned(&value("--canned")) {
+                Ok(spec) => specs.push(spec),
+                Err(e) => {
+                    eprintln!("{e}");
+                    return ExitCode::from(2);
                 }
-            }
+            },
             "--spec" => {
                 let path = value("--spec");
                 let text = match std::fs::read_to_string(&path) {
@@ -610,13 +586,7 @@ fn scenario_cmd(args: Vec<String>) -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        let mut check = check_baseline(&doc, &base, max_regress);
-        let fault_check = check_fault_baseline(&doc, &base);
-        check.notes.extend(fault_check.notes);
-        check.failures.extend(fault_check.failures);
-        let kv_check = check_kv_baseline(&doc, &base);
-        check.notes.extend(kv_check.notes);
-        check.failures.extend(kv_check.failures);
+        let check = check_baseline(&doc, &base, max_regress);
         for note in &check.notes {
             println!("note: {note}");
         }

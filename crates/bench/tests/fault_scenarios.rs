@@ -8,9 +8,9 @@ use proptest::prelude::*;
 
 use sonuma_bench::json::Json;
 use sonuma_bench::scenario::{
-    check_fault_baseline, equivalence_diff, rack1024_nodekill_spec, rack512_linkflap_spec, report,
-    run_specs, slim_report, validate_report, BackendKind, BackendSel, FaultSpec, ScenarioSpec,
-    TenancySpec, TopologySpec, TrafficSpec, WorkloadKind,
+    canned, check_baseline, equivalence_diff, report, run_specs, slim_report, validate_report,
+    BackendKind, BackendSel, FaultSpec, ScenarioSpec, TenancySpec, TopologySpec, TrafficSpec,
+    WorkloadKind,
 };
 
 /// A fast open-loop spec on the soNUMA backend whose run spans its fault
@@ -114,7 +114,7 @@ fn fault_gate_catches_each_regression_class() {
     f.killed_links = 0;
     let doc = report(&run_specs(&[spec]));
     // Self-comparison passes.
-    let check = check_fault_baseline(&doc, &doc);
+    let check = check_baseline(&doc, &doc, 0.20);
     assert!(check.failures.is_empty(), "{:?}", check.failures);
 
     fn patch(doc: &Json, key: &str, value: Json) -> Json {
@@ -140,7 +140,7 @@ fn fault_gate_catches_each_regression_class() {
     // Lost recovery.
     let broken = patch(&doc, "recovered", Json::Bool(false));
     assert!(
-        check_fault_baseline(&broken, &doc)
+        check_baseline(&broken, &doc, 0.20)
             .failures
             .iter()
             .any(|f| f.contains("recover")),
@@ -149,33 +149,43 @@ fn fault_gate_catches_each_regression_class() {
     // Goodput collapse.
     let lossy = patch(&doc, "goodput_fraction", Json::Num(0.5));
     assert!(
-        check_fault_baseline(&lossy, &doc)
+        check_baseline(&lossy, &doc, 0.20)
             .failures
             .iter()
             .any(|f| f.contains("goodput")),
         "goodput collapse must gate"
     );
     // Dropped faults section entirely.
-    fn strip_faults(doc: &Json) -> Json {
+    fn strip(doc: &Json, key: &str) -> Json {
         match doc {
             Json::Obj(members) => Json::Obj(
                 members
                     .iter()
-                    .filter(|(k, _)| k != "faults")
-                    .map(|(k, v)| (k.clone(), strip_faults(v)))
+                    .filter(|(k, _)| k != key)
+                    .map(|(k, v)| (k.clone(), strip(v, key)))
                     .collect(),
             ),
-            Json::Arr(items) => Json::Arr(items.iter().map(strip_faults).collect()),
+            Json::Arr(items) => Json::Arr(items.iter().map(|v| strip(v, key)).collect()),
             other => other.clone(),
         }
     }
-    let silent = strip_faults(&doc);
+    let silent = strip(&doc, "faults");
     assert!(
-        check_fault_baseline(&silent, &doc)
+        check_baseline(&silent, &doc, 0.20)
             .failures
             .iter()
             .any(|f| f.contains("faults section")),
         "silently disabled injection must gate"
+    );
+    // A gated key the baseline has and the current section lost fails
+    // too, instead of quietly skipping its rule.
+    let keyless = strip(&doc, "goodput_fraction");
+    assert!(
+        check_baseline(&keyless, &doc, 0.20)
+            .failures
+            .iter()
+            .any(|f| f.contains("goodput") && f.contains("missing")),
+        "a dropped gated key must gate"
     );
 }
 
@@ -201,7 +211,8 @@ fn slim_report_drops_only_per_node_detail() {
 
 #[test]
 fn canned_fault_specs_validate_and_instantiate() {
-    for spec in [rack512_linkflap_spec(), rack1024_nodekill_spec()] {
+    for name in ["rack512-linkflap", "rack1024-nodekill"] {
+        let spec = canned(name).unwrap();
         spec.validate().expect("canned fault specs are valid");
         let f = spec.faults.expect("fault section present");
         let topology = match spec.topology {

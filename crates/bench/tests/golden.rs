@@ -1,0 +1,112 @@
+//! Driver-identity oracle: the rendered report of one small spec per
+//! request source (closed window, tenant arrivals, tenant arrivals with
+//! the KV plane) must keep the 64-bit digest pinned here from the commit
+//! before the three drive loops were folded into one. Only `wall_*`
+//! members are stripped, so every simulated metric, the `sharding`
+//! metadata at one thread and the report layout are all covered.
+
+use sonuma_bench::json::Json;
+use sonuma_bench::scenario::{canned, report, run_spec_once, ScenarioSpec};
+
+/// A 16-node Poisson tenant run over a 4x4 torus with two links killed
+/// mid-run and two more degraded.
+const TENANTS_FAULTS: &str = r#"
+name = "golden-tenants-faults"
+nodes = 16
+topology = "torus2d:4x4"
+backend = "all"
+workload = "mixed"
+read_fraction = 0.8
+op_bytes = 64
+segment_bytes = 65536
+seed = 1601
+[tenants]
+count = 32
+scheduler = "wdrr"
+weights = "tiered"
+[traffic]
+arrival = "poisson"
+rate_per_tenant = 1000000
+duration_us = 40
+zipf_addr = 0.5
+zipf_dst = 0.2
+[faults]
+seed = 1602
+degraded_links = 2
+drop_prob = 0.1
+corrupt_prob = 0.05
+killed_links = 2
+kill_at_us = 10
+revive_at_us = 25
+"#;
+
+/// A 16-node KV service run on all three backends.
+const KV: &str = r#"
+name = "golden-kv"
+nodes = 16
+topology = "torus2d:4x4"
+backend = "all"
+workload = "mixed"
+op_bytes = 256
+segment_bytes = 65536
+seed = 1603
+[tenants]
+count = 32
+scheduler = "strict"
+weights = "tiered"
+[traffic]
+arrival = "bursty"
+rate_per_tenant = 400000
+duration_us = 30
+burst = 4
+[kv]
+keys = 256
+value_min = 256
+value_max = 1024
+zipf_key = 1.1
+get_fraction = 0.85
+repeat_prob = 0.3
+seed = 1604
+"#;
+
+fn strip_wall(doc: &Json) -> Json {
+    match doc {
+        Json::Obj(members) => Json::Obj(
+            members
+                .iter()
+                .filter(|(k, _)| !k.starts_with("wall_"))
+                .map(|(k, v)| (k.clone(), strip_wall(v)))
+                .collect(),
+        ),
+        Json::Arr(items) => Json::Arr(items.iter().map(strip_wall).collect()),
+        other => other.clone(),
+    }
+}
+
+/// FNV-1a over the wall-stripped rendered report of one single-drive run.
+fn digest(spec: &ScenarioSpec) -> u64 {
+    let text = strip_wall(&report(&[run_spec_once(spec)])).render();
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn reports_match_the_digests_pinned_before_the_single_drive_loop() {
+    let inline = |text| ScenarioSpec::from_toml(text).expect("golden spec parses");
+    for (spec, pinned) in [
+        (canned("smoke-uniform-8").unwrap(), 0xa24c_14d7_70ff_e159),
+        (canned("smoke-torus-16").unwrap(), 0x9c68_0293_1c8c_dec3),
+        (canned("smoke-mixed-4").unwrap(), 0xf558_460c_bcf3_b07f),
+        (inline(TENANTS_FAULTS), 0x6fa2_86aa_779b_d9bc),
+        (inline(KV), 0x335f_2f39_f53b_5c21),
+    ] {
+        assert_eq!(
+            digest(&spec),
+            pinned,
+            "{}: report bytes moved (digest 0x{:016x})",
+            spec.name,
+            digest(&spec)
+        );
+    }
+}

@@ -10,9 +10,9 @@ use proptest::prelude::*;
 
 use sonuma_bench::json::Json;
 use sonuma_bench::scenario::{
-    check_kv_baseline, equivalence_diff, rack1024_kv_zipf_spec, rack512_kv_spec, report, run_specs,
-    validate_report, BackendKind, BackendSel, KvSpec, ScenarioSpec, TenancySpec, TopologySpec,
-    TrafficSpec, WeightMode, WorkloadKind,
+    canned, check_baseline, equivalence_diff, report, run_specs, validate_report, BackendKind,
+    BackendSel, FaultSpec, KvSpec, ScenarioSpec, TenancySpec, TopologySpec, TrafficSpec,
+    WeightMode, WorkloadKind,
 };
 use sonuma_bench::trafficgen::ArrivalKind;
 use sonuma_core::SchedPolicy;
@@ -148,7 +148,11 @@ fn kv_spec_validation_rejects_bad_shapes() {
 
 #[test]
 fn directory_places_every_key_inside_the_segment() {
-    for spec in [rack512_kv_spec(), rack1024_kv_zipf_spec(), tiny_kv_spec()] {
+    for spec in [
+        canned("rack512-kv").unwrap(),
+        canned("rack1024-kv-zipf").unwrap(),
+        tiny_kv_spec(),
+    ] {
         let kv = spec.kv.as_ref().expect("kv section present");
         let dir = kv
             .directory(spec.nodes, spec.segment_bytes)
@@ -236,7 +240,7 @@ fn zipf_scenario_separates_slo_classes() {
 fn kv_gate_catches_each_regression_class() {
     let doc = report(&run_specs(&[zipf_kv_spec()]));
     // Self-comparison passes.
-    let check = check_kv_baseline(&doc, &doc);
+    let check = check_baseline(&doc, &doc, 0.20);
     assert!(check.failures.is_empty(), "{:?}", check.failures);
 
     fn patch(doc: &Json, key: &str, value: Json) -> Json {
@@ -262,7 +266,7 @@ fn kv_gate_catches_each_regression_class() {
     // Corrupted GET payloads.
     let torn = patch(&doc, "corrupt", Json::Num(3.0));
     assert!(
-        check_kv_baseline(&torn, &doc)
+        check_baseline(&torn, &doc, 0.20)
             .failures
             .iter()
             .any(|f| f.contains("corrupt")),
@@ -271,7 +275,7 @@ fn kv_gate_catches_each_regression_class() {
     // Achieved-throughput collapse.
     let starved = patch(&doc, "achieved_fraction", Json::Num(0.5));
     assert!(
-        check_kv_baseline(&starved, &doc)
+        check_baseline(&starved, &doc, 0.20)
             .failures
             .iter()
             .any(|f| f.contains("achieved")),
@@ -280,7 +284,7 @@ fn kv_gate_catches_each_regression_class() {
     // Per-class GET tail blowup (far past the 25% + 1 us slack).
     let slow = patch(&doc, "get_p99_ns", Json::Num(1e9));
     assert!(
-        check_kv_baseline(&slow, &doc)
+        check_baseline(&slow, &doc, 0.20)
             .failures
             .iter()
             .any(|f| f.contains("GET p99")),
@@ -290,7 +294,7 @@ fn kv_gate_catches_each_regression_class() {
     // baseline separates gold from bronze.
     let flat = patch(&doc, "lat_p99_ns", Json::Num(5e5));
     assert!(
-        check_kv_baseline(&flat, &doc)
+        check_baseline(&flat, &doc, 0.20)
             .failures
             .iter()
             .any(|f| f.contains("isolation")),
@@ -312,12 +316,42 @@ fn kv_gate_catches_each_regression_class() {
     }
     let silent = strip_kv(&doc);
     assert!(
-        check_kv_baseline(&silent, &doc)
+        check_baseline(&silent, &doc, 0.20)
             .failures
             .iter()
             .any(|f| f.contains("kv section")),
         "silently disabled KV plane must gate"
     );
+}
+
+#[test]
+fn kv_run_under_faults_fills_the_recovery_bins() {
+    // A [kv] spec with a [faults] section goes through the same loop as
+    // any other tenant run, so its 1 us goodput bins and the recovery
+    // metrics read off them must be filled. (The KV copy of the drive
+    // loop never recorded them: empty bins, a zero pre-fault rate and
+    // `recovered = false` whatever the run did.)
+    let mut spec = zipf_kv_spec();
+    spec.faults = Some(FaultSpec {
+        killed_links: 2,
+        kill_at_us: 30.0,
+        revive_at_us: 60.0,
+        ..FaultSpec::default()
+    });
+    let results = run_specs(&[spec]);
+    let run = &results[0].runs[0];
+    let f = run.faults.as_ref().expect("faults section attached");
+    assert!(
+        f.rerouted > 0,
+        "the killed links must divert traffic: {f:?}"
+    );
+    assert_eq!(
+        run.ok_bins_1us.iter().sum::<u64>(),
+        run.ops - run.errors,
+        "every successful completion lands in a 1 us bin"
+    );
+    assert!(f.prefault_ops_per_us > 0.0, "{f:?}");
+    assert_eq!(run.kv.as_ref().expect("kv section attached").corrupt, 0);
 }
 
 #[test]

@@ -5,8 +5,8 @@
 
 use sonuma_bench::json::Json;
 use sonuma_bench::scenario::{
-    canned_specs, check_baseline, equivalence_diff, rack512_spec, report, run_spec, run_specs,
-    smoke_specs, validate_report, BackendKind, BackendSel, ScenarioSpec, SpecError, TopologySpec,
+    canned, canned_names, canned_specs, check_baseline, equivalence_diff, report, run_spec,
+    run_specs, validate_report, BackendKind, BackendSel, ScenarioSpec, SpecError, TopologySpec,
     WorkloadKind, REPORT_SCHEMA,
 };
 
@@ -343,52 +343,46 @@ fn baseline_check_normalizes_by_host_calibration() {
 
 #[test]
 fn smoke_and_rack_specs_validate() {
-    for spec in smoke_specs() {
-        spec.validate().expect("smoke specs must be valid");
+    let smoke: Vec<&str> = canned_names().filter(|n| n.starts_with("smoke-")).collect();
+    assert_eq!(smoke.len(), 3, "--smoke selects the three smoke-* names");
+    for name in smoke {
+        canned(name).expect("smoke specs must be valid");
     }
-    let rack = rack512_spec();
-    rack.validate().expect("rack512 must be valid");
+    let rack = canned("rack512-neighbor").expect("rack512 must be valid");
     assert_eq!(rack.nodes, 512);
+    // An unknown name is an error that lists the known ones.
+    let err = canned("rack513").expect_err("no such canned spec");
+    assert!(
+        err.contains("rack513") && canned_names().all(|n| err.contains(n)),
+        "{err}"
+    );
 }
 
 #[test]
 fn shipped_spec_files_parse() {
+    // `bench/specs/` and the canned table must name the same scenarios:
+    // the table embeds the files, so a file nobody registered, or a
+    // registered name its file does not carry, is drift.
     let specs_dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../bench/specs");
-    let mut parsed = 0;
-    let mut in_sync = 0;
+    let mut shipped = Vec::new();
     for entry in std::fs::read_dir(specs_dir).expect("bench/specs exists") {
         let path = entry.unwrap().path();
-        if path.extension().and_then(|e| e.to_str()) != Some("toml") {
-            continue;
+        if path.file_name().and_then(|f| f.to_str()) == Some("example-torus.toml") {
+            continue; // the one shipped spec that is not canned
         }
         let text = std::fs::read_to_string(&path).unwrap();
         let spec =
             ScenarioSpec::from_toml(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        spec.validate()
-            .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        // Shipped files must stay in sync with the canned spec of the
-        // same name the acceptance runs use — matched by name against
-        // the full canned list, so a new canned spec plus a new file
-        // under bench/specs is covered with no test edit.
-        if let Some(canned) = sonuma_bench::scenario::canned_specs()
-            .into_iter()
-            .find(|c| c.name == spec.name)
-        {
-            assert_eq!(
-                spec,
-                canned,
-                "{} drifted from its canned spec",
-                path.display()
-            );
-            in_sync += 1;
-        }
-        parsed += 1;
+        shipped.push(spec.name);
     }
-    assert!(parsed >= 10, "expected shipped spec files, found {parsed}");
-    assert!(
-        in_sync >= 10,
-        "expected shipped files matching canned specs, found {in_sync}"
-    );
+    shipped.sort();
+    let mut names: Vec<&str> = canned_names().collect();
+    names.sort_unstable();
+    assert_eq!(shipped, names, "bench/specs and the canned table disagree");
+    // Every embedded text parses and validates under its table name
+    // (`canned` checks both); `toml_roundtrip_preserves_every_field`
+    // round-trips the same list.
+    assert_eq!(canned_specs().len(), names.len());
 }
 
 #[test]

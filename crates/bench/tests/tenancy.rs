@@ -3,8 +3,8 @@
 //! the rack64 acceptance scenarios, report schema, and determinism.
 
 use sonuma_bench::scenario::{
-    equivalence_diff, rack64_tenants_spec, rack64_tenants_strict_spec, report, run_spec, run_specs,
-    validate_report, BackendKind, BackendSel, ScenarioSpec, TenancySpec, TrafficSpec, WeightMode,
+    canned, equivalence_diff, report, run_spec, run_specs, validate_report, BackendKind,
+    BackendSel, ScenarioSpec, TenancySpec, TrafficSpec, WeightMode,
 };
 use sonuma_bench::trafficgen::{jain_index, ArrivalKind};
 use sonuma_core::{SchedPolicy, SloClass};
@@ -41,8 +41,8 @@ fn small_tenancy_spec() -> ScenarioSpec {
 fn tenancy_sections_roundtrip_through_toml() {
     for spec in [
         small_tenancy_spec(),
-        rack64_tenants_spec(),
-        rack64_tenants_strict_spec(),
+        canned("rack64-tenants").unwrap(),
+        canned("rack64-tenants-strict").unwrap(),
     ] {
         let text = spec.to_toml();
         assert!(text.contains("[tenants]") && text.contains("[traffic]"));
