@@ -1,9 +1,19 @@
-//! Commit-path cost of the sharded cluster: a fixed closed-loop
-//! neighbor-read workload over a 4×4 torus driven at 1 / 4 / 8 shards,
-//! so the measured body is dominated by the quantum loop's k-way
-//! staged-delivery merge and per-shard scheduling — the path the merge
-//! cursor cache and high-water-mark presizing feed. Runs offline through
-//! the in-repo criterion shim:
+//! Commit-path cost of the sharded cluster: closed-loop neighbor traffic
+//! through the full quantum loop, so the measured body is dominated by
+//! staging into the per-node outboxes, the commit's one key sort and the
+//! per-shard `Deliver` scheduling. Two shapes:
+//!
+//! * `merge/*` — 64 B reads on a 4×4 torus at 1 / 4 / 8 shards: an outbox
+//!   never holds more than a line or two, every commit takes all of it;
+//! * `backlog/*` — 8 KB writes on an 8×8 torus at 1 / 4 shards, unrolled
+//!   as whole 128-line bursts: every node keeps on the order of a hundred
+//!   staged lines with *future* inject times alive across dozens of
+//!   epochs while each epoch's few new sends land inside them. This is the
+//!   shape `kv512` has and `merge/*` never built, which is how a staging
+//!   buffer that re-sorted its whole backlog 15.7 times per packet went
+//!   unseen until a sampling profile found it.
+//!
+//! Runs offline through the in-repo criterion shim:
 //!
 //! ```text
 //! cargo bench -p sonuma-machine --bench commit
@@ -14,11 +24,16 @@ use sonuma_fabric::FabricConfig;
 use sonuma_machine::{MachineConfig, SonumaBackend};
 use sonuma_protocol::{NodeId, RemoteBackend, RemoteRequest};
 
-/// Builds the 4×4 torus machine and drains `ops_per_node` two-deep
-/// pipelined neighbor reads through the full quantum/commit loop.
-fn commit_run(threads: usize, ops_per_node: u64) -> u64 {
-    let mut config = MachineConfig::simulated_hardware(16);
-    config.fabric = FabricConfig::torus2d(4, 4);
+/// Builds a `side`×`side` torus machine and drains `ops_per_node`
+/// two-deep pipelined neighbor operations — 64 B reads, or `write_bytes`
+/// writes unrolled as one burst each — through the full quantum/commit
+/// loop.
+fn commit_run(side: usize, threads: usize, ops_per_node: u64, write_bytes: Option<usize>) -> u64 {
+    let mut config = MachineConfig::simulated_hardware(side * side);
+    config.fabric = FabricConfig::torus2d(side, side);
+    if let Some(bytes) = write_bytes {
+        config.rgp_burst_lines = (bytes / 64) as u32;
+    }
     let mut b = SonumaBackend::with_threads(config, 1 << 16, threads);
     let nodes = b.num_nodes();
     for n in 0..nodes {
@@ -32,8 +47,11 @@ fn commit_run(threads: usize, ops_per_node: u64) -> u64 {
             while remaining[n] > 0 && inflight[n] < 2 {
                 let dst = NodeId(((n + 1) % nodes) as u16);
                 let offset = (remaining[n] * 64) % 512;
-                b.post(NodeId(n as u16), RemoteRequest::read(dst, offset, 64))
-                    .expect("post accepted");
+                let req = match write_bytes {
+                    Some(bytes) => RemoteRequest::write(dst, offset, vec![n as u8; bytes]),
+                    None => RemoteRequest::read(dst, offset, 64),
+                };
+                b.post(NodeId(n as u16), req).expect("post accepted");
                 remaining[n] -= 1;
                 inflight[n] += 1;
                 posted = true;
@@ -56,7 +74,16 @@ fn bench_commit(c: &mut Criterion) {
     group.sample_size(5);
     for threads in [1usize, 4, 8] {
         group.bench_function(&format!("merge/{threads}"), |b| {
-            b.iter(|| commit_run(threads, 8))
+            b.iter(|| commit_run(4, threads, 8, None))
+        });
+    }
+    group.finish();
+
+    let mut group = c.benchmark_group("backlog");
+    group.sample_size(5);
+    for threads in [1usize, 4] {
+        group.bench_function(&format!("write8k/{threads}"), |b| {
+            b.iter(|| commit_run(8, threads, 4, Some(8192)))
         });
     }
     group.finish();

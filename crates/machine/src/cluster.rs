@@ -8,7 +8,7 @@
 
 use sonuma_fabric::Fabric;
 use sonuma_memory::{MemError, VAddr};
-use sonuma_protocol::{CtxId, NodeId, Packet, QpId, TenantId};
+use sonuma_protocol::{CtxId, NodeId, QpId, TenantId};
 use sonuma_rmc::{ContextEntry, QueuePairState};
 use sonuma_sim::SimTime;
 
@@ -16,38 +16,21 @@ use crate::tenancy::{TenantSpec, TenantStats};
 
 use crate::config::MachineConfig;
 use crate::event::{ClusterEvent, WakeReason};
+use crate::mailbox::Mailbox;
 use crate::node::{AppQpCursors, BlockState, Node, CTX_BASE};
 use crate::process::AppProcess;
 use crate::ClusterEngine;
 
-/// One fabric send staged for the epoch-barrier merge (shard mode).
-///
-/// `(src, seq)` is the deterministic tiebreak: `seq` counts the packets
-/// each source node has ever injected, so the merge order
-/// `(time, src, seq)` is a total order that depends only on the
-/// simulation's history — never on how nodes are distributed over shards.
-#[derive(Debug, Clone)]
-pub(crate) struct Departure {
-    /// Fabric injection time.
-    pub t: SimTime,
-    /// Injecting node.
-    pub src: NodeId,
-    /// Per-source injection sequence number.
-    pub seq: u64,
-    /// The packet itself (`pkt.dst` names the receiver).
-    pub pkt: Packet,
-}
-
 /// Where this cluster's packets go: straight into an owned fabric
-/// (classic single-engine mode) or into a mailbox drained at the epoch
-/// barrier (one shard of a `ShardedCluster`).
+/// (classic single-engine mode) or into per-node outboxes committed at the
+/// epoch barrier (one shard of a `ShardedCluster`).
 pub(crate) enum RoutePath {
     /// The cluster owns the whole world; sends resolve inline.
     Direct(Box<Fabric>),
-    /// The cluster is one shard; sends are staged as [`Departure`]s and
+    /// The cluster is one shard; sends are staged in its [`Mailbox`] and
     /// the `ShardedCluster` merges them into the global fabric in
     /// deterministic order.
-    Mailbox(Vec<Departure>),
+    Mailbox(Mailbox),
 }
 
 /// The simulation world: every node plus the memory fabric.
@@ -74,7 +57,7 @@ pub struct Cluster {
     pub nodes: Vec<Node>,
     /// Global id of `nodes[0]` (0 except for shard clusters).
     node_base: usize,
-    /// Owned fabric, or the shard-mode departure mailbox.
+    /// Owned fabric, or the shard-mode per-node outboxes.
     pub(crate) route: RoutePath,
     /// Logical events folded into batched engine events: a line burst of
     /// `n` injections executes as one engine event but represents `n`
@@ -134,7 +117,7 @@ impl Cluster {
         Cluster {
             nodes: range.clone().map(|_| Node::new(&config)).collect(),
             node_base: range.start,
-            route: RoutePath::Mailbox(Vec::new()),
+            route: RoutePath::Mailbox(Mailbox::new(range.len())),
             config,
             batched_logical_events: 0,
         }

@@ -24,9 +24,9 @@
 //!   and remote-interrupt delivery;
 //! * [`shard`] — [`ShardedCluster`]: the cluster partitioned into
 //!   per-thread shards (each a [`Cluster`] owning a slice of nodes, with
-//!   fabric sends staged in a mailbox), advanced in conservative epochs
-//!   with a deterministic fabric merge at each barrier, so `--threads N`
-//!   runs are bit-identical to serial ones;
+//!   fabric sends staged in per-node outboxes, `mailbox`), advanced in
+//!   conservative epochs with a deterministic fabric merge at each
+//!   barrier, so `--threads N` runs are bit-identical to serial ones;
 //! * [`backend`] — [`SonumaBackend`], the soNUMA implementation of the
 //!   transport-agnostic `sonuma_protocol::RemoteBackend` contract, so the
 //!   same request streams can run over the baselines for Table 2.
@@ -43,6 +43,7 @@ pub mod cluster;
 pub mod config;
 pub mod event;
 pub mod fault;
+pub(crate) mod mailbox;
 pub mod node;
 pub mod pipeline;
 pub mod process;

@@ -196,10 +196,6 @@ pub struct Node {
     pub bytes_read: u64,
     /// Payload bytes this node wrote to remote memory.
     pub bytes_written: u64,
-    /// Packets this node has injected into the fabric. Under the sharded
-    /// engine, `(src, fabric_seq)` is the deterministic merge key of every
-    /// staged send.
-    pub(crate) fabric_seq: u64,
     /// Rolling FNV-style hash over `(time, src, tid, seq)` of every packet
     /// delivered *to* this node, in delivery order. Two runs deliver
     /// packets in the same order iff their hashes match — the
@@ -253,7 +249,6 @@ impl Node {
             ops_completed: 0,
             bytes_read: 0,
             bytes_written: 0,
-            fabric_seq: 0,
             deliver_hash: 0xcbf2_9ce4_8422_2325,
         }
     }

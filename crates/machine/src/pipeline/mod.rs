@@ -176,10 +176,10 @@ impl Cluster {
     /// Classic clusters resolve the fabric traversal inline (link
     /// serialization + credits) and schedule the typed
     /// [`ClusterEvent::Deliver`] at the computed arrival. Shard clusters
-    /// instead stamp the send with its `(src, seq)` merge key and stage
-    /// it in the mailbox; the `ShardedCluster` applies every staged send
-    /// to the one global fabric at the epoch barrier, in an order that is
-    /// a pure function of simulated history — which is what keeps
+    /// instead stage the send in the source node's outbox; the
+    /// `ShardedCluster` applies every staged send to the one global fabric
+    /// at the epoch barrier, in `(time, source, staging order)` order — a
+    /// pure function of simulated history, which is what keeps
     /// `--threads N` bit-identical to `--threads 1`.
     pub(crate) fn route_packet(&mut self, engine: &mut ClusterEngine, t: SimTime, mut pkt: Packet) {
         if pkt.dst == pkt.src {
@@ -189,7 +189,7 @@ impl Cluster {
             engine.schedule_at(deliver_at, ClusterEvent::Deliver { pkt });
             return;
         }
-        let src = pkt.src;
+        let local_src = pkt.src.index() - self.node_base();
         match &mut self.route {
             crate::cluster::RoutePath::Direct(fabric) => {
                 let salt = pkt.fault_salt(t.as_ps());
@@ -212,17 +212,8 @@ impl Cluster {
                     }
                 }
             }
-            crate::cluster::RoutePath::Mailbox(_) => {
-                let seq = {
-                    let node = self.node_mut(src.index());
-                    let seq = node.fabric_seq;
-                    node.fabric_seq += 1;
-                    seq
-                };
-                let crate::cluster::RoutePath::Mailbox(outbox) = &mut self.route else {
-                    unreachable!("route path changed underfoot");
-                };
-                outbox.push(crate::cluster::Departure { t, src, seq, pkt });
+            crate::cluster::RoutePath::Mailbox(outbox) => {
+                outbox.stage(local_src, t, pkt);
             }
         }
     }

@@ -20,14 +20,16 @@
 //!    which are serial). So each node's event history is a function of
 //!    the packet stream it receives.
 //! 2. **Every non-loopback packet takes the mailbox path — even when
-//!    source and destination share a shard.** Shard outboxes drain into
-//!    per-source staging buffers; once the commit frontier passes a
-//!    staged departure it is applied to the global fabric in
-//!    `(inject time, source node, per-source sequence)` order, and the
-//!    resulting `Deliver` events are scheduled into destination shards in
-//!    the same order. Both keys are pure functions of simulated history,
-//!    so link-state evolution and delivery order never depend on the
-//!    partition.
+//!    source and destination share a shard.** A send is staged in its
+//!    source node's own outbox (`crate::mailbox`) and stays there until
+//!    the commit frontier passes it; the commit then takes the due prefix
+//!    of every node that holds any, orders those departures — and only
+//!    those, once, on 16-byte keys — by `(inject time, source node,
+//!    per-source staging order)`, applies them to the global fabric in
+//!    that order and schedules the resulting `Deliver` events into the
+//!    destination nodes' event lanes in the same order. The key is a pure
+//!    function of simulated history, so link-state evolution and delivery
+//!    order never depend on the partition.
 //! 3. **Epoch and round boundaries are partition-invariant.** Every
 //!    epoch runs all shards to the one horizon `min floor + L - 1`, a
 //!    function of the global event set alone, so the epoch structure —
@@ -53,23 +55,25 @@
 //! # Why node-major order inside a window is bit-identical
 //!
 //! A shard (`ShardSlot::run_epoch`) does not execute a window in global
-//! `(time, seq)` order: it runs it node by node
-//! (`EventEngine::run_until_by_lane` with [`ClusterEvent::node`] as the
-//! lane), so a rack touches one node's state for a run of consecutive
-//! events instead of a different node's cold state on every event. This
+//! `(time, seq)` order: its engine keeps one event lane per owned node
+//! (`EventEngine::with_lanes`, the lane being [`ClusterEvent::node`]
+//! minus the shard's first node) and runs a window node by node, so a
+//! rack touches one node's state for a run of consecutive events instead
+//! of a different node's cold state on every event. This
 //! is the `--threads 512` execution of the window, and the same
 //! invariants license it: inside one window no packet sent can arrive
 //! (that is the lookahead; a loopback delivery targets the sender
 //! itself), every event a node schedules targets that node (invariant 1
 //! — so a node's events and their `(time, seq)` order, schedule-order
 //! tie-breaks included, are untouched by any other node's execution),
-//! and all inter-node traffic goes through the `(t, src, seq)`-sorted
-//! mailbox merge (invariant 2 — so outbox push order is erased). Debug
-//! builds assert on every executed event that it belongs to the node
-//! being run, which turns invariant 1 into a check every debug-mode test
-//! of this crate exercises. The serial [`Cluster`] (`RoutePath::Direct`)
-//! keeps `run_until`: its fabric sends resolve inline and do depend on
-//! global time order.
+//! and all inter-node traffic goes through the `(t, src, seq)`-ordered
+//! mailbox commit (invariant 2 — so the order nodes ran in is erased).
+//! Debug builds assert on every event scheduled inside a window that it
+//! targets the node being run, which turns invariant 1 into a check every
+//! debug-mode test of this crate exercises. The serial [`Cluster`]
+//! (`RoutePath::Direct`) runs on the one-lane engine
+//! (`ClusterEngine::new`), i.e. in exact global time order: its fabric
+//! sends resolve inline and do depend on it.
 //!
 //! # Conservative safety
 //!
@@ -96,9 +100,10 @@ use sonuma_protocol::{CtxId, NodeId, Packet, QpId, TenantId, HEADER_BYTES};
 use sonuma_sim::{EpochWorld, ShardedEngine, SimTime};
 use sonuma_trace::{FaultKind, FlightRecorder, NodeCounters, TraceConfig};
 
-use crate::cluster::{Cluster, Departure, RoutePath};
+use crate::cluster::{Cluster, RoutePath};
 use crate::config::MachineConfig;
 use crate::event::ClusterEvent;
+use crate::mailbox::{CommitBatch, Mailbox};
 use crate::pipeline::PipelineStats;
 use crate::tenancy::{TenantSpec, TenantStats};
 use crate::ClusterEngine;
@@ -128,7 +133,7 @@ pub(crate) struct ShardSlot {
 }
 
 /// The speculation-mutable frontier of a shard. Clock-only speculation
-/// executes no events and drains no outboxes past a snapshot, so the
+/// executes no events and stages no departures past a snapshot, so the
 /// clock is the whole restorable state; the counts exist to assert that.
 #[derive(Clone, Copy)]
 struct Checkpoint {
@@ -143,17 +148,32 @@ struct Checkpoint {
 // constructed exclusively by `ShardedCluster` from fresh nodes, and
 // nothing in the sharded surface can attach a process (`Cluster::spawn`
 // is unreachable through it), so every `process` slot is `None` for the
-// slot's entire lifetime. All remaining state is owned plain data.
-// `ShardedCluster::with_plan` asserts the invariant at construction.
+// slot's entire lifetime. All remaining state is owned plain data, and
+// the engine's lane function is `Send` by `EventEngine::with_lanes`'
+// bound. `build_shard` asserts the process invariant at construction.
 unsafe impl Send for ShardSlot {}
 
 impl ShardSlot {
-    /// Departures executed events have staged but no drain has collected.
-    fn outbox_len(&self) -> usize {
-        match &self.world.route {
-            RoutePath::Mailbox(outbox) => outbox.len(),
-            RoutePath::Direct(_) => 0,
+    /// The per-node outboxes this shard's sends are staged in.
+    fn outbox(&mut self) -> &mut Mailbox {
+        match &mut self.world.route {
+            RoutePath::Mailbox(outbox) => outbox,
+            RoutePath::Direct(_) => unreachable!("shard clusters stage into a mailbox"),
         }
+    }
+
+    /// The shard's floors: earliest staged-but-uncommitted departure, and
+    /// earliest pending event. Both O(1).
+    fn floors(&mut self) -> (Option<SimTime>, Option<SimTime>) {
+        (self.outbox().floor(), self.engine.next_time())
+    }
+}
+
+/// The earlier of two optional instants.
+fn earlier(a: Option<SimTime>, b: Option<SimTime>) -> Option<SimTime> {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(a.min(b)),
+        (a, b) => a.or(b),
     }
 }
 
@@ -161,8 +181,7 @@ impl EpochWorld for ShardSlot {
     fn run_epoch(&mut self, horizon: SimTime) -> u64 {
         // Node-major, not time-major: see "Why node-major order inside a
         // window is bit-identical" in the module docs.
-        self.engine
-            .run_until_by_lane(&mut self.world, horizon, |event| u32::from(event.node()))
+        self.engine.run_until(&mut self.world, horizon)
     }
 
     fn next_event_time(&mut self) -> Option<SimTime> {
@@ -174,28 +193,19 @@ impl EpochWorld for ShardSlot {
     }
 
     fn pending_floor(&mut self) -> Option<SimTime> {
-        // During a speculative region outboxes are not drained between
-        // levels, so staged-but-undrained departures are pending work the
-        // engine must fence peers from — they join the floor at their
-        // inject times. Outboxes are tiny (at most one level's sends), so
-        // the scan is cheap; between regions they are empty and this is
-        // exactly `next_event_time`.
-        let next = self.engine.next_time();
-        let staged = match &self.world.route {
-            RoutePath::Mailbox(outbox) => outbox.iter().map(|d| d.t).min(),
-            RoutePath::Direct(_) => None,
-        };
-        match (next, staged) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
+        // Staged-but-uncommitted departures are pending work the engine
+        // must fence peers from — they join the floor at their inject
+        // times, whether a commit has had the chance to take them or (in
+        // a speculative region, which commits nothing between levels) not.
+        let (staged, next) = self.floors();
+        earlier(staged, next)
     }
 
     fn snapshot(&mut self) {
         self.saved = Some(Checkpoint {
             now: self.engine.now(),
             executed: self.engine.events_executed(),
-            outbox_len: self.outbox_len(),
+            outbox_len: self.outbox().len(),
         });
     }
 
@@ -208,87 +218,10 @@ impl EpochWorld for ShardSlot {
         );
         debug_assert_eq!(
             saved.outbox_len,
-            self.outbox_len(),
+            self.outbox().len(),
             "clock-only speculation must not have staged departures"
         );
         self.engine.rewind_now_to(saved.now);
-    }
-}
-
-/// Staged departures of one source shard, kept in `(t, src, seq)` order
-/// with an incremental head cursor so committing pops nothing and moves
-/// no memory. The buffer is reused across epochs and quanta; the consumed
-/// prefix is compacted away once it dominates.
-#[derive(Default)]
-struct SourceQueue {
-    buf: Vec<Departure>,
-    head: usize,
-    /// Cached merge cursor: the head departure's `(t, src, seq)` key.
-    /// The commit merge's k-way scan reads only this, so a queue whose
-    /// head did not move between quanta costs one field load instead of
-    /// a re-deref of the departure memory every pop.
-    head_key: Option<(SimTime, NodeId, u64)>,
-    /// Most entries the buffer ever held — next quantum's presize hint.
-    hwm: usize,
-}
-
-impl SourceQueue {
-    /// Inject time of the earliest staged-but-uncommitted departure.
-    fn head_time(&self) -> Option<SimTime> {
-        self.head_key.map(|(t, _, _)| t)
-    }
-
-    /// Refreshes the cached head key after the head moved.
-    fn refresh_key(&mut self) {
-        self.head_key = self.buf.get(self.head).map(|d| (d.t, d.src, d.seq));
-    }
-
-    /// Pops the head departure. The caller has checked the queue is
-    /// nonempty via its cached key.
-    fn pop(&mut self) -> (SimTime, Packet) {
-        let d = &self.buf[self.head];
-        let out = (d.t, d.pkt);
-        self.head += 1;
-        self.refresh_key();
-        out
-    }
-
-    /// Appends one epoch's outbox drain, keeping the uncommitted suffix
-    /// `(t, src, seq)`-sorted. Chunks from successive epochs are usually
-    /// time-separated (an epoch only executes events past the previous
-    /// one's horizon), so sorting just the new tail suffices; inject
-    /// times carry per-packet offsets (`stage_local` vs none), so when a
-    /// chunk overlaps the staged suffix the whole uncommitted range is
-    /// re-sorted. Everything staged is past the commit frontier, so the
-    /// merge order is unaffected.
-    fn append_chunk(&mut self, outbox: &mut Vec<Departure>) -> usize {
-        if outbox.is_empty() {
-            return 0;
-        }
-        // Presize from the previous high-water mark: one reservation per
-        // steady-state quantum instead of a doubling ladder per burst.
-        if self.buf.capacity() < self.hwm {
-            self.buf.reserve(self.hwm - self.buf.len());
-        }
-        let tail = self.buf.len();
-        self.buf.append(outbox);
-        let key = |d: &Departure| (d.t, d.src, d.seq);
-        self.buf[tail..].sort_unstable_by_key(key);
-        if tail > self.head && key(&self.buf[tail - 1]) > key(&self.buf[tail]) {
-            self.buf[self.head..].sort_unstable_by_key(key);
-        }
-        self.refresh_key();
-        self.hwm = self.hwm.max(self.buf.len());
-        self.buf.len() - tail
-    }
-
-    /// Drops the committed prefix once it outweighs the live tail.
-    fn compact(&mut self) {
-        if self.head > 64 && self.head * 2 >= self.buf.len() {
-            self.buf.drain(..self.head);
-            self.head = 0;
-            self.refresh_key();
-        }
     }
 }
 
@@ -296,7 +229,13 @@ impl SourceQueue {
 /// read-only) config and plan, so [`ShardedCluster::with_plan`] can fan
 /// construction across scoped threads.
 fn build_shard(config: &MachineConfig, plan: &ShardPlan, s: usize) -> ShardSlot {
-    let world = Cluster::shard_slice(config.clone(), plan.range(s));
+    let range = plan.range(s);
+    // Lane ids are local: a shard allocates lane headers for the nodes it
+    // owns, not for the rack.
+    let base = range.start as u32;
+    let engine =
+        ClusterEngine::with_lanes(range.len(), move |event| u32::from(event.node()) - base);
+    let world = Cluster::shard_slice(config.clone(), range);
     // The Send invariant of ShardSlot: no process ever attaches.
     debug_assert!(world
         .nodes
@@ -304,7 +243,7 @@ fn build_shard(config: &MachineConfig, plan: &ShardPlan, s: usize) -> ShardSlot 
         .all(|n| n.cores.iter().all(|c| c.process.is_none())));
     let mut slot = ShardSlot {
         world,
-        engine: ClusterEngine::new(),
+        engine,
         saved: None,
     };
     // Each shard schedules the crash/restart events for the fault-plan
@@ -315,7 +254,7 @@ fn build_shard(config: &MachineConfig, plan: &ShardPlan, s: usize) -> ShardSlot 
 }
 
 /// The cluster sharded across threads, with the global fabric and the
-/// staged commit-frontier merge. Mirrors the [`Cluster`] driver surface
+/// commit-frontier merge of the shards' outboxes. Mirrors the [`Cluster`] driver surface
 /// (contexts, queue pairs, tenants, functional segment access,
 /// statistics) with global node ids routed to the owning shard.
 pub struct ShardedCluster {
@@ -330,15 +269,11 @@ pub struct ShardedCluster {
     events: u64,
     /// Width of one quantum: `QUANTUM_EPOCHS` lookaheads.
     quantum: SimTime,
-    /// Per-source-shard staging of drained mailbox departures.
-    staging: Vec<SourceQueue>,
-    /// Scratch for one commit's deliveries, reused across commits.
-    deliveries: Vec<(usize, SimTime, Packet)>,
-    /// Most deliveries one commit ever produced — the presize hint.
-    delivery_hwm: usize,
-    /// Scratch: deliveries bound for each destination shard in the
-    /// current commit, so the scheduling pass skips untouched shards.
-    delivery_counts: Vec<usize>,
+    /// Scratch for one commit's due departures, reused across commits.
+    batch: CommitBatch,
+    /// Scratch for one commit's deliveries, per destination shard and in
+    /// merged order, reused across commits.
+    deliveries: Vec<Vec<(SimTime, Packet)>>,
     /// Cross-shard cut of the plan in force (directed links).
     cut_links: usize,
     /// Deliveries that landed sooner than the lookahead promised —
@@ -430,10 +365,8 @@ impl ShardedCluster {
             clock: SimTime::ZERO,
             events: 0,
             quantum: lookahead * QUANTUM_EPOCHS,
-            staging: (0..num_shards).map(|_| SourceQueue::default()).collect(),
-            deliveries: Vec::new(),
-            delivery_hwm: 0,
-            delivery_counts: vec![0; num_shards],
+            batch: CommitBatch::default(),
+            deliveries: vec![Vec::new(); num_shards],
             cut_links,
             pair_bound_violations: 0,
             trace: None,
@@ -758,18 +691,8 @@ impl ShardedCluster {
         // work at their inject time (their arrivals lie even later), so
         // an idle jump never carries an engine clock past them.
         let mut min_next: Option<SimTime> = None;
-        for queue in &self.staging {
-            min_next = match (min_next, queue.head_time()) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            };
-        }
-        self.engine.for_each_shard(|_, slot| {
-            min_next = match (min_next, slot.next_event_time()) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            };
-        });
+        self.engine
+            .for_each_shard(|_, slot| min_next = earlier(min_next, slot.pending_floor()));
         if min_next.is_none_or(|m| m >= t) {
             self.engine.for_each_shard(|_, slot| slot.align_clock(t));
         }
@@ -811,8 +734,8 @@ impl ShardedCluster {
 
     /// Executes one quantum `[S, S + QUANTUM_EPOCHS * L)` anchored at the
     /// globally earliest pending event, running lookahead-bounded epochs —
-    /// with an outbox drain and a commit-frontier merge after each —
-    /// until everything inside the quantum is final, then aligns every
+    /// with a commit-frontier merge after each — until everything inside
+    /// the quantum is final, then aligns every
     /// shard clock to the (partition-invariant) quantum boundary.
     ///
     /// Returns `None` when the simulation is drained, otherwise the
@@ -881,15 +804,14 @@ impl ShardedCluster {
                 }
             }
             let ran = self.engine.run_epoch();
-            let drained = self.drain_outboxes();
             frontier = frontier.max(self.engine.horizon());
             let committed = pre + self.commit(frontier);
             ran_quantum += ran;
             debug_assert!(
-                ran + drained as u64 + committed as u64 > 0,
+                ran + committed as u64 > 0,
                 "a quantum iteration with pending work must make progress"
             );
-            if ran == 0 && drained == 0 && committed == 0 {
+            if ran == 0 && committed == 0 {
                 break;
             }
             (min_floor, min_event) = self.gather_floors();
@@ -988,30 +910,19 @@ impl ShardedCluster {
         self.trace = Some(rec);
     }
 
-    /// Publishes the staged heads to the engine as source floors and
+    /// Publishes the outbox floors to the engine as source floors and
     /// returns the global minimum floor — a shard's floor is its earliest
-    /// pending work, the min of its next event and its staged head — plus
+    /// pending work, the min of its next event and its outbox floor — plus
     /// the global minimum *event* time (the earliest instant any shard
     /// could inject a not-yet-staged departure).
     fn gather_floors(&mut self) -> (Option<SimTime>, Option<SimTime>) {
         let mut min_floor: Option<SimTime> = None;
         let mut min_event: Option<SimTime> = None;
         for s in 0..self.plan.shards() {
-            let head = self.staging[s].head_time();
-            let next = self.engine.with_shard(s, |slot| slot.next_event_time());
-            let floor = match (head, next) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            };
-            self.engine.set_source_floor(s, head);
-            min_floor = match (min_floor, floor) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            };
-            min_event = match (min_event, next) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            };
+            let (staged, next) = self.engine.with_shard(s, ShardSlot::floors);
+            self.engine.set_source_floor(s, staged);
+            min_floor = earlier(min_floor, earlier(staged, next));
+            min_event = earlier(min_event, next);
         }
         (min_floor, min_event)
     }
@@ -1037,57 +948,26 @@ impl ShardedCluster {
         (bound > frontier).then_some(bound)
     }
 
-    /// Drains every shard's mailbox outbox into its per-source staging
-    /// queue, keeping each queue `(t, src, seq)`-sorted. Returns the
-    /// number of departures staged.
-    fn drain_outboxes(&mut self) -> usize {
-        let mut drained = 0;
-        let staging = &mut self.staging;
-        self.engine.for_each_shard(|s, slot| {
-            if let RoutePath::Mailbox(outbox) = &mut slot.world.route {
-                drained += staging[s].append_chunk(outbox);
-            }
-        });
-        drained
-    }
-
     /// Applies every staged departure with `t <= frontier` to the global
-    /// fabric — a k-way merge over the per-source queues in
-    /// `(t, src, seq)` order, identical to the serial send order — and
-    /// schedules the `Deliver` events into destination shards in the same
-    /// order. Returns the number of departures committed.
+    /// fabric in `(t, src, seq)` order — identical to the serial send
+    /// order — and schedules the `Deliver` events into the destination
+    /// nodes' lanes in the same order. Costs O(shards) when nothing is
+    /// due, otherwise O(nodes holding staged traffic + departures due).
+    /// Returns the number of departures committed.
     fn commit(&mut self, frontier: SimTime) -> usize {
-        self.deliveries.clear();
-        // `clear` keeps capacity, so the high-water reserve only does
-        // work on the first commit after a burst grew past every prior
-        // quantum — steady state never reallocates mid-merge.
-        if self.deliveries.capacity() < self.delivery_hwm {
-            self.deliveries.reserve(self.delivery_hwm);
-        }
-        self.delivery_counts.fill(0);
+        let batch = &mut self.batch;
+        batch.clear();
+        self.engine
+            .for_each_shard(|_, slot| slot.outbox().take_due(frontier, batch));
         // Progress is measured in departures *consumed*, not deliveries
-        // scheduled: a fault-dropped packet leaves the staging queue
-        // without producing a delivery, and reporting it as zero progress
-        // would trip the quantum loop's liveness check.
-        let mut consumed = 0usize;
-        loop {
-            // K-way walk: the queues are few (one per shard) and already
-            // sorted, so the global minimum is a linear scan of the
-            // cached head keys (the merge cursors persist across quanta —
-            // a queue untouched since the last commit costs one load).
-            let mut best: Option<(usize, (SimTime, NodeId, u64))> = None;
-            for (q, queue) in self.staging.iter().enumerate() {
-                if let Some(key) = queue.head_key {
-                    if key.0 <= frontier && best.is_none_or(|(_, bk)| key < bk) {
-                        best = Some((q, key));
-                    }
-                }
-            }
-            let Some((q, _)) = best else {
-                break;
-            };
-            let (t, mut pkt) = self.staging[q].pop();
-            consumed += 1;
+        // scheduled: a fault-dropped packet leaves its outbox without
+        // producing a delivery, and reporting it as zero progress would
+        // trip the quantum loop's liveness check.
+        let consumed = self.batch.len();
+        if consumed == 0 {
+            return 0;
+        }
+        for (t, mut pkt) in self.batch.ordered() {
             // Link sampling rides the merge: this loop applies sends in
             // the global `(t, src, seq)` order — identical to the serial
             // schedule — so closing the cadence window *before* the first
@@ -1124,7 +1004,6 @@ impl ShardedCluster {
                 sonuma_fabric::PacketFate::Corrupted => pkt.corrupt = true,
                 sonuma_fabric::PacketFate::Delivered => {}
             }
-            let dst_shard = self.plan.shard_of(pkt.dst.index());
             // The promise every horizon rests on: nothing lands sooner
             // than one lookahead after its inject time.
             let promise = t + self.engine.lookahead();
@@ -1135,37 +1014,28 @@ impl ShardedCluster {
                     "delivery beats the lookahead promise: arrival {arrival} < {promise}"
                 );
             }
-            self.deliveries.push((dst_shard, arrival, pkt));
-            self.delivery_counts[dst_shard] += 1;
+            self.deliveries[self.plan.shard_of(pkt.dst.index())].push((arrival, pkt));
         }
-        self.delivery_hwm = self.delivery_hwm.max(self.deliveries.len());
-        // One lock per destination shard that actually received traffic
-        // (the per-shard counts ran with the merge, so untouched shards
-        // cost nothing), preserving merged order within each shard
-        // (stable partition).
-        for s in 0..self.plan.shards() {
-            if self.delivery_counts[s] > 0 {
-                let deliveries = &self.deliveries;
-                let violations = &mut self.pair_bound_violations;
-                self.engine.with_shard(s, |slot| {
-                    for &(shard, at, pkt) in deliveries {
-                        if shard == s {
-                            if at <= slot.engine.now() {
-                                *violations += 1;
-                                debug_assert!(
-                                    false,
-                                    "delivery at {at} lands in shard {s}'s past ({})",
-                                    slot.engine.now()
-                                );
-                            }
-                            slot.engine.schedule_at(at, ClusterEvent::Deliver { pkt });
-                        }
-                    }
-                });
+        // One lock per destination shard that actually received traffic,
+        // each handed its own list in merged order.
+        for (s, deliveries) in self.deliveries.iter_mut().enumerate() {
+            if deliveries.is_empty() {
+                continue;
             }
-        }
-        for queue in &mut self.staging {
-            queue.compact();
+            let violations = &mut self.pair_bound_violations;
+            self.engine.with_shard(s, |slot| {
+                for (at, pkt) in deliveries.drain(..) {
+                    if at <= slot.engine.now() {
+                        *violations += 1;
+                        debug_assert!(
+                            false,
+                            "delivery at {at} lands in shard {s}'s past ({})",
+                            slot.engine.now()
+                        );
+                    }
+                    slot.engine.schedule_at(at, ClusterEvent::Deliver { pkt });
+                }
+            });
         }
         consumed
     }

@@ -297,3 +297,43 @@ fn default_partitions_match_serial_at_every_thread_count() {
         }
     }
 }
+
+/// The backlog shape the rack workloads have and the cases above (2-5
+/// ops of 128-256 B per node) never build: 8 KB writes and reads unrolled
+/// as whole 128-line bursts, so every node's outbox holds on the order of
+/// a hundred lines with *future* inject times across dozens of epochs,
+/// replies to its peers land inside that backlog, and all sixteen nodes
+/// start in lockstep, so equal inject times across sources are the rule.
+/// Delivery order, completions, trace bytes and (at `K = 0`) the epoch
+/// count must not depend on the thread count or the speculation depth —
+/// which they do as soon as the commit orders by anything less than
+/// `(t, src, seq)`.
+#[test]
+fn burst_backlogs_commit_in_serial_order_at_every_thread_count_and_depth() {
+    let mut config = config_for(Topology::torus2d(4, 4));
+    config.rgp_burst_lines = 128;
+    let run = |threads: usize, k: u32| {
+        let mut b = SonumaBackend::with_threads(config.clone(), 1 << 16, threads);
+        b.set_speculation(k);
+        drive_opts(b, 4, 5, 8192, true)
+    };
+    let (serial, serial_epochs) = run(1, 0);
+    assert!(
+        serial.fabric_packets >= 16 * 4 * 128,
+        "every op is a 128-line burst"
+    );
+    for (threads, k) in [(1, 2), (2, 0), (2, 2), (4, 0), (4, 2)] {
+        let (outcome, epochs) = run(threads, k);
+        assert_eq!(
+            serial.delivery_hashes, outcome.delivery_hashes,
+            "delivery order diverged at {threads} threads, K={k}"
+        );
+        assert_eq!(serial, outcome, "diverged at {threads} threads, K={k}");
+        if k == 0 {
+            assert_eq!(
+                serial_epochs, epochs,
+                "epoch count moved at {threads} threads"
+            );
+        }
+    }
+}

@@ -1,45 +1,41 @@
-//! The typed, arena-backed event engine.
+//! The typed event engine and its per-lane event store.
 //!
 //! [`EventEngine`] is the allocation-free successor of the boxed-closure
 //! [`crate::Engine`]: instead of heap-allocating a `Box<dyn FnOnce>` per
 //! event, the world declares a plain `enum` of everything that can happen
-//! ([`World::Event`]) and dispatches it in [`World::handle`]. Events are
-//! stored *by value* in a slab arena (a `Vec` plus a free list, so slots
-//! recycle and the steady-state hot path never touches the allocator) and
-//! ordered by a calendar queue:
+//! ([`World::Event`]) and dispatches it in [`World::handle`].
 //!
-//! * time is divided into fixed-width *days* (a power-of-two number of
-//!   picoseconds); day `d` hashes to bucket `d mod nbuckets`;
-//! * each bucket keeps its 16-byte `(time, seq·slot)` keys sorted
-//!   descending, so the bucket minimum pops from the tail in O(1);
-//! * extracting the global minimum scans forward day by day from the last
-//!   pop — amortized O(1) when occupancy is near one event per day — and
-//!   falls back to a direct min scan after one empty round trip;
-//! * the queue resizes (and re-estimates the day width from the observed
-//!   event spread) when occupancy drifts, keeping both insert and pop
-//!   cheap across workloads from hundreds to millions of pending events.
+//! Events are stored *per lane*. A lane is a set of events that only ever
+//! schedule into themselves — a node of the machine — and it owns
 //!
-//! Ordering is exact, not approximate: pops come out in `(time, seq)`
-//! order, where `seq` is the schedule order, so runs are bit-reproducible
-//! exactly like the closure engine's.
+//! * a small binary min-heap of 16-byte `(time, seq·slot)` keys, and
+//! * its own slab of events by value (a `Vec` plus a free list, so slots
+//!   recycle and the steady-state hot path never touches the allocator).
 //!
-//! # Lane windows
+//! A [`LaneIndex`] lists the lanes that hold work and keeps the earliest
+//! pending timestamp, so [`EventEngine::next_time`] is one load and an
+//! idle window costs nothing. A lane that drains after growing past
+//! [`RELEASE_ABOVE`] entries gives its storage back: per-lane containers
+//! would otherwise keep the *sum* of their own high-water marks.
 //!
-//! [`EventEngine::run_until`] executes a window in global `(time, seq)`
-//! order. When the world is a set of *lanes* (the machine's nodes) whose
-//! events only ever schedule into their own lane,
-//! [`EventEngine::run_until_by_lane`] executes the same window lane by
-//! lane instead: it drains every key at or below the horizon from the
-//! calendar queue, sorts the batch by `(lane, time, seq)` and runs each
-//! lane's events back to back, so a lane's state is touched once per
-//! window instead of once per event. Events a handler schedules at or
-//! below the horizon never enter the calendar queue; they go to a small
-//! window-local min-heap that is merged into the running lane by
-//! `(time, seq)`. Each lane sees exactly the `(time, seq)`-ordered event
-//! sequence it would see under `run_until` — schedule sequence numbers
-//! differ in absolute value but not in their order *within a lane*, which
-//! is all a tie-break compares — so a world whose lanes share no state
-//! ends the window in the same state either way.
+//! # Windows
+//!
+//! [`EventEngine::run_until`] executes a window lane by lane: for each
+//! listed lane whose head is at or below the horizon, pop and handle
+//! while the head stays there. Nothing is drained, sorted or merged, an
+//! event a handler schedules is a push into the heap that is already
+//! running, and a lane's state is touched once per window instead of once
+//! per event. Within a lane, events run in exact `(time, seq)` order,
+//! where `seq` is the schedule order, so runs are bit-reproducible.
+//!
+//! [`EventEngine::new`] is the one-lane engine, whose window order *is*
+//! global `(time, seq)` order. [`EventEngine::with_lanes`] takes the lane
+//! function; the caller promises that a handler only schedules into the
+//! lane of the event it is handling and that lanes share no state the
+//! handlers read. Under that promise every lane sees exactly the event
+//! sequence the one-lane engine would show it, so the world ends a window
+//! in the same state either way (`tests/lane_windows.rs` holds the one-lane
+//! engine up as the oracle).
 //!
 //! # Example
 //!
@@ -71,6 +67,7 @@
 //! ```
 
 use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
@@ -89,189 +86,199 @@ pub trait World: Sized {
     fn handle(&mut self, engine: &mut EventEngine<Self>, event: Self::Event);
 }
 
+/// A per-lane container that drains after growing past this many entries
+/// releases its storage instead of keeping it for the next burst (the
+/// event lanes here, the per-node outboxes in `sonuma-machine`).
+pub const RELEASE_ABOVE: usize = 64;
+
+/// Which lanes of a per-lane store hold work, and the earliest of it.
+///
+/// The owner keeps one ordered container per lane and tells the index
+/// when a lane's earliest entry may have moved: [`LaneIndex::note`] on a
+/// push, [`LaneIndex::settle`] after taking entries out. In return the
+/// index answers "what is the earliest entry anywhere" in O(1) and lets a
+/// sweep visit only lanes that hold something: no per-lane state is read
+/// for a lane with nothing due beyond one cached word.
+#[derive(Debug)]
+pub struct LaneIndex {
+    /// Time of each lane's earliest entry; meaningful for listed lanes.
+    heads: Vec<u64>,
+    /// The lanes holding at least one entry, ascending: a sweep walks
+    /// the owner's per-lane state in address order.
+    listed: Vec<u32>,
+    /// Minimum of the listed lanes' heads (`u64::MAX` when none).
+    floor: u64,
+    /// Sweep cursor into `listed`.
+    pos: usize,
+    /// Minimum head of the lanes the sweep in progress has passed.
+    passed: u64,
+}
+
+impl LaneIndex {
+    /// An index over `lanes` empty lanes.
+    pub fn new(lanes: usize) -> Self {
+        LaneIndex {
+            heads: vec![u64::MAX; lanes],
+            listed: Vec::new(),
+            floor: u64::MAX,
+            pos: 0,
+            passed: u64::MAX,
+        }
+    }
+
+    /// Time (ps) of the earliest entry in any lane.
+    #[inline]
+    pub fn floor(&self) -> Option<u64> {
+        (!self.listed.is_empty()).then_some(self.floor)
+    }
+
+    /// Records an entry at time `t` (ps) pushed into `lane`, which held
+    /// nothing before the push iff `was_empty`.
+    #[inline]
+    pub fn note(&mut self, lane: usize, t: u64, was_empty: bool) {
+        if was_empty {
+            let at = self.listed.partition_point(|&l| (l as usize) < lane);
+            self.listed.insert(at, lane as u32);
+            self.heads[lane] = t;
+        } else if t < self.heads[lane] {
+            self.heads[lane] = t;
+        }
+        self.floor = self.floor.min(t);
+    }
+
+    /// Advances the sweep to the next listed lane whose head is at or
+    /// below `horizon` and returns it; the caller takes what it wants out
+    /// of that lane and reports the lane's new head with
+    /// [`LaneIndex::settle`] before asking again. `None` ends the sweep,
+    /// with the floor recomputed from every listed lane on the way.
+    pub fn next_due(&mut self, horizon: u64) -> Option<usize> {
+        while let Some(&lane) = self.listed.get(self.pos) {
+            let head = self.heads[lane as usize];
+            if head <= horizon {
+                return Some(lane as usize);
+            }
+            self.passed = self.passed.min(head);
+            self.pos += 1;
+        }
+        self.floor = self.passed;
+        self.pos = 0;
+        self.passed = u64::MAX;
+        None
+    }
+
+    /// Reports the head of the lane [`LaneIndex::next_due`] last returned
+    /// (`None` once it is empty, which unlists it) and steps past it.
+    pub fn settle(&mut self, head: Option<u64>) {
+        match head {
+            Some(head) => {
+                self.heads[self.listed[self.pos] as usize] = head;
+                self.passed = self.passed.min(head);
+                self.pos += 1;
+            }
+            None => {
+                self.listed.remove(self.pos);
+            }
+        }
+    }
+
+    /// Forgets every lane (the owner emptied them all).
+    pub fn clear(&mut self) {
+        self.listed.clear();
+        self.floor = u64::MAX;
+        self.pos = 0;
+        self.passed = u64::MAX;
+    }
+}
+
 /// Queue key: `(time in ps, meta)` where `meta` packs the schedule
-/// sequence (high 40 bits) above the arena slot (low 24 bits). Sequence
-/// occupies the high bits, so ordering by `(time, meta)` equals ordering
-/// by `(time, seq)` — and the whole key is 16 bytes, four to a cache
-/// line.
+/// sequence (high 40 bits) above the lane's slab slot (low 24 bits).
+/// Sequence occupies the high bits, so ordering by `(time, meta)` equals
+/// ordering by `(time, seq)` — and the whole key is 16 bytes, four to a
+/// cache line.
 type Key = (u64, u64);
 
-/// Bits of the key's meta word reserved for the arena slot.
+/// Bits of the key's meta word reserved for the slab slot.
 const SLOT_BITS: u32 = 24;
 const SLOT_MASK: u64 = (1 << SLOT_BITS) - 1;
 
-/// Initial/minimum bucket count (power of two).
-const MIN_BUCKETS: usize = 16;
-
-/// Initial day width: 2^10 ps ≈ 1 ns, one core-cycle-ish.
-const INITIAL_SHIFT: u32 = 10;
-
-/// Day-width bounds at re-estimation: 64 ps .. ~17.6 µs.
-const MIN_SHIFT: u32 = 6;
-const MAX_SHIFT: u32 = 44;
-
-/// A calendar queue over [`Key`]s (Brown's multi-list priority queue).
-#[derive(Debug)]
-struct CalendarQueue {
-    /// Each bucket is sorted descending by `(time, seq)`: its minimum is
-    /// the tail, poppable in O(1).
-    buckets: Vec<Vec<Key>>,
-    /// Day width is `1 << shift` picoseconds.
-    shift: u32,
-    /// Bucket the day scan is currently parked on.
-    cur: usize,
-    /// Exclusive upper time bound of the day under scan, in ps. `u128`
-    /// so the scan can never overflow near `SimTime::MAX`.
-    day_end: u128,
-    /// Total keys stored.
-    len: usize,
+/// One lane's pending events: keys in a min-heap, events by value in the
+/// lane's own slab.
+struct Lane<E> {
+    heap: BinaryHeap<Reverse<Key>>,
+    slab: Vec<Option<E>>,
+    free: Vec<u32>,
 }
 
-impl CalendarQueue {
-    fn new() -> Self {
-        CalendarQueue {
-            buckets: (0..MIN_BUCKETS).map(|_| Vec::new()).collect(),
-            shift: INITIAL_SHIFT,
-            cur: 0,
-            day_end: 1u128 << INITIAL_SHIFT,
-            len: 0,
+impl<E> Default for Lane<E> {
+    fn default() -> Self {
+        Lane {
+            heap: BinaryHeap::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
         }
     }
+}
 
-    #[inline]
-    fn bucket_of(&self, t: u64) -> usize {
-        ((t >> self.shift) as usize) & (self.buckets.len() - 1)
-    }
-
-    /// Inserts without occupancy checks (shared by `insert` and `rebuild`).
-    fn push_key(&mut self, key: Key) {
-        let idx = self.bucket_of(key.0);
-        let bucket = &mut self.buckets[idx];
-        let pos = bucket.partition_point(|&k| k > key);
-        bucket.insert(pos, key);
-        self.len += 1;
-        // If the key lands in a day the scan has already passed, rewind the
-        // cursor so it is found before anything later.
-        let width = 1u128 << self.shift;
-        if (key.0 as u128) < self.day_end - width {
-            self.cur = idx;
-            self.day_end = (((key.0 >> self.shift) as u128) + 1) << self.shift;
-        }
-    }
-
-    fn insert(&mut self, key: Key) {
-        self.push_key(key);
-        if self.len > self.buckets.len() * 8 {
-            self.rebuild(self.buckets.len() * 4);
-        }
-    }
-
-    /// Positions the day cursor on the bucket whose tail is the global
-    /// minimum and returns that bucket's index.
-    fn locate_min(&mut self) -> Option<usize> {
-        if self.len == 0 {
-            return None;
-        }
-        let width = 1u128 << self.shift;
-        // Scan forward a bounded number of days; a long fruitless scan
-        // means the queue went sparse relative to the day width, and one
-        // direct min sweep is cheaper than walking empty days.
-        let scan_limit = self.buckets.len().min(64);
-        for _ in 0..scan_limit {
-            if let Some(&(t, _)) = self.buckets[self.cur].last() {
-                if (t as u128) < self.day_end {
-                    return Some(self.cur);
-                }
+impl<E> Lane<E> {
+    fn push(&mut self, t: u64, seq: u64, event: E) {
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = Some(event);
+                slot
             }
-            self.cur = (self.cur + 1) & (self.buckets.len() - 1);
-            self.day_end += width;
-        }
-        // Jump straight to the minimum. (Same-time keys share a bucket, so
-        // comparing tails by (time, seq) identifies the unique minimum.)
-        let (idx, t) = self
-            .buckets
-            .iter()
-            .enumerate()
-            .filter_map(|(i, b)| b.last().map(|&(t, m)| (i, t, m)))
-            .min_by_key(|&(_, t, s)| (t, s))
-            .map(|(i, t, _)| (i, t))
-            .expect("len > 0 but no bucket tail");
-        self.cur = idx;
-        self.day_end = (((t >> self.shift) as u128) + 1) << self.shift;
-        Some(idx)
+            None => {
+                assert!(
+                    (self.slab.len() as u64) < SLOT_MASK,
+                    "event slab full ({} pending events in one lane)",
+                    self.slab.len()
+                );
+                self.slab.push(Some(event));
+                (self.slab.len() - 1) as u32
+            }
+        };
+        self.heap
+            .push(Reverse((t, (seq << SLOT_BITS) | slot as u64)));
     }
 
-    /// Pops the earliest key if its time is `<= horizon`.
-    fn pop_min_through(&mut self, horizon: u64) -> Option<Key> {
-        let idx = self.locate_min()?;
-        let &(t, _) = self.buckets[idx].last().expect("located bucket tail");
-        if t > horizon {
+    /// Pops the earliest event if its time is `<= horizon`.
+    fn pop_through(&mut self, horizon: u64) -> Option<(u64, E)> {
+        let top = self.heap.peek_mut()?;
+        if top.0 .0 > horizon {
             return None;
         }
-        let key = self.buckets[idx].pop().expect("located bucket tail");
-        self.len -= 1;
-        if self.buckets.len() > MIN_BUCKETS && self.len * 32 < self.buckets.len() {
-            self.rebuild((self.buckets.len() / 4).max(MIN_BUCKETS));
-        }
-        Some(key)
+        let Reverse((t, meta)) = PeekMut::pop(top);
+        let slot = (meta & SLOT_MASK) as u32;
+        let event = self.slab[slot as usize]
+            .take()
+            .expect("queued slot holds an event");
+        self.free.push(slot);
+        Some((t, event))
     }
 
-    /// Re-buckets every key into `nbuckets` buckets, re-estimating the day
-    /// width from the observed spread so occupancy stays near a few keys
-    /// per bucket-day. Inner bucket `Vec`s are reused across rebuilds so
-    /// repeated grows/shrinks do not churn the allocator.
-    fn rebuild(&mut self, nbuckets: usize) {
-        let nbuckets = nbuckets.next_power_of_two().max(MIN_BUCKETS);
-        let mut keys: Vec<Key> = Vec::with_capacity(self.len);
-        for b in &mut self.buckets {
-            keys.append(b);
+    /// Time of the earliest pending event. A drained lane restarts its
+    /// slab from slot zero, and gives its storage back if a burst grew it.
+    fn settle(&mut self) -> Option<u64> {
+        let head = self.heap.peek().map(|&Reverse((t, _))| t);
+        if head.is_none() {
+            if self.slab.capacity() > RELEASE_ABOVE {
+                *self = Lane::default();
+            } else {
+                self.slab.clear();
+                self.free.clear();
+            }
         }
-        let (mut lo, mut hi) = (u64::MAX, 0u64);
-        for &(t, _) in &keys {
-            lo = lo.min(t);
-            hi = hi.max(t);
-        }
-        if !keys.is_empty() {
-            let spacing = ((hi - lo) / keys.len() as u64).max(1);
-            self.shift = (63 - spacing.leading_zeros()).clamp(MIN_SHIFT, MAX_SHIFT);
-        }
-        // Emptied inner vecs keep their capacity: truncate on shrink,
-        // extend with fresh (lazily allocated) vecs on grow.
-        if nbuckets < self.buckets.len() {
-            self.buckets.truncate(nbuckets);
-        } else {
-            self.buckets.resize_with(nbuckets, Vec::new);
-        }
-        self.len = 0;
-        // Park the cursor on the earliest key's day (or day zero if empty);
-        // push_key's rewind keeps it correct as keys go back in.
-        if lo == u64::MAX {
-            self.cur = 0;
-            self.day_end = 1u128 << self.shift;
-        } else {
-            self.cur = self.bucket_of(lo);
-            self.day_end = (((lo >> self.shift) as u128) + 1) << self.shift;
-        }
-        for key in keys {
-            self.push_key(key);
-        }
-    }
-
-    fn clear(&mut self) {
-        for b in &mut self.buckets {
-            b.clear();
-        }
-        self.len = 0;
-        self.cur = 0;
-        self.day_end = 1u128 << self.shift;
+        head
     }
 }
+
+/// The lane function of a multi-lane engine.
+type LaneOf<E> = Box<dyn Fn(&E) -> u32 + Send>;
 
 /// A deterministic discrete-event engine dispatching typed events.
 ///
 /// `W` is the caller-owned world implementing [`World`]. Events are stored
-/// by value in an internal arena; the scheduling hot path performs no heap
-/// allocation once the arena and queue have warmed up. Events at equal
+/// by value in per-lane slabs; the scheduling hot path performs no heap
+/// allocation once a lane has warmed up. Within a lane, events at equal
 /// timestamps run in the order they were scheduled, making runs
 /// bit-reproducible.
 ///
@@ -280,26 +287,18 @@ impl CalendarQueue {
 /// boxed-closure [`crate::Engine`] so worlds migrate by swapping closures
 /// for event variants.
 pub struct EventEngine<W: World> {
-    arena: Vec<Option<W::Event>>,
-    free: Vec<u32>,
-    queue: CalendarQueue,
+    lanes: Vec<Lane<W::Event>>,
+    /// `None` on the one-lane engine: every event is lane 0's.
+    lane_of: Option<LaneOf<W::Event>>,
+    index: LaneIndex,
+    /// Events pending across all lanes.
+    len: usize,
     now: SimTime,
     next_seq: u64,
     executed: u64,
-    /// Horizon (ps) of the lane window in progress; `None` outside
-    /// [`EventEngine::run_until_by_lane`].
-    window: Option<u64>,
-    /// The window's drained keys in pop — `(time, seq)` — order. Empty
-    /// outside a lane window; the buffer is reused across windows.
-    drained: Vec<Key>,
-    /// The window's execution order: `lane << 32 | index into drained`
-    /// for every drained key not yet executed, sorted descending so the
-    /// next event to run pops from the tail.
-    order: Vec<u64>,
-    /// Window-local events: scheduled by a handler of the running lane at
-    /// or below the window's horizon. Min-heap by `(time, seq)`; empty
-    /// outside a lane window and between lanes.
-    local: BinaryHeap<Reverse<Key>>,
+    /// The lane a window is executing right now. Its pushes bypass the
+    /// index: the window settles the lane's head when it is done with it.
+    running: Option<usize>,
 }
 
 impl<W: World> Default for EventEngine<W> {
@@ -309,30 +308,40 @@ impl<W: World> Default for EventEngine<W> {
 }
 
 impl<W: World> EventEngine<W> {
-    /// Creates an empty engine at time zero.
+    /// Creates an empty one-lane engine at time zero: every window runs
+    /// in exact global `(time, seq)` order.
     pub fn new() -> Self {
+        Self::build(1, None)
+    }
+
+    /// Creates an empty engine over `lanes` lanes, `lane_of` naming the
+    /// lane (`< lanes`) an event belongs to. Windows run lane by lane
+    /// (see the module docs for the contract); an empty lane allocates
+    /// nothing.
+    pub fn with_lanes(lanes: usize, lane_of: impl Fn(&W::Event) -> u32 + Send + 'static) -> Self {
+        Self::build(lanes, Some(Box::new(lane_of)))
+    }
+
+    fn build(lanes: usize, lane_of: Option<LaneOf<W::Event>>) -> Self {
         EventEngine {
-            arena: Vec::new(),
-            free: Vec::new(),
-            queue: CalendarQueue::new(),
+            lanes: (0..lanes).map(|_| Lane::default()).collect(),
+            lane_of,
+            index: LaneIndex::new(lanes),
+            len: 0,
             now: SimTime::ZERO,
             next_seq: 0,
             executed: 0,
-            window: None,
-            drained: Vec::new(),
-            order: Vec::new(),
-            local: BinaryHeap::new(),
+            running: None,
         }
     }
 
     /// The current simulated time (the timestamp of the event being, or
     /// last, executed).
     ///
-    /// Monotone under `run`/`run_until`/`run_steps`. Inside
-    /// [`EventEngine::run_until_by_lane`] it is monotone *per lane*, not
-    /// per engine: it steps back when the window moves on to the next
-    /// lane (never below its value at window entry), and settles on the
-    /// latest executed timestamp when the window returns.
+    /// Monotone on the one-lane engine. Inside a multi-lane window it is
+    /// monotone *per lane*: it steps back when the window moves on to the
+    /// next lane (never below its value at window entry), and settles on
+    /// the latest executed timestamp when the window returns.
     #[inline]
     pub fn now(&self) -> SimTime {
         self.now
@@ -344,11 +353,10 @@ impl<W: World> EventEngine<W> {
         self.executed
     }
 
-    /// Number of events currently pending. Called from a handler inside
-    /// a lane window, this includes the window's not-yet-executed events.
+    /// Number of events currently pending, in every lane.
     #[inline]
     pub fn pending(&self) -> usize {
-        self.queue.len + self.order.len() + self.local.len()
+        self.len
     }
 
     /// Schedules `event` at absolute time `at`.
@@ -356,7 +364,8 @@ impl<W: World> EventEngine<W> {
     /// # Panics
     ///
     /// Panics if `at` is earlier than the current time: the simulation
-    /// cannot travel backwards.
+    /// cannot travel backwards. Debug builds also panic when a handler
+    /// inside a window schedules into a lane other than its own.
     pub fn schedule_at(&mut self, at: SimTime, event: W::Event) {
         assert!(
             at >= self.now,
@@ -370,27 +379,17 @@ impl<W: World> EventEngine<W> {
             seq < 1 << (64 - SLOT_BITS),
             "schedule sequence space exhausted"
         );
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                self.arena[slot as usize] = Some(event);
-                slot
-            }
-            None => {
-                assert!(
-                    (self.arena.len() as u64) < SLOT_MASK,
-                    "event arena full ({} pending events)",
-                    self.arena.len()
-                );
-                self.arena.push(Some(event));
-                (self.arena.len() - 1) as u32
-            }
-        };
-        let key = (at.as_ps(), (seq << SLOT_BITS) | slot as u64);
-        if self.window.is_some_and(|horizon| key.0 <= horizon) {
-            self.local.push(Reverse(key));
-        } else {
-            self.queue.insert(key);
+        let lane = self.lane_of.as_ref().map_or(0, |f| f(&event) as usize);
+        let store = &mut self.lanes[lane];
+        if self.running != Some(lane) {
+            debug_assert!(
+                self.running.is_none(),
+                "a handler scheduled into another lane inside a window"
+            );
+            self.index.note(lane, at.as_ps(), store.heap.is_empty());
         }
+        store.push(at.as_ps(), seq, event);
+        self.len += 1;
     }
 
     /// Schedules `event` to fire `delay` after the current time.
@@ -398,17 +397,11 @@ impl<W: World> EventEngine<W> {
         self.schedule_at(self.now + delay, event);
     }
 
-    /// Timestamp of the earliest pending event, without popping it.
-    ///
-    /// Takes `&mut self` because locating the minimum advances the
-    /// calendar queue's day cursor (the queue itself is untouched). Not
-    /// meaningful from a handler inside a lane window, whose remaining
-    /// events are held outside the queue.
+    /// Timestamp of the earliest pending event, without popping it: one
+    /// load. Not meaningful from a handler inside a window, which has not
+    /// settled the running lane yet.
     pub fn next_time(&mut self) -> Option<SimTime> {
-        let idx = self.queue.locate_min()?;
-        self.queue.buckets[idx]
-            .last()
-            .map(|&(t, _)| SimTime::from_ps(t))
+        self.index.floor().map(SimTime::from_ps)
     }
 
     /// Moves the clock forward to `to` without executing anything — the
@@ -443,14 +436,22 @@ impl<W: World> EventEngine<W> {
     }
 
     /// Drops every pending event (terminate a simulation early),
-    /// including — when called from a handler inside a lane window — the
-    /// rest of the window.
+    /// including — when called from a handler inside a window — the rest
+    /// of the window.
     pub fn clear(&mut self) {
-        self.queue.clear();
-        self.order.clear();
-        self.local.clear();
-        self.arena.clear();
-        self.free.clear();
+        for lane in &mut self.lanes {
+            lane.heap.clear();
+            lane.slab.clear();
+            lane.free.clear();
+        }
+        self.index.clear();
+        self.len = 0;
+        if let Some(lane) = self.running {
+            // The window in progress still settles the running lane (the
+            // handler may schedule into it again): keep it under the
+            // sweep cursor.
+            self.index.note(lane, self.now.as_ps(), true);
+        }
     }
 
     /// Runs events until the queue is empty.
@@ -458,127 +459,52 @@ impl<W: World> EventEngine<W> {
         self.run_until(world, SimTime::MAX);
     }
 
-    /// Runs events with timestamps `<= horizon`; later events stay queued.
+    /// Runs events with timestamps `<= horizon`, lane by lane; later
+    /// events stay queued.
     ///
     /// Returns the number of events executed by this call. After returning,
-    /// [`EventEngine::now`] is the timestamp of the last executed event (or
-    /// unchanged if none ran); it never jumps to `horizon`.
+    /// [`EventEngine::now`] is the latest executed timestamp (or unchanged
+    /// if none ran); it never jumps to `horizon`.
     pub fn run_until(&mut self, world: &mut W, horizon: SimTime) -> u64 {
-        let mut ran = 0;
-        while let Some(event) = self.pop_through(horizon) {
-            ran += 1;
-            world.handle(self, event);
-        }
-        ran
+        self.window(world, horizon.as_ps(), u64::MAX)
     }
 
     /// Runs at most `max_events` events; used to bound runaway simulations.
+    /// On a multi-lane engine they are taken lane by lane, like any window.
     ///
     /// Returns the number of events executed.
     pub fn run_steps(&mut self, world: &mut W, max_events: u64) -> u64 {
-        let mut ran = 0;
-        while ran < max_events {
-            match self.pop_through(SimTime::MAX) {
-                Some(event) => {
-                    ran += 1;
-                    world.handle(self, event);
-                }
-                None => break,
-            }
-        }
-        ran
+        self.window(world, u64::MAX, max_events)
     }
 
-    /// Runs events with timestamps `<= horizon` *lane by lane* instead of
-    /// in global time order: every event of the lowest lane in
-    /// `(time, seq)` order, then every event of the next lane, and so on
-    /// (see the module docs). `lane` names the lane an event belongs to.
-    ///
-    /// The caller promises that a handler only schedules events into the
-    /// lane of the event it is handling, and that lanes share no state
-    /// the handlers read; debug builds assert the first half on every
-    /// executed event. Under that promise the per-lane executed
-    /// sequences, the return value, [`EventEngine::events_executed`], the
-    /// final [`EventEngine::now`] and the events left pending all equal
-    /// those of [`EventEngine::run_until`].
-    pub fn run_until_by_lane(
-        &mut self,
-        world: &mut W,
-        horizon: SimTime,
-        lane: impl Fn(&W::Event) -> u32,
-    ) -> u64 {
-        debug_assert!(self.window.is_none(), "lane windows do not nest");
-        let horizon = horizon.as_ps();
-        while let Some(key) = self.queue.pop_min_through(horizon) {
-            let event = self.arena[(key.1 & SLOT_MASK) as usize]
-                .as_ref()
-                .expect("queued slot holds an event");
-            // Pops arrive in `(time, seq)` order, so a key's index in
-            // `drained` is its rank and `(lane, index)` — one word —
-            // sorts exactly like `(lane, time, seq)`.
-            self.order
-                .push(u64::from(lane(event)) << 32 | self.drained.len() as u64);
-            self.drained.push(key);
+    /// One window: every listed lane with work at or below `horizon`, up
+    /// to `limit` events in total.
+    fn window(&mut self, world: &mut W, horizon: u64, limit: u64) -> u64 {
+        debug_assert!(self.running.is_none(), "windows do not nest");
+        if self.index.floor().is_none_or(|floor| floor > horizon) {
+            return 0;
         }
-        self.order.sort_unstable_by(|a, b| b.cmp(a));
-        self.window = Some(horizon);
         let mut latest = self.now.as_ps();
         let mut ran = 0;
-        while let Some(&head) = self.order.last() {
-            let current = head >> 32;
-            while let Some(key) = self.next_in_lane(current) {
-                let event = self.take_event(key);
-                debug_assert_eq!(
-                    u64::from(lane(&event)),
-                    current,
-                    "an event scheduled into another lane ran inside this lane's window"
-                );
-                latest = latest.max(key.0);
+        while let Some(lane) = self.index.next_due(horizon) {
+            self.running = Some(lane);
+            while ran < limit {
+                let Some((t, event)) = self.lanes[lane].pop_through(horizon) else {
+                    break;
+                };
+                self.now = SimTime::from_ps(t);
+                self.executed += 1;
+                self.len -= 1;
+                latest = latest.max(t);
                 ran += 1;
                 world.handle(self, event);
             }
+            self.running = None;
+            let head = self.lanes[lane].settle();
+            self.index.settle(head);
         }
-        self.window = None;
-        self.drained.clear();
         self.now = SimTime::from_ps(latest);
         ran
-    }
-
-    /// Pops the running lane's next event inside a lane window: the
-    /// earlier of the lane's drained run's head and the earliest event a
-    /// handler scheduled inside the window.
-    fn next_in_lane(&mut self, lane: u64) -> Option<Key> {
-        let drained = self
-            .order
-            .last()
-            .filter(|&&o| o >> 32 == lane)
-            .map(|&o| self.drained[o as u32 as usize]);
-        let scheduled = self.local.peek().map(|&Reverse(key)| key);
-        match (drained, scheduled) {
-            (Some(d), Some(s)) if s < d => self.local.pop().map(|_| s),
-            (Some(d), _) => self.order.pop().map(|_| d),
-            (None, _) => self.local.pop().map(|Reverse(s)| s),
-        }
-    }
-
-    /// Pops the earliest event not after `horizon`, advancing the clock.
-    fn pop_through(&mut self, horizon: SimTime) -> Option<W::Event> {
-        let key = self.queue.pop_min_through(horizon.as_ps())?;
-        debug_assert!(key.0 >= self.now.as_ps(), "event queue went backwards");
-        Some(self.take_event(key))
-    }
-
-    /// Takes the event `key` names out of the arena, setting the clock to
-    /// its timestamp and recycling its slot.
-    fn take_event(&mut self, (t, meta): Key) -> W::Event {
-        let slot = (meta & SLOT_MASK) as u32;
-        self.now = SimTime::from_ps(t);
-        self.executed += 1;
-        let event = self.arena[slot as usize]
-            .take()
-            .expect("queued slot holds an event");
-        self.free.push(slot);
-        event
     }
 }
 
@@ -586,6 +512,7 @@ impl<W: World> std::fmt::Debug for EventEngine<W> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventEngine")
             .field("now", &self.now)
+            .field("lanes", &self.lanes.len())
             .field("pending", &self.pending())
             .field("executed", &self.executed)
             .finish()
@@ -714,16 +641,45 @@ mod tests {
     fn arena_slots_recycle() {
         let mut e = EventEngine::new();
         let mut w = TraceWorld::default();
-        // Repeated schedule/drain cycles must not grow the arena beyond the
-        // peak number of simultaneously pending events.
+        // One far event keeps the lane from ever draining, so every round
+        // has to reuse freed slots: the slab must not grow beyond the peak
+        // number of simultaneously pending events.
+        e.schedule_at(SimTime::from_ms(1), TraceEvent::Mark(0));
         for round in 0..100u64 {
             for i in 0..8u64 {
                 e.schedule_in(SimTime::from_ns(i + 1), TraceEvent::Mark(round as u32));
             }
-            e.run(&mut w);
+            let horizon = e.now() + SimTime::from_ns(8);
+            assert_eq!(e.run_until(&mut w, horizon), 8);
         }
-        assert!(e.arena.len() <= 8, "arena grew to {}", e.arena.len());
+        let slab = e.lanes[0].slab.len();
+        assert!(slab <= 9, "slab grew to {slab}");
         assert_eq!(e.events_executed(), 800);
+    }
+
+    #[test]
+    fn a_lane_that_drained_a_burst_holds_no_capacity_afterwards() {
+        let mut e = EventEngine::with_lanes(2, lane_of);
+        let mut w = LaneWorld::default();
+        e.schedule_at(SimTime::from_us(1), LaneEvent::Mark(100));
+        for i in 0..10_000u64 {
+            e.schedule_at(SimTime::from_ps(i), LaneEvent::Mark(0));
+        }
+        assert_eq!(e.run_until(&mut w, SimTime::from_ns(10)), 10_000);
+        let lane = &e.lanes[0];
+        assert_eq!(
+            (
+                lane.heap.capacity(),
+                lane.slab.capacity(),
+                lane.free.capacity()
+            ),
+            (0, 0, 0)
+        );
+        // A handful of events is not a burst: that storage stays warm.
+        e.schedule_in(SimTime::from_ns(1), LaneEvent::Mark(1));
+        assert_eq!(e.run_until(&mut w, SimTime::from_ns(20)), 1);
+        assert!(e.lanes[0].slab.capacity() > 0);
+        assert_eq!(e.next_time(), Some(SimTime::from_us(1)));
     }
 
     #[test]
@@ -846,7 +802,7 @@ mod tests {
 
     #[test]
     fn lane_window_runs_lanes_back_to_back_and_settles_the_clock() {
-        let mut e = EventEngine::new();
+        let mut e = EventEngine::with_lanes(2, lane_of);
         let mut w = LaneWorld::default();
         // Lane 1 is scheduled first and holds the latest in-window event.
         e.schedule_at(
@@ -865,7 +821,7 @@ mod tests {
             },
         );
         e.schedule_at(SimTime::from_ns(60), LaneEvent::Mark(150));
-        let ran = e.run_until_by_lane(&mut w, SimTime::from_ns(50), lane_of);
+        let ran = e.run_until(&mut w, SimTime::from_ns(50));
         // Lane 0 first (its clock reaching 30 ns), then lane 1 from 10 ns:
         // the in-window chain child at 40 ns runs, the 130 ns one stays.
         assert_eq!(
@@ -892,9 +848,9 @@ mod tests {
         let (mut by_time, mut w_time) = (EventEngine::new(), LaneWorld::default());
         schedule(&mut by_time);
         by_time.run_until(&mut w_time, SimTime::from_ns(10));
-        let (mut by_lane, mut w_lane) = (EventEngine::new(), LaneWorld::default());
+        let (mut by_lane, mut w_lane) = (EventEngine::with_lanes(2, lane_of), LaneWorld::default());
         schedule(&mut by_lane);
-        by_lane.run_until_by_lane(&mut w_lane, SimTime::from_ns(10), lane_of);
+        by_lane.run_until(&mut w_lane, SimTime::from_ns(10));
         assert_eq!(w_time.pending_seen, vec![3, 3, 2, 1]);
         assert_eq!(w_lane.pending_seen, w_time.pending_seen);
         assert_eq!(by_lane.pending(), 1);
@@ -902,15 +858,15 @@ mod tests {
 
     #[test]
     fn clear_inside_a_lane_window_drops_the_rest_of_the_window() {
-        let mut e = EventEngine::new();
+        let mut e = EventEngine::with_lanes(2, lane_of);
         let mut w = LaneWorld::default();
         e.schedule_at(SimTime::from_ns(1), LaneEvent::Chain { id: 0, delay_ns: 5 });
         e.schedule_at(SimTime::from_ns(2), LaneEvent::Stop(9));
-        e.schedule_at(SimTime::from_ns(3), LaneEvent::Mark(10)); // drained, same lane
-        e.schedule_at(SimTime::from_ns(4), LaneEvent::Mark(110)); // drained, later lane
+        e.schedule_at(SimTime::from_ns(3), LaneEvent::Mark(10)); // in window, same lane
+        e.schedule_at(SimTime::from_ns(4), LaneEvent::Mark(110)); // in window, later lane
         e.schedule_at(SimTime::from_ns(99), LaneEvent::Mark(11)); // past the horizon
-        let ran = e.run_until_by_lane(&mut w, SimTime::from_ns(50), lane_of);
-        // The chain child at 6 ns sat in the window-local heap when the
+        let ran = e.run_until(&mut w, SimTime::from_ns(50));
+        // The chain child at 6 ns sat in the running lane's heap when the
         // stop fired; it is gone with everything else.
         assert_eq!(w.fired, vec![(1_000, 0), (2_000, 9)]);
         assert_eq!(ran, 2);
@@ -918,16 +874,17 @@ mod tests {
         assert_eq!(e.run_until(&mut w, SimTime::MAX), 0);
         // The engine is reusable afterwards.
         e.schedule_in(SimTime::from_ns(1), LaneEvent::Mark(12));
-        assert_eq!(e.run_until_by_lane(&mut w, SimTime::MAX, lane_of), 1);
+        assert_eq!(e.next_time(), Some(SimTime::from_ns(3)));
+        assert_eq!(e.run_until(&mut w, SimTime::MAX), 1);
     }
 
     #[test]
     #[cfg(debug_assertions)]
     #[should_panic(expected = "another lane")]
     fn scheduling_into_another_lane_inside_a_window_is_caught() {
-        let mut e = EventEngine::new();
+        let mut e = EventEngine::with_lanes(2, lane_of);
         let mut w = LaneWorld::default();
         e.schedule_at(SimTime::from_ns(1), LaneEvent::Hop(0));
-        e.run_until_by_lane(&mut w, SimTime::from_ns(50), lane_of);
+        e.run_until(&mut w, SimTime::from_ns(50));
     }
 }

@@ -11,14 +11,17 @@
 //! * [`SimTime`] is an integer count of picoseconds.
 //! * [`EventEngine`] is the production engine: the caller's *world*
 //!   implements [`World`] by declaring a typed event `enum` and a
-//!   `handle` method; events are stored by value in a slab arena and
-//!   ordered by a calendar queue, so the scheduling hot path is
-//!   allocation-free. Events are executed in `(time, sequence-number)`
-//!   order, which makes runs bit-reproducible: two runs with the same
-//!   seed schedule and execute identical event sequences. A world made
-//!   of independent *lanes* can run a bounded window lane by lane
-//!   instead ([`EventEngine::run_until_by_lane`]): same per-lane
-//!   sequences, far better host locality.
+//!   `handle` method; events are stored by value in per-lane slabs,
+//!   each ordered by its own small binary heap, so the scheduling hot
+//!   path is allocation-free. Events are executed in `(time,
+//!   sequence-number)` order, which makes runs bit-reproducible: two runs
+//!   with the same seed schedule and execute identical event sequences.
+//!   A world made of independent *lanes* hands the engine its lane
+//!   function ([`EventEngine::with_lanes`]) and every bounded window runs
+//!   lane by lane: same per-lane sequences, far better host locality.
+//!   [`LaneIndex`] is the "which lanes hold work, and what is the
+//!   earliest" bookkeeping behind it, shared with the machine's per-node
+//!   outboxes.
 //! * [`Engine`] is the legacy boxed-closure engine (one `Box<dyn FnOnce>`
 //!   heap allocation per event). It is kept as the reference
 //!   implementation and as the comparison baseline for the
@@ -64,7 +67,7 @@ pub mod stats;
 pub mod time;
 
 pub use engine::Engine;
-pub use event::{EventEngine, World};
+pub use event::{EventEngine, LaneIndex, World, RELEASE_ABOVE};
 pub use rng::DetRng;
 pub use sharded::{EpochWorld, ShardedEngine};
 pub use time::SimTime;

@@ -1,15 +1,16 @@
-//! `EventEngine::run_until_by_lane` against `EventEngine::run_until`.
+//! The multi-lane `EventEngine` (`with_lanes`) against the one-lane
+//! engine (`new`), whose `run_until` is exact global `(time, seq)` order.
 //!
 //! For worlds whose events only ever schedule into their own lane, running
 //! a window lane by lane must be indistinguishable — per lane — from
 //! running it in global time order: same fired sequence in every lane,
-//! same event counts, same clock after the window, same events left
-//! pending. The generated worlds lean on the cases where the two
-//! executions differ most: same-timestamp ties (broken by schedule order,
-//! which lane-major execution permutes globally but not within a lane),
-//! events landing exactly on a horizon and one picosecond past it, chains
-//! that stay inside the window they start in, and windows from 1 ps wide
-//! to wider than the whole run.
+//! same event counts, same clock and earliest pending time after the
+//! window, same events left pending. The generated worlds lean on the
+//! cases where the two executions differ most: same-timestamp ties (broken
+//! by schedule order, which lane-major execution permutes globally but not
+//! within a lane), events landing exactly on a horizon and one picosecond
+//! past it, chains that stay inside the window they start in, and windows
+//! from 1 ps wide to wider than the whole run.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -77,8 +78,9 @@ impl World for Lanes {
 /// Everything a run lets an observer see.
 #[derive(Debug, PartialEq)]
 struct Observed {
-    /// `(ran, events_executed, now, pending)` after every window.
-    windows: Vec<(u64, u64, u64, usize)>,
+    /// `(ran, events_executed, now, pending, next_time)` after every
+    /// window.
+    windows: Vec<(u64, u64, u64, usize, Option<SimTime>)>,
     /// Per-lane fired sequences inside the windows.
     in_windows: Vec<Vec<(u64, u64)>>,
     /// Per-lane fired sequences of what the last window left queued,
@@ -86,18 +88,17 @@ struct Observed {
     leftover: Vec<Vec<(u64, u64)>>,
 }
 
-/// Drives one engine through `horizons` with `step`.
+/// Drives `engine` through `horizons`.
 fn drive(
+    mut engine: EventEngine<Lanes>,
     lanes: usize,
     seeds: &[(u32, u64, u8)],
     horizons: &[u64],
-    mut step: impl FnMut(&mut EventEngine<Lanes>, &mut Lanes, SimTime) -> u64,
 ) -> Observed {
     let mut world = Lanes {
         fired: vec![Vec::new(); lanes],
         horizons: horizons.to_vec(),
     };
-    let mut engine = EventEngine::new();
     for (i, &(lane, t, depth)) in seeds.iter().enumerate() {
         engine.schedule_at(
             SimTime::from_ps(t),
@@ -110,12 +111,13 @@ fn drive(
     }
     let mut windows = Vec::new();
     for &h in horizons {
-        let ran = step(&mut engine, &mut world, SimTime::from_ps(h));
+        let ran = engine.run_until(&mut world, SimTime::from_ps(h));
         windows.push((
             ran,
             engine.events_executed(),
             engine.now().as_ps(),
             engine.pending(),
+            engine.next_time(),
         ));
     }
     let in_windows = std::mem::replace(&mut world.fired, vec![Vec::new(); lanes]);
@@ -148,10 +150,13 @@ proptest! {
             seeds.push((lane, h + u64::from(past), depth));
         }
 
-        let by_time = drive(lanes, &seeds, &horizons, |e, w, h| e.run_until(w, h));
-        let by_lane = drive(lanes, &seeds, &horizons, |e, w, h| {
-            e.run_until_by_lane(w, h, |ev| ev.lane)
-        });
+        let by_time = drive(EventEngine::new(), lanes, &seeds, &horizons);
+        let by_lane = drive(
+            EventEngine::with_lanes(lanes, |ev: &Ev| ev.lane),
+            lanes,
+            &seeds,
+            &horizons,
+        );
         prop_assert_eq!(by_lane, by_time);
     }
 }
