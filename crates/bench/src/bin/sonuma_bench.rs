@@ -18,10 +18,6 @@
 //! * `--compare-threads` — run each spec serially *and* sharded, record
 //!   the wall ratio and both epoch counts in the report's `sharding`
 //!   section, and fail on any simulated divergence;
-//! * `--speculate <K>` — override every selected spec's speculative
-//!   run-ahead depth (`[execution] speculate_epochs`); simulated output
-//!   is identical at every depth, only wall time and the
-//!   `sharding.speculation` counters change;
 //! * `--max-peak-bytes <n>` — exit nonzero if the process's peak heap
 //!   (tracked by the bench's own allocator) exceeds `n` bytes;
 //! * `--trace-out <path>` — write each soNUMA run's flight-recorder
@@ -123,7 +119,7 @@ fn peak_rss_bytes() -> u64 {
 fn usage() -> ! {
     eprintln!(
         "usage: sonuma-bench scenario [--smoke] [--canned NAME]... [--spec FILE]...\n\
-         \x20                          [--threads N] [--speculate K] [--compare-threads]\n\
+         \x20                          [--threads N] [--compare-threads]\n\
          \x20                          [--max-peak-bytes N] [--out FILE]\n\
          \x20                          [--trace-out FILE] [--trace-interval-us F]\n\
          \x20                          [--baseline FILE] [--max-regress FRAC] [--list]\n\
@@ -339,7 +335,6 @@ fn scenario_cmd(args: Vec<String>) -> ExitCode {
     let mut baseline: Option<PathBuf> = None;
     let mut max_regress = 0.20f64;
     let mut threads: Option<usize> = None;
-    let mut speculate: Option<usize> = None;
     let mut compare_threads = false;
     let mut max_peak_bytes: Option<u64> = None;
     let mut trace_out: Option<PathBuf> = None;
@@ -386,12 +381,6 @@ fn scenario_cmd(args: Vec<String>) -> ExitCode {
             "--threads" => {
                 threads = Some(value("--threads").parse().unwrap_or_else(|_| {
                     eprintln!("--threads needs a positive integer");
-                    std::process::exit(2);
-                }));
-            }
-            "--speculate" => {
-                speculate = Some(value("--speculate").parse().unwrap_or_else(|_| {
-                    eprintln!("--speculate needs a non-negative integer");
                     std::process::exit(2);
                 }));
             }
@@ -443,15 +432,6 @@ fn scenario_cmd(args: Vec<String>) -> ExitCode {
             spec.threads = threads;
             if let Err(e) = spec.validate() {
                 eprintln!("--threads {threads}: {e}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    if let Some(speculate) = speculate {
-        for spec in &mut specs {
-            spec.speculate_epochs = speculate;
-            if let Err(e) = spec.validate() {
-                eprintln!("--speculate {speculate}: {e}");
                 return ExitCode::from(2);
             }
         }

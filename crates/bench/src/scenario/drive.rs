@@ -215,9 +215,9 @@ pub struct BackendRun {
     /// baselines, which have no internal parallelism).
     pub shards: usize,
     /// Conservative epochs the sharded engine ran (soNUMA; 0 otherwise).
-    /// Partition-invariant at speculation depth 0; with speculation the
-    /// batching depends on host scheduling, so it stays shard *metadata*,
-    /// excluded from the parallel-equivalence diff.
+    /// A pure function of the spec — the same at every thread count — so
+    /// it is the one `sharding` member the parallel-equivalence diff
+    /// compares.
     pub epochs: u64,
     /// Logical events executed per shard (soNUMA runs only). Shard
     /// *metadata*: depends on the partition, excluded from the
@@ -236,11 +236,6 @@ pub struct BackendRun {
     /// Estimated resident heap bytes of the simulated machine at the end
     /// of the run (soNUMA runs only) — the rack4096 memory-diet metric.
     pub resident_bytes: u64,
-    /// `(committed, rolled_back)` speculative clock bets the sharded
-    /// engine settled (soNUMA runs with `speculate_epochs > 0`). Shard
-    /// metadata: depends on host scheduling, excluded from the
-    /// parallel-equivalence diff.
-    pub speculation: Option<(u64, u64)>,
     /// Wall ratio (threads=1 time over this run's time) and serial epoch
     /// count from a `--compare-threads` companion run, if one was made.
     pub compare_serial: Option<CompareSerial>,
@@ -299,7 +294,7 @@ pub struct CompareSerial {
     /// paid off).
     pub wall_ratio: f64,
     /// Epochs the single-shard engine ran — equal to the sharded
-    /// `epochs` at speculation depth 0.
+    /// `epochs`.
     pub epochs: u64,
 }
 
@@ -369,7 +364,6 @@ impl BackendInstance {
                 }
                 let mut backend =
                     SonumaBackend::with_threads(config, spec.segment_bytes, spec.threads);
-                backend.set_speculation(spec.speculate_epochs as u32);
                 if let Some(tn) = &spec.tenancy {
                     // Every tenant gets a dedicated QP on its home node,
                     // registered under its weight and SLO class so the
@@ -978,7 +972,6 @@ fn drive_source(
         lookahead: None,
         pair_bound_violations: 0,
         resident_bytes: 0,
-        speculation: None,
         compare_serial: None,
         pipeline_total: None,
         per_node: Vec::new(),
@@ -1105,9 +1098,6 @@ fn run_spec_with_reps(spec: &ScenarioSpec, reps: u32) -> ScenarioResult {
             run.lookahead = Some(b.lookahead());
             run.pair_bound_violations = b.pair_bound_violations();
             run.resident_bytes = b.resident_bytes();
-            if b.speculation_depth() > 0 {
-                run.speculation = Some(b.speculation());
-            }
             run.per_node = (0..spec.nodes)
                 .map(|n| b.pipeline_stats(NodeId(n as u16)))
                 .collect();
@@ -1214,11 +1204,10 @@ pub fn run_specs(specs: &[ScenarioSpec]) -> Vec<ScenarioResult> {
     specs.iter().map(run_spec).collect()
 }
 
-/// Executes `spec` twice — at `threads = 1` with speculation off and at
-/// the spec's own thread count and `speculate_epochs` (threads forced to
-/// 4 when the spec says 1) — and attaches the serial run's wall time,
-/// the wall ratio, and the serial epoch count to each backend run (the
-/// `--compare-threads` mode).
+/// Executes `spec` twice — at `threads = 1` and at the spec's own thread
+/// count (forced to 4 when the spec says 1) — and attaches the serial
+/// run's wall time, the wall ratio, and the serial epoch count to each
+/// backend run (the `--compare-threads` mode).
 ///
 /// # Panics
 ///
@@ -1227,7 +1216,6 @@ pub fn run_specs(specs: &[ScenarioSpec]) -> Vec<ScenarioResult> {
 pub fn run_spec_compare_threads(spec: &ScenarioSpec) -> ScenarioResult {
     let mut serial_spec = spec.clone();
     serial_spec.threads = 1;
-    serial_spec.speculate_epochs = 0;
     let mut sharded_spec = spec.clone();
     if sharded_spec.threads == 1 {
         sharded_spec.threads = 4;
@@ -1236,8 +1224,8 @@ pub fn run_spec_compare_threads(spec: &ScenarioSpec) -> ScenarioResult {
     let mut result = run_spec(&sharded_spec);
     for (run, srun) in result.runs.iter_mut().zip(&serial.runs) {
         assert_eq!(
-            (run.events, run.ops, run.sim_time),
-            (srun.events, srun.ops, srun.sim_time),
+            (run.events, run.ops, run.sim_time, run.epochs),
+            (srun.events, srun.ops, srun.sim_time, srun.epochs),
             "{}: serial and sharded runs diverged",
             spec.name
         );

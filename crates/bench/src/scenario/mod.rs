@@ -83,15 +83,13 @@ pub use spec::{
 /// and the recorder's wall-clock overhead versus the untraced timing
 /// repetitions. With tracing off the section is absent and every other
 /// byte matches a v6 report body.
-/// v8 added the `speculate_epochs` spec field (`[execution]` section,
-/// speculative run-ahead depth `K`), the per-run `wall_construct_secs`
-/// field (world-construction wall time, reported separately from drive
-/// time so the parallel-construction win is gated on its own), and the
-/// `sharding.speculation` object (`committed`/`rolled_back` clock-bet
-/// counts and `rollback_ratio`). Speculation counters depend on host
-/// scheduling, so they live in the equivalence-stripped `sharding`
-/// section; everything outside it is byte-identical between `K = 0` and
-/// any `K > 0`.
+/// v8 added the `speculate_epochs` spec field (`[execution]` section),
+/// the per-run `wall_construct_secs` field (world-construction wall
+/// time, reported separately from drive time so the
+/// parallel-construction win is gated on its own), and a
+/// `sharding.speculation` object. The run-ahead engine they described
+/// was removed in PR 21: `sharding.speculation` is no longer emitted and
+/// `speculate_epochs` is always 0, echoed only so report bytes stay put.
 /// v9 added the `[kv]` spec section ([`KvSpec`]) and the per-run `kv`
 /// section: the rack-scale KV-cache service scenario. The section
 /// carries directory-plane counts (keys, GET/PUT tallies, lines moved,

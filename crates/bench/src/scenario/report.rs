@@ -340,9 +340,9 @@ fn run_json(run: &BackendRun) -> Json {
             Json::Num(run.wall_construct_secs),
         ),
     ];
-    // Shard metadata: everything here either depends on the partition
-    // (shard_events) or on the host (wall rates), so the whole section is
-    // stripped by `equivalence_diff` alongside the wall_* fields.
+    // Shard metadata: everything here but `epochs` either depends on the
+    // partition (shard_events) or on the host (wall rates), so
+    // `equivalence_diff` keeps only `epochs` of this section.
     let mut sharding = vec![
         ("threads".to_string(), Json::Num(run.threads as f64)),
         ("shards".to_string(), Json::Num(run.shards as f64)),
@@ -359,24 +359,6 @@ fn run_json(run: &BackendRun) -> Json {
     ];
     if let Some(lookahead) = run.lookahead {
         sharding.push(("lookahead_ns".to_string(), Json::Num(lookahead.as_ns_f64())));
-    }
-    if let Some((committed, rolled_back)) = run.speculation {
-        let settled = committed + rolled_back;
-        sharding.push((
-            "speculation".to_string(),
-            Json::Obj(vec![
-                ("committed".to_string(), Json::Num(committed as f64)),
-                ("rolled_back".to_string(), Json::Num(rolled_back as f64)),
-                (
-                    "rollback_ratio".to_string(),
-                    Json::Num(if settled > 0 {
-                        rolled_back as f64 / settled as f64
-                    } else {
-                        0.0
-                    }),
-                ),
-            ]),
-        ));
     }
     if let Some(cmp) = &run.compare_serial {
         sharding.push((
@@ -578,21 +560,6 @@ pub fn validate_report(doc: &Json) -> Result<(), String> {
                     .u64_of(key)
                     .ok_or(format!("scenario {name}/{backend}: sharding has no {key}"))?;
             }
-            if let Some(sp) = sharding.get("speculation") {
-                for key in ["committed", "rolled_back"] {
-                    sp.u64_of(key).ok_or(format!(
-                        "scenario {name}/{backend}: speculation has no {key}"
-                    ))?;
-                }
-                let ratio = sp.f64_of("rollback_ratio").ok_or(format!(
-                    "scenario {name}/{backend}: speculation has no rollback_ratio"
-                ))?;
-                if !(0.0..=1.0).contains(&ratio) {
-                    return Err(format!(
-                        "scenario {name}/{backend}: rollback_ratio {ratio} out of [0, 1]"
-                    ));
-                }
-            }
             if let Some(fa) = run.get("faults") {
                 let goodput = fa.f64_of("goodput_fraction").ok_or(format!(
                     "scenario {name}/{backend}: faults has no goodput_fraction"
@@ -705,30 +672,35 @@ pub fn slim_report(doc: &Json) -> Json {
 
 /// Whether `key` is excluded from the parallel-equivalence comparison:
 /// host-dependent wall-clock fields (`wall_*`, `calibration`), the
-/// requested thread count itself, the speculation depth (another pure
-/// wall-clock knob — a speculative run must be byte-identical to a
-/// conservative one, which is exactly what `diff-runs` proves when only
-/// these knobs differ), the partition-dependent `sharding` run section,
-/// and the `trace` sections (both the spec's and the run's — the trace
-/// *file* is gated byte-for-byte separately, and stripping the report
-/// sections lets `diff-runs` also compare a traced run against an
-/// untraced baseline).
+/// requested thread count itself, and the `trace` sections (both the
+/// spec's and the run's — the trace *file* is gated byte-for-byte
+/// separately, and stripping the report sections lets `diff-runs` also
+/// compare a traced run against an untraced baseline).
 fn equivalence_ignored(key: &str) -> bool {
     key.starts_with("wall_")
         || matches!(
             key,
-            "calibration" | "sharding" | "threads" | "speculate_epochs" | "trace"
+            // `speculate_epochs` — frozen-benchmark residue: ROADMAP item 9 deletes
+            "calibration" | "threads" | "speculate_epochs" | "trace"
         )
 }
 
-/// Strips every [`equivalence_ignored`] member, recursively.
+/// Strips every [`equivalence_ignored`] member, recursively, and every
+/// member of a run's partition-dependent `sharding` section except
+/// `epochs`, which is a pure function of the spec.
 fn strip_volatile(doc: &Json) -> Json {
     match doc {
         Json::Obj(members) => Json::Obj(
             members
                 .iter()
                 .filter(|(k, _)| !equivalence_ignored(k))
-                .map(|(k, v)| (k.clone(), strip_volatile(v)))
+                .map(|(k, v)| match v {
+                    Json::Obj(sharding) if k == "sharding" => {
+                        let epochs = sharding.iter().filter(|(m, _)| m == "epochs");
+                        (k.clone(), Json::Obj(epochs.cloned().collect()))
+                    }
+                    _ => (k.clone(), strip_volatile(v)),
+                })
                 .collect(),
         ),
         Json::Arr(items) => Json::Arr(items.iter().map(strip_volatile).collect()),
@@ -789,10 +761,10 @@ fn diff_json(a: &Json, b: &Json, path: &str, out: &mut Vec<String>) {
 
 /// Compares two scenario reports for *simulated* equivalence: every
 /// member except the wall-clock fields, the calibration block, and the
-/// shard-metadata section must be byte-identical. Returns the list of
-/// differences (empty means equivalent) — this is the check the CI
-/// `parallel-equivalence` step runs between `--threads 1` and
-/// `--threads 4` reports.
+/// shard-metadata section (bar its `epochs`) must be byte-identical.
+/// Returns the list of differences (empty means equivalent) — this is
+/// the check the CI `parallel-equivalence` step runs between
+/// `--threads 1` and `--threads 4` reports.
 pub fn equivalence_diff(a: &Json, b: &Json) -> Vec<String> {
     let (sa, sb) = (strip_volatile(a), strip_volatile(b));
     let mut out = Vec::new();

@@ -509,11 +509,7 @@ pub struct ScenarioSpec {
     /// 64-entry rings cost two guest-heap pages per node; 16-entry rings
     /// fit WQ and CQ in one.
     pub qp_entries: u16,
-    /// Speculative epoch run-ahead depth `K` (`[execution]` section /
-    /// `--speculate`). Like `threads`, purely a wall-clock knob: the
-    /// engine validates every clock bet at the epoch barrier and rolls
-    /// back refuted ones, so every simulated metric is identical for
-    /// every value (only the `sharding.speculation` counters differ).
+    #[doc(hidden)] // frozen-benchmark residue: ROADMAP item 9 deletes
     pub speculate_epochs: usize,
     /// Multi-tenant QP virtualization (`[tenants]` section). Present iff
     /// `traffic` is present; together they switch the run from the
@@ -550,7 +546,7 @@ impl Default for ScenarioSpec {
             seed: 42,
             threads: 1,
             qp_entries: 64,
-            speculate_epochs: 0,
+            speculate_epochs: 0, // frozen-benchmark residue: ROADMAP item 9 deletes
             tenancy: None,
             traffic: None,
             faults: None,
@@ -681,9 +677,10 @@ impl ScenarioSpec {
                 self.qp_entries, self.window
             ));
         }
-        if self.speculate_epochs > 8 {
+        if self.speculate_epochs != 0 {
             return err(format!(
-                "speculate_epochs = {} (must be 0..=8)",
+                "speculate_epochs = {}: speculative run-ahead was removed in PR 21 \
+                 (the engine is conservative-only); delete the key",
                 self.speculate_epochs
             ));
         }
@@ -878,6 +875,7 @@ impl ScenarioSpec {
             ("seed".into(), Json::Num(self.seed as f64)),
             ("threads".into(), Json::Num(self.threads as f64)),
             ("qp_entries".into(), Json::Num(self.qp_entries as f64)),
+            // frozen-benchmark residue: ROADMAP item 9 deletes
             (
                 "speculate_epochs".into(),
                 Json::Num(self.speculate_epochs as f64),

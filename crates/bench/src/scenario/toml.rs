@@ -37,16 +37,13 @@ impl ScenarioSpec {
         out.push_str(&format!("window = {}\n", self.window));
         out.push_str(&format!("segment_bytes = {}\n", self.segment_bytes));
         out.push_str(&format!("seed = {}\n", self.seed));
-        if self.threads != 1 || self.qp_entries != 64 || self.speculate_epochs != 0 {
+        if self.threads != 1 || self.qp_entries != 64 {
             out.push_str("\n[execution]\n");
             if self.threads != 1 {
                 out.push_str(&format!("threads = {}\n", self.threads));
             }
             if self.qp_entries != 64 {
                 out.push_str(&format!("qp_entries = {}\n", self.qp_entries));
-            }
-            if self.speculate_epochs != 0 {
-                out.push_str(&format!("speculate_epochs = {}\n", self.speculate_epochs));
             }
         }
         if let (Some(tn), Some(tr)) = (&self.tenancy, &self.traffic) {
@@ -210,6 +207,8 @@ impl ScenarioSpec {
                     "qp_entries" => {
                         spec.qp_entries = value.into_uint(lineno, "qp_entries")?;
                     }
+                    // frozen-benchmark residue: ROADMAP item 9 deletes
+                    // (`validate` rejects any value but 0)
                     "speculate_epochs" => {
                         spec.speculate_epochs = value.into_uint(lineno, "speculate_epochs")?;
                     }

@@ -198,11 +198,6 @@ fn kv_runs_are_deterministic_and_verified() {
     threaded.threads = 4;
     let b = report(&run_specs(&[threaded]));
     assert_eq!(equivalence_diff(&doc, &b), Vec::<String>::new());
-    // And under speculative run-ahead.
-    let mut spec = tiny_kv_spec();
-    spec.speculate_epochs = 2;
-    let c = report(&run_specs(&[spec]));
-    assert_eq!(equivalence_diff(&doc, &c), Vec::<String>::new());
 }
 
 #[test]

@@ -48,7 +48,7 @@ fn toml_roundtrip_preserves_every_field() {
         seed: 1234567,
         threads: 3,
         qp_entries: 32,
-        speculate_epochs: 3,
+        speculate_epochs: 0, // frozen-benchmark residue: ROADMAP item 9 deletes
         tenancy: Some(sonuma_bench::scenario::TenancySpec {
             tenants: 54,
             scheduler: sonuma_core::SchedPolicy::StrictPriority,
@@ -149,6 +149,15 @@ fn malformed_specs_are_rejected() {
             Err(SpecError::Parse(l, msg)) if l == line && msg.contains(needle) => {}
             other => panic!("{text:?} parsed as {other:?}"),
         }
+    }
+    // The run-ahead knob is gone: the key still parses (the frozen
+    // benchmark's struct field), any value but 0 names the removal.
+    ScenarioSpec::from_toml("name = \"x\"\nnodes = 2\n[execution]\nspeculate_epochs = 0\n")
+        .expect("the inert value still loads");
+    let gone = "name = \"x\"\nnodes = 2\n[execution]\nspeculate_epochs = 2\n";
+    match ScenarioSpec::from_toml(gone) {
+        Err(SpecError::Invalid(msg)) if msg.contains("removed") => {}
+        other => panic!("{gone:?} parsed as {other:?}"),
     }
     // The same key name in two different tables is not a repeat.
     ScenarioSpec::from_toml("name = \"x\"\nnodes = 2\nseed = 1\n[faults]\nseed = 2\n")
@@ -398,41 +407,33 @@ fn threaded_report_is_equivalent_to_serial() {
     let a = report(&run_specs(&[serial]));
     let b = report(&run_specs(&[threaded]));
     assert_eq!(equivalence_diff(&a, &b), Vec::<String>::new());
-    // The differ is not vacuous: a changed simulated field must surface.
-    let mut tweaked = b.clone();
-    fn bump_ops(value: &mut Json) {
+    // The differ is not vacuous: a changed simulated field must surface,
+    // and so must the one `sharding` member that is a function of the
+    // spec alone — two reports that differ only in `sharding.epochs` are
+    // not equivalent.
+    fn bump(value: &mut Json, field: &str) {
         match value {
             Json::Obj(members) => {
                 for (key, v) in members.iter_mut() {
-                    match (key.as_str(), &mut *v) {
-                        ("ops", Json::Num(x)) => *x += 1.0,
-                        _ => bump_ops(v),
+                    match &mut *v {
+                        Json::Num(x) if key == field => *x += 1.0,
+                        _ => bump(v, field),
                     }
                 }
             }
-            Json::Arr(items) => items.iter_mut().for_each(bump_ops),
+            Json::Arr(items) => items.iter_mut().for_each(|v| bump(v, field)),
             _ => {}
         }
     }
-    bump_ops(&mut tweaked);
-    assert!(!equivalence_diff(&a, &tweaked).is_empty());
-}
-
-#[test]
-fn speculative_report_is_equivalent_to_conservative() {
-    // Speculation is a pure wall-clock knob, like the thread count: a
-    // sharded run with clock bets enabled must produce a BENCH.json
-    // matching the conservative run's outside wall/shard fields — the
-    // report-level form of the observational-invisibility contract the
-    // fault-matrix CI lane asserts with `diff-runs`.
-    let mut conservative = tiny_spec();
-    conservative.backend = BackendSel::One(BackendKind::Sonuma);
-    conservative.threads = 3;
-    let mut speculative = conservative.clone();
-    speculative.speculate_epochs = 3;
-    let a = report(&run_specs(&[conservative]));
-    let b = report(&run_specs(&[speculative]));
-    assert_eq!(equivalence_diff(&a, &b), Vec::<String>::new());
+    for field in ["ops", "epochs"] {
+        let mut tweaked = b.clone();
+        bump(&mut tweaked, field);
+        let diff = equivalence_diff(&b, &tweaked);
+        assert!(
+            !diff.is_empty() && diff.iter().all(|d| d.contains(field)),
+            "{field}: {diff:?}"
+        );
+    }
 }
 
 #[test]

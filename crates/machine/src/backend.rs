@@ -185,22 +185,8 @@ impl SonumaBackend {
         self.sharded.epochs()
     }
 
-    /// Sets the speculative run-ahead depth `K` (see
-    /// `ShardedCluster::set_speculation`). Byte-invisible in results;
-    /// survives a later [`SonumaBackend::set_threads`] rebuild.
-    pub fn set_speculation(&mut self, k: u32) {
-        self.sharded.set_speculation(k);
-    }
-
-    /// The configured speculative run-ahead depth.
-    pub fn speculation_depth(&self) -> u32 {
-        self.sharded.speculation_depth()
-    }
-
-    /// `(committed, rolled_back)` clock speculations so far.
-    pub fn speculation(&self) -> (u64, u64) {
-        self.sharded.speculation()
-    }
+    #[doc(hidden)] // frozen-benchmark residue: ROADMAP item 9 deletes
+    pub fn set_speculation(&mut self, _k: u32) {}
 
     /// The global memory fabric (traffic counters, link stats).
     pub fn fabric(&self) -> &Fabric {
@@ -427,9 +413,7 @@ impl RemoteBackend for SonumaBackend {
         );
         let config = self.sharded.config().clone();
         let replay = std::mem::take(&mut self.tenant_log);
-        let speculate = self.sharded.speculation_depth();
         *self = Self::with_threads(config, self.segment_len, threads.max(1));
-        self.sharded.set_speculation(speculate);
         for t in replay {
             self.register_tenant_channel(t.node, t.channel, t.tenant, t.weight, t.slo);
         }

@@ -74,7 +74,7 @@ impl std::fmt::Debug for Cluster {
             .field("node_base", &self.node_base);
         match &self.route {
             RoutePath::Direct(fabric) => d.field("fabric", fabric),
-            RoutePath::Mailbox(outbox) => d.field("outbox", &outbox.len()),
+            RoutePath::Mailbox(outbox) => d.field("outbox_floor", &outbox.floor()),
         };
         d.finish()
     }

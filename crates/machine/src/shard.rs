@@ -33,8 +33,8 @@
 //! 3. **Epoch and round boundaries are partition-invariant.** Every
 //!    epoch runs all shards to the one horizon `min floor + L - 1`, a
 //!    function of the global event set alone, so the epoch structure —
-//!    and [`ShardedCluster::epochs`] at speculation depth 0 — is the same
-//!    for every partition. Execution proceeds in *quanta* of
+//!    and [`ShardedCluster::epochs`] — is the same for every partition.
+//!    Execution proceeds in *quanta* of
 //!    [`QUANTUM_EPOCHS`] lookaheads anchored at the globally earliest
 //!    pending work; every quantum runs to completion — all events and
 //!    staged traffic up to the quantum boundary are final — and every
@@ -44,13 +44,6 @@
 //!    horizon per epoch the quanta no longer guard anything the epochs do
 //!    not; they survive because removing them moves the instants at
 //!    which the driver regains control, which changes results.)
-//!
-//! Speculative run-ahead ([`ShardedCluster::set_speculation`]) preserves
-//! all three: it only changes how epochs *batch* between barriers (safe
-//! levels against published monotone floors) and where idle clocks park
-//! (validated clock-only bets, rolled back via the
-//! `EpochWorld::snapshot`/`restore` checkpoint when refuted), never which
-//! events execute or in what per-shard order.
 //!
 //! # Why node-major order inside a window is bit-identical
 //!
@@ -128,18 +121,6 @@ pub const QUANTUM_EPOCHS: u64 = 4;
 pub(crate) struct ShardSlot {
     pub world: Cluster,
     pub engine: ClusterEngine,
-    /// Frontier checkpoint of the last [`EpochWorld::snapshot`].
-    saved: Option<Checkpoint>,
-}
-
-/// The speculation-mutable frontier of a shard. Clock-only speculation
-/// executes no events and stages no departures past a snapshot, so the
-/// clock is the whole restorable state; the counts exist to assert that.
-#[derive(Clone, Copy)]
-struct Checkpoint {
-    now: SimTime,
-    executed: u64,
-    outbox_len: usize,
 }
 
 // SAFETY: the only non-`Send` constituent of `Cluster` is the attached
@@ -195,33 +176,9 @@ impl EpochWorld for ShardSlot {
     fn pending_floor(&mut self) -> Option<SimTime> {
         // Staged-but-uncommitted departures are pending work the engine
         // must fence peers from — they join the floor at their inject
-        // times, whether a commit has had the chance to take them or (in
-        // a speculative region, which commits nothing between levels) not.
+        // times.
         let (staged, next) = self.floors();
         earlier(staged, next)
-    }
-
-    fn snapshot(&mut self) {
-        self.saved = Some(Checkpoint {
-            now: self.engine.now(),
-            executed: self.engine.events_executed(),
-            outbox_len: self.outbox().len(),
-        });
-    }
-
-    fn restore(&mut self) {
-        let saved = self.saved.take().expect("restore without snapshot");
-        debug_assert_eq!(
-            saved.executed,
-            self.engine.events_executed(),
-            "clock-only speculation must not have executed events"
-        );
-        debug_assert_eq!(
-            saved.outbox_len,
-            self.outbox().len(),
-            "clock-only speculation must not have staged departures"
-        );
-        self.engine.rewind_now_to(saved.now);
     }
 }
 
@@ -241,11 +198,7 @@ fn build_shard(config: &MachineConfig, plan: &ShardPlan, s: usize) -> ShardSlot 
         .nodes
         .iter()
         .all(|n| n.cores.iter().all(|c| c.process.is_none())));
-    let mut slot = ShardSlot {
-        world,
-        engine,
-        saved: None,
-    };
+    let mut slot = ShardSlot { world, engine };
     // Each shard schedules the crash/restart events for the fault-plan
     // nodes it owns; the schedule is a pure function of the plan, so it
     // is partition-invariant.
@@ -420,31 +373,10 @@ impl ShardedCluster {
         &self.plan
     }
 
-    /// Epoch barriers executed so far. At speculation depth 0 the count
-    /// is partition-invariant: every epoch's horizon is a function of the
-    /// global event set alone.
+    /// Epoch barriers executed so far. The count is partition-invariant:
+    /// every epoch's horizon is a function of the global event set alone.
     pub fn epochs(&self) -> u64 {
         self.engine.epochs()
-    }
-
-    /// Sets the speculative run-ahead depth `K`: each epoch barrier may
-    /// cover up to `K` extra lookahead levels per shard, plus one
-    /// validated clock-only speculation (see `sonuma_sim::ShardedEngine`).
-    /// Observationally invisible — reports, traces, and fault fates stay
-    /// byte-identical to `K = 0` — so it may be set at any point.
-    pub fn set_speculation(&mut self, k: u32) {
-        self.engine.set_speculation(k);
-    }
-
-    /// The configured speculative run-ahead depth.
-    pub fn speculation_depth(&self) -> u32 {
-        self.engine.speculation_depth()
-    }
-
-    /// `(committed, rolled_back)` clock speculations so far — scheduling-
-    /// dependent reporting metadata, never part of the simulated result.
-    pub fn speculation(&self) -> (u64, u64) {
-        self.engine.speculation()
     }
 
     /// The lookahead `L` bounding every epoch: the fabric's minimum

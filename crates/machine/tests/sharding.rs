@@ -7,8 +7,8 @@
 //! topologies, the sharded engine must deliver every packet to every
 //! node in exactly the order the serial (single-shard) engine does —
 //! asserted via the per-node delivery-order hash (time, source, tid,
-//! line) plus completions, pipeline counters, fabric totals, and the
-//! clock.
+//! line) plus completions, pipeline counters, fabric totals, the clock
+//! and the epoch-barrier count.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -46,16 +46,16 @@ struct Outcome {
     fabric_packets: u64,
     fabric_bytes: u64,
     credit_stalls: u64,
+    epochs: u64,
     trace: Option<String>,
 }
 
 /// Drives a deterministic closed-loop read/write stream over `b` and
-/// snapshots every invariant observable, plus the epoch-barrier count
-/// (partition-invariant at speculation depth 0 only, so it rides beside
-/// the outcome rather than in it). With `traced`, a flight recorder is
-/// armed and its rendered JSONL rides along in the outcome so trace
-/// bytes are pinned partition- and speculation-invariant too.
-fn drive(b: SonumaBackend, ops_per_node: u64, stride: usize, op_bytes: u64) -> (Outcome, u64) {
+/// snapshots every invariant observable, the epoch-barrier count
+/// included. With `traced`, a flight recorder is armed and its rendered
+/// JSONL rides along in the outcome so trace bytes are pinned
+/// partition-invariant too.
+fn drive(b: SonumaBackend, ops_per_node: u64, stride: usize, op_bytes: u64) -> Outcome {
     drive_opts(b, ops_per_node, stride, op_bytes, false)
 }
 
@@ -65,7 +65,7 @@ fn drive_opts(
     stride: usize,
     op_bytes: u64,
     traced: bool,
-) -> (Outcome, u64) {
+) -> Outcome {
     if traced {
         b.arm_trace(&TraceConfig {
             interval: SimTime::from_ns(1_000),
@@ -124,7 +124,7 @@ fn drive_opts(
         0,
         "a delivery beat the lookahead promise"
     );
-    let outcome = Outcome {
+    Outcome {
         now: b.now(),
         events: b.events_processed(),
         delivery_hashes: (0..nodes)
@@ -136,6 +136,7 @@ fn drive_opts(
         fabric_packets: b.fabric().packets_sent(),
         fabric_bytes: b.fabric().bytes_sent(),
         credit_stalls: b.fabric().credit_stalls(),
+        epochs: b.epochs(),
         trace: b.trace().map(|rec| {
             let meta = TraceMeta {
                 scenario: "sharding-proptest".to_string(),
@@ -146,8 +147,7 @@ fn drive_opts(
             render_jsonl(&meta, Some(rec), None)
         }),
         completions,
-    };
-    (outcome, b.epochs())
+    }
 }
 
 /// Builds strictly increasing partition bounds over `nodes` from raw cut
@@ -185,12 +185,12 @@ proptest! {
         let nodes = topology.nodes();
         let stride = 1 + stride_seed % (nodes - 1);
         let config = config_for(topology);
-        let (serial, serial_epochs) = drive(
+        let serial = drive(
             SonumaBackend::with_partition(config.clone(), 1 << 16, vec![0, nodes]),
             ops, stride, 128,
         );
         let bounds = bounds_from(&cuts, nodes);
-        let (sharded, epochs) = drive(
+        let sharded = drive(
             SonumaBackend::with_partition(config, 1 << 16, bounds.clone()),
             ops, stride, 128,
         );
@@ -198,27 +198,25 @@ proptest! {
             &serial.delivery_hashes, &sharded.delivery_hashes,
             "delivery order diverged under partition {:?}", &bounds
         );
-        prop_assert_eq!(serial, sharded);
         prop_assert_eq!(
-            serial_epochs, epochs,
+            serial.epochs, sharded.epochs,
             "epoch count moved under partition {:?}", &bounds
         );
+        prop_assert_eq!(serial, sharded);
     }
 
-    /// Speculative run-ahead is observationally invisible: for random
-    /// depths `K` ∈ {1..4} over random partitions of crossbar and
-    /// torus3d topologies — optionally with a link-kill + node-crash
-    /// fault plan installed — delivery orders, completions, pipeline
-    /// stats, fabric totals, and rendered trace bytes are identical to
-    /// the conservative engine (`K = 0`) on the same partition, whose
-    /// epoch count in turn equals the one-shard run's.
+    /// The same equivalence with the flight recorder armed and —
+    /// optionally — a link-kill + node-crash fault plan installed: over
+    /// random partitions of crossbar and torus3d topologies, delivery
+    /// orders, completions, pipeline stats, fabric totals, the epoch
+    /// count and the rendered trace bytes are identical to the one-shard
+    /// run's.
     #[test]
-    fn random_speculation_depths_match_conservative(
+    fn random_partitions_match_serial_under_faults_and_trace(
         shape in 0usize..2,
         w in 2usize..4,
         h in 2usize..4,
         cuts in vec(0usize..1024, 1..4),
-        k in 1u32..=4,
         faulty in any::<bool>(),
     ) {
         let topology = match shape {
@@ -241,25 +239,22 @@ proptest! {
             config.fabric.faults = Some(plan);
         }
         let bounds = bounds_from(&cuts, nodes);
-        let (_, serial_epochs) = drive_opts(
+        let serial = drive_opts(
             SonumaBackend::with_partition(config.clone(), 1 << 16, vec![0, nodes]),
             3, 2, 128, true,
         );
-        let (conservative, epochs) = drive_opts(
-            SonumaBackend::with_partition(config.clone(), 1 << 16, bounds.clone()),
+        let sharded = drive_opts(
+            SonumaBackend::with_partition(config, 1 << 16, bounds.clone()),
             3, 2, 128, true,
         );
+        prop_assert!(serial.trace.is_some(), "the recorder was armed");
         prop_assert_eq!(
-            serial_epochs, epochs,
+            serial.epochs, sharded.epochs,
             "epoch count moved under partition {:?} (faulty={})", &bounds, faulty
         );
-        let mut spec = SonumaBackend::with_partition(config, 1 << 16, bounds.clone());
-        spec.set_speculation(k);
-        let (speculative, _) = drive_opts(spec, 3, 2, 128, true);
         prop_assert_eq!(
-            conservative, speculative,
-            "speculation K={} diverged under partition {:?} (faulty={})",
-            k, &bounds, faulty
+            serial, sharded,
+            "diverged under partition {:?} (faulty={})", &bounds, faulty
         );
     }
 }
@@ -276,24 +271,24 @@ fn default_partitions_match_serial_at_every_thread_count() {
         (Topology::torus3d(2, 2, 8), &[2, 4, 8][..]),
     ] {
         let config = config_for(topology);
-        let (serial, serial_epochs) = drive(
+        let serial = drive(
             SonumaBackend::with_threads(config.clone(), 1 << 16, 1),
             4,
             5,
             256,
         );
         for &threads in thread_counts {
-            let (sharded, epochs) = drive(
+            let sharded = drive(
                 SonumaBackend::with_threads(config.clone(), 1 << 16, threads),
                 4,
                 5,
                 256,
             );
-            assert_eq!(serial, sharded, "diverged at {threads} threads");
             assert_eq!(
-                serial_epochs, epochs,
+                serial.epochs, sharded.epochs,
                 "epoch count moved at {threads} threads"
             );
+            assert_eq!(serial, sharded, "diverged at {threads} threads");
         }
     }
 }
@@ -304,36 +299,32 @@ fn default_partitions_match_serial_at_every_thread_count() {
 /// a hundred lines with *future* inject times across dozens of epochs,
 /// replies to its peers land inside that backlog, and all sixteen nodes
 /// start in lockstep, so equal inject times across sources are the rule.
-/// Delivery order, completions, trace bytes and (at `K = 0`) the epoch
-/// count must not depend on the thread count or the speculation depth —
-/// which they do as soon as the commit orders by anything less than
-/// `(t, src, seq)`.
+/// Delivery order, completions, trace bytes and the epoch count must not
+/// depend on the thread count — which they do as soon as the commit
+/// orders by anything less than `(t, src, seq)`.
 #[test]
 fn burst_backlogs_commit_in_serial_order_at_every_thread_count_and_depth() {
     let mut config = config_for(Topology::torus2d(4, 4));
     config.rgp_burst_lines = 128;
-    let run = |threads: usize, k: u32| {
-        let mut b = SonumaBackend::with_threads(config.clone(), 1 << 16, threads);
-        b.set_speculation(k);
+    let run = |threads: usize| {
+        let b = SonumaBackend::with_threads(config.clone(), 1 << 16, threads);
         drive_opts(b, 4, 5, 8192, true)
     };
-    let (serial, serial_epochs) = run(1, 0);
+    let serial = run(1);
     assert!(
         serial.fabric_packets >= 16 * 4 * 128,
         "every op is a 128-line burst"
     );
-    for (threads, k) in [(1, 2), (2, 0), (2, 2), (4, 0), (4, 2)] {
-        let (outcome, epochs) = run(threads, k);
+    for threads in [2, 4] {
+        let outcome = run(threads);
         assert_eq!(
             serial.delivery_hashes, outcome.delivery_hashes,
-            "delivery order diverged at {threads} threads, K={k}"
+            "delivery order diverged at {threads} threads"
         );
-        assert_eq!(serial, outcome, "diverged at {threads} threads, K={k}");
-        if k == 0 {
-            assert_eq!(
-                serial_epochs, epochs,
-                "epoch count moved at {threads} threads"
-            );
-        }
+        assert_eq!(
+            serial.epochs, outcome.epochs,
+            "epoch count moved at {threads} threads"
+        );
+        assert_eq!(serial, outcome, "diverged at {threads} threads");
     }
 }

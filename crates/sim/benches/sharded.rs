@@ -1,6 +1,5 @@
 //! `ShardedEngine` epoch overhead: empty-epoch barrier cost and chained
-//! epoch throughput with and without speculative run-ahead, at 1 / 4 / 8
-//! shards. Runs offline through the in-repo criterion shim:
+//! epoch throughput at 1 / 4 / 8 shards. Runs offline through the in-repo criterion shim:
 //!
 //! ```text
 //! cargo bench -p sonuma-sim --bench sharded
@@ -8,10 +7,9 @@
 //!
 //! `empty/{n}` releases and re-joins the worker pool with zero events —
 //! the pure per-epoch synchronization tax a conservative engine pays for
-//! every scalar lookahead. `chain/{n}/k{K}` drains a fixed event chain
-//! whose step is five lookaheads, so most epochs are commit-traffic-free:
-//! the configuration speculative run-ahead (`K > 0`) exists to
-//! accelerate. The companion commit-merge bench lives in
+//! every scalar lookahead. `chain/{n}` drains a fixed event chain whose
+//! step is five lookaheads, so every epoch executes at most one event
+//! per shard. The companion commit-merge bench lives in
 //! `crates/machine/benches/` where the k-way merge is implemented.
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -26,7 +24,6 @@ struct ChainShard {
     step: SimTime,
     remaining: u64,
     executed: u64,
-    saved: Option<SimTime>,
 }
 
 impl ChainShard {
@@ -37,7 +34,6 @@ impl ChainShard {
             step,
             remaining: events,
             executed: 0,
-            saved: None,
         }
     }
 }
@@ -67,14 +63,6 @@ impl EpochWorld for ChainShard {
             self.now = to;
         }
     }
-
-    fn snapshot(&mut self) {
-        self.saved = Some(self.now);
-    }
-
-    fn restore(&mut self) {
-        self.now = self.saved.take().expect("restore without snapshot");
-    }
 }
 
 /// One empty epoch: horizons derive from the caller-published source
@@ -87,14 +75,13 @@ fn empty_epoch(engine: &mut ShardedEngine<ChainShard>, floor: &mut u64) -> u64 {
     engine.run_epoch()
 }
 
-/// Drains `events` chained events per shard under speculation depth `k`
-/// and returns the epoch (barrier) count it took.
-fn chain_run(nshards: usize, k: u32, events: u64) -> u64 {
+/// Drains `events` chained events per shard and returns the epoch
+/// (barrier) count it took.
+fn chain_run(nshards: usize, events: u64) -> u64 {
     let shards = (0..nshards)
         .map(|_| ChainShard::new(SimTime::from_ns(5), SimTime::from_ns(5), events))
         .collect();
     let mut engine = ShardedEngine::new(shards, SimTime::from_ns(1));
-    engine.set_speculation(k);
     let mut total = 0;
     loop {
         let ran = engine.run_epoch();
@@ -121,11 +108,7 @@ fn bench_sharded(c: &mut Criterion) {
         });
     }
     for n in [1usize, 4, 8] {
-        for k in [0u32, 2] {
-            group.bench_function(&format!("chain/{n}/k{k}"), |b| {
-                b.iter(|| chain_run(n, k, 256))
-            });
-        }
+        group.bench_function(&format!("chain/{n}"), |b| b.iter(|| chain_run(n, 256)));
     }
     group.finish();
 }

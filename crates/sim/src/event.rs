@@ -421,20 +421,6 @@ impl<W: World> EventEngine<W> {
         }
     }
 
-    /// Moves the clock *backward* to `to` without touching the queue —
-    /// the inverse of [`EventEngine::advance_now_to`], used to undo a
-    /// refuted clock-only speculation (`sonuma-sim`'s sharded engine).
-    /// Only sound when no event has executed since the clock last stood
-    /// at `to`: the caller checkpoints `events_executed` alongside the
-    /// clock and asserts it unchanged before rewinding.
-    pub fn rewind_now_to(&mut self, to: SimTime) {
-        debug_assert!(
-            to <= self.now,
-            "rewind_now_to({to}) would move the clock forward"
-        );
-        self.now = to;
-    }
-
     /// Drops every pending event (terminate a simulation early),
     /// including — when called from a handler inside a window — the rest
     /// of the window.

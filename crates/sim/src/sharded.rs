@@ -41,35 +41,6 @@
 //! release us, so the ladder collapses to almost-immediate yielding.
 //! Shard 0 always runs on the coordinating thread, so a `threads = N` run
 //! uses exactly `N` OS threads.
-//!
-//! # Speculative run-ahead
-//!
-//! With [`ShardedEngine::set_speculation`] set to `K > 0`, one release
-//! of the workers executes up to `K` additional epoch *levels* without
-//! re-synchronizing. After each level a shard publishes its new floor
-//! (atomically, with release ordering); peers compute their next level's
-//! horizon from whatever published floors they observe. This is safe
-//! without any rollback because floors are monotone within a region: no
-//! cross-shard traffic is applied between levels, so a shard's earliest
-//! pending work — its next event, merged with the staged output it has
-//! produced ([`EpochWorld::pending_floor`]) and the frozen staging floor —
-//! can only move later. A stale floor is therefore always a *lower* bound,
-//! and a horizon computed from stale floors is conservative.
-//!
-//! The genuinely optimistic part is clock-only: when a shard runs out of
-//! provably safe horizon, it checkpoints its frontier
-//! ([`EpochWorld::snapshot`]) and advances its clock to a *predicted*
-//! horizon — betting that slower peers will publish the floors their
-//! current level implies. At the barrier the coordinator re-derives the
-//! horizon from the now-exact floors and validates each speculated clock
-//! against it: within the certified bound the speculation commits (the
-//! next region starts from the advanced clock); past it the shard is
-//! rolled back ([`EpochWorld::restore`]). Because speculation never
-//! *executes* an event — only the clock moves — rollback cannot leak
-//! simulated state, and the executed event set and per-shard order are
-//! identical to the conservative engine for every `K`. Only the epoch
-//! count and the commit/rollback tallies
-//! ([`ShardedEngine::speculation`]) depend on host timing.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -98,26 +69,18 @@ pub trait EpochWorld: Send + 'static {
 
     /// The earliest pending work of the shard: its earliest pending local
     /// event, merged with the earliest staged-but-unapplied cross-shard
-    /// output it has produced. During a speculative region the caller's
-    /// exchange step does not run between levels, so output a level
-    /// staged is work peers must still be fenced from — it joins the
-    /// floor. The default covers worlds that stage nothing.
+    /// output it has produced. Output the caller's exchange step has not
+    /// applied yet is work peers must still be fenced from, so it joins
+    /// the floor. The default covers worlds that stage nothing.
     fn pending_floor(&mut self) -> Option<SimTime> {
         self.next_event_time()
     }
 
-    /// Checkpoints the shard's speculation-mutable frontier — at minimum
-    /// its clock. The engine snapshots at most once per epoch, always
-    /// after the shard's last event of that epoch has executed, and never
-    /// executes an event past a live snapshot, so implementations only
-    /// need to save what [`EpochWorld::align_clock`] moves.
-    fn snapshot(&mut self);
+    #[doc(hidden)] // frozen-benchmark residue: ROADMAP item 9 deletes
+    fn snapshot(&mut self) {}
 
-    /// Rolls the frontier back to the last [`EpochWorld::snapshot`] —
-    /// the engine calls this when barrier-time validation refutes a
-    /// speculated clock. No events have executed since the snapshot, so
-    /// restoring the clock restores the whole observable frontier.
-    fn restore(&mut self);
+    #[doc(hidden)] // frozen-benchmark residue: ROADMAP item 9 deletes
+    fn restore(&mut self) {}
 }
 
 /// Inclusive horizon implied by the earliest floor `min_floor_ps`: epoch
@@ -136,14 +99,17 @@ fn horizon_ps(min_floor_ps: u64, lookahead_ps: u64) -> u64 {
 /// are actively executing an epoch (they finish in microseconds).
 /// `spin_limit` comes from [`Control`]: large when every shard has a core
 /// to run on, tiny when the run is oversubscribed and the spinner is
-/// stealing cycles from the very shard it waits for.
+/// stealing cycles from the very shard it waits for. Returns whether it
+/// yielded — the slow side, where a liveness check is affordable.
 #[inline]
-fn relax(spins: &mut u32, spin_limit: u32) {
+fn relax(spins: &mut u32, spin_limit: u32) -> bool {
     *spins += 1;
     if *spins < spin_limit {
         std::hint::spin_loop();
+        false
     } else {
         std::thread::yield_now();
+        true
     }
 }
 
@@ -190,26 +156,6 @@ struct Control<S> {
     spin_limit: u32,
     /// Spin budget of the idle ladder before yielding (adaptive).
     idle_spin_limit: u32,
-    /// Speculative run-ahead depth `K` (0 = conservative only).
-    spec_k: AtomicU64,
-    /// The coordinator's horizon cap for the current region, in ps
-    /// (`u64::MAX` = uncapped).
-    cap_ps: AtomicU64,
-    /// Frozen per-shard staging floors of the current region, in ps
-    /// (`u64::MAX` = none). Staging only changes in the caller's exchange
-    /// step, which never runs mid-region, so the freeze is exact.
-    src_floor_ps: Vec<AtomicU64>,
-    /// Per-shard published floors: monotone within a region, refreshed by
-    /// each shard after every level it completes.
-    pub_floor_ps: Vec<AtomicU64>,
-    /// Per-shard last *safe* (non-speculative) horizon reached in the
-    /// current region — peers predict from it, and the lowest of the
-    /// final values is what the region certainly executed through.
-    pub_exec_ps: Vec<AtomicU64>,
-    /// Per-shard speculated clock (`u64::MAX` = the shard did not
-    /// speculate this region), validated by the coordinator at the
-    /// barrier.
-    spec_clock_ps: Vec<AtomicU64>,
 }
 
 /// A deterministic conservative-parallel driver over [`EpochWorld`]
@@ -228,12 +174,6 @@ pub struct ShardedEngine<S: EpochWorld> {
     epochs: u64,
     /// The boundary every shard executed through in the last epoch.
     horizon: SimTime,
-    /// Speculative run-ahead depth `K` (0 = conservative only).
-    spec_k: u32,
-    /// Speculated clocks that validated at the barrier.
-    spec_committed: u64,
-    /// Speculated clocks refuted at the barrier and rolled back.
-    spec_rolled_back: u64,
 }
 
 impl<S: EpochWorld> ShardedEngine<S> {
@@ -280,12 +220,6 @@ impl<S: EpochWorld> ShardedEngine<S> {
             } else {
                 IDLE_SPIN_LIMIT
             },
-            spec_k: AtomicU64::new(0),
-            cap_ps: AtomicU64::new(u64::MAX),
-            src_floor_ps: (0..n).map(|_| AtomicU64::new(u64::MAX)).collect(),
-            pub_floor_ps: (0..n).map(|_| AtomicU64::new(u64::MAX)).collect(),
-            pub_exec_ps: (0..n).map(|_| AtomicU64::new(u64::MAX)).collect(),
-            spec_clock_ps: (0..n).map(|_| AtomicU64::new(u64::MAX)).collect(),
         });
         let workers: Vec<JoinHandle<()>> = (1..n)
             .map(|i| {
@@ -305,35 +239,7 @@ impl<S: EpochWorld> ShardedEngine<S> {
             cap: None,
             epochs: 0,
             horizon: SimTime::ZERO,
-            spec_k: 0,
-            spec_committed: 0,
-            spec_rolled_back: 0,
         }
-    }
-
-    /// Sets the speculative run-ahead depth: each call to
-    /// [`ShardedEngine::run_epoch`] may execute up to `k` additional
-    /// epoch levels per shard without re-synchronizing, plus one
-    /// clock-only speculation validated at the barrier (see the module
-    /// docs). `0` restores pure conservative execution. Results are
-    /// byte-identical for every `k`; only wall-clock behavior and the
-    /// [`ShardedEngine::speculation`] tallies change.
-    pub fn set_speculation(&mut self, k: u32) {
-        self.spec_k = k;
-        self.ctl.spec_k.store(u64::from(k), Ordering::Relaxed);
-    }
-
-    /// The configured speculative run-ahead depth `K`.
-    pub fn speculation_depth(&self) -> u32 {
-        self.spec_k
-    }
-
-    /// `(committed, rolled_back)` clock speculations so far. Depends on
-    /// host scheduling (a slow peer means stale floors, means bolder
-    /// bets), so it is reporting metadata, never part of the simulated
-    /// result.
-    pub fn speculation(&self) -> (u64, u64) {
-        (self.spec_committed, self.spec_rolled_back)
     }
 
     /// Number of shards (== executing threads).
@@ -346,18 +252,15 @@ impl<S: EpochWorld> ShardedEngine<S> {
         SimTime::from_ps(self.ctl.lookahead_ps)
     }
 
-    /// Epochs executed so far. At speculation depth 0 this is a pure
-    /// function of the global event set and `L` — the same at every shard
-    /// count.
+    /// Epochs executed so far: a pure function of the global event set
+    /// and `L` — the same at every shard count.
     pub fn epochs(&self) -> u64 {
         self.epochs
     }
 
     /// The boundary every shard has fully executed through after the
     /// last epoch — the caller's commit frontier: staged traffic injected
-    /// at or before it is final. Without speculation it is the epoch's
-    /// one horizon; a speculative region reports the lowest safe level
-    /// any shard reached.
+    /// at or before it is final.
     pub fn horizon(&self) -> SimTime {
         self.horizon
     }
@@ -423,7 +326,6 @@ impl<S: EpochWorld> ShardedEngine<S> {
     /// nothing committed".
     pub fn run_epoch(&mut self) -> u64 {
         let n = self.ctl.slots.len();
-        let spec = self.spec_k > 0;
         // The earliest floor; all locks are free here. `pending_floor`
         // rather than `next_event_time`: any output a shard staged but
         // the caller has not exchanged yet fences its peers too.
@@ -437,12 +339,7 @@ impl<S: EpochWorld> ShardedEngine<S> {
                 (Some(a), Some(b)) => Some(a.min(b)),
                 (a, b) => a.or(b),
             };
-            let floor = floor.map_or(u64::MAX, SimTime::as_ps);
-            min_floor = min_floor.min(floor);
-            if spec {
-                // A region starts from the exact per-shard floors.
-                self.ctl.pub_floor_ps[i].store(floor, Ordering::Relaxed);
-            }
+            min_floor = min_floor.min(floor.map_or(u64::MAX, SimTime::as_ps));
         }
         if min_floor == u64::MAX {
             return 0;
@@ -451,23 +348,11 @@ impl<S: EpochWorld> ShardedEngine<S> {
         let h = horizon_ps(min_floor, self.ctl.lookahead_ps).min(cap_ps);
         self.ctl.horizon_ps.store(h, Ordering::Relaxed);
         self.horizon = SimTime::from_ps(h);
-        if spec {
-            // Seed the rest of the region: the frozen staging floors, the
-            // cap, and cleared speculation slots. The epoch release below
-            // publishes these to the workers.
-            self.ctl.cap_ps.store(cap_ps, Ordering::Relaxed);
-            for i in 0..n {
-                let src = self.source_floors[i].map_or(u64::MAX, SimTime::as_ps);
-                self.ctl.src_floor_ps[i].store(src, Ordering::Relaxed);
-                self.ctl.pub_exec_ps[i].store(h, Ordering::Relaxed);
-                self.ctl.spec_clock_ps[i].store(u64::MAX, Ordering::Relaxed);
-            }
-        }
 
         let mut total = 0u64;
         if n == 1 {
             let mut shard = self.ctl.slots[0].lock().expect("shard poisoned");
-            total += run_region(&self.ctl, 0, &mut shard);
+            total += run_to_horizon(&self.ctl, &mut shard);
         } else {
             let seq = self.ctl.epoch.load(Ordering::Relaxed) + 1;
             // Release the workers (the store publishes the horizon);
@@ -481,125 +366,32 @@ impl<S: EpochWorld> ShardedEngine<S> {
             // Shard 0 runs on this thread while the workers run theirs.
             {
                 let mut shard = self.ctl.slots[0].lock().expect("shard poisoned");
-                total += run_region(&self.ctl, 0, &mut shard);
+                total += run_to_horizon(&self.ctl, &mut shard);
             }
             for (i, done) in self.ctl.done.iter().enumerate() {
                 let mut spins = 0;
                 while done.load(Ordering::Acquire) != seq {
-                    relax(&mut spins, self.ctl.spin_limit);
+                    // Workers only return on shutdown, so one that has
+                    // finished mid-epoch unwound and will never acknowledge.
+                    if relax(&mut spins, self.ctl.spin_limit) && self.workers[i].is_finished() {
+                        panic!("shard worker {} panicked", i + 1);
+                    }
                 }
                 total += self.ctl.ran[i].load(Ordering::Relaxed);
             }
         }
-        if spec {
-            self.settle_region();
-        }
         self.epochs += 1;
         total
     }
-
-    /// Barrier-time settlement of a speculative region: adopt the lowest
-    /// safe horizon any shard actually reached, then validate each
-    /// speculated clock against the horizon the now-exact floors certify,
-    /// rolling back only the shards whose bet failed.
-    fn settle_region(&mut self) {
-        // Post-region values are exact: every shard published after its
-        // last level, and the barrier ordered those stores before our
-        // loads.
-        let min_of = |slots: &[AtomicU64]| {
-            slots
-                .iter()
-                .map(|a| a.load(Ordering::Acquire))
-                .min()
-                .expect("nonempty shards")
-        };
-        self.horizon = SimTime::from_ps(min_of(&self.ctl.pub_exec_ps));
-        let cap_ps = self.cap.map_or(u64::MAX, SimTime::as_ps);
-        let certified =
-            horizon_ps(min_of(&self.ctl.pub_floor_ps), self.ctl.lookahead_ps).min(cap_ps);
-        for (d, clock) in self.ctl.spec_clock_ps.iter().enumerate() {
-            let clock = clock.load(Ordering::Acquire);
-            if clock == u64::MAX {
-                continue;
-            }
-            if clock <= certified {
-                self.spec_committed += 1;
-            } else {
-                self.ctl.slots[d].lock().expect("shard poisoned").restore();
-                self.spec_rolled_back += 1;
-            }
-        }
-    }
 }
 
-/// Horizon a shard may advance to given the currently *published*
-/// floors — conservative because published floors are monotone lower
-/// bounds within a region. With `predicted`, each peer's floor is bumped
-/// to what finishing its current level would imply (one past its last
-/// safe horizon, never past its frozen staging floor): the optimistic
-/// bet the barrier validates.
-fn region_horizon<S>(ctl: &Control<S>, predicted: bool) -> u64 {
-    let mut min_floor = u64::MAX;
-    for s in 0..ctl.slots.len() {
-        let mut f = ctl.pub_floor_ps[s].load(Ordering::Acquire);
-        if predicted && f != u64::MAX {
-            let exec = ctl.pub_exec_ps[s].load(Ordering::Acquire);
-            let src = ctl.src_floor_ps[s].load(Ordering::Relaxed);
-            f = f.max(exec.saturating_add(1).min(src));
-        }
-        min_floor = min_floor.min(f);
-    }
-    horizon_ps(min_floor, ctl.lookahead_ps).min(ctl.cap_ps.load(Ordering::Relaxed))
-}
-
-/// Publishes shard `index`'s floor (pending work merged with the frozen
-/// staging floor) and the safe horizon it just reached.
-fn publish_progress<S: EpochWorld>(ctl: &Control<S>, index: usize, shard: &mut S, exec_ps: u64) {
-    let src = ctl.src_floor_ps[index].load(Ordering::Relaxed);
-    let floor = shard
-        .pending_floor()
-        .map_or(u64::MAX, SimTime::as_ps)
-        .min(src);
-    ctl.pub_floor_ps[index].store(floor, Ordering::Release);
-    ctl.pub_exec_ps[index].store(exec_ps, Ordering::Release);
-}
-
-/// One shard's work for one release: the conservative level-0 epoch,
-/// then (with speculation enabled) up to `K` further levels against
-/// peers' published floors, then at most one clock-only speculation.
-/// Shared by the coordinator (shard 0) and the worker loop.
-fn run_region<S: EpochWorld>(ctl: &Control<S>, index: usize, shard: &mut S) -> u64 {
-    let mut h = ctl.horizon_ps.load(Ordering::Relaxed);
-    let mut ran = shard.run_epoch(SimTime::from_ps(h));
-    shard.align_clock(SimTime::from_ps(h));
-    let k = ctl.spec_k.load(Ordering::Relaxed);
-    if k == 0 {
-        return ran;
-    }
-    publish_progress(ctl, index, shard, h);
-    for _ in 0..k {
-        let next = region_horizon(ctl, false);
-        if next == u64::MAX || next <= h {
-            break;
-        }
-        h = next;
-        ran += shard.run_epoch(SimTime::from_ps(h));
-        shard.align_clock(SimTime::from_ps(h));
-        publish_progress(ctl, index, shard, h);
-    }
-    // Out of provable horizon: bet the clock (never an event) on peers
-    // completing their current level. Capped below the next pending
-    // event so a refuted bet needs only a clock rewind to undo.
-    let predicted = region_horizon(ctl, true);
-    let event_cap = shard
-        .next_event_time()
-        .map_or(u64::MAX, |t| t.as_ps().saturating_sub(1));
-    let predicted = predicted.min(event_cap);
-    if predicted != u64::MAX && predicted > h {
-        shard.snapshot();
-        shard.align_clock(SimTime::from_ps(predicted));
-        ctl.spec_clock_ps[index].store(predicted, Ordering::Release);
-    }
+/// One shard's work for one release: run to the published horizon, then
+/// align the clock to it. Shared by the coordinator (shard 0) and the
+/// worker loop.
+fn run_to_horizon<S: EpochWorld>(ctl: &Control<S>, shard: &mut S) -> u64 {
+    let horizon = SimTime::from_ps(ctl.horizon_ps.load(Ordering::Relaxed));
+    let ran = shard.run_epoch(horizon);
+    shard.align_clock(horizon);
     ran
 }
 
@@ -640,7 +432,7 @@ fn worker_loop<S: EpochWorld>(ctl: &Control<S>, index: usize) {
         last = seq;
         let ran = {
             let mut shard = ctl.slots[index].lock().expect("shard poisoned");
-            run_region(ctl, index, &mut shard)
+            run_to_horizon(ctl, &mut shard)
         };
         ctl.ran[worker].store(ran, Ordering::Relaxed);
         ctl.done[worker].store(seq, Ordering::Release);
@@ -710,7 +502,6 @@ mod tests {
     struct Slot {
         world: Trace,
         engine: EventEngine<Trace>,
-        saved: Option<(SimTime, u64)>,
     }
 
     impl EpochWorld for Slot {
@@ -723,18 +514,6 @@ mod tests {
         fn align_clock(&mut self, to: SimTime) {
             self.engine.advance_now_to(to);
         }
-        fn snapshot(&mut self) {
-            self.saved = Some((self.engine.now(), self.engine.events_executed()));
-        }
-        fn restore(&mut self) {
-            let (now, executed) = self.saved.take().expect("restore without snapshot");
-            assert_eq!(
-                executed,
-                self.engine.events_executed(),
-                "clock-only speculation must not have executed events"
-            );
-            self.engine.rewind_now_to(now);
-        }
     }
 
     fn slot(id: usize) -> Slot {
@@ -744,7 +523,6 @@ mod tests {
                 fired: Vec::new(),
             },
             engine: EventEngine::new(),
-            saved: None,
         }
     }
 
@@ -881,10 +659,14 @@ mod tests {
         engine.for_each_shard(|_, s| assert_eq!(s.world.fired.len(), 2));
     }
 
-    /// Drives chained events through an engine at speculation depth `k`
-    /// and returns (fired traces per shard, total events, epochs).
-    fn drive_chains(nshards: usize, k: u32) -> (Vec<Vec<u64>>, u64, u64) {
-        let mut shards: Vec<Slot> = (0..nshards).map(slot).collect();
+    #[test]
+    fn oversubscribed_run_terminates_promptly() {
+        // 16 shards on any host CI offers is oversubscribed; the adaptive
+        // spin thresholds must keep the run from burning its wall budget
+        // busy-waiting. Generous bound — the pre-adaptive ladder could
+        // spin for minutes on a 1-core host.
+        let start = std::time::Instant::now();
+        let mut shards: Vec<Slot> = (0..16).map(slot).collect();
         for (i, s) in shards.iter_mut().enumerate() {
             s.engine.schedule_at(
                 SimTime::from_ns(10 * (i as u64 + 1)),
@@ -895,7 +677,6 @@ mod tests {
             );
         }
         let mut engine = ShardedEngine::new(shards, SimTime::from_ns(5));
-        engine.set_speculation(k);
         let mut total = 0;
         loop {
             let ran = engine.run_epoch();
@@ -904,76 +685,37 @@ mod tests {
             }
             total += ran;
         }
-        let mut fired = Vec::new();
-        engine.for_each_shard(|_, s| fired.push(s.world.fired.clone()));
-        (fired, total, engine.epochs())
-    }
-
-    #[test]
-    fn speculation_is_observationally_invisible() {
-        // Every K must fire the same events in the same per-shard order
-        // as the conservative engine; only epoch batching may differ.
-        let (fired0, total0, _) = drive_chains(3, 0);
-        assert_eq!(total0, 60);
-        for k in 1..=4 {
-            let (fired, total, _) = drive_chains(3, k);
-            assert_eq!(total, total0, "K={k} executed a different event count");
-            assert_eq!(fired, fired0, "K={k} changed the event order");
-        }
-    }
-
-    #[test]
-    fn speculative_levels_cut_barrier_count() {
-        // A single shard chains its own floor level to level, so every
-        // region covers K + 1 conservative epochs' worth of horizon:
-        // strictly fewer barriers for the same work.
-        let (_, total0, epochs0) = drive_chains(1, 0);
-        let (_, total3, epochs3) = drive_chains(1, 3);
-        assert_eq!(total0, total3);
-        assert!(
-            epochs3 < epochs0,
-            "K=3 regions must batch epochs ({epochs3} vs {epochs0})"
-        );
-    }
-
-    #[test]
-    fn single_shard_clock_speculation_commits() {
-        // One shard, events spaced far beyond the lookahead: after the
-        // safe levels drain, the engine bets the clock up to just below
-        // the next event. With exact self-floors the bet always
-        // validates — commits accrue, rollbacks never.
-        let mut shards = vec![slot(0)];
-        shards[0].engine.schedule_at(
-            SimTime::ZERO,
-            Ev::Chain {
-                left: 9,
-                step_ns: 1000,
-            },
-        );
-        let mut engine = ShardedEngine::new(shards, SimTime::from_ns(10));
-        engine.set_speculation(1);
-        while engine.run_epoch() > 0 {}
-        let (committed, rolled_back) = engine.speculation();
-        assert!(committed > 0, "clock speculation never validated");
-        assert_eq!(rolled_back, 0, "exact self-floors cannot be refuted");
-        engine.for_each_shard(|_, s| assert_eq!(s.world.fired.len(), 10));
-    }
-
-    #[test]
-    fn oversubscribed_run_terminates_promptly() {
-        // 16 shards on any host CI offers is oversubscribed; the adaptive
-        // spin thresholds must keep the run from burning its wall budget
-        // busy-waiting. Generous bound — the pre-adaptive ladder could
-        // spin for minutes on a 1-core host.
-        let start = std::time::Instant::now();
-        let (fired, total, _) = drive_chains(16, 2);
         assert_eq!(total, 16 * 20);
-        assert!(fired.iter().all(|f| f.len() == 20));
+        engine.for_each_shard(|_, s| assert_eq!(s.world.fired.len(), 20));
         assert!(
             start.elapsed() < Duration::from_secs(30),
             "oversubscribed run took {:?}",
             start.elapsed()
         );
+    }
+
+    /// A shard whose epoch panics when asked to.
+    struct Faulty(bool);
+
+    impl EpochWorld for Faulty {
+        fn run_epoch(&mut self, _horizon: SimTime) -> u64 {
+            assert!(!self.0, "handler bug");
+            0
+        }
+        fn next_event_time(&mut self) -> Option<SimTime> {
+            Some(SimTime::ZERO)
+        }
+        fn align_clock(&mut self, _to: SimTime) {}
+    }
+
+    #[test]
+    #[should_panic(expected = "shard worker 1 panicked")]
+    fn worker_panic_fails_the_epoch_instead_of_hanging() {
+        // The second shard unwinds on its pool thread and never
+        // acknowledges; the coordinator must notice and fail, and the
+        // engine's `Drop` (run by this unwind) must still join cleanly.
+        let mut engine = ShardedEngine::new(vec![Faulty(false), Faulty(true)], SimTime::from_ns(1));
+        engine.run_epoch();
     }
 
     #[test]
