@@ -145,11 +145,6 @@ impl KvDirectory {
     pub fn node_bytes(&self, node: usize) -> u64 {
         self.node_bytes[node]
     }
-
-    /// The fullest node's value footprint (always `<= segment_len`).
-    pub fn max_node_bytes(&self) -> u64 {
-        self.node_bytes.iter().copied().max().unwrap_or(0)
-    }
 }
 
 /// Writes `key`'s deterministic value image into `buf`: the key as an
@@ -199,7 +194,6 @@ mod tests {
                 "key {k} overflows its segment: {p:?}"
             );
         }
-        assert!(dir.max_node_bytes() <= seg);
     }
 
     #[test]

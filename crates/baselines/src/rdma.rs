@@ -111,12 +111,6 @@ impl RdmaFabric {
     pub fn iops(&self, qps: usize) -> f64 {
         (self.ops_per_sec_per_qp * qps as u64) as f64
     }
-
-    /// Total PCIe crossings per one-sided read — the structural overhead
-    /// soNUMA eliminates (used by the Table 2 commentary).
-    pub fn pcie_crossings_per_read(&self) -> u32 {
-        3 // doorbell, WQE fetch, payload delivery (+ completion piggybacks)
-    }
 }
 
 impl crate::backend::LinkModel for RdmaFabric {

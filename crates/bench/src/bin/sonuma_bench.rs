@@ -189,6 +189,13 @@ fn diff_runs_cmd(args: Vec<String>) -> ExitCode {
         (Ok(a), Ok(b)) => (a, b),
         (Err(c), _) | (_, Err(c)) => return c,
     };
+    // Two error documents are trivially "equivalent": compare reports only.
+    for (path, doc) in [(a_path, &a), (b_path, &b)] {
+        if let Err(e) = validate_report(doc) {
+            eprintln!("{path} is not a scenario report: {e}");
+            return ExitCode::from(2);
+        }
+    }
     let diffs = equivalence_diff(&a, &b);
     if diffs.is_empty() {
         println!("{a_path} and {b_path} are simulation-equivalent (wall/shard fields ignored)");
@@ -402,10 +409,15 @@ fn scenario_cmd(args: Vec<String>) -> ExitCode {
             }
             "--baseline" => baseline = Some(PathBuf::from(value("--baseline"))),
             "--max-regress" => {
-                max_regress = value("--max-regress").parse().unwrap_or_else(|_| {
-                    eprintln!("--max-regress needs a fraction like 0.20");
-                    std::process::exit(2);
-                });
+                // NaN, infinity or a negative budget would disarm every
+                // wall-clock comparison of the gate.
+                let parsed = value("--max-regress").parse().ok();
+                max_regress = parsed
+                    .filter(|f| (0.0..1.0).contains(f))
+                    .unwrap_or_else(|| {
+                        eprintln!("--max-regress needs a fraction in [0, 1) like 0.20");
+                        std::process::exit(2);
+                    });
             }
             "--list" => {
                 for spec in canned_specs() {

@@ -4,6 +4,7 @@
 
 use sonuma_core::{PipelineStats, SloClass};
 use sonuma_sim::stats::LatencyHistogram;
+use sonuma_sim::SimTime;
 
 use super::drive::{BackendRun, FabricSummary, FaultOutcome, KvOutcome, ScenarioResult};
 use super::REPORT_SCHEMA;
@@ -26,34 +27,26 @@ fn stats_json(stats: &PipelineStats) -> Json {
     )
 }
 
-/// Latency members of a tenant/class histogram, in report order.
-fn latency_json(hist: &LatencyHistogram) -> Vec<(String, Json)> {
-    vec![
-        (
-            "lat_p50_ns".to_string(),
-            Json::Num(hist.percentile(0.50).as_ns_f64()),
-        ),
-        (
-            "lat_p99_ns".to_string(),
-            Json::Num(hist.percentile(0.99).as_ns_f64()),
-        ),
-        (
-            "lat_p999_ns".to_string(),
-            Json::Num(hist.percentile(0.999).as_ns_f64()),
-        ),
-        (
-            "lat_mean_ns".to_string(),
-            Json::Num(hist.mean().as_ns_f64()),
-        ),
-    ]
+/// The `{prefix}_p50_ns` .. `{prefix}_mean_ns` members of a histogram,
+/// in report order (`p999` only where the report carries it).
+fn latency_json(prefix: &str, hist: &LatencyHistogram, p999: bool) -> Vec<(String, Json)> {
+    let ns = |t: SimTime| Json::Num(t.as_ns_f64());
+    let mut members = vec![
+        (format!("{prefix}_p50_ns"), ns(hist.percentile(0.50))),
+        (format!("{prefix}_p99_ns"), ns(hist.percentile(0.99))),
+    ];
+    if p999 {
+        members.push((format!("{prefix}_p999_ns"), ns(hist.percentile(0.999))));
+    }
+    members.push((format!("{prefix}_mean_ns"), ns(hist.mean())));
+    members
 }
 
-/// The `per_tenant` report section: achieved-vs-offered fairness (Jain's
-/// index over each tenant's delivered fraction), per-SLO-class latency
-/// aggregates, and the full per-tenant table.
-fn per_tenant_json(run: &BackendRun) -> Json {
-    let jain = run.jain_fairness();
-    let mut classes = Vec::new();
+/// One row per SLO class the run has tenants of: tenant count, offered
+/// and completed operations (with their ratio, for the `kv` section's
+/// gates) and the class's latency members.
+fn class_rows(run: &BackendRun, achieved: bool) -> Vec<Json> {
+    let mut rows = Vec::new();
     for class in [SloClass::Gold, SloClass::Silver, SloClass::Bronze] {
         let Some(hist) = run.class_histogram(class) else {
             continue;
@@ -70,9 +63,26 @@ fn per_tenant_json(run: &BackendRun) -> Json {
             ("offered_ops".to_string(), Json::Num(offered as f64)),
             ("ops".to_string(), Json::Num(ops as f64)),
         ];
-        members.extend(latency_json(&hist));
-        classes.push(Json::Obj(members));
+        if achieved {
+            let fraction = if offered > 0 {
+                ops as f64 / offered as f64
+            } else {
+                0.0
+            };
+            members.push(("achieved_fraction".to_string(), Json::Num(fraction)));
+        }
+        members.extend(latency_json("lat", &hist, true));
+        rows.push(Json::Obj(members));
     }
+    rows
+}
+
+/// The `per_tenant` report section: achieved-vs-offered fairness (Jain's
+/// index over each tenant's delivered fraction), per-SLO-class latency
+/// aggregates, and the full per-tenant table.
+fn per_tenant_json(run: &BackendRun) -> Json {
+    let jain = run.jain_fairness();
+    let classes = class_rows(run, false);
     let tenants = run
         .tenants
         .iter()
@@ -87,7 +97,7 @@ fn per_tenant_json(run: &BackendRun) -> Json {
                 ("ops".to_string(), Json::Num(t.ops as f64)),
                 ("errors".to_string(), Json::Num(t.errors as f64)),
             ];
-            members.extend(latency_json(&t.hist));
+            members.extend(latency_json("lat", &t.hist, true));
             Json::Obj(members)
         })
         .collect();
@@ -224,69 +234,21 @@ fn kv_json(run: &BackendRun, kv: &KvOutcome) -> Json {
         .classes
         .iter()
         .map(|c| {
-            Json::Obj(vec![
+            let mut members = vec![
                 ("bytes".to_string(), Json::Num(c.bytes as f64)),
                 ("lines".to_string(), Json::Num(c.bytes.div_ceil(64) as f64)),
                 ("keys".to_string(), Json::Num(c.keys as f64)),
                 ("gets".to_string(), Json::Num(c.gets as f64)),
                 ("puts".to_string(), Json::Num(c.puts as f64)),
-                (
-                    "get_p50_ns".to_string(),
-                    Json::Num(c.get_hist.percentile(0.50).as_ns_f64()),
-                ),
-                (
-                    "get_p99_ns".to_string(),
-                    Json::Num(c.get_hist.percentile(0.99).as_ns_f64()),
-                ),
-                (
-                    "get_mean_ns".to_string(),
-                    Json::Num(c.get_hist.mean().as_ns_f64()),
-                ),
-                (
-                    "put_p50_ns".to_string(),
-                    Json::Num(c.put_hist.percentile(0.50).as_ns_f64()),
-                ),
-                (
-                    "put_p99_ns".to_string(),
-                    Json::Num(c.put_hist.percentile(0.99).as_ns_f64()),
-                ),
-                (
-                    "put_mean_ns".to_string(),
-                    Json::Num(c.put_hist.mean().as_ns_f64()),
-                ),
-            ])
+            ];
+            members.extend(latency_json("get", &c.get_hist, false));
+            members.extend(latency_json("put", &c.put_hist, false));
+            Json::Obj(members)
         })
         .collect();
     // Per-SLO-class rows: the tenant-visible (GET+PUT) tail and the
     // achieved-vs-offered throughput the gold/silver/bronze gates read.
-    let mut slo = Vec::new();
-    for class in [SloClass::Gold, SloClass::Silver, SloClass::Bronze] {
-        let Some(hist) = run.class_histogram(class) else {
-            continue;
-        };
-        let (mut count, mut offered, mut ops) = (0u64, 0u64, 0u64);
-        for t in run.tenants.iter().filter(|t| t.class == class) {
-            count += 1;
-            offered += t.offered;
-            ops += t.ops;
-        }
-        let mut members = vec![
-            ("class".to_string(), Json::Str(class.as_str().into())),
-            ("tenants".to_string(), Json::Num(count as f64)),
-            ("offered_ops".to_string(), Json::Num(offered as f64)),
-            ("ops".to_string(), Json::Num(ops as f64)),
-            (
-                "achieved_fraction".to_string(),
-                Json::Num(if offered > 0 {
-                    ops as f64 / offered as f64
-                } else {
-                    0.0
-                }),
-            ),
-        ];
-        members.extend(latency_json(&hist));
-        slo.push(Json::Obj(members));
-    }
+    let slo = class_rows(run, true);
     Json::Obj(vec![
         ("keys".to_string(), Json::Num(kv.keys as f64)),
         ("gets".to_string(), Json::Num(kv.gets as f64)),

@@ -776,6 +776,12 @@ impl ScenarioSpec {
                 ));
             }
             if !t.is_empty() {
+                if us_to_sim(t.interval_us) == SimTime::ZERO {
+                    return err(format!(
+                        "trace interval_us = {} is below the 1 ps floor of simulated time",
+                        t.interval_us
+                    ));
+                }
                 for (key, cap) in [
                     ("link_capacity", t.link_capacity),
                     ("node_capacity", t.node_capacity),

@@ -15,7 +15,8 @@ use crate::trafficgen::ArrivalKind;
 
 impl ScenarioSpec {
     /// Renders the spec as flat TOML, the format [`ScenarioSpec::from_toml`]
-    /// reads back (round-trip stable).
+    /// reads back (round-trip stable). No product caller: it is API as the
+    /// round-trip oracle the parser's tests check `from_toml` against.
     pub fn to_toml(&self) -> String {
         let mut out = String::new();
         out.push_str("# sonuma-bench scenario spec\n");

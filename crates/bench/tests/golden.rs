@@ -3,10 +3,15 @@
 //! the KV plane) must keep the 64-bit digest pinned here from the commit
 //! before the three drive loops were folded into one. Only `wall_*`
 //! members are stripped, so every simulated metric, the `sharding`
-//! metadata at one thread and the report layout are all covered.
+//! metadata at one thread and the report layout are all covered. A
+//! fourth spec carries every optional report section at once and pins
+//! its rendered, slimmed and `diff-runs` forms to the commit before the
+//! per-class and latency row renderers were folded into one each.
 
 use sonuma_bench::json::Json;
-use sonuma_bench::scenario::{canned, report, run_spec_once, ScenarioSpec};
+use sonuma_bench::scenario::{
+    canned, equivalence_diff, report, run_spec_once, slim_report, validate_report, ScenarioSpec,
+};
 
 /// A 16-node Poisson tenant run over a 4x4 torus with two links killed
 /// mid-run and two more degraded.
@@ -69,6 +74,44 @@ repeat_prob = 0.3
 seed = 1604
 "#;
 
+/// A 64-node KV service run with two links killed mid-run and the flight
+/// recorder armed: the one shape whose runs carry every optional report
+/// section at once.
+const ALL_SECTIONS: &str = r#"
+name = "golden-all-sections"
+nodes = 64
+topology = "torus3d:4x4x4"
+backend = "sonuma"
+workload = "mixed"
+read_fraction = 0.95
+op_bytes = 4096
+segment_bytes = 524288
+seed = 42
+[tenants]
+count = 512
+scheduler = "strict"
+weights = "tiered"
+[traffic]
+arrival = "bursty"
+rate_per_tenant = 40000
+duration_us = 40
+burst = 16
+[faults]
+killed_links = 2
+kill_at_us = 30
+revive_at_us = 60
+[trace]
+interval_us = 5
+[kv]
+keys = 512
+value_min = 1024
+value_max = 4096
+zipf_key = 1.2
+get_fraction = 0.95
+repeat_prob = 0.4
+seed = 4200
+"#;
+
 fn strip_wall(doc: &Json) -> Json {
     match doc {
         Json::Obj(members) => Json::Obj(
@@ -83,12 +126,15 @@ fn strip_wall(doc: &Json) -> Json {
     }
 }
 
-/// FNV-1a over the wall-stripped rendered report of one single-drive run.
-fn digest(spec: &ScenarioSpec) -> u64 {
-    let text = strip_wall(&report(&[run_spec_once(spec)])).render();
+fn fnv1a(text: &str) -> u64 {
     text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
     })
+}
+
+/// FNV-1a over the wall-stripped rendered report of one single-drive run.
+fn digest(spec: &ScenarioSpec) -> u64 {
+    fnv1a(&strip_wall(&report(&[run_spec_once(spec)])).render())
 }
 
 #[test]
@@ -108,5 +154,45 @@ fn reports_match_the_digests_pinned_before_the_single_drive_loop() {
             spec.name,
             digest(&spec)
         );
+    }
+}
+
+/// Every optional section at once renders, validates, slims and strips
+/// for `diff-runs` to the bytes of the commit before the row renderers
+/// were shared (digests of that build's strings).
+#[test]
+fn a_run_with_every_section_keeps_its_pinned_renderings() {
+    let spec = ScenarioSpec::from_toml(ALL_SECTIONS).expect("golden spec parses");
+    let doc = report(&[run_spec_once(&spec)]);
+    validate_report(&doc).expect("the report validates");
+    let run = &doc.get("scenarios").unwrap().as_arr().unwrap()[0]
+        .get("runs")
+        .unwrap()
+        .as_arr()
+        .unwrap()[0];
+    for section in [
+        "sharding",
+        "per_tenant",
+        "fabric",
+        "faults",
+        "kv",
+        "trace",
+        "pipeline_total",
+        "per_node",
+    ] {
+        assert!(run.get(section).is_some(), "the run has no {section}");
+    }
+    // Against a non-report `equivalence_diff` yields one entry quoting
+    // the whole stripped rendering: the only public view of what
+    // `diff-runs` compares.
+    let stripped = equivalence_diff(&doc, &Json::Null).remove(0);
+    let doc = strip_wall(&doc);
+    for (what, text, pinned) in [
+        ("rendered", doc.render(), 0x663a_d97b_4207_99b1u64),
+        ("slimmed", slim_report(&doc).render(), 0x31d3_f819_f2d8_70dd),
+        ("diff-runs view", stripped, 0x464b_45e6_a55d_e6ac),
+    ] {
+        let digest = fnv1a(&text);
+        assert_eq!(digest, pinned, "{what} bytes moved (0x{digest:016x})");
     }
 }

@@ -159,6 +159,13 @@ fn malformed_specs_are_rejected() {
         Err(SpecError::Invalid(msg)) if msg.contains("removed") => {}
         other => panic!("{gone:?} parsed as {other:?}"),
     }
+    // A trace cadence that truncates to zero picoseconds would arm a
+    // recorder that can never tick.
+    let sub_ps = "name = \"x\"\nnodes = 2\n[trace]\ninterval_us = 0.0000001\n";
+    match ScenarioSpec::from_toml(sub_ps) {
+        Err(SpecError::Invalid(msg)) if msg.contains("1 ps") => {}
+        other => panic!("{sub_ps:?} parsed as {other:?}"),
+    }
     // The same key name in two different tables is not a repeat.
     ScenarioSpec::from_toml("name = \"x\"\nnodes = 2\nseed = 1\n[faults]\nseed = 2\n")
         .expect("one `seed` per table is legal");

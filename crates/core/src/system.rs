@@ -50,14 +50,6 @@ impl SystemBuilder {
         }
     }
 
-    /// Starts from an explicit machine configuration.
-    pub fn from_config(config: MachineConfig) -> Self {
-        SystemBuilder {
-            config,
-            segment_len: 16 << 20,
-        }
-    }
-
     /// Sets the per-node context-segment length (globally readable bytes).
     pub fn segment_len(mut self, len: u64) -> Self {
         self.segment_len = len;
@@ -155,11 +147,6 @@ impl SonumaSystem {
     /// Runs until no events remain.
     pub fn run(&mut self) {
         self.engine.run(&mut self.cluster);
-    }
-
-    /// Runs events up to `horizon` (later events stay queued).
-    pub fn run_until(&mut self, horizon: SimTime) {
-        self.engine.run_until(&mut self.cluster, horizon);
     }
 
     /// Current simulation time.

@@ -540,12 +540,6 @@ impl Fabric {
         (Arrival { time: at, hops }, fate)
     }
 
-    /// Whether this fabric carries a fault plan (even one with only node
-    /// crashes — the cluster layer reads the plan for those).
-    pub fn has_faults(&self) -> bool {
-        self.config.faults.is_some()
-    }
-
     /// Fault-injection counters; all zero when no link faults exist.
     pub fn fault_stats(&self) -> FaultStats {
         self.fault_rt
@@ -833,8 +827,6 @@ mod tests {
             assert_eq!(fate, PacketFate::Delivered);
         }
         assert_eq!(faulty.fault_stats(), FaultStats::default());
-        assert!(faulty.has_faults());
-        assert!(!clean.has_faults());
     }
 
     #[test]

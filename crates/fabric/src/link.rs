@@ -4,16 +4,6 @@ use std::collections::VecDeque;
 
 use sonuma_sim::SimTime;
 
-/// Departure/arrival times computed for one packet on one link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LinkTiming {
-    /// When the packet starts serializing (after bandwidth and credit
-    /// stalls).
-    pub start: SimTime,
-    /// When the packet fully arrives at the far end.
-    pub arrive: SimTime,
-}
-
 /// One virtual lane's credit pool on one directed link.
 ///
 /// Tracks in-flight packets by their drain times. A sender consumes one
@@ -93,7 +83,8 @@ impl VirtualChannel {
         start
     }
 
-    /// Number of credits currently consumed.
+    /// Number of credits currently consumed. API for the tests: the
+    /// lossless-fabric property is `occupancy() <= capacity()` at all times.
     pub fn occupancy(&self) -> usize {
         self.in_flight.len()
     }

@@ -93,11 +93,6 @@ impl<'a> NodeApi<'a> {
         NodeId(self.node as u16)
     }
 
-    /// This core's index within the node.
-    pub fn core_id(&self) -> usize {
-        self.core
-    }
-
     /// Number of nodes in the cluster.
     pub fn num_nodes(&self) -> usize {
         self.cluster.num_nodes()
@@ -133,21 +128,6 @@ impl<'a> NodeApi<'a> {
             .lookup(ctx)
             .expect("context not registered")
             .segment_base
-    }
-
-    /// Length of this node's segment in context `ctx`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the context is not registered.
-    pub fn ctx_len(&self, ctx: CtxId) -> u64 {
-        self.cluster
-            .node(self.node)
-            .rmc
-            .ct
-            .lookup(ctx)
-            .expect("context not registered")
-            .segment_len
     }
 
     /// Allocates pinned local memory (buffers); no time charge (setup path).

@@ -134,9 +134,10 @@ impl SonumaBackend {
         Self::from_sharded(ShardedCluster::new(config, threads), segment_len)
     }
 
-    /// Builds a backend over an explicit node→shard partition (testing
-    /// surface for the partition-equivalence properties; `bounds` as in
-    /// `ShardPlan::from_bounds`).
+    /// Builds a backend over an explicit node→shard partition (`bounds`
+    /// as in `ShardPlan::from_bounds`). No product caller: it is API
+    /// because it is the random-partition equivalence proptests' only way
+    /// in.
     ///
     /// # Panics
     ///

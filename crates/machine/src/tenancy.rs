@@ -79,17 +79,6 @@ pub struct TenantSpec {
     pub slo: SloClass,
 }
 
-impl TenantSpec {
-    /// A weight-1 `Silver` tenant — the shape untagged QPs get.
-    pub fn best_effort(id: TenantId) -> Self {
-        TenantSpec {
-            id,
-            weight: 1,
-            slo: SloClass::Silver,
-        }
-    }
-}
-
 /// Per-tenant counters accumulated by the pipelines and the access
 /// library on one node.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -212,6 +201,15 @@ impl TenantTable {
 mod tests {
     use super::*;
 
+    /// A weight-1 `Silver` tenant.
+    fn best_effort(id: TenantId) -> TenantSpec {
+        TenantSpec {
+            id,
+            weight: 1,
+            slo: SloClass::Silver,
+        }
+    }
+
     #[test]
     fn register_lookup_bind() {
         let mut t = TenantTable::default();
@@ -220,7 +218,7 @@ mod tests {
             weight: 4,
             slo: SloClass::Gold,
         });
-        t.register(TenantSpec::best_effort(TenantId(2)));
+        t.register(best_effort(TenantId(2)));
         assert_eq!(t.len(), 2);
         assert_eq!(t.lookup(TenantId(9)).unwrap().weight, 4);
         assert!(t.lookup(TenantId(5)).is_none());
@@ -234,7 +232,7 @@ mod tests {
     #[test]
     fn reregistration_updates_spec_keeps_stats() {
         let mut t = TenantTable::default();
-        t.register(TenantSpec::best_effort(TenantId(1)));
+        t.register(best_effort(TenantId(1)));
         t.bind_qp(QpId(0), TenantId(1));
         t.note_request(QpId(0));
         t.register(TenantSpec {
@@ -251,8 +249,8 @@ mod tests {
     #[test]
     fn counters_attribute_to_the_bound_tenant() {
         let mut t = TenantTable::default();
-        t.register(TenantSpec::best_effort(TenantId(0)));
-        t.register(TenantSpec::best_effort(TenantId(1)));
+        t.register(best_effort(TenantId(0)));
+        t.register(best_effort(TenantId(1)));
         t.bind_qp(QpId(0), TenantId(0));
         t.bind_qp(QpId(1), TenantId(1));
         t.note_request(QpId(0));

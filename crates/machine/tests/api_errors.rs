@@ -7,7 +7,8 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use sonuma_machine::{
-    ApiError, AppProcess, Cluster, ClusterEngine, MachineConfig, NodeApi, Step, TenantSpec, Wake,
+    ApiError, AppProcess, Cluster, ClusterEngine, MachineConfig, NodeApi, SloClass, Step,
+    TenantSpec, Wake,
 };
 use sonuma_memory::VAddr;
 use sonuma_protocol::{CtxId, NodeId, QpId, TenantId};
@@ -135,7 +136,12 @@ fn wq_full_rejections_attribute_to_the_posting_tenant() {
     let mut cluster = Cluster::new(small_ring_config());
     cluster.create_context(CTX, 1 << 16).unwrap();
     let mut engine = ClusterEngine::new();
-    cluster.register_tenant(NodeId(0), TenantSpec::best_effort(TenantId(7)));
+    let tenant = TenantSpec {
+        id: TenantId(7),
+        weight: 1,
+        slo: SloClass::Silver,
+    };
+    cluster.register_tenant(NodeId(0), tenant);
     let qp = cluster
         .create_tenant_qp(NodeId(0), CTX, 0, TenantId(7))
         .unwrap();

@@ -19,7 +19,6 @@ pub const PAGE_BYTES: u64 = 8192;
 /// let va = VAddr::new(0x2040);
 /// assert_eq!(va.page_number(), 1);
 /// assert_eq!(va.page_offset(), 0x40);
-/// assert_eq!(va.line_offset(), 0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct VAddr(u64);
@@ -47,18 +46,6 @@ impl VAddr {
     #[inline]
     pub const fn page_offset(self) -> u64 {
         self.0 % PAGE_BYTES
-    }
-
-    /// Offset within the cache line.
-    #[inline]
-    pub const fn line_offset(self) -> u64 {
-        self.0 % CACHE_LINE_BYTES
-    }
-
-    /// The address rounded down to its cache line.
-    #[inline]
-    pub const fn line_base(self) -> VAddr {
-        VAddr(self.0 - self.0 % CACHE_LINE_BYTES)
     }
 
     /// This address displaced by `delta` bytes.
@@ -112,22 +99,10 @@ impl PAddr {
         self.0 / PAGE_BYTES
     }
 
-    /// Offset within the frame.
-    #[inline]
-    pub const fn frame_offset(self) -> u64 {
-        self.0 % PAGE_BYTES
-    }
-
     /// Global cache line index (address / 64).
     #[inline]
     pub const fn line_index(self) -> u64 {
         self.0 / CACHE_LINE_BYTES
-    }
-
-    /// The address rounded down to its cache line.
-    #[inline]
-    pub const fn line_base(self) -> PAddr {
-        PAddr(self.0 - self.0 % CACHE_LINE_BYTES)
     }
 
     /// This address displaced by `delta` bytes.
@@ -178,16 +153,6 @@ pub fn split_into_lines(addr: u64, len: u64) -> impl Iterator<Item = (u64, u64, 
     })
 }
 
-/// Number of cache lines touched by the byte range `[addr, addr+len)`.
-pub fn lines_spanned(addr: u64, len: u64) -> u64 {
-    if len == 0 {
-        return 0;
-    }
-    let first = addr / CACHE_LINE_BYTES;
-    let last = (addr + len - 1) / CACHE_LINE_BYTES;
-    last - first + 1
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -197,8 +162,6 @@ mod tests {
         let va = VAddr::new(PAGE_BYTES * 3 + 100);
         assert_eq!(va.page_number(), 3);
         assert_eq!(va.page_offset(), 100);
-        assert_eq!(va.line_offset(), 36);
-        assert_eq!(va.line_base(), VAddr::new(PAGE_BYTES * 3 + 64));
         assert!(va.offset(28).is_aligned(64));
     }
 
@@ -206,9 +169,7 @@ mod tests {
     fn paddr_decomposition() {
         let pa = PAddr::new(PAGE_BYTES + 65);
         assert_eq!(pa.frame_number(), 1);
-        assert_eq!(pa.frame_offset(), 65);
         assert_eq!(pa.line_index(), (PAGE_BYTES + 64) / 64);
-        assert_eq!(pa.line_base().raw(), PAGE_BYTES + 64);
     }
 
     #[test]
@@ -238,12 +199,13 @@ mod tests {
 
     #[test]
     fn lines_spanned_counts() {
-        assert_eq!(lines_spanned(0, 0), 0);
-        assert_eq!(lines_spanned(0, 1), 1);
-        assert_eq!(lines_spanned(0, 64), 1);
-        assert_eq!(lines_spanned(0, 65), 2);
-        assert_eq!(lines_spanned(63, 2), 2);
-        assert_eq!(lines_spanned(64, 8192), 128);
+        let spanned = |addr, len| split_into_lines(addr, len).count();
+        assert_eq!(spanned(0, 0), 0);
+        assert_eq!(spanned(0, 1), 1);
+        assert_eq!(spanned(0, 64), 1);
+        assert_eq!(spanned(0, 65), 2);
+        assert_eq!(spanned(63, 2), 2);
+        assert_eq!(spanned(64, 8192), 128);
     }
 
     #[test]

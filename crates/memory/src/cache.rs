@@ -166,11 +166,6 @@ impl CacheArray {
         }
     }
 
-    /// The cache geometry.
-    pub fn geometry(&self) -> CacheGeometry {
-        self.geom
-    }
-
     /// Lifetime hit count.
     pub fn hits(&self) -> u64 {
         self.hits

@@ -70,8 +70,6 @@ pub struct DramModel {
     bucket_bytes: u64,
     used: BTreeMap<u64, u64>,
     accesses: u64,
-    bytes: u64,
-    stall_ps: u64,
 }
 
 impl DramModel {
@@ -90,8 +88,6 @@ impl DramModel {
             bucket_bytes,
             used: BTreeMap::new(),
             accesses: 0,
-            bytes: 0,
-            stall_ps: 0,
         }
     }
 
@@ -111,7 +107,6 @@ impl DramModel {
     /// spare bandwidth.
     pub fn access(&mut self, now: SimTime, bytes: u64) -> SimTime {
         self.accesses += 1;
-        self.bytes += bytes;
         let mut idx = now.as_ps() / BUCKET.as_ps();
         let mut remaining = bytes;
         let mut last_idx = idx;
@@ -131,7 +126,6 @@ impl DramModel {
         // The transfer effectively completes in the bucket that admitted
         // the final byte.
         let admitted_at = SimTime::from_ps(last_idx * BUCKET.as_ps()).max(now);
-        self.stall_ps += (admitted_at - now).as_ps();
         admitted_at + self.config.access_latency + self.transfer_time(bytes)
     }
 
@@ -139,22 +133,11 @@ impl DramModel {
     pub fn accesses(&self) -> u64 {
         self.accesses
     }
-
-    /// Lifetime bytes moved.
-    pub fn bytes_moved(&self) -> u64 {
-        self.bytes
-    }
-
-    /// Total time requests spent queued behind a saturated bus.
-    pub fn total_stall(&self) -> SimTime {
-        SimTime::from_ps(self.stall_ps)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sonuma_sim::stats::gbytes_per_sec;
 
     #[test]
     fn idle_access_is_latency_plus_transfer() {
@@ -178,7 +161,6 @@ mod tests {
             overflow >= first_batch_done.max(SimTime::from_ns(200)),
             "overflow access must queue into the next bucket"
         );
-        assert!(d.total_stall() > SimTime::ZERO);
     }
 
     #[test]
@@ -189,7 +171,7 @@ mod tests {
         for _ in 0..n {
             done = done.max(d.access(SimTime::ZERO, 64));
         }
-        let gbs = gbytes_per_sec(n * 64, done);
+        let gbs = (n * 64) as f64 / done.as_ns_f64();
         // 12.8 * 0.75 = 9.6 GB/s effective.
         assert!((gbs - 9.6).abs() < 0.3, "streaming bandwidth {gbs} GB/s");
     }
@@ -207,18 +189,17 @@ mod tests {
             early,
             SimTime::from_ns(100) + SimTime::from_ns(60) + d.transfer_time(64)
         );
-        assert_eq!(d.total_stall(), SimTime::ZERO);
     }
 
     #[test]
     fn spaced_accesses_do_not_stall() {
         let mut d = DramModel::new(DramConfig::ddr3_1600());
         let mut now = SimTime::ZERO;
+        let idle = SimTime::from_ns(60) + d.transfer_time(64);
         for _ in 0..100 {
-            d.access(now, 64);
+            assert_eq!(d.access(now, 64), now + idle);
             now += SimTime::from_ns(100); // far slower than the bus
         }
-        assert_eq!(d.total_stall(), SimTime::ZERO);
     }
 
     #[test]
@@ -227,7 +208,6 @@ mod tests {
         d.access(SimTime::ZERO, 64);
         d.access(SimTime::ZERO, 128);
         assert_eq!(d.accesses(), 2);
-        assert_eq!(d.bytes_moved(), 192);
     }
 
     #[test]

@@ -302,13 +302,6 @@ impl MemoryHierarchy {
             }
         }
     }
-
-    /// Latency of an uncontended local DRAM access — the paper's baseline
-    /// "local memory" figure that remote reads are compared against (~60 ns
-    /// device + lookup overheads).
-    pub fn local_dram_latency(&self) -> SimTime {
-        self.config.l1_latency + self.config.l2_latency + self.config.dram.access_latency
-    }
 }
 
 #[cfg(test)]
@@ -407,9 +400,9 @@ mod tests {
 
     #[test]
     fn local_dram_latency_matches_table1_ballpark() {
-        let h = h2();
-        let t = h.local_dram_latency();
+        let c = HierarchyConfig::table1();
         // 1.5 + 3 + 60 = 64.5 ns — the paper's ~60 ns local DRAM figure.
+        let t = c.l1_latency + c.l2_latency + c.dram.access_latency;
         assert_eq!(t, SimTime::from_ps(64_500));
     }
 

@@ -62,11 +62,6 @@ impl FrameAllocator {
         debug_assert!(frame < self.total_frames);
         self.free_list.push(frame);
     }
-
-    /// Frames still available.
-    pub fn available(&self) -> u64 {
-        self.total_frames - self.next_fresh + self.free_list.len() as u64
-    }
 }
 
 /// One context's virtual address space: a page table plus walk cost model.
@@ -80,7 +75,7 @@ impl FrameAllocator {
 /// let mut space = AddressSpace::new(7);
 /// space.map_range(VAddr::new(0x10000), 3 * 8192, &mut alloc).unwrap();
 /// let pa = space.translate(VAddr::new(0x10000 + 100)).unwrap();
-/// assert_eq!(pa.frame_offset(), 100);
+/// assert_eq!(pa.raw() % 8192, 100);
 /// ```
 #[derive(Debug, Clone)]
 pub struct AddressSpace {
@@ -99,9 +94,6 @@ struct Extent {
     first_vpn: u64,
     pfns: Vec<u64>,
 }
-
-/// The `pfn` of an unmapped page inside an extent.
-const HOLE: u64 = u64::MAX;
 
 impl AddressSpace {
     /// Creates an empty address space with identifier `asid`.
@@ -129,30 +121,26 @@ impl AddressSpace {
     fn pfn_of(&self, vpn: u64) -> Option<u64> {
         let below = self.extents.partition_point(|e| e.first_vpn <= vpn);
         let e = &self.extents[below.checked_sub(1)?];
-        let pfn = *e.pfns.get((vpn - e.first_vpn) as usize)?;
-        (pfn != HOLE).then_some(pfn)
+        e.pfns.get((vpn - e.first_vpn) as usize).copied()
     }
 
-    /// The table slot of `vpn`: inside an extent, else one past an
+    /// Records the unmapped `vpn` as backed by `pfn`: one past an
     /// extent's end (the heap growing), else the head of a new extent.
-    fn slot_mut(&mut self, vpn: u64) -> &mut u64 {
+    fn insert(&mut self, vpn: u64, pfn: u64) {
+        debug_assert!(self.pfn_of(vpn).is_none(), "page {vpn} is mapped");
         let at = self.extents.partition_point(|e| e.first_vpn <= vpn);
         if let Some(i) = at.checked_sub(1) {
             let e = &mut self.extents[i];
-            let off = (vpn - e.first_vpn) as usize;
-            if off <= e.pfns.len() {
-                if off == e.pfns.len() {
-                    e.pfns.push(HOLE);
-                }
-                return &mut self.extents[i].pfns[off];
+            if vpn - e.first_vpn == e.pfns.len() as u64 {
+                e.pfns.push(pfn);
+                return;
             }
         }
         let head = Extent {
             first_vpn: vpn,
-            pfns: vec![HOLE],
+            pfns: vec![pfn],
         };
         self.extents.insert(at, head);
-        &mut self.extents[at].pfns[0]
     }
 
     /// Maps `len` bytes starting at page-aligned `base`, allocating frames.
@@ -181,23 +169,10 @@ impl AddressSpace {
         }
         for vpn in first..first + pages {
             let pfn = alloc.alloc()?;
-            *self.slot_mut(vpn) = pfn;
+            self.insert(vpn, pfn);
             self.mapped += 1;
         }
         Ok(())
-    }
-
-    /// Unmaps `len` bytes starting at `base`, returning frames to `alloc`.
-    pub fn unmap_range(&mut self, base: VAddr, len: u64, alloc: &mut FrameAllocator) {
-        let first = base.page_number();
-        let pages = len.div_ceil(PAGE_BYTES);
-        for vpn in first..first + pages {
-            if let Some(pfn) = self.pfn_of(vpn) {
-                alloc.free(pfn);
-                *self.slot_mut(vpn) = HOLE;
-                self.mapped -= 1;
-            }
-        }
     }
 
     /// Translates a virtual address to a physical address.
@@ -229,7 +204,6 @@ mod tests {
     #[test]
     fn allocator_bump_and_free_list() {
         let mut a = FrameAllocator::new(3 * PAGE_BYTES);
-        assert_eq!(a.available(), 3);
         let f0 = a.alloc().unwrap();
         let f1 = a.alloc().unwrap();
         assert_ne!(f0, f1);
@@ -247,8 +221,8 @@ mod tests {
             .unwrap();
         let pa0 = s.translate(VAddr::new(10)).unwrap();
         let pa1 = s.translate(VAddr::new(PAGE_BYTES + 10)).unwrap();
-        assert_eq!(pa0.frame_offset(), 10);
-        assert_eq!(pa1.frame_offset(), 10);
+        assert_eq!(pa0.raw() % PAGE_BYTES, 10);
+        assert_eq!(pa1.raw() % PAGE_BYTES, 10);
         assert_ne!(pa0.frame_number(), pa1.frame_number());
     }
 
@@ -268,26 +242,12 @@ mod tests {
         s.map_range(VAddr::new(PAGE_BYTES * 2), PAGE_BYTES, &mut alloc)
             .unwrap();
         // Overlapping range: refused before allocating anything.
-        let avail_before = alloc.available();
         let err = s
             .map_range(VAddr::new(0), PAGE_BYTES * 4, &mut alloc)
             .unwrap_err();
         assert!(matches!(err, MemError::AlreadyMapped(_)));
-        assert_eq!(alloc.available(), avail_before);
+        assert_eq!(alloc.alloc(), Ok(1), "only the first mapping took a frame");
         assert_eq!(s.mapped_pages(), 1);
-    }
-
-    #[test]
-    fn unmap_returns_frames() {
-        let mut alloc = FrameAllocator::new(4 * PAGE_BYTES);
-        let mut s = AddressSpace::new(1);
-        s.map_range(VAddr::new(0), 4 * PAGE_BYTES, &mut alloc)
-            .unwrap();
-        assert_eq!(alloc.available(), 0);
-        s.unmap_range(VAddr::new(0), 2 * PAGE_BYTES, &mut alloc);
-        assert_eq!(alloc.available(), 2);
-        assert!(s.translate(VAddr::new(0)).is_err());
-        assert!(s.translate(VAddr::new(2 * PAGE_BYTES)).is_ok());
     }
 
     #[test]
@@ -304,43 +264,22 @@ mod tests {
     }
 
     #[test]
-    fn unmap_leaves_a_hole_that_remaps() {
-        let mut alloc = FrameAllocator::new(8 * PAGE_BYTES);
-        let mut s = AddressSpace::new(1);
-        let page = |i: u64| VAddr::new(i * PAGE_BYTES);
-        s.map_range(page(0), 4 * PAGE_BYTES, &mut alloc).unwrap();
-        s.unmap_range(page(1), 2 * PAGE_BYTES, &mut alloc);
-        // Unmapping twice, or past the table, frees nothing more.
-        s.unmap_range(page(1), 9 * PAGE_BYTES, &mut alloc);
-        assert_eq!((s.mapped_pages(), alloc.available()), (1, 7));
-        assert_eq!(s.translate(page(2)), Err(MemError::Unmapped(page(2))));
-        assert_eq!(
-            s.map_range(page(2), 2 * PAGE_BYTES, &mut alloc),
-            Ok(()),
-            "pages 2 and 3 are both holes now"
-        );
-        assert_eq!(
-            s.map_range(page(1), 2 * PAGE_BYTES, &mut alloc),
-            Err(MemError::AlreadyMapped(page(2)))
-        );
-        s.map_range(page(1), PAGE_BYTES, &mut alloc).unwrap();
-        assert_eq!((s.mapped_pages(), s.extents.len()), (4, 1));
-    }
-
-    #[test]
     fn segments_are_sorted_extents_and_the_heap_grows_in_place() {
         let mut alloc = FrameAllocator::new(64 * PAGE_BYTES);
         let mut s = AddressSpace::new(1);
         let page = |i: u64| VAddr::new(i * PAGE_BYTES);
         // A context segment high up, then a heap below it that grows by
-        // consecutive ranges, then a range bridging into the segment.
+        // consecutive ranges, then a range ending where the segment starts.
         s.map_range(page(100), 4 * PAGE_BYTES, &mut alloc).unwrap();
         s.map_range(page(10), 2 * PAGE_BYTES, &mut alloc).unwrap();
         s.map_range(page(12), 3 * PAGE_BYTES, &mut alloc).unwrap();
         assert_eq!(s.extents.len(), 2);
         assert_eq!(s.extents[0].first_vpn, 10);
-        s.unmap_range(page(100), PAGE_BYTES, &mut alloc);
-        s.map_range(page(98), 3 * PAGE_BYTES, &mut alloc).unwrap();
+        s.map_range(page(98), 2 * PAGE_BYTES, &mut alloc).unwrap();
+        assert_eq!(
+            s.map_range(page(99), 2 * PAGE_BYTES, &mut alloc),
+            Err(MemError::AlreadyMapped(page(99)))
+        );
         assert_eq!(s.mapped_pages(), 11);
         let mut frames: Vec<u64> = (10..15)
             .chain(98..104)

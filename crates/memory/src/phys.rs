@@ -131,30 +131,6 @@ impl PhysicalMemory {
         self.write(addr, &value.to_le_bytes());
     }
 
-    /// Reads a little-endian `u32`.
-    pub fn load_u32(&self, addr: PAddr) -> u32 {
-        let mut buf = [0u8; 4];
-        self.read(addr, &mut buf);
-        u32::from_le_bytes(buf)
-    }
-
-    /// Writes a little-endian `u32`.
-    pub fn store_u32(&mut self, addr: PAddr, value: u32) {
-        self.write(addr, &value.to_le_bytes());
-    }
-
-    /// Reads one byte.
-    pub fn load_u8(&self, addr: PAddr) -> u8 {
-        let mut buf = [0u8; 1];
-        self.read(addr, &mut buf);
-        buf[0]
-    }
-
-    /// Writes one byte.
-    pub fn store_u8(&mut self, addr: PAddr, value: u8) {
-        self.write(addr, &[value]);
-    }
-
     /// Atomically adds `delta` to the `u64` at `addr`, returning the value
     /// *before* the add. Backs the RMC's fetch-and-add (§5.2): atomicity is
     /// provided by the destination node's coherence hierarchy, which the
@@ -192,13 +168,13 @@ mod tests {
     #[test]
     fn only_written_frames_are_resident() {
         let mut mem = PhysicalMemory::new(1 << 20);
-        mem.store_u8(PAddr::new(5 * PAGE_BYTES + 1), 9);
-        mem.store_u8(PAddr::new(5 * PAGE_BYTES), 1);
+        mem.store_u64(PAddr::new(5 * PAGE_BYTES + 8), 9);
+        mem.store_u64(PAddr::new(5 * PAGE_BYTES), 1);
         assert_eq!(mem.resident_frames(), 1);
         // A gap below the written frame and a frame past the table.
-        assert_eq!(mem.load_u8(PAddr::new(2 * PAGE_BYTES)), 0);
-        assert_eq!(mem.load_u8(PAddr::new(9 * PAGE_BYTES)), 0);
-        assert_eq!(mem.load_u8(PAddr::new(5 * PAGE_BYTES + 1)), 9);
+        assert_eq!(mem.load_u64(PAddr::new(2 * PAGE_BYTES)), 0);
+        assert_eq!(mem.load_u64(PAddr::new(9 * PAGE_BYTES)), 0);
+        assert_eq!(mem.load_u64(PAddr::new(5 * PAGE_BYTES + 8)), 9);
         assert_eq!(mem.resident_frames(), 1);
     }
 
@@ -229,10 +205,6 @@ mod tests {
         let mut mem = PhysicalMemory::new(1 << 20);
         mem.store_u64(PAddr::new(8), u64::MAX - 1);
         assert_eq!(mem.load_u64(PAddr::new(8)), u64::MAX - 1);
-        mem.store_u32(PAddr::new(16), 0xABCD);
-        assert_eq!(mem.load_u32(PAddr::new(16)), 0xABCD);
-        mem.store_u8(PAddr::new(20), 7);
-        assert_eq!(mem.load_u8(PAddr::new(20)), 7);
     }
 
     #[test]

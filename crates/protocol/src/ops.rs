@@ -51,14 +51,6 @@ impl RemoteOp {
         }
     }
 
-    /// Whether the *request* packet carries a data payload.
-    pub fn request_carries_payload(self) -> bool {
-        matches!(
-            self,
-            RemoteOp::Write | RemoteOp::FetchAdd | RemoteOp::CompSwap | RemoteOp::Interrupt
-        )
-    }
-
     /// Whether the *reply* packet carries a data payload.
     pub fn reply_carries_payload(self) -> bool {
         matches!(
@@ -179,12 +171,9 @@ mod tests {
 
     #[test]
     fn payload_direction() {
-        assert!(!RemoteOp::Read.request_carries_payload());
         assert!(RemoteOp::Read.reply_carries_payload());
-        assert!(RemoteOp::Write.request_carries_payload());
         assert!(!RemoteOp::Write.reply_carries_payload());
-        // Atomics carry operands out and old values back.
-        assert!(RemoteOp::FetchAdd.request_carries_payload());
+        // Atomics carry old values back.
         assert!(RemoteOp::FetchAdd.reply_carries_payload());
     }
 
@@ -199,7 +188,6 @@ mod tests {
 
     #[test]
     fn interrupt_payload_direction() {
-        assert!(RemoteOp::Interrupt.request_carries_payload());
         assert!(!RemoteOp::Interrupt.reply_carries_payload());
     }
 

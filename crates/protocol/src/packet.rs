@@ -108,25 +108,6 @@ impl Packet {
         }
     }
 
-    /// Builds a request packet carrying one line of data (remote write,
-    /// atomic operands).
-    #[allow(clippy::too_many_arguments)]
-    pub fn request_with_payload(
-        dst: NodeId,
-        src: NodeId,
-        ctx: CtxId,
-        tid: Tid,
-        op: RemoteOp,
-        offset: u64,
-        line_seq: u32,
-        payload: [u8; CACHE_LINE_BYTES],
-    ) -> Self {
-        Packet {
-            payload: Some(payload),
-            ..Packet::request(dst, src, ctx, tid, op, offset, line_seq)
-        }
-    }
-
     /// Builds the reply to `req` (swapped direction, echoed tid/line_seq).
     pub fn reply_to(req: &Packet, status: Status, payload: Option<[u8; CACHE_LINE_BYTES]>) -> Self {
         debug_assert_eq!(req.kind, PacketKind::Request);
@@ -326,16 +307,18 @@ mod tests {
         for (i, b) in payload.iter_mut().enumerate() {
             *b = i as u8;
         }
-        let p = Packet::request_with_payload(
-            NodeId(1),
-            NodeId(0),
-            CtxId(9),
-            Tid(1),
-            RemoteOp::Write,
-            64,
-            0,
-            payload,
-        );
+        let p = Packet {
+            payload: Some(payload),
+            ..Packet::request(
+                NodeId(1),
+                NodeId(0),
+                CtxId(9),
+                Tid(1),
+                RemoteOp::Write,
+                64,
+                0,
+            )
+        };
         let bytes = p.encode();
         assert_eq!(bytes.len(), MAX_PACKET_BYTES);
         assert_eq!(Packet::decode(&bytes), Some(p));
@@ -385,16 +368,18 @@ mod tests {
         bytes.push(0); // header-only packet with a trailing byte
         assert_eq!(Packet::decode(&bytes), None);
 
-        let mut with_payload = Packet::request_with_payload(
-            NodeId(0),
-            NodeId(1),
-            CtxId(0),
-            Tid(0),
-            RemoteOp::Write,
-            0,
-            0,
-            [0; 64],
-        )
+        let mut with_payload = Packet {
+            payload: Some([0; 64]),
+            ..Packet::request(
+                NodeId(0),
+                NodeId(1),
+                CtxId(0),
+                Tid(0),
+                RemoteOp::Write,
+                0,
+                0,
+            )
+        }
         .encode();
         with_payload.truncate(50);
         assert_eq!(Packet::decode(&with_payload), None);

@@ -118,11 +118,6 @@ impl ContextTable {
             .ok_or(Status::BadContext)
     }
 
-    /// Removes a context (driver teardown).
-    pub fn unregister(&mut self, ctx: CtxId) -> Option<ContextEntry> {
-        self.entries.get_mut(ctx.index()).and_then(|e| e.take())
-    }
-
     /// Number of registered contexts.
     pub fn len(&self) -> usize {
         self.entries.iter().filter(|e| e.is_some()).count()
@@ -239,15 +234,6 @@ mod tests {
         assert_eq!(e.resolve(4097, 0), Err(Status::OutOfBounds));
         // Overflow-safe.
         assert_eq!(e.resolve(u64::MAX, 2), Err(Status::OutOfBounds));
-    }
-
-    #[test]
-    fn unregister_removes() {
-        let mut ct = ContextTable::new();
-        ct.register(CtxId(1), entry(0, 64));
-        assert!(ct.unregister(CtxId(1)).is_some());
-        assert_eq!(ct.lookup(CtxId(1)), Err(Status::BadContext));
-        assert!(ct.unregister(CtxId(1)).is_none());
     }
 
     #[test]

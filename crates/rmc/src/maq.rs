@@ -104,11 +104,6 @@ impl Maq {
     pub fn queued(&self) -> u64 {
         self.queued
     }
-
-    /// Number of slots busy at time `t`.
-    pub fn busy_at(&self, t: SimTime) -> usize {
-        self.slots.iter().filter(|&&s| s > t).count()
-    }
 }
 
 #[cfg(test)]
@@ -122,7 +117,6 @@ mod tests {
         for _ in 0..4 {
             assert_eq!(maq.acquire(SimTime::ZERO, d), SimTime::ZERO);
         }
-        assert_eq!(maq.busy_at(SimTime::from_ns(50)), 4);
         // Fifth queues behind the earliest slot.
         assert_eq!(maq.acquire(SimTime::ZERO, d), SimTime::from_ns(100));
         assert_eq!(maq.queued(), 1);

@@ -1,6 +1,6 @@
-//! Schedule/dispatch throughput: the typed `EventEngine` (one-lane:
-//! a binary heap of 16-byte keys over a slab) versus the legacy
-//! boxed-closure `Engine`, at 1k / 100k / 1M queued events.
+//! Schedule/dispatch throughput of the typed `EventEngine` (one-lane:
+//! a binary heap of 16-byte keys over a slab) at 1k / 100k / 1M queued
+//! events.
 //!
 //! Each benchmark schedules N events at pseudorandom times (xorshift over
 //! a 50 µs-per-1k-events window, so queue density is comparable across
@@ -24,14 +24,12 @@
 //! 2-core sandbox, min of 5, both trees in one session on one host):
 //!
 //! * `engine/typed` 1k 81 → 60 µs, **100k 10.4 → 15.7 ms**, 1M 197 →
-//!   366 ms; against `engine/boxed` that is 1.4× / **1.4×** / 1.5× (it
-//!   was 1.0× / 2.1× / 2.4×). A binary heap loses to a calendar queue
-//!   once one lane holds many thousands of pending events, which no
-//!   production world does: the one-lane engine's users are two-node
-//!   anchor systems, the baselines and PageRank on at most 16 nodes, and
-//!   none of `paper-anchors`, Fig. 9 or `kv512`'s RDMA/TCP runs got
-//!   slower (DESIGN.md, "The typed event engine"). The earlier "≥ 2× at
-//!   100k" bar is retired with the shape it measured.
+//!   366 ms. A binary heap loses to a calendar queue once one lane holds
+//!   many thousands of pending events, which no production world does:
+//!   the one-lane engine's users are two-node anchor systems, the
+//!   baselines and PageRank on at most 16 nodes, and none of
+//!   `paper-anchors`, Fig. 9 or `kv512`'s RDMA/TCP runs got slower
+//!   (DESIGN.md, "The typed event engine").
 //! * `window`, ns per event, multi-lane vs one-lane: 33 vs 83 at
 //!   5,632 × 512, 20 vs 54 at 768 × 512, 20 vs 20 at 11 × 11 — a ratio
 //!   of 0.4 / 0.4 / 1.0. The parent's lane-major window (drain the
@@ -41,7 +39,7 @@
 //!   cheap as the time-major window was, and 2–5× cheaper than it was.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use sonuma_sim::{Engine, EventEngine, SimTime, World};
+use sonuma_sim::{EventEngine, SimTime, World};
 
 /// The typed world: accumulates event payloads.
 struct Count {
@@ -50,9 +48,7 @@ struct Count {
 }
 
 /// Events carry a payload, exactly like the machine's `ClusterEvent`
-/// variants carry node/core/packet state — which is also what forces the
-/// boxed engine below to really allocate (a captureless closure would be
-/// zero-sized and `Box::new` would never touch the heap).
+/// variants carry node/core/packet state.
 enum Tick {
     Hit(u64),
 }
@@ -85,21 +81,6 @@ fn typed_run(n: u64) -> u64 {
     engine.run(&mut world);
     assert_eq!(world.hits, n);
     world.sum
-}
-
-fn boxed_run(n: u64) -> u64 {
-    let mut engine: Engine<(u64, u64)> = Engine::new();
-    let mut world = (0u64, 0u64); // (hits, sum)
-    let mut seed = 0x9E37_79B9_7F4A_7C15u64;
-    for id in 0..n {
-        engine.schedule_at(time_of(&mut seed, n), move |w: &mut (u64, u64), _| {
-            w.0 += 1;
-            w.1 = w.1.wrapping_add(id);
-        });
-    }
-    engine.run(&mut world);
-    assert_eq!(world.0, n);
-    world.1
 }
 
 /// The window world: every event re-arms itself one window later in its
@@ -167,7 +148,6 @@ fn bench_engines(c: &mut Criterion) {
     group.sample_size(5);
     for n in [1_000u64, 100_000, 1_000_000] {
         group.bench_function(&format!("typed/{n}"), |b| b.iter(|| typed_run(n)));
-        group.bench_function(&format!("boxed/{n}"), |b| b.iter(|| boxed_run(n)));
     }
     group.finish();
 }

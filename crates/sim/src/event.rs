@@ -1,9 +1,9 @@
 //! The typed event engine and its per-lane event store.
 //!
-//! [`EventEngine`] is the allocation-free successor of the boxed-closure
-//! [`crate::Engine`]: instead of heap-allocating a `Box<dyn FnOnce>` per
-//! event, the world declares a plain `enum` of everything that can happen
-//! ([`World::Event`]) and dispatches it in [`World::handle`].
+//! [`EventEngine`] is allocation-free on its hot path: instead of
+//! heap-allocating a `Box<dyn FnOnce>` per event, the world declares a
+//! plain `enum` of everything that can happen ([`World::Event`]) and
+//! dispatches it in [`World::handle`].
 //!
 //! Events are stored *per lane*. A lane is a set of events that only ever
 //! schedule into themselves — a node of the machine — and it owns
@@ -281,11 +281,6 @@ type LaneOf<E> = Box<dyn Fn(&E) -> u32 + Send>;
 /// allocation once a lane has warmed up. Within a lane, events at equal
 /// timestamps run in the order they were scheduled, making runs
 /// bit-reproducible.
-///
-/// The driving API (`schedule_at`/`schedule_in`/`run`/`run_until`/
-/// `run_steps`/`now`/`events_executed`/`pending`) matches the legacy
-/// boxed-closure [`crate::Engine`] so worlds migrate by swapping closures
-/// for event variants.
 pub struct EventEngine<W: World> {
     lanes: Vec<Lane<W::Event>>,
     /// `None` on the one-lane engine: every event is lane 0's.
@@ -630,7 +625,7 @@ mod tests {
         // One far event keeps the lane from ever draining, so every round
         // has to reuse freed slots: the slab must not grow beyond the peak
         // number of simultaneously pending events.
-        e.schedule_at(SimTime::from_ms(1), TraceEvent::Mark(0));
+        e.schedule_at(SimTime::from_us(1_000), TraceEvent::Mark(0));
         for round in 0..100u64 {
             for i in 0..8u64 {
                 e.schedule_in(SimTime::from_ns(i + 1), TraceEvent::Mark(round as u32));
@@ -675,7 +670,7 @@ mod tests {
         let mut e = EventEngine::new();
         let mut w = TraceWorld::default();
         e.schedule_at(SimTime::from_ns(1), TraceEvent::Mark(1));
-        e.schedule_at(SimTime::from_ms(10_000), TraceEvent::Mark(2));
+        e.schedule_at(SimTime::from_us(10_000_000), TraceEvent::Mark(2));
         e.schedule_at(SimTime::from_ps(u64::MAX / 2), TraceEvent::Mark(3));
         e.run(&mut w);
         let ids: Vec<u32> = w.trace.iter().map(|&(_, id)| id).collect();
@@ -725,7 +720,7 @@ mod tests {
                         // now is far from zero; schedule something only
                         // slightly in the future plus something far out.
                         engine.schedule_in(SimTime::from_ps(1), Ev::Mark(1));
-                        engine.schedule_in(SimTime::from_ms(5), Ev::Mark(2));
+                        engine.schedule_in(SimTime::from_us(5_000), Ev::Mark(2));
                     }
                     Ev::Mark(id) => self.order.push(id),
                 }
@@ -733,7 +728,7 @@ mod tests {
         }
         let mut e = EventEngine::new();
         let mut w = Rewinder { order: Vec::new() };
-        e.schedule_at(SimTime::from_ms(100), Ev::Seed);
+        e.schedule_at(SimTime::from_us(100_000), Ev::Seed);
         e.run(&mut w);
         assert_eq!(w.order, vec![1, 2]);
     }

@@ -22,18 +22,13 @@
 //!   [`LaneIndex`] is the "which lanes hold work, and what is the
 //!   earliest" bookkeeping behind it, shared with the machine's per-node
 //!   outboxes.
-//! * [`Engine`] is the legacy boxed-closure engine (one `Box<dyn FnOnce>`
-//!   heap allocation per event). It is kept as the reference
-//!   implementation and as the comparison baseline for the
-//!   `benches/engine.rs` micro-benchmark; new worlds should implement
-//!   [`World`] instead.
 //! * [`ShardedEngine`] runs many [`EpochWorld`] shards — each its own
 //!   world plus engine — in lookahead-bounded conservative epochs on a
 //!   pool of worker threads, with partition-invariant epoch boundaries
 //!   so sharded runs stay bit-deterministic (see [`sharded`]).
 //! * [`rng::DetRng`] wraps a seeded PRNG so every stochastic decision is
-//!   reproducible, and [`stats`] provides the counters and histograms used
-//!   by the measurement harnesses.
+//!   reproducible, and [`stats`] provides the histograms and rate helpers
+//!   used by the measurement harnesses.
 //!
 //! # Example
 //!
@@ -59,14 +54,12 @@
 //! assert_eq!(engine.now(), SimTime::from_ns(10));
 //! ```
 
-pub mod engine;
 pub mod event;
 pub mod rng;
 pub mod sharded;
 pub mod stats;
 pub mod time;
 
-pub use engine::Engine;
 pub use event::{EventEngine, LaneIndex, World, RELEASE_ABOVE};
 pub use rng::DetRng;
 pub use sharded::{EpochWorld, ShardedEngine};

@@ -17,7 +17,7 @@ use rand::{Rng, SeedableRng};
 ///
 /// let mut a = DetRng::seed(42);
 /// let mut b = DetRng::seed(42);
-/// assert_eq!(a.next_u64(), b.next_u64());
+/// assert_eq!(a.below(u64::MAX), b.below(u64::MAX));
 /// ```
 #[derive(Debug, Clone)]
 pub struct DetRng(SmallRng);
@@ -33,11 +33,6 @@ impl DetRng {
     pub fn fork(&mut self, stream: u64) -> Self {
         let base: u64 = self.0.gen();
         DetRng::seed(base ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-    }
-
-    /// Next uniform `u64`.
-    pub fn next_u64(&mut self) -> u64 {
-        self.0.gen()
     }
 
     /// Uniform value in `[0, bound)`.
@@ -88,7 +83,7 @@ mod tests {
         let mut a = DetRng::seed(7);
         let mut b = DetRng::seed(7);
         for _ in 0..100 {
-            assert_eq!(a.next_u64(), b.next_u64());
+            assert_eq!(a.below(u64::MAX), b.below(u64::MAX));
         }
     }
 
@@ -96,7 +91,9 @@ mod tests {
     fn different_seeds_differ() {
         let mut a = DetRng::seed(1);
         let mut b = DetRng::seed(2);
-        let same = (0..32).filter(|_| a.next_u64() == b.next_u64()).count();
+        let same = (0..32)
+            .filter(|_| a.below(u64::MAX) == b.below(u64::MAX))
+            .count();
         assert!(same < 4, "streams should be effectively independent");
     }
 
@@ -106,12 +103,12 @@ mod tests {
         let mut parent2 = DetRng::seed(99);
         let mut f1 = parent1.fork(3);
         let mut f2 = parent2.fork(3);
-        assert_eq!(f1.next_u64(), f2.next_u64());
+        assert_eq!(f1.below(u64::MAX), f2.below(u64::MAX));
 
         let mut parent = DetRng::seed(99);
         let mut a = parent.fork(1);
         let mut b = parent.fork(2);
-        assert_ne!(a.next_u64(), b.next_u64());
+        assert_ne!(a.below(u64::MAX), b.below(u64::MAX));
     }
 
     #[test]

@@ -1,149 +1,6 @@
-//! Measurement utilities: counters, online means, and latency histograms.
-
-use std::fmt;
+//! Measurement utilities: latency histograms and rate conversions.
 
 use crate::time::SimTime;
-
-/// A monotonically increasing event counter.
-///
-/// # Example
-///
-/// ```
-/// use sonuma_sim::stats::Counter;
-///
-/// let mut reads = Counter::new("remote_reads");
-/// reads.add(3);
-/// reads.incr();
-/// assert_eq!(reads.value(), 4);
-/// ```
-#[derive(Debug, Clone)]
-pub struct Counter {
-    name: &'static str,
-    value: u64,
-}
-
-impl Counter {
-    /// Creates a zeroed counter with a diagnostic name.
-    pub fn new(name: &'static str) -> Self {
-        Counter { name, value: 0 }
-    }
-
-    /// Adds `n`.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.value += n;
-    }
-
-    /// Adds one.
-    #[inline]
-    pub fn incr(&mut self) {
-        self.value += 1;
-    }
-
-    /// Current value.
-    #[inline]
-    pub fn value(&self) -> u64 {
-        self.value
-    }
-
-    /// Diagnostic name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Resets to zero (e.g. after a warm-up phase).
-    pub fn reset(&mut self) {
-        self.value = 0;
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}={}", self.name, self.value)
-    }
-}
-
-/// Numerically stable online mean/min/max (Welford's algorithm).
-///
-/// # Example
-///
-/// ```
-/// use sonuma_sim::stats::OnlineStats;
-///
-/// let mut s = OnlineStats::new();
-/// for x in [1.0, 2.0, 3.0] { s.record(x); }
-/// assert_eq!(s.count(), 3);
-/// assert!((s.mean() - 2.0).abs() < 1e-12);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct OnlineStats {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl OnlineStats {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        OnlineStats {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, x: f64) {
-        self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sample mean (0 if empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance (0 with fewer than two samples).
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest sample (`None` if empty).
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Largest sample (`None` if empty).
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
-}
 
 /// A log-scaled latency histogram with exact recording of simulated times.
 ///
@@ -282,11 +139,6 @@ impl LatencyHistogram {
         self.max
     }
 
-    /// Resets all samples (e.g. after warm-up).
-    pub fn reset(&mut self) {
-        *self = LatencyHistogram::new();
-    }
-
     /// Folds `other`'s samples into `self` (bucket-wise: exact for every
     /// statistic this histogram reports). Used to aggregate per-tenant
     /// histograms into per-class distributions.
@@ -322,15 +174,6 @@ pub fn gbps(bytes: u64, elapsed: SimTime) -> f64 {
     (bytes as f64 * 8.0) / secs / 1e9
 }
 
-/// Converts a byte count moved over a duration into GB/s (decimal giga).
-pub fn gbytes_per_sec(bytes: u64, elapsed: SimTime) -> f64 {
-    let secs = elapsed.as_secs_f64();
-    if secs <= 0.0 {
-        return 0.0;
-    }
-    bytes as f64 / secs / 1e9
-}
-
 /// Operations per second over a duration (e.g. IOPS).
 pub fn ops_per_sec(ops: u64, elapsed: SimTime) -> f64 {
     let secs = elapsed.as_secs_f64();
@@ -343,42 +186,6 @@ pub fn ops_per_sec(ops: u64, elapsed: SimTime) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_basics() {
-        let mut c = Counter::new("x");
-        assert_eq!(c.value(), 0);
-        c.incr();
-        c.add(9);
-        assert_eq!(c.value(), 10);
-        c.reset();
-        assert_eq!(c.value(), 0);
-        assert_eq!(c.to_string(), "x=0");
-    }
-
-    #[test]
-    fn online_stats_match_closed_form() {
-        let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        let mut s = OnlineStats::new();
-        for &x in &xs {
-            s.record(x);
-        }
-        assert_eq!(s.count(), 8);
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.variance() - 4.0).abs() < 1e-12);
-        assert!((s.stddev() - 2.0).abs() < 1e-12);
-        assert_eq!(s.min(), Some(2.0));
-        assert_eq!(s.max(), Some(9.0));
-    }
-
-    #[test]
-    fn empty_stats_are_safe() {
-        let s = OnlineStats::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
-        assert_eq!(s.min(), None);
-        assert_eq!(s.max(), None);
-    }
 
     #[test]
     fn histogram_counts_and_mean() {
@@ -485,7 +292,6 @@ mod tests {
     #[test]
     fn rate_helpers() {
         assert!((gbps(1250, SimTime::from_us(1)) - 10.0).abs() < 1e-9);
-        assert!((gbytes_per_sec(9_600, SimTime::from_us(1)) - 9.6).abs() < 1e-9);
         assert!((ops_per_sec(10, SimTime::from_us(1)) - 1e7).abs() < 1e-3);
         assert_eq!(gbps(100, SimTime::ZERO), 0.0);
         assert_eq!(ops_per_sec(100, SimTime::ZERO), 0.0);

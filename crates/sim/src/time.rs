@@ -46,12 +46,6 @@ impl SimTime {
         SimTime(us * 1_000_000)
     }
 
-    /// Creates a time from milliseconds.
-    #[inline]
-    pub const fn from_ms(ms: u64) -> Self {
-        SimTime(ms * 1_000_000_000)
-    }
-
     /// Creates a time from a whole number of clock cycles at `hz`.
     ///
     /// Rounds to the nearest picosecond; exact for the 2 GHz clock used
@@ -119,12 +113,6 @@ impl SimTime {
     #[inline]
     pub fn min(self, other: SimTime) -> SimTime {
         SimTime(self.0.min(other.0))
-    }
-
-    /// Whether this is time zero.
-    #[inline]
-    pub const fn is_zero(self) -> bool {
-        self.0 == 0
     }
 }
 
@@ -203,7 +191,6 @@ mod tests {
     fn conversions_are_exact() {
         assert_eq!(SimTime::from_ns(1).as_ps(), 1_000);
         assert_eq!(SimTime::from_us(1).as_ps(), 1_000_000);
-        assert_eq!(SimTime::from_ms(1).as_ps(), 1_000_000_000);
         assert_eq!(SimTime::from_cycles(3, 2_000_000_000).as_ps(), 1_500);
         assert_eq!(SimTime::from_cycles(6, 2_000_000_000).as_ps(), 3_000);
     }
@@ -227,7 +214,7 @@ mod tests {
         assert!((t.as_ns_f64() - 1.5).abs() < 1e-12);
         let t = SimTime::from_us(2);
         assert!((t.as_us_f64() - 2.0).abs() < 1e-12);
-        assert!((SimTime::from_ms(1).as_secs_f64() - 1e-3).abs() < 1e-15);
+        assert!((SimTime::from_us(1_000).as_secs_f64() - 1e-3).abs() < 1e-15);
     }
 
     #[test]
@@ -241,7 +228,7 @@ mod tests {
         assert_eq!(SimTime::ZERO.to_string(), "0ns");
         assert_eq!(SimTime::from_ns(300).to_string(), "300.000ns");
         assert_eq!(SimTime::from_us(2).to_string(), "2.000us");
-        assert_eq!(SimTime::from_ms(5).to_string(), "5ms");
+        assert_eq!(SimTime::from_us(5_000).to_string(), "5ms");
     }
 
     #[test]
@@ -253,6 +240,6 @@ mod tests {
     #[test]
     fn ordering() {
         assert!(SimTime::from_ns(1) < SimTime::from_ns(2));
-        assert!(SimTime::MAX > SimTime::from_ms(1_000_000));
+        assert!(SimTime::MAX > SimTime::from_us(1_000_000_000));
     }
 }

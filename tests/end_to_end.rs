@@ -6,8 +6,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use sonuma::core::{
-    AppProcess, MachineConfig, NodeApi, NodeId, Status, Step, SystemBuilder, VAddr, Wake,
-    DEFAULT_CTX,
+    AppProcess, NodeApi, NodeId, Status, Step, SystemBuilder, VAddr, Wake, DEFAULT_CTX,
 };
 use sonuma::fabric::FabricConfig;
 
@@ -64,9 +63,8 @@ impl AppProcess for RingReader {
 #[test]
 fn all_to_all_reads_over_a_torus() {
     let nodes = 16usize;
-    let mut config = MachineConfig::simulated_hardware(nodes);
-    config.fabric = FabricConfig::torus2d(4, 4);
-    let mut system = SystemBuilder::from_config(config)
+    let mut system = SystemBuilder::simulated_hardware(nodes)
+        .tune(|config| config.fabric = FabricConfig::torus2d(4, 4))
         .segment_len(1 << 20)
         .build();
 
