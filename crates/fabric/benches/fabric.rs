@@ -4,8 +4,13 @@
 //! `route/*` measures pure next-hop arithmetic ([`Topology::route_iter`]
 //! walked to completion over a pseudorandom (src, dst) stream) and
 //! `send/*` the full analytic injection ([`Fabric::send`]: route + dense
-//! link lookup + credits + serialization) on the same stream. Runs
-//! offline through the in-repo criterion shim:
+//! link lookup + credits + serialization) on the same stream. The four
+//! original shapes are at most 64 nodes, so their link state stays in
+//! cache; `torus3d-8x8x8` is the 512-node rack of the `scan512` workload
+//! (~6 hops a packet over 3,072 links), where the per-hop cost is the
+//! cache lines a hop touches. `send_faulty/torus3d-8x8x8` is the same
+//! stream through [`Fabric::send_faulty`] under a plan with two degraded
+//! links. Runs offline through the in-repo criterion shim:
 //!
 //! ```text
 //! cargo bench -p sonuma-fabric --bench fabric
@@ -16,12 +21,12 @@
 //! arithmetic + cache behavior, not allocator health.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use sonuma_fabric::{Fabric, FabricConfig, Topology};
+use sonuma_fabric::{Fabric, FabricConfig, FaultPlan, LinkFault, Topology};
 use sonuma_protocol::NodeId;
 use sonuma_sim::SimTime;
 
-/// The benchmarked topology set: one of each routing family, all at
-/// comparable node counts.
+/// The benchmarked topology set: one of each routing family at
+/// comparable, cache-resident node counts, then the rack-size torus.
 fn topologies() -> Vec<(&'static str, Topology, FabricConfig)> {
     vec![
         (
@@ -45,7 +50,17 @@ fn topologies() -> Vec<(&'static str, Topology, FabricConfig)> {
                 ..FabricConfig::torus2d(8, 8)
             }
         }),
+        rack_torus(),
     ]
+}
+
+/// The 512-node torus of the `scan512` workload.
+fn rack_torus() -> (&'static str, Topology, FabricConfig) {
+    (
+        "torus3d-8x8x8",
+        Topology::torus3d(8, 8, 8),
+        FabricConfig::torus3d(8, 8, 8),
+    )
 }
 
 /// Deterministic (src, dst) pair stream (xorshift64), `src != dst`.
@@ -90,6 +105,23 @@ fn bench_route(c: &mut Criterion) {
     g.finish();
 }
 
+/// Injects the whole pair stream into a fresh fabric, one packet per
+/// nanosecond, alternating lanes; returns the last arrival.
+fn drive(
+    config: &FabricConfig,
+    pairs: &[(NodeId, NodeId)],
+    inject: impl Fn(&mut Fabric, SimTime, NodeId, NodeId, usize, u64) -> SimTime,
+) -> SimTime {
+    let mut fabric = Fabric::new(config.clone());
+    let mut last = SimTime::ZERO;
+    for (i, &(src, dst)) in pairs.iter().enumerate() {
+        let now = SimTime::from_ns(i as u64);
+        last = inject(&mut fabric, now, src, dst, i & 1, i as u64);
+    }
+    assert!(last > SimTime::ZERO);
+    last
+}
+
 fn bench_send(c: &mut Criterion) {
     let mut g = c.benchmark_group("send");
     g.sample_size(10);
@@ -97,19 +129,41 @@ fn bench_send(c: &mut Criterion) {
         let pairs = pair_stream(topo.nodes(), PACKETS);
         g.bench_function(name, |b| {
             b.iter(|| {
-                let mut fabric = Fabric::new(config.clone());
-                let mut last = SimTime::ZERO;
-                for (i, &(src, dst)) in pairs.iter().enumerate() {
-                    let now = SimTime::from_ns(i as u64);
-                    last = fabric.send(now, src, dst, i & 1, 88).time;
-                }
-                assert!(last > SimTime::ZERO);
-                last
+                drive(&config, &pairs, |f, now, src, dst, lane, _| {
+                    f.send(now, src, dst, lane, 88).time
+                })
             })
         });
     }
     g.finish();
 }
 
-criterion_group!(benches, bench_route, bench_send);
+fn bench_send_faulty(c: &mut Criterion) {
+    let mut g = c.benchmark_group("send_faulty");
+    g.sample_size(10);
+    let (name, topo, config) = rack_torus();
+    let mut plan = FaultPlan::new(7);
+    for (src, dst) in [(NodeId(0), NodeId(1)), (NodeId(100), NodeId(108))] {
+        let mut fault = LinkFault::on(src, dst);
+        fault.derate = 2.0;
+        fault.credit_loss = 8;
+        fault.drop_prob = 0.01;
+        plan.links.push(fault);
+    }
+    let config = FabricConfig {
+        faults: Some(plan),
+        ..config
+    };
+    let pairs = pair_stream(topo.nodes(), PACKETS);
+    g.bench_function(name, |b| {
+        b.iter(|| {
+            drive(&config, &pairs, |f, now, src, dst, lane, salt| {
+                f.send_faulty(now, src, dst, lane, 88, salt).0.time
+            })
+        })
+    });
+    g.finish();
+}
+
+criterion_group!(benches, bench_route, bench_send, bench_send_faulty);
 criterion_main!(benches);

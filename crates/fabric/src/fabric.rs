@@ -5,7 +5,7 @@ use sonuma_sim::SimTime;
 
 use crate::config::FabricConfig;
 use crate::fault::{fault_unit, FaultPlan, LinkFault, PacketFate};
-use crate::link::{LinkSerializer, VirtualChannel};
+use crate::link::DirectedLink;
 use crate::topology::{NextHopTable, Topology};
 use crate::VIRTUAL_LANES;
 
@@ -16,14 +16,6 @@ pub struct Arrival {
     pub time: SimTime,
     /// Number of links traversed.
     pub hops: u32,
-}
-
-#[derive(Debug)]
-struct DirectedLink {
-    src: u16,
-    dst: u16,
-    serializer: LinkSerializer,
-    lanes: [VirtualChannel; VIRTUAL_LANES],
 }
 
 /// How `(from, to)` directed-link pairs map into the dense link table —
@@ -67,8 +59,24 @@ impl AdjIndex {
         }
     }
 
+    /// The slot of the link a routed hop `from -> to` leaves on, given the
+    /// output `port` the route walker named (`RouteIter::step`): a multiply
+    /// and an add, where [`AdjIndex::index`] has to rediscover the port by
+    /// dividing both ids down to coordinates.
+    fn hop_slot(self, from: NodeId, to: NodeId, port: u8) -> usize {
+        match self {
+            AdjIndex::Pairs { .. } => self.index(from, to),
+            AdjIndex::Grid { ndims, .. } => {
+                let slot = from.index() * 2 * ndims as usize + port as usize;
+                debug_assert_eq!(slot, self.index(from, to));
+                slot
+            }
+        }
+    }
+
     /// The slot of directed link `from -> to`. `to` must be one hop from
-    /// `from` under the owning topology's routing.
+    /// `from` under the owning topology's routing. The cold form, for
+    /// hops that come without a port (fault plans, avoidance tables).
     fn index(self, from: NodeId, to: NodeId) -> usize {
         match self {
             AdjIndex::Pairs { n } => {
@@ -239,10 +247,13 @@ pub struct FaultStats {
 /// 88-byte MTU), and per-lane credits apply on every hop.
 ///
 /// Hot-path discipline: routes come from the allocation-free
-/// [`Topology::route_iter`], and link state lives in a dense table indexed
-/// by `AdjIndex` arithmetic, so a send does zero hashing and — once a
-/// link's state exists (created boxed on its first packet, with credit
-/// deques pre-sized to the credit pool) — zero heap allocation.
+/// [`Topology::route_iter`] walker, which names each hop's output port, and
+/// link state is one 64-byte header per link in a dense table indexed by
+/// `node × port` arithmetic, with the credit drain times in one flat ring
+/// arena beside it. A hop is an add, a compare and two warm lines: no
+/// hashing, no division, and on a torus or mesh no heap allocation after
+/// [`Fabric::new`] (the crossbar, whose N² slots are mostly never used,
+/// appends a link's state on its first packet).
 ///
 /// # Example
 ///
@@ -260,9 +271,7 @@ pub struct FaultStats {
 pub struct Fabric {
     config: FabricConfig,
     adj: AdjIndex,
-    /// Dense link table, [`AdjIndex`]-indexed. Boxed so an idle slot costs
-    /// one machine word; filled on a link's first packet.
-    links: Vec<Option<Box<DirectedLink>>>,
+    links: LinkTable,
     /// Lazily-built forwarding table (see [`Fabric::next_hops`]).
     next_hops: Option<NextHopTable>,
     /// Compiled link-fault state; `None` whenever the plan (if any) has no
@@ -274,11 +283,96 @@ pub struct Fabric {
     lane_packets: [u64; VIRTUAL_LANES],
 }
 
+/// Dense link storage: headers and credit rings, both found from a link's
+/// index. The two layouts differ only in how a slot finds that index.
+#[derive(Debug)]
+struct LinkTable {
+    /// Grids: one header per [`AdjIndex`] slot, slot-indexed, all built up
+    /// front. Crossbar: one per pair that has carried a packet, in
+    /// first-packet order.
+    links: Vec<DirectedLink>,
+    /// In-flight drain times in picoseconds, `VIRTUAL_LANES ×
+    /// credits_per_lane` words per link at `index × that`. Built with
+    /// `vec![0u64; n]` so the grids' full-size arena is untouched zero
+    /// pages until a link's first packet.
+    rings: Vec<u64>,
+    /// Crossbar only: slot → index + 1 into `links`, 0 until the pair's
+    /// first packet (N² slots, of which a run touches few). Empty on
+    /// grids, where the index is the slot.
+    dense: Vec<u32>,
+}
+
+impl LinkTable {
+    fn new(adj: AdjIndex, config: &FabricConfig) -> LinkTable {
+        let slots = adj.slots(config.topology.nodes());
+        let ring_words = VIRTUAL_LANES * config.credits_per_lane;
+        match adj {
+            AdjIndex::Pairs { .. } => LinkTable {
+                links: Vec::new(),
+                rings: Vec::new(),
+                dense: vec![0u32; slots],
+            },
+            AdjIndex::Grid { .. } => LinkTable {
+                links: vec![DirectedLink::default(); slots],
+                rings: vec![0u64; slots * ring_words],
+                dense: Vec::new(),
+            },
+        }
+    }
+
+    /// The header and ring block of the link in `slot`, for a packet about
+    /// to cross it `from -> to`. The link's first packet fixes its credit
+    /// pool: the configured one less the plan's `credit_loss` for the slot
+    /// (flow-control degradation), never below one credit or the link
+    /// could carry nothing.
+    fn hop(
+        &mut self,
+        slot: usize,
+        from: NodeId,
+        to: NodeId,
+        config: &FabricConfig,
+        rt: Option<&FaultRuntime>,
+    ) -> (&mut DirectedLink, &mut [u64]) {
+        let ring_words = VIRTUAL_LANES * config.credits_per_lane;
+        let index = match self.dense.get_mut(slot) {
+            None => slot,
+            Some(dense) => {
+                if *dense == 0 {
+                    self.links.push(DirectedLink::default());
+                    self.rings.resize(self.links.len() * ring_words, 0);
+                    *dense = u32::try_from(self.links.len()).expect("links fit u32");
+                }
+                *dense as usize - 1
+            }
+        };
+        let link = &mut self.links[index];
+        if !link.in_use() {
+            let lost = rt.map_or(0, |rt| rt.params_at(slot as u32).credit_loss);
+            let credits = config.credits_per_lane.saturating_sub(lost).max(1);
+            link.open(from.0, to.0, credits);
+        }
+        (link, &mut self.rings[index * ring_words..][..ring_words])
+    }
+
+    /// Every link that has carried a packet, in slot order.
+    fn in_use(&self) -> impl Iterator<Item = (usize, &DirectedLink)> {
+        // One slot per header on grids, per `dense` entry on the crossbar.
+        let slots = self.links.len().max(self.dense.len());
+        (0..slots).filter_map(|slot| {
+            let index = match self.dense.get(slot) {
+                None => slot,
+                Some(&dense) => (dense as usize).checked_sub(1)?,
+            };
+            Some((slot, &self.links[index])).filter(|(_, link)| link.in_use())
+        })
+    }
+}
+
 impl std::fmt::Debug for Fabric {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Fabric")
             .field("config", &self.config)
-            .field("links_active", &self.links.iter().flatten().count())
+            .field("links_active", &self.links.in_use().count())
             .field("packets_sent", &self.packets_sent)
             .field("bytes_sent", &self.bytes_sent)
             .finish()
@@ -287,10 +381,15 @@ impl std::fmt::Debug for Fabric {
 
 impl Fabric {
     /// Creates an idle fabric.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `credits_per_lane` is zero (a zero-credit lane can never
+    /// send).
     pub fn new(config: FabricConfig) -> Self {
+        assert!(config.credits_per_lane > 0, "zero-credit virtual channel");
         let adj = AdjIndex::of(&config.topology);
-        let mut links = Vec::new();
-        links.resize_with(adj.slots(config.topology.nodes()), || None);
+        let links = LinkTable::new(adj, &config);
         let fault_rt = config
             .faults
             .as_ref()
@@ -327,28 +426,6 @@ impl Fabric {
             .get_or_insert_with(|| self.config.topology.next_hop_table())
     }
 
-    fn link(&mut self, from: NodeId, to: NodeId) -> &mut DirectedLink {
-        let idx = self.adj.index(from, to);
-        // Flow-control degradation: a faulty link is built with a shrunken
-        // credit pool (never below one, or it could carry nothing).
-        let lost = self
-            .fault_rt
-            .as_ref()
-            .map_or(0, |rt| rt.params_at(idx as u32).credit_loss);
-        let slot = &mut self.links[idx];
-        if slot.is_none() {
-            let credits = (self.config.credits_per_lane.saturating_sub(lost)).max(1);
-            let credit_return = self.config.credit_return;
-            *slot = Some(Box::new(DirectedLink {
-                src: from.0,
-                dst: to.0,
-                serializer: LinkSerializer::new(),
-                lanes: std::array::from_fn(|_| VirtualChannel::new(credits, credit_return)),
-            }));
-        }
-        slot.as_mut().expect("just filled")
-    }
-
     /// Injects a packet of `bytes` on virtual lane `lane` at time `now`;
     /// returns its arrival at `dst`.
     ///
@@ -367,17 +444,17 @@ impl Fabric {
         assert!(lane < VIRTUAL_LANES, "virtual lane out of range");
         assert_ne!(src, dst, "loopback traffic must not enter the fabric");
         let ser = self.config.serialization(bytes);
-        let hop_latency = self.config.hop_latency;
 
         let mut at = now;
         let mut prev = src;
         let mut hops = 0u32;
-        for hop in self.config.topology.route_iter(src, dst) {
-            let link = self.link(prev, hop);
-            // Credit first (receive buffer at `hop`), then the wire.
-            let after_credit = link.lanes[lane].acquire(at, at + ser + hop_latency);
-            let start = link.serializer.occupy(after_credit, ser, bytes);
-            at = start + ser + hop_latency;
+        let mut route = self.config.topology.route_iter(src, dst);
+        while let Some((hop, port)) = route.step() {
+            let slot = self.adj.hop_slot(prev, hop, port);
+            let (link, rings) =
+                self.links
+                    .hop(slot, prev, hop, &self.config, self.fault_rt.as_ref());
+            at = link.traverse(rings, &self.config, lane, at, ser, bytes);
             prev = hop;
             hops += 1;
         }
@@ -386,45 +463,6 @@ impl Fabric {
         self.bytes_sent += bytes;
         self.lane_packets[lane] += 1;
         Arrival { time: at, hops }
-    }
-
-    /// One hop of the faulty send path: occupy credit + wire (with the
-    /// slot's derate applied to serialization), then draw the hop's drop
-    /// and corruption fates from the pure fault stream. Returns the time
-    /// the packet clears the hop and the two fate bits.
-    #[allow(clippy::too_many_arguments)]
-    fn faulty_hop(
-        &mut self,
-        at: SimTime,
-        prev: NodeId,
-        hop: NodeId,
-        lane: usize,
-        ser: SimTime,
-        bytes: u64,
-        salt: u64,
-    ) -> (SimTime, bool, bool) {
-        let hop_latency = self.config.hop_latency;
-        let slot = self.adj.index(prev, hop) as u32;
-        let rt = self.fault_rt.as_ref().expect("faulty path needs a runtime");
-        let seed = rt.seed;
-        let p = rt.params_at(slot);
-        let ser = if p.derate > 1.0 {
-            SimTime::from_ps((ser.as_ps() as f64 * p.derate).round() as u64)
-        } else {
-            ser
-        };
-        let link = self.link(prev, hop);
-        let after_credit = link.lanes[lane].acquire(at, at + ser + hop_latency);
-        let start = link.serializer.occupy(after_credit, ser, bytes);
-        let cleared = start + ser + hop_latency;
-        // Streams 4·slot and 4·slot+1 keep every link's drop and corrupt
-        // draws decorrelated for the same packet.
-        let dropped =
-            p.drop_prob > 0.0 && fault_unit(seed, salt, u64::from(slot) << 2) < p.drop_prob;
-        let corrupted = !dropped
-            && p.corrupt_prob > 0.0
-            && fault_unit(seed, salt, (u64::from(slot) << 2) | 1) < p.corrupt_prob;
-        (cleared, dropped, corrupted)
     }
 
     /// Injects a packet through the fault plan: like [`Fabric::send`], but
@@ -452,85 +490,79 @@ impl Fabric {
         bytes: u64,
         salt: u64,
     ) -> (Arrival, PacketFate) {
-        if self.fault_rt.is_none() {
+        let Some(rt) = self.fault_rt.as_mut() else {
             return (self.send(now, src, dst, lane, bytes), PacketFate::Delivered);
-        }
+        };
         assert!(lane < VIRTUAL_LANES, "virtual lane out of range");
         assert_ne!(src, dst, "loopback traffic must not enter the fabric");
-        let ser = self.config.serialization(bytes);
-        let mask = self.fault_rt.as_ref().expect("checked").dead_mask(now);
+        let (config, adj, links) = (&self.config, self.adj, &mut self.links);
+        let ser = config.serialization(bytes);
 
         // Dead links force table routing: reuse the cached avoidance table
         // when the dead set is unchanged, rebuild it otherwise (a handful
         // of times per run — only at kill/revive boundaries).
-        let table = if mask == 0 {
-            None
-        } else {
-            let cached = self.fault_rt.as_mut().expect("checked").cache.take();
-            match cached {
-                Some((m, t)) if m == mask => Some(t),
-                _ => {
-                    let dead = self.fault_rt.as_ref().expect("checked").dead_pairs(mask);
-                    Some(NextHopTable::build_avoiding(&self.config.topology, &dead))
-                }
-            }
-        };
+        let mask = rt.dead_mask(now);
+        if mask != 0 && rt.cache.as_ref().is_none_or(|&(m, _)| m != mask) {
+            let table = NextHopTable::build_avoiding(&config.topology, &rt.dead_pairs(mask));
+            rt.cache = Some((mask, table));
+        }
+
+        let table = rt.cache.as_ref().filter(|_| mask != 0).map(|(_, t)| t);
 
         let mut at = now;
         let mut hops = 0u32;
         let mut fate = PacketFate::Delivered;
         let mut unreachable = false;
-        match &table {
-            None => {
-                let mut prev = src;
-                for hop in self.config.topology.route_iter(src, dst) {
-                    let (cleared, dropped, corrupted) =
-                        self.faulty_hop(at, prev, hop, lane, ser, bytes, salt);
-                    at = cleared;
-                    prev = hop;
-                    hops += 1;
-                    if dropped {
-                        fate = PacketFate::Dropped;
-                        break;
-                    }
-                    if corrupted {
-                        fate = PacketFate::Corrupted;
-                    }
-                }
-            }
-            Some(t) => {
-                let mut cur = src;
-                while cur != dst {
-                    let hop = t.next_hop(cur, dst);
-                    if hop == cur {
+        let mut cur = src;
+        let mut route = config.topology.route_iter(src, dst);
+        loop {
+            // The arithmetic walker names the output port; a table hop has
+            // to look its slot up.
+            let (to, slot) = match table {
+                None => match route.step() {
+                    Some((to, port)) => (to, adj.hop_slot(cur, to, port)),
+                    None => break,
+                },
+                Some(_) if cur == dst => break,
+                Some(table) => {
+                    let to = table.next_hop(cur, dst);
+                    if to == cur {
                         fate = PacketFate::Dropped;
                         unreachable = true;
                         break;
                     }
-                    let (cleared, dropped, corrupted) =
-                        self.faulty_hop(at, cur, hop, lane, ser, bytes, salt);
-                    at = cleared;
-                    cur = hop;
-                    hops += 1;
-                    if dropped {
-                        fate = PacketFate::Dropped;
-                        break;
-                    }
-                    if corrupted {
-                        fate = PacketFate::Corrupted;
-                    }
+                    (to, adj.index(cur, to))
                 }
+            };
+            // Occupy credit + wire, with the slot's derate applied to
+            // serialization.
+            let p = rt.params_at(slot as u32);
+            let ser = if p.derate > 1.0 {
+                SimTime::from_ps((ser.as_ps() as f64 * p.derate).round() as u64)
+            } else {
+                ser
+            };
+            let (link, rings) = links.hop(slot, cur, to, config, Some(rt));
+            at = link.traverse(rings, config, lane, at, ser, bytes);
+            cur = to;
+            hops += 1;
+            // Then draw the hop's drop and corruption fates from the pure
+            // fault stream; streams 4·slot and 4·slot+1 keep every link's
+            // draws decorrelated for the same packet.
+            let stream = (slot as u64) << 2;
+            if p.drop_prob > 0.0 && fault_unit(rt.seed, salt, stream) < p.drop_prob {
+                fate = PacketFate::Dropped;
+                break;
+            }
+            if p.corrupt_prob > 0.0 && fault_unit(rt.seed, salt, stream | 1) < p.corrupt_prob {
+                fate = PacketFate::Corrupted;
             }
         }
 
         self.packets_sent += 1;
         self.bytes_sent += bytes;
         self.lane_packets[lane] += 1;
-        let rt = self.fault_rt.as_mut().expect("checked");
-        if let Some(t) = table {
-            rt.rerouted += 1;
-            rt.cache = Some((mask, t));
-        }
+        rt.rerouted += u64::from(mask != 0);
         match fate {
             PacketFate::Dropped if unreachable => rt.unreachable += 1,
             PacketFate::Dropped => rt.dropped += 1,
@@ -569,12 +601,7 @@ impl Fabric {
 
     /// Total credit stalls across all links and lanes (congestion metric).
     pub fn credit_stalls(&self) -> u64 {
-        self.links
-            .iter()
-            .flatten()
-            .flat_map(|l| l.lanes.iter())
-            .map(|vc| vc.stalls())
-            .sum()
+        self.links.links.iter().map(DirectedLink::stalls).sum()
     }
 
     /// Per-link traffic counters for every directed link that has carried
@@ -584,14 +611,15 @@ impl Fabric {
     pub fn link_stats(&self) -> Vec<LinkStats> {
         let mut out: Vec<LinkStats> = self
             .links
+            .links
             .iter()
-            .flatten()
+            .filter(|link| link.in_use())
             .map(|link| LinkStats {
                 src: NodeId(link.src),
                 dst: NodeId(link.dst),
                 bytes: link.serializer.bytes(),
                 packets: link.serializer.packets(),
-                credit_stalls: link.lanes.iter().map(VirtualChannel::stalls).sum(),
+                credit_stalls: link.stalls(),
             })
             .collect();
         out.sort_unstable_by_key(|l| (l.src, l.dst));
@@ -602,26 +630,24 @@ impl Fabric {
     /// directed links this fabric can ever instantiate). Flight recorders
     /// size their per-link tables from this once, up front.
     pub fn link_slots(&self) -> usize {
-        self.links.len()
+        self.adj.slots(self.nodes())
     }
 
-    /// Visits every instantiated link in slot order with
+    /// Visits every link that has carried a packet, in slot order, with
     /// `(slot, src, dst, bytes, packets, credit_stalls)` — the cumulative
     /// counters [`Fabric::link_stats`] reports, but without allocating,
     /// so a flight recorder can sample mid-run on the hot path. Slot
     /// order is a pure function of the topology, never of traffic.
     pub fn visit_links(&self, mut f: impl FnMut(usize, u16, u16, u64, u64, u64)) {
-        for (slot, link) in self.links.iter().enumerate() {
-            if let Some(link) = link {
-                f(
-                    slot,
-                    link.src,
-                    link.dst,
-                    link.serializer.bytes(),
-                    link.serializer.packets(),
-                    link.lanes.iter().map(VirtualChannel::stalls).sum(),
-                );
-            }
+        for (slot, link) in self.links.in_use() {
+            f(
+                slot,
+                link.src,
+                link.dst,
+                link.serializer.bytes(),
+                link.serializer.packets(),
+                link.stalls(),
+            );
         }
     }
 }
@@ -638,7 +664,7 @@ pub struct LinkStats {
     /// Packets serialized onto the wire.
     pub packets: u64,
     /// Sends that had to wait for a credit, summed over the link's
-    /// virtual lanes (`VirtualChannel::stalls`).
+    /// virtual lanes.
     pub credit_stalls: u64,
 }
 

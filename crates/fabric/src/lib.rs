@@ -37,7 +37,6 @@ pub mod topology;
 pub use config::FabricConfig;
 pub use fabric::{Arrival, Fabric, FaultStats, LinkStats};
 pub use fault::{fault_unit, FaultPlan, LinkFault, NodeFault, PacketFate};
-pub use link::VirtualChannel;
 pub use partition::ShardPlan;
 pub use topology::{NextHopTable, RouteIter, Topology};
 

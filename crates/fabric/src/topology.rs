@@ -122,6 +122,7 @@ impl Topology {
     /// # Panics
     ///
     /// Panics if either id is out of range.
+    #[inline]
     pub fn route_iter(&self, src: NodeId, dst: NodeId) -> RouteIter {
         let n = self.nodes();
         assert!(src.index() < n && dst.index() < n, "node id out of range");
@@ -134,8 +135,9 @@ impl Topology {
                     torus_state(&[width, height], src.index(), dst.index())
                 }
                 Topology::Torus3D { x, y, z } => torus_state(&[x, y, z], src.index(), dst.index()),
-                Topology::Mesh2D { width, .. } => RouteState::Mesh {
-                    width: width as u16,
+                Topology::Mesh2D { width, height } => RouteState::Mesh {
+                    dims: [width as u16, height as u16],
+                    id: src.0,
                     x: (src.index() % width) as u16,
                     y: (src.index() / width) as u16,
                     gx: (dst.index() % width) as u16,
@@ -257,23 +259,28 @@ fn ring_distance(k: usize, s: usize, d: usize) -> u32 {
 
 /// Initial dimension-order walk state on a k-ary n-cube: coordinates are
 /// decomposed once into fixed-size arrays (dimension 0 varies fastest), so
-/// iterating the route allocates nothing.
+/// iterating the route allocates nothing and divides nothing.
 fn torus_state(dims: &[usize], src: usize, dst: usize) -> RouteState {
     let mut d = [1u16; 3];
+    let mut strides = [0u16; 3];
     let mut cur = [0u16; 3];
     let mut goal = [0u16; 3];
-    let (mut s, mut g) = (src, dst);
+    let (mut s, mut g, mut stride) = (src, dst, 1);
     for (i, &k) in dims.iter().enumerate() {
         d[i] = k as u16;
+        strides[i] = stride as u16;
         cur[i] = (s % k) as u16;
         goal[i] = (g % k) as u16;
         s /= k;
         g /= k;
+        stride *= k;
     }
     RouteState::Torus {
         dims: d,
+        strides,
         ndims: dims.len() as u8,
         dim: 0,
+        id: src as u16,
         cur,
         goal,
     }
@@ -297,18 +304,22 @@ enum RouteState {
     Direct { dst: u16 },
     /// Dimension-order walk on a k-ary n-cube with wraparound: resolve
     /// each dimension fully (taking the shorter direction) before the
-    /// next.
+    /// next. `id` is the current node, `strides[i]` the id distance of one
+    /// step in dimension `i`.
     Torus {
         dims: [u16; 3],
+        strides: [u16; 3],
         ndims: u8,
         dim: u8,
+        id: u16,
         cur: [u16; 3],
         goal: [u16; 3],
     },
     /// Dimension-order (XY) walk on a mesh: no wraparound, so every step
     /// moves monotonically toward the destination coordinate.
     Mesh {
-        width: u16,
+        dims: [u16; 2],
+        id: u16,
         x: u16,
         y: u16,
         gx: u16,
@@ -316,21 +327,28 @@ enum RouteState {
     },
 }
 
-impl Iterator for RouteIter {
-    type Item = NodeId;
-
-    fn next(&mut self) -> Option<NodeId> {
+impl RouteIter {
+    /// The next node of the route and the output port the packet leaves
+    /// the current node on — the router's "destination address to outgoing
+    /// port" mapping (§6). Grid ports pair up per dimension, `2·dim` for
+    /// the +1 direction and `2·dim + 1` for −1, numbered exactly as the
+    /// fabric's link table numbers its slots; the crossbar has no ports
+    /// and reports 0. Compares and adds only: no division on the hop path.
+    #[inline]
+    pub(crate) fn step(&mut self) -> Option<(NodeId, u8)> {
         match &mut self.state {
             RouteState::Done => None,
             RouteState::Direct { dst } => {
                 let hop = NodeId(*dst);
                 self.state = RouteState::Done;
-                Some(hop)
+                Some((hop, 0))
             }
             RouteState::Torus {
                 dims,
+                strides,
                 ndims,
                 dim,
+                id,
                 cur,
                 goal,
             } => {
@@ -342,34 +360,64 @@ impl Iterator for RouteIter {
                     return None;
                 }
                 let i = *dim as usize;
-                let k = dims[i];
-                let fwd = (goal[i] + k - cur[i]) % k; // hops going +1
-                let step = if fwd <= k - fwd { 1 } else { k - 1 }; // +1 or -1 mod k
-                cur[i] = (cur[i] + step) % k;
-                let mut id = 0u32;
-                for j in (0..*ndims as usize).rev() {
-                    id = id * dims[j] as u32 + cur[j] as u32;
-                }
-                Some(NodeId(id as u16))
+                let (k, c, g, stride) = (dims[i], cur[i], goal[i], strides[i]);
+                let fwd = if g >= c { g - c } else { g + k - c }; // hops going +1
+                let (next, port) = if fwd <= k - fwd {
+                    // (a ring of 2 only ever steps this way)
+                    (if c + 1 == k { 0 } else { c + 1 }, 2 * *dim)
+                } else {
+                    (if c == 0 { k - 1 } else { c - 1 }, 2 * *dim + 1)
+                };
+                cur[i] = next;
+                *id = *id - c * stride + next * stride;
+                Some((NodeId(*id), port))
             }
             RouteState::Mesh {
-                width,
+                dims,
+                id,
                 x,
                 y,
                 gx,
                 gy,
             } => {
-                if x != gx {
-                    *x = if *gx > *x { *x + 1 } else { *x - 1 };
+                let port = if x != gx {
+                    mesh_step(x, *gx, id, 1, dims[0])
                 } else if y != gy {
-                    *y = if *gy > *y { *y + 1 } else { *y - 1 };
+                    2 + mesh_step(y, *gy, id, dims[0], dims[1])
                 } else {
                     self.state = RouteState::Done;
                     return None;
-                }
-                Some(NodeId(*y * *width + *x))
+                };
+                Some((NodeId(*id), port))
             }
         }
+    }
+}
+
+/// One mesh step of coordinate `c` toward `g` in a dimension of `k`
+/// positions whose neighbors are `stride` ids apart; returns the port's
+/// direction bit. With exactly two positions the −1 neighbor is also the
+/// +1 neighbor modulo 2, and the link table files that link under the even
+/// port.
+#[inline]
+fn mesh_step(c: &mut u16, g: u16, id: &mut u16, stride: u16, k: u16) -> u8 {
+    if g > *c {
+        *c += 1;
+        *id += stride;
+        0
+    } else {
+        *c -= 1;
+        *id -= stride;
+        u8::from(k != 2)
+    }
+}
+
+impl Iterator for RouteIter {
+    type Item = NodeId;
+
+    #[inline]
+    fn next(&mut self) -> Option<NodeId> {
+        self.step().map(|(hop, _)| hop)
     }
 }
 
@@ -424,22 +472,24 @@ impl NextHopTable {
         let adj: Vec<Vec<NodeId>> = (0..n).map(|v| topo.neighbors(NodeId(v as u16))).collect();
         let alive = |from: NodeId, to: NodeId| !dead.contains(&(from, to));
         let mut dist = vec![u32::MAX; n];
-        let mut queue = std::collections::VecDeque::new();
+        let mut queue = Vec::with_capacity(n);
         for dst in 0..n {
             dist.fill(u32::MAX);
             dist[dst] = 0;
             queue.clear();
-            queue.push_back(dst);
+            queue.push(dst);
             // BFS from the destination over reversed edges: discovering
             // `u` through `v` means the live link u->v starts a shortest
             // path, so `u` forwards to `v`.
-            while let Some(v) = queue.pop_front() {
+            let mut head = 0;
+            while let Some(&v) = queue.get(head) {
+                head += 1;
                 for &u in &adj[v] {
                     let u = u.index();
                     if dist[u] == u32::MAX && alive(NodeId(u as u16), NodeId(v as u16)) {
                         dist[u] = dist[v] + 1;
                         next[u * n + dst] = v as u16;
-                        queue.push_back(u);
+                        queue.push(u);
                     }
                 }
             }

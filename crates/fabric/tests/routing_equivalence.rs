@@ -7,10 +7,19 @@
 //! kept here as the oracle. Exhaustive all-pairs checks cover the
 //! acceptance topologies (crossbar, 4×4 torus, 4×4×4 torus, 8×8 mesh);
 //! the property test fuzzes arbitrary torus shapes.
+//!
+//! The walker also names each hop's output port, and the fabric files the
+//! link under `from · 2·ndims + port` without looking at the neighbor's
+//! id. `reference_slot` is a port of the division-based slot arithmetic
+//! that layout was defined by; `ports_match_reference_slots` holds the two
+//! together over every ordered pair, including the shapes where a ring or
+//! a mesh dimension has exactly two positions and both directions share a
+//! port.
 
 use proptest::prelude::*;
-use sonuma_fabric::Topology;
+use sonuma_fabric::{Fabric, FabricConfig, Topology};
 use sonuma_protocol::NodeId;
+use sonuma_sim::SimTime;
 
 /// Pre-refactor dimension-order torus routing (the oracle).
 fn reference_route_torus(dims: &[usize], src: usize, dst: usize) -> Vec<NodeId> {
@@ -93,6 +102,80 @@ fn assert_equivalent(topo: &Topology) {
                 "{topo:?} distance {src}->{dst}"
             );
         }
+    }
+}
+
+/// The dense link-table slot of directed link `from -> to`, derived from
+/// the two node ids alone (the oracle for the walker's port).
+fn reference_slot(topo: &Topology, from: usize, to: usize) -> usize {
+    let dims = match *topo {
+        Topology::Crossbar { nodes } => {
+            return from * (nodes - 1) + if to < from { to } else { to - 1 };
+        }
+        Topology::Torus2D { width, height } | Topology::Mesh2D { width, height } => {
+            vec![width, height]
+        }
+        Topology::Torus3D { x, y, z } => vec![x, y, z],
+    };
+    let (mut f, mut t) = (from, to);
+    for (d, &k) in dims.iter().enumerate() {
+        let (fc, tc) = (f % k, t % k);
+        if fc != tc {
+            // +1 steps take the even port, −1 the odd; with two positions
+            // both directions are the one even-port link.
+            return from * 2 * dims.len() + 2 * d + usize::from((tc + k - fc) % k != 1);
+        }
+        f /= k;
+        t /= k;
+    }
+    unreachable!("{from} and {to} are not grid neighbors");
+}
+
+/// For every ordered pair, the links one packet touches — as the fabric
+/// numbered them from the walker's ports — are the oracle route's links
+/// under the oracle's slot arithmetic.
+fn assert_ports_match(topo: &Topology) {
+    let n = topo.nodes();
+    for src in 0..n {
+        for dst in (0..n).filter(|&d| d != src) {
+            let mut fabric = Fabric::new(FabricConfig {
+                topology: topo.clone(),
+                ..FabricConfig::torus2d(1, 1)
+            });
+            fabric.send(SimTime::ZERO, NodeId(src as u16), NodeId(dst as u16), 0, 88);
+            let mut got = Vec::new();
+            fabric.visit_links(|slot, from, to, _, _, _| got.push((slot, from, to)));
+            let mut prev = src;
+            let mut expected: Vec<(usize, u16, u16)> = reference_route(topo, src, dst)
+                .into_iter()
+                .map(|hop| {
+                    let link = (reference_slot(topo, prev, hop.index()), prev as u16, hop.0);
+                    prev = hop.index();
+                    link
+                })
+                .collect();
+            expected.sort_unstable();
+            assert_eq!(got, expected, "{topo:?} {src}->{dst}");
+        }
+    }
+}
+
+#[test]
+fn ports_match_reference_slots() {
+    for topo in [
+        Topology::crossbar(16),
+        Topology::torus2d(4, 4),
+        Topology::torus3d(4, 4, 4),
+        Topology::mesh2d(8, 8),
+        // A dimension of exactly two positions: −1 and +1 are one link.
+        Topology::torus2d(2, 5),
+        Topology::torus3d(2, 2, 3),
+        Topology::mesh2d(2, 4),
+        Topology::mesh2d(4, 2),
+        Topology::mesh2d(1, 6),
+    ] {
+        assert_equivalent(&topo);
+        assert_ports_match(&topo);
     }
 }
 
