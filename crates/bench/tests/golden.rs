@@ -7,6 +7,9 @@
 //! fourth spec carries every optional report section at once and pins
 //! its rendered, slimmed and `diff-runs` forms to the commit before the
 //! per-class and latency row renderers were folded into one each.
+//! The rendered and slimmed digests were re-pinned once since, when a
+//! cache way shrank to 4 bytes: `sharding.resident_bytes` was the only
+//! line of any of the six reports that moved.
 
 use sonuma_bench::json::Json;
 use sonuma_bench::scenario::{
@@ -141,11 +144,11 @@ fn digest(spec: &ScenarioSpec) -> u64 {
 fn reports_match_the_digests_pinned_before_the_single_drive_loop() {
     let inline = |text| ScenarioSpec::from_toml(text).expect("golden spec parses");
     for (spec, pinned) in [
-        (canned("smoke-uniform-8").unwrap(), 0xa24c_14d7_70ff_e159),
-        (canned("smoke-torus-16").unwrap(), 0x9c68_0293_1c8c_dec3),
-        (canned("smoke-mixed-4").unwrap(), 0xf558_460c_bcf3_b07f),
-        (inline(TENANTS_FAULTS), 0x6fa2_86aa_779b_d9bc),
-        (inline(KV), 0x335f_2f39_f53b_5c21),
+        (canned("smoke-uniform-8").unwrap(), 0x0d6e_6d57_32d3_2d80),
+        (canned("smoke-torus-16").unwrap(), 0x1f36_6031_8986_d1f7),
+        (canned("smoke-mixed-4").unwrap(), 0x0bf9_f77c_0771_e9d0),
+        (inline(TENANTS_FAULTS), 0x4cdd_cd6d_fac7_6157),
+        (inline(KV), 0xbcd1_31a8_4a63_ec46),
     ] {
         assert_eq!(
             digest(&spec),
@@ -188,8 +191,8 @@ fn a_run_with_every_section_keeps_its_pinned_renderings() {
     let stripped = equivalence_diff(&doc, &Json::Null).remove(0);
     let doc = strip_wall(&doc);
     for (what, text, pinned) in [
-        ("rendered", doc.render(), 0x663a_d97b_4207_99b1u64),
-        ("slimmed", slim_report(&doc).render(), 0x31d3_f819_f2d8_70dd),
+        ("rendered", doc.render(), 0x5200_00d6_7725_e823u64),
+        ("slimmed", slim_report(&doc).render(), 0x5164_392f_3674_d8ff),
         ("diff-runs view", stripped, 0x464b_45e6_a55d_e6ac),
     ] {
         let digest = fnv1a(&text);

@@ -205,7 +205,24 @@ pub struct Node {
 
 impl Node {
     /// Builds an idle node per `config`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a cache level cannot tag the top line of
+    /// `config.mem_bytes`: a way word holds 30 bits of tag and recency
+    /// rank, the rank `ceil(log2 ways)` of them (`sonuma_memory::CacheArray`).
     pub fn new(config: &MachineConfig) -> Self {
+        let top = PAddr::new(config.mem_bytes - 1);
+        let h = &config.hierarchy;
+        for (level, geom) in [("L1", h.l1_geometry), ("LLC", h.l2_geometry)] {
+            let tag_bits = 30 - geom.ways().next_power_of_two().trailing_zeros();
+            assert!(
+                geom.tag_of(top) >> tag_bits == 0,
+                "{level} ({}-way) tags are {tag_bits} bits, too few for {} B of memory",
+                geom.ways(),
+                config.mem_bytes
+            );
+        }
         let agents = config.cores_per_node + 1;
         // Leave the PT region out of the allocatable pool.
         let allocatable = config.mem_bytes - PT_REGION_BYTES;
@@ -274,9 +291,9 @@ impl Node {
     /// untouched table slots contribute nothing, which is exactly the
     /// property the rack4096 memory diet relies on.
     pub fn resident_bytes(&self) -> u64 {
-        // One packed word per way: stamp | tag | dirty | valid. Coherence
+        // One packed word per way: tag | rank | dirty | valid. Coherence
         // state is those bits, so a line costs nothing beyond its ways.
-        const LINE_STATE_BYTES: u64 = 8;
+        const LINE_STATE_BYTES: u64 = 4;
         const PTE_BYTES: u64 = 8; // one pfn per page in an extent's run
         let frames = self.phys.resident_frames() as u64 * PAGE_BYTES;
         let lines = self.hierarchy.resident_lines() as u64 * LINE_STATE_BYTES;
@@ -463,6 +480,16 @@ mod tests {
 
     fn node() -> Node {
         Node::new(&MachineConfig::simulated_hardware(2))
+    }
+
+    #[test]
+    #[should_panic(expected = "LLC (64-way) tags are 24 bits, too few for 4294967296 B")]
+    fn memory_too_large_for_the_cache_tags_is_refused_at_construction() {
+        // One fully associative 64-way set: its lines' tags are whole line
+        // indices, 26 bits for 4 GiB against the 24 a 6-bit rank leaves.
+        let mut config = MachineConfig::simulated_hardware(2);
+        config.hierarchy.l2_geometry = sonuma_memory::CacheGeometry::new(64 * 64, 64);
+        Node::new(&config);
     }
 
     #[test]

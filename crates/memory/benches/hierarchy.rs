@@ -95,7 +95,8 @@ fn bench_first_touch(c: &mut Criterion) {
     let mut g = c.benchmark_group("first_touch");
     g.sample_size(10);
     let llc = HierarchyConfig::table1().l2_geometry;
-    let sets_per_page = 4096 / (8 * llc.ways() as u64);
+    // A way is one 4-byte word.
+    let sets_per_page = 4096 / (4 * llc.ways() as u64);
     g.bench_function("llc_pages", |b| {
         // The hierarchies outlive the timed body (the shim drops its
         // result after the clock stops), so the allocator cannot hand the

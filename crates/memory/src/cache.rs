@@ -117,14 +117,21 @@ impl LookupResult {
 /// l1.access(PAddr::new(0), false);              // fill
 /// assert!(l1.probe(PAddr::new(0)));             // now resident
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct CacheArray {
     geom: CacheGeometry,
-    /// One word per way, a set being `ways` consecutive words:
-    /// `stamp (32) | tag (30) | dirty | valid`. Zero-initialized, so
-    /// `vec![0; n]` takes untouched pages from the allocator and a rack
-    /// of 4 MB LLCs costs address space, not memory, until sets fill.
-    words: Vec<u64>,
+    /// One word per way, a set being `ways` consecutive words from
+    /// `base`: `tag | rank | dirty | valid`, the rank `ceil(log2 ways)`
+    /// bits wide. Zero-initialized, so `vec![0; n]` takes untouched pages
+    /// from the allocator and a rack of 4 MB LLCs costs address space,
+    /// not memory, until sets fill.
+    words: Vec<u32>,
+    /// Index of set 0's first word: the first 64-byte boundary of
+    /// `words`, so a 16-way set is exactly one host cache line.
+    base: usize,
+    /// Bit position of the tag, 2 + the rank width, and the rank field.
+    tag_shift: u32,
+    rank_mask: u32,
     /// One bit per set: has any way of it ever been filled. A set whose
     /// bit is clear is known empty *without loading its words*, so the
     /// first touch of a fresh page of `words` is the fill's store. A
@@ -132,9 +139,6 @@ pub struct CacheArray {
     /// after it would fault again to replace it (DESIGN.md, "First
     /// touch").
     filled: Vec<u64>,
-    /// LRU clock: the stamp of the latest access. Never wraps; see
-    /// [`CacheArray::rerank`].
-    tick: u32,
     hits: u64,
     misses: u64,
     /// Ways currently valid, maintained by fill and `invalidate` so
@@ -142,24 +146,39 @@ pub struct CacheArray {
     resident: usize,
 }
 
-const VALID: u64 = 1;
-const DIRTY: u64 = 2;
-const TAG_SHIFT: u32 = 2;
-const TAG_BITS: u32 = 30;
-const STAMP_SHIFT: u32 = 32;
-/// What a lookup compares: the tag and the valid bit.
-const KEY_MASK: u64 = ((1 << TAG_BITS) - 1) << TAG_SHIFT | VALID;
-const STAMP_MASK: u64 = !0 << STAMP_SHIFT;
+const VALID: u32 = 1;
+const DIRTY: u32 = 2;
+/// The rank field's lowest bit. Ranks of a filled set's ways, valid or
+/// not, are a permutation of `0..ways`, 0 the most recently used.
+const RANK_ONE: u32 = 4;
+
+/// Moves `ways[way]` to rank 0 and ages every way more recent than it by
+/// one, so the ranks stay a permutation; the caller rewrites the way.
+#[inline]
+fn promote(ways: &mut [u32], way: usize, rank_mask: u32) {
+    let rank = ways[way] & rank_mask;
+    if rank != 0 {
+        for w in ways.iter_mut() {
+            *w += u32::from(*w & rank_mask < rank) * RANK_ONE;
+        }
+    }
+}
 
 impl CacheArray {
     /// Creates an empty (all-invalid) cache.
     pub fn new(geom: CacheGeometry) -> Self {
         let sets = geom.sets() as usize;
+        // 15 words of slack so the sets can start on a line boundary:
+        // `vec![0u32; n]` is calloc, `alloc_zeroed` aligned to 64 writes.
+        let words = vec![0; sets * geom.ways() as usize + 15];
+        let tag_shift = 2 + geom.ways().next_power_of_two().trailing_zeros();
         CacheArray {
             geom,
-            words: vec![0; sets * geom.ways() as usize],
+            base: words.as_ptr().align_offset(64),
+            words,
+            tag_shift,
+            rank_mask: (1 << tag_shift) - RANK_ONE,
             filled: vec![0; sets.div_ceil(64)],
-            tick: 0,
             hits: 0,
             misses: 0,
             resident: 0,
@@ -181,28 +200,30 @@ impl CacheArray {
         self.filled[set / 64] >> (set % 64) & 1 != 0
     }
 
-    /// `addr`'s set index, the index of the set's first word, and the
-    /// masked word a valid way holding `addr`'s line compares equal to. A
-    /// tag wider than [`TAG_BITS`] spills out of [`KEY_MASK`] and so
-    /// matches no way.
+    /// `addr`'s set index, the index of the set's first word, and the word
+    /// a valid clean way holding `addr`'s line at rank 0 would be. A tag
+    /// too wide for the word has no key, and so matches no way.
     #[inline]
-    fn locate(&self, addr: PAddr) -> (usize, usize, u64) {
+    fn locate(&self, addr: PAddr) -> (usize, usize, Option<u32>) {
         let set = self.geom.set_of(addr) as usize;
-        let key = self.geom.tag_of(addr) << TAG_SHIFT | VALID;
-        (set, set * self.geom.ways() as usize, key)
+        let tag = self.geom.tag_of(addr);
+        let key =
+            (tag >> (32 - self.tag_shift) == 0).then(|| (tag as u32) << self.tag_shift | VALID);
+        (set, self.base + set * self.geom.ways() as usize, key)
     }
 
     /// Index of the valid way holding `addr`'s line, if any.
     #[inline]
     fn way_of(&self, addr: PAddr) -> Option<usize> {
-        let (set, base, key) = self.locate(addr);
+        let (set, first, key) = self.locate(addr);
         if !self.is_filled(set) {
             return None;
         }
-        self.words[base..base + self.geom.ways() as usize]
+        let (key, mask) = (key?, !(self.rank_mask | DIRTY));
+        self.words[first..first + self.geom.ways() as usize]
             .iter()
-            .position(|&w| w & KEY_MASK == key)
-            .map(|i| base + i)
+            .position(|&w| w & mask == key)
+            .map(|i| first + i)
     }
 
     /// Whether `addr`'s line is resident, without disturbing LRU or stats.
@@ -223,64 +244,62 @@ impl CacheArray {
     ///
     /// # Panics
     ///
-    /// Panics if `addr`'s tag does not fit the packed word (30 bits:
-    /// addresses below 64 GiB × the set count).
+    /// Panics if `addr`'s tag does not fit the packed word (30 bits less
+    /// the rank's `ceil(log2 ways)`: 26 for a 16-way cache).
     pub fn access(&mut self, addr: PAddr, write: bool) -> LookupResult {
-        if self.tick == u32::MAX {
-            self.rerank();
-        }
-        self.tick += 1;
-        let stamp = (self.tick as u64) << STAMP_SHIFT;
         let dirty = if write { DIRTY } else { 0 };
-        let (set, base, key) = self.locate(addr);
-        assert!(
-            key & !KEY_MASK == 0,
-            "tag of {addr} exceeds {TAG_BITS} bits"
-        );
+        let (set, first, key) = self.locate(addr);
+        let tag_bits = 32 - self.tag_shift;
+        let key = key.unwrap_or_else(|| panic!("tag of {addr} exceeds {tag_bits} bits"));
+        if self.is_filled(set) {
+            let (rank_mask, key_mask) = (self.rank_mask, !(self.rank_mask | DIRTY));
+            let ways = &mut self.words[first..first + self.geom.ways() as usize];
+            if let Some(way) = ways.iter().position(|&w| w & key_mask == key) {
+                promote(ways, way, rank_mask);
+                ways[way] = ways[way] & !rank_mask | dirty;
+                self.hits += 1;
+                return LookupResult::Hit;
+            }
+        }
+        self.fill(set, first, key | dirty)
+    }
 
-        if !self.is_filled(set) {
-            // First fill of the set: way 0, by a store alone.
+    /// Fills the missing line `word` into `set`, whose ways start at
+    /// `first`. Out of line, so a hit runs through a small function.
+    #[inline(never)]
+    fn fill(&mut self, set: usize, first: usize, word: u32) -> LookupResult {
+        let (rank_mask, fresh) = (self.rank_mask, !self.is_filled(set));
+        let ways = &mut self.words[first..first + self.geom.ways() as usize];
+        self.misses += 1;
+        if fresh {
+            // First fill of the set, by stores alone: way 0 at rank 0,
+            // way `j` invalid at rank `j`.
             self.filled[set / 64] |= 1 << (set % 64);
-            self.words[base] = stamp | key | dirty;
-            self.misses += 1;
+            for (w, j) in ways.iter_mut().zip(0..) {
+                *w = j * RANK_ONE;
+            }
+            ways[0] = word;
             self.resident += 1;
             return LookupResult::Miss {
                 evicted_clean: None,
             };
         }
 
-        // One pass: the hit way, else the victim — the first invalid way
-        // (rank 0; a valid way's stamp is at least 1), else the LRU way.
-        let ways = &mut self.words[base..base + self.geom.ways() as usize];
-        let mut victim = 0;
-        let mut victim_rank = u64::MAX;
-        for (i, w) in ways.iter_mut().enumerate() {
-            if *w & KEY_MASK == key {
-                *w = stamp | (*w & !STAMP_MASK) | dirty;
-                self.hits += 1;
-                return LookupResult::Hit;
-            }
-            let rank = if *w & VALID == 0 {
-                0
-            } else {
-                *w >> STAMP_SHIFT
-            };
-            if rank < victim_rank {
-                victim = i;
-                victim_rank = rank;
-            }
-        }
-
-        self.misses += 1;
-        let old = ways[victim];
-        ways[victim] = stamp | key | dirty;
+        // The victim: the first invalid way, else the LRU way, ranked last.
+        let lru = (ways.len() as u32 - 1) * RANK_ONE;
+        let free = ways.iter().position(|&w| w & VALID == 0);
+        let oldest = || ways.iter().position(|&w| w & rank_mask == lru);
+        let way = free.or_else(oldest).expect("ranks are a permutation");
+        let old = ways[way];
+        promote(ways, way, rank_mask);
+        ways[way] = word;
         if old & VALID == 0 {
             self.resident += 1;
             return LookupResult::Miss {
                 evicted_clean: None,
             };
         }
-        let victim_line = (old & KEY_MASK) >> TAG_SHIFT << self.geom.set_shift | set as u64;
+        let victim_line = u64::from(old >> self.tag_shift) << self.geom.set_shift | set as u64;
         if old & DIRTY != 0 {
             LookupResult::MissDirtyEviction { victim_line }
         } else {
@@ -290,28 +309,8 @@ impl CacheArray {
         }
     }
 
-    /// Renumbers every filled set's stamps `1..=ways` in their current
-    /// order and restarts the clock above them. Runs when the 32-bit tick
-    /// is exhausted, so stamps never wrap and LRU order stays exact.
-    fn rerank(&mut self) {
-        let ways = self.geom.ways() as usize;
-        let mut order: Vec<usize> = Vec::with_capacity(ways);
-        for set in 0..self.geom.sets() as usize {
-            if !self.is_filled(set) {
-                continue;
-            }
-            let set_words = &mut self.words[set * ways..(set + 1) * ways];
-            order.clear();
-            order.extend(0..ways);
-            order.sort_by_key(|&i| set_words[i] >> STAMP_SHIFT);
-            for (rank, &i) in order.iter().enumerate() {
-                set_words[i] = (rank as u64 + 1) << STAMP_SHIFT | (set_words[i] & !STAMP_MASK);
-            }
-        }
-        self.tick = self.geom.ways();
-    }
-
     /// Invalidates `addr`'s line if resident; returns whether it was dirty.
+    /// The way keeps its rank.
     ///
     /// Used for coherence: a remote writer invalidates other agents' copies.
     pub fn invalidate(&mut self, addr: PAddr) -> Option<bool> {
@@ -341,15 +340,6 @@ impl CacheArray {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    impl CacheArray {
-        /// An empty cache whose LRU clock already reads `tick`.
-        fn with_tick(geom: CacheGeometry, tick: u32) -> Self {
-            let mut c = CacheArray::new(geom);
-            c.tick = tick;
-            c
-        }
-    }
 
     fn tiny() -> CacheArray {
         // 4 sets x 2 ways x 64B = 512B cache: easy to force evictions.
@@ -512,44 +502,59 @@ mod tests {
     }
 
     #[test]
-    fn tick_exhaustion_reranks_and_keeps_victim_order() {
-        // 4 sets x 4 ways, the clock six accesses short of its limit.
-        let mut c = CacheArray::with_tick(CacheGeometry::new(4 * 4 * 64, 4), u32::MAX - 6);
-        for l in [0, 4, 8, 12, 0, 1] {
-            c.access(line(l), l == 8);
-        }
-        assert_eq!(c.tick, u32::MAX);
-        // Set 0 from LRU to MRU: 4, 8 (dirty), 12, 0. The next access
-        // exhausts the clock: stamps restart at 1..=4 per filled set.
-        assert_eq!(evicted(c.access(line(5), false)), None);
-        assert!(!c.is_filled(2) && c.words[8..12] == [0; 4]);
-        assert_eq!(
-            c.access(line(16), false),
-            LookupResult::Miss {
-                evicted_clean: Some(4)
+    fn ranks_stay_a_permutation_and_sets_a_line() {
+        // 4 sets of each shape, a xorshift stream over 3 x ways lines a set.
+        for ways in [2u32, 4, 16] {
+            let mut c = CacheArray::new(CacheGeometry::new(4 * ways as u64 * 64, ways));
+            let ways = ways as usize;
+            let mut x = 0x9e37_79b9_7f4a_7c15u64;
+            for step in 0..4_000 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let addr = line(x % (12 * ways as u64));
+                match x >> 60 {
+                    0..=9 => drop(c.access(addr, x >> 59 & 1 == 0)),
+                    10..=11 => drop(c.invalidate(addr)),
+                    12..=13 => drop(c.clean(addr)),
+                    _ => drop(c.probe(addr)),
+                }
+                for set in (0..4).filter(|&s| c.is_filled(s)) {
+                    let first = c.base + set * ways;
+                    let mut ranks: Vec<u32> = c.words[first..first + ways]
+                        .iter()
+                        .map(|w| (w & c.rank_mask) / RANK_ONE)
+                        .collect();
+                    ranks.sort_unstable();
+                    assert!(ranks.iter().copied().eq(0..ways as u32), "step {step}");
+                    if ways == 16 {
+                        assert_eq!(c.words[first..].as_ptr() as usize % 64, 0);
+                    }
+                }
             }
-        );
-        assert_eq!(
-            c.access(line(20), false),
-            LookupResult::MissDirtyEviction { victim_line: 8 }
-        );
-        assert!(c.access(line(12), false).is_hit()); // promoted across the re-rank
-        assert_eq!(evicted(c.access(line(24), false)), Some(0));
-        assert_eq!(evicted(c.access(line(28), false)), Some(16));
-        // Set 1 kept its order too: 1 is older than 5.
-        for l in [9, 13] {
-            assert_eq!(evicted(c.access(line(l), false)), None);
         }
-        assert_eq!(evicted(c.access(line(17), false)), Some(1));
-        assert_eq!((c.hits(), c.misses()), (2, 13));
     }
 
     #[test]
     fn over_wide_tag_probes_absent_and_refuses_to_fill() {
         let mut c = tiny();
-        // Tag 1 << 30 in a 4-set cache: one bit more than a word holds.
-        let wide = line(4 << TAG_BITS);
-        c.access(line(0), false);
+        // 2 ways leave a 29-bit tag: the widest fills, one bit more is
+        // refused.
+        let widest = line(4 * ((1 << 29) - 1));
+        assert_eq!(evicted(c.access(widest, true)), None);
+        assert_eq!(
+            c.access(line(0), false),
+            LookupResult::Miss {
+                evicted_clean: None
+            }
+        );
+        assert_eq!(
+            c.access(line(4), false),
+            LookupResult::MissDirtyEviction {
+                victim_line: 4 * ((1 << 29) - 1)
+            }
+        );
+        let wide = line(4 << 29);
         assert!(!c.probe(wide));
         assert_eq!(c.invalidate(wide), None);
         let fill = std::panic::catch_unwind(move || c.access(wide, false));

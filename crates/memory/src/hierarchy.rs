@@ -177,7 +177,7 @@ impl MemoryHierarchy {
     /// Valid ways across all levels. Each way array is sized by geometry,
     /// but a page of it is faulted in only by the first fill that lands
     /// there, so this — not `size_bytes()` — tracks what the hierarchy
-    /// actually costs (8 bytes a way). O(agents): each array keeps its own
+    /// actually costs (4 bytes a way). O(agents): each array keeps its own
     /// count.
     pub fn resident_lines(&self) -> usize {
         self.l1s

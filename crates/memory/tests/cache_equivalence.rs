@@ -1,9 +1,10 @@
 //! Differential test of the packed cache way array, and of the two
 //! properties its layout exists for: exact LRU and store-first fills.
 //!
-//! `CacheArray` keeps a way as one packed word (stamp | tag | dirty |
-//! valid) and knows a never-filled set empty from one bit, without loading
-//! its words. Until that change a way was 17 bytes in three parallel
+//! `CacheArray` keeps a way as one packed 4-byte word (tag | recency rank
+//! | dirty | valid) and knows a never-filled set empty from one bit,
+//! without loading its words. Before that a way was one 8-byte word with
+//! a 32-bit LRU stamp, and before that 17 bytes in three parallel
 //! arrays. [`ThreeArrayCache`] below is that earlier implementation, kept
 //! verbatim (on the public `CacheGeometry`) as the reference: over random
 //! operation streams the two must agree on every result, victim lines
@@ -168,8 +169,9 @@ impl ThreeArrayCache {
     }
 }
 
-/// Geometries from "every fill evicts" up to Table 1's L1 and LLC.
-const GEOMETRIES: [(u64, u32); 8] = [
+/// Geometries from "every fill evicts" up to Table 1's L1 and LLC and one
+/// fully associative set: rank widths 0 through 6.
+const GEOMETRIES: [(u64, u32); 10] = [
     (64, 1),
     (128, 2),
     (256, 1),
@@ -178,6 +180,8 @@ const GEOMETRIES: [(u64, u32); 8] = [
     (8192, 8),
     (32 * 1024, 2),
     (4 * 1024 * 1024, 16),
+    (8192, 32),
+    (4096, 64),
 ];
 
 /// Line `k` of the lines that map to set `s`: a few sets, and more lines
@@ -245,7 +249,7 @@ proptest! {
     #[test]
     fn packed_ways_match_the_three_array_reference(
         shape in 0usize..GEOMETRIES.len(),
-        ops in vec((0u8..10, 0u64..64, 0u64..8), 1..2_000),
+        ops in vec((0u8..10, 0u64..256, 0u64..8), 1..2_000),
     ) {
         check(shape, &ops);
     }
@@ -275,7 +279,10 @@ mod first_touch {
     /// array touches every page of it at most once.
     const PAGE: u64 = 4096;
 
-    /// Table 1's LLC: 65,536 ways, a 512 KB way array.
+    /// Bytes of one way's word.
+    const WAY_BYTES: u64 = 4;
+
+    /// Table 1's LLC: 65,536 ways, a 256 KB way array.
     fn llc() -> CacheGeometry {
         CacheGeometry::new(4 * 1024 * 1024, 16)
     }
@@ -299,19 +306,21 @@ mod first_touch {
         let faults = minor_faults() - before;
         assert!(
             faults <= 4,
-            "{faults} faults probing an empty 512 KB way array"
+            "{faults} faults probing an empty 256 KB way array"
         );
     }
 
     /// The first touch of a fresh page of the way array is the fill's store,
     /// so it costs one fault. A load before it would cost two: one to map the
-    /// zero page, one to replace it when the store follows.
+    /// zero page, one to replace it when the store follows. 64 sets share a
+    /// page, so the LLC's way array is 64 pages.
     #[test]
     fn first_fill_of_a_fresh_page_takes_one_fault() {
         let geom = llc();
-        let sets_per_page = PAGE / (8 * geom.ways() as u64);
+        let sets_per_page = PAGE / (WAY_BYTES * geom.ways() as u64);
         let mut c = CacheArray::new(geom);
         let pages = geom.sets() / sets_per_page;
+        assert_eq!(pages, 64);
         c.access(PAddr::new(0), false);
         let before = minor_faults();
         for page in 1..pages {
