@@ -19,35 +19,63 @@
 //! the per-tenant-class achieved-vs-offered bars. It reads a saved
 //! scenario report via `--kv-report <path>`, or, with no file, runs the
 //! canned `rack512-kv` scenario across all three backends.
+//!
+//! A flag without its value, an unreadable or malformed file, or an
+//! unknown section name exits 2 with a message naming it.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::process::ExitCode;
 
 use sonuma_bench::fig07::Platform;
 use sonuma_bench::report::{cell, CsvTable};
 use sonuma_bench::{ablations, fig01, fig07, fig08, fig09, kvfig, table1, table2, tracefig};
 
-fn main() {
+/// Every section name; `trace` and `kv` run only when named.
+const SECTIONS: &str = "table1 fig1 fig7 fig8 fig9 table2 ablations pipelines trace kv";
+
+fn main() -> ExitCode {
+    match run() {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("gen-figures: {e}");
+            ExitCode::from(2)
+        }
+    }
+}
+
+/// Removes `flag VALUE` from `args` and returns the value.
+fn take_value(args: &mut Vec<String>, flag: &str) -> Result<Option<PathBuf>, String> {
+    let Some(i) = args.iter().position(|a| a == flag) else {
+        return Ok(None);
+    };
+    let value = args.get(i + 1).filter(|v| !v.starts_with("--"));
+    let value = value
+        .map(PathBuf::from)
+        .ok_or(format!("{flag} needs a value"))?;
+    args.drain(i..=i + 1);
+    Ok(Some(value))
+}
+
+fn read(flag: &str, path: &Path) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| format!("{flag} {}: {e}", path.display()))
+}
+
+fn run() -> Result<(), String> {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let csv_dir: Option<PathBuf> = args.iter().position(|a| a == "--csv").map(|i| {
-        let dir = args.get(i + 1).expect("--csv needs a directory").clone();
-        args.drain(i..=i + 1);
-        PathBuf::from(dir)
-    });
-    let trace_file: Option<PathBuf> = args.iter().position(|a| a == "--trace-file").map(|i| {
-        let path = args.get(i + 1).expect("--trace-file needs a path").clone();
-        args.drain(i..=i + 1);
-        PathBuf::from(path)
-    });
-    let kv_report: Option<PathBuf> = args.iter().position(|a| a == "--kv-report").map(|i| {
-        let path = args.get(i + 1).expect("--kv-report needs a path").clone();
-        args.drain(i..=i + 1);
-        PathBuf::from(path)
-    });
-    let save = |name: &str, table: &CsvTable| {
+    let csv_dir = take_value(&mut args, "--csv")?;
+    let trace_file = take_value(&mut args, "--trace-file")?;
+    let kv_report = take_value(&mut args, "--kv-report")?;
+    if let Some(bad) = args.iter().find(|a| !SECTIONS.split(' ').any(|s| s == *a)) {
+        return Err(format!("unknown section {bad:?}; known: {SECTIONS}"));
+    }
+    let save = |name: &str, table: &CsvTable| -> Result<(), String> {
         if let Some(dir) = &csv_dir {
-            let path = table.save(dir, name).expect("write CSV");
+            let path = table
+                .save(dir, name)
+                .map_err(|e| format!("--csv {}: {e}", dir.display()))?;
             eprintln!("wrote {}", path.display());
         }
+        Ok(())
     };
     let all = args.is_empty();
     let want = |name: &str| all || args.iter().any(|a| a == name);
@@ -66,7 +94,7 @@ fn main() {
                 cell(r.gbps),
             ]);
         }
-        save("fig01_netpipe_tcp", &t);
+        save("fig01_netpipe_tcp", &t)?;
     }
     if want("fig7") {
         let lat_hw = fig07::latency(Platform::SimulatedHardware);
@@ -88,7 +116,7 @@ fn main() {
                     cell(r.double.as_us_f64()),
                 ]);
             }
-            save(name, &t);
+            save(name, &t)?;
         }
         let mut t = CsvTable::new(&["size_bytes", "single_gbps", "double_gbps", "mops"]);
         for r in &bw {
@@ -99,7 +127,7 @@ fn main() {
                 cell(r.iops / 1e6),
             ]);
         }
-        save("fig07b_bandwidth_hw", &t);
+        save("fig07b_bandwidth_hw", &t)?;
     }
     if want("fig8") {
         let lat = fig08::latency(Platform::SimulatedHardware);
@@ -137,7 +165,7 @@ fn main() {
                     cell(r.tuned),
                 ]);
             }
-            save(name, &t);
+            save(name, &t)?;
         }
     }
     if want("fig9") {
@@ -155,7 +183,7 @@ fn main() {
                     cell(r.fine),
                 ]);
             }
-            save(name, &t);
+            save(name, &t)?;
         }
     }
     if want("table2") {
@@ -177,7 +205,7 @@ fn main() {
                 cell(c.mops),
             ]);
         }
-        save("table2_vs_rdma", &t);
+        save("table2_vs_rdma", &t)?;
     }
     if want("ablations") {
         ablations::print("CT$", &ablations::ct_cache());
@@ -190,35 +218,33 @@ fn main() {
     // so `trace` runs only when named explicitly.
     if args.iter().any(|a| a == "trace") {
         let text = match &trace_file {
-            Some(path) => std::fs::read_to_string(path)
-                .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display())),
+            Some(path) => read("--trace-file", path)?,
             None => showcase_trace(),
         };
-        let doc = tracefig::parse_trace(&text).expect("trace parses");
+        let doc = tracefig::parse_trace(&text).map_err(|e| format!("trace: {e}"))?;
         print!("{}", tracefig::render_heatmap(&doc));
         println!();
         print!("{}", tracefig::render_timeline(&doc));
-        save("trace_link_heatmap", &tracefig::heatmap_csv(&doc));
-        save("trace_timeline", &tracefig::timeline_csv(&doc));
+        save("trace_link_heatmap", &tracefig::heatmap_csv(&doc))?;
+        save("trace_timeline", &tracefig::timeline_csv(&doc))?;
     }
     // Driving the KV rack over three backends is likewise too heavy for
     // the default run, so `kv` also runs only when named.
     if args.iter().any(|a| a == "kv") {
         let doc = match &kv_report {
-            Some(path) => {
-                let text = std::fs::read_to_string(path)
-                    .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
-                sonuma_bench::json::Json::parse(&text).expect("report parses")
-            }
+            Some(path) => sonuma_bench::json::Json::parse(&read("--kv-report", path)?)
+                .map_err(|e| format!("--kv-report {}: {e}", path.display()))?,
             None => showcase_kv_report(),
         };
         let runs = kvfig::kv_runs(&doc);
-        assert!(!runs.is_empty(), "report carries no kv sections");
+        if runs.is_empty() {
+            return Err("the report carries no kv sections".into());
+        }
         print!("{}", kvfig::render_crossover(&runs));
         println!();
         print!("{}", kvfig::render_slo(&runs));
-        save("kv_crossover", &kvfig::crossover_csv(&runs));
-        save("kv_slo", &kvfig::slo_csv(&runs));
+        save("kv_crossover", &kvfig::crossover_csv(&runs))?;
+        save("kv_slo", &kvfig::slo_csv(&runs))?;
     }
     if want("pipelines") {
         let rows = pipeline_counters();
@@ -229,8 +255,9 @@ fn main() {
         save(
             "pipeline_counters",
             &sonuma_bench::report::pipeline_stats_table(&rows),
-        );
+        )?;
     }
+    Ok(())
 }
 
 /// Runs the canned `rack1024-nodekill` scenario with tracing armed and
@@ -249,7 +276,7 @@ fn showcase_trace() -> String {
         "tracing {} (pass --trace-file to skip the run)...",
         spec.name
     );
-    let result = scenario::run_spec_once(&spec);
+    let result = scenario::run_spec(&spec);
     result
         .runs
         .into_iter()

@@ -12,9 +12,6 @@
 //! * `--canned <name>` — one canned spec by name (repeatable; see `--list`);
 //! * `--spec <file.toml>` — a spec file (repeatable);
 //! * `--out <path>` — report destination (default `BENCH.json`);
-//! * `--baseline <path>` — compare events/sec against a checked-in report
-//!   and exit nonzero on regression;
-//! * `--max-regress <frac>` — allowed events/sec drop (default `0.20`);
 //! * `--compare-threads` — run each spec serially *and* sharded, record
 //!   the wall ratio and both epoch counts in the report's `sharding`
 //!   section, and fail on any simulated divergence;
@@ -37,9 +34,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use sonuma_bench::json::Json;
 use sonuma_bench::scenario::{
-    self, calibrate, canned, canned_names, canned_specs, check_baseline, equivalence_diff,
-    report_calibrated, run_spec, run_spec_compare_threads, run_specs, slim_report, validate_report,
-    ScenarioSpec, TraceSpec, REPORT_SCHEMA,
+    self, canned, canned_names, canned_specs, equivalence_diff, report, run_spec,
+    run_spec_compare_threads, validate_report, ScenarioSpec, TraceSpec,
 };
 
 /// System allocator wrapped with a live-bytes high-water mark, so every
@@ -121,9 +117,7 @@ fn usage() -> ! {
         "usage: sonuma-bench scenario [--smoke] [--canned NAME]... [--spec FILE]...\n\
          \x20                          [--threads N] [--compare-threads]\n\
          \x20                          [--max-peak-bytes N] [--out FILE]\n\
-         \x20                          [--trace-out FILE] [--trace-interval-us F]\n\
-         \x20                          [--baseline FILE] [--max-regress FRAC] [--list]\n\
-         \x20      sonuma-bench baseline [--regen] [--file PATH]\n\
+         \x20                          [--trace-out FILE] [--trace-interval-us F] [--list]\n\
          \x20      sonuma-bench diff-runs A.json B.json\n\
          \x20      sonuma-bench chrome-trace TRACE.jsonl [--out FILE]"
     );
@@ -133,7 +127,7 @@ fn usage() -> ! {
 /// Pins glibc's mmap threshold so rack-scale `vec![0; n]` state stays
 /// zero-page lazy. By default the threshold adapts upward every time a
 /// large mmap'd chunk is freed; after the first machine build it rises
-/// past the 512 KB cache-tag arrays, the re-timed builds get dirty sbrk
+/// past the 512 KB cache-tag arrays, later builds get dirty sbrk
 /// memory instead, and calloc memsets gigabytes that are never read.
 /// Freezing the threshold (and lifting the mmap count cap) keeps every
 /// large zeroed allocation resident only where it is touched.
@@ -158,7 +152,6 @@ fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     match args.next().as_deref() {
         Some("scenario") => scenario_cmd(args.collect()),
-        Some("baseline") => baseline_cmd(args.collect()),
         Some("diff-runs") => diff_runs_cmd(args.collect()),
         Some("chrome-trace") => chrome_trace_cmd(args.collect()),
         _ => usage(),
@@ -178,8 +171,8 @@ fn load_json(path: &str) -> Result<Json, ExitCode> {
 }
 
 /// `diff-runs A B`: compares two scenario reports for simulated
-/// equivalence (everything except `wall_*`, calibration, and shard
-/// metadata must match byte-for-byte). Exit 0 iff equivalent — the CI
+/// equivalence (everything except `wall_*` and shard metadata must
+/// match byte-for-byte). Exit 0 iff equivalent — the CI
 /// parallel-equivalence step's workhorse.
 fn diff_runs_cmd(args: Vec<String>) -> ExitCode {
     let [a_path, b_path] = args.as_slice() else {
@@ -267,80 +260,9 @@ fn chrome_trace_cmd(args: Vec<String>) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `baseline [--regen] [--file PATH]`: without `--regen`, asserts the
-/// checked-in baseline's schema matches this binary's (the friendly
-/// version of the raw missing-field cascade a stale baseline used to
-/// produce); with `--regen`, re-runs every canned scenario — the set the
-/// bench-smoke lane gates on — and rewrites the baseline.
-fn baseline_cmd(args: Vec<String>) -> ExitCode {
-    let mut regen = false;
-    let mut path = PathBuf::from("bench/baseline.json");
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--regen" => regen = true,
-            "--file" => {
-                path = PathBuf::from(it.next().unwrap_or_else(|| {
-                    eprintln!("--file needs a value");
-                    std::process::exit(2);
-                }))
-            }
-            _ => usage(),
-        }
-    }
-    if !regen {
-        let doc = match load_json(&path.display().to_string()) {
-            Ok(doc) => doc,
-            Err(code) => return code,
-        };
-        return match doc.str_of("schema") {
-            Some(REPORT_SCHEMA) => {
-                println!(
-                    "{}: schema {REPORT_SCHEMA} matches this binary",
-                    path.display()
-                );
-                ExitCode::SUCCESS
-            }
-            other => {
-                eprintln!(
-                    "{}: schema {:?} does not match this binary's {REPORT_SCHEMA:?}; \
-                     run `sonuma-bench baseline --regen`",
-                    path.display(),
-                    other.unwrap_or("<missing>")
-                );
-                ExitCode::FAILURE
-            }
-        };
-    }
-    let specs = canned_specs();
-    let results = run_specs(&specs);
-    let calibration = calibrate();
-    let doc = report_calibrated(&results, calibration);
-    if let Err(e) = validate_report(&doc) {
-        eprintln!("internal error: generated report fails schema check: {e}");
-        return ExitCode::FAILURE;
-    }
-    // The checked-in baseline keeps only what the gates read: aggregates
-    // and the hottest-N detail rows, never per-node dumps. The full
-    // report stays available from any `scenario --out` run.
-    let doc = slim_report(&doc);
-    if let Err(e) = std::fs::write(&path, doc.render()) {
-        eprintln!("cannot write {}: {e}", path.display());
-        return ExitCode::FAILURE;
-    }
-    println!(
-        "regenerated {} ({} scenarios, schema {REPORT_SCHEMA})",
-        path.display(),
-        specs.len()
-    );
-    ExitCode::SUCCESS
-}
-
 fn scenario_cmd(args: Vec<String>) -> ExitCode {
     let mut specs: Vec<ScenarioSpec> = Vec::new();
     let mut out = PathBuf::from("BENCH.json");
-    let mut baseline: Option<PathBuf> = None;
-    let mut max_regress = 0.20f64;
     let mut threads: Option<usize> = None;
     let mut compare_threads = false;
     let mut max_peak_bytes: Option<u64> = None;
@@ -406,18 +328,6 @@ fn scenario_cmd(args: Vec<String>) -> ExitCode {
                         eprintln!("--trace-interval-us needs a number of microseconds");
                         std::process::exit(2);
                     }));
-            }
-            "--baseline" => baseline = Some(PathBuf::from(value("--baseline"))),
-            "--max-regress" => {
-                // NaN, infinity or a negative budget would disarm every
-                // wall-clock comparison of the gate.
-                let parsed = value("--max-regress").parse().ok();
-                max_regress = parsed
-                    .filter(|f| (0.0..1.0).contains(f))
-                    .unwrap_or_else(|| {
-                        eprintln!("--max-regress needs a fraction in [0, 1) like 0.20");
-                        std::process::exit(2);
-                    });
             }
             "--list" => {
                 for spec in canned_specs() {
@@ -489,11 +399,7 @@ fn scenario_cmd(args: Vec<String>) -> ExitCode {
         }
     }
 
-    // Host calibration lets the baseline gate compare machines by ratio
-    // instead of raw wall-clock rates.
-    let calibration = calibrate();
-    println!("\nhost calibration: {calibration:.0} boxed events/sec");
-    let mut doc = report_calibrated(&results, calibration);
+    let mut doc = report(&results);
     if let Err(e) = validate_report(&doc) {
         eprintln!("internal error: generated report fails schema check: {e}");
         return ExitCode::FAILURE;
@@ -563,37 +469,6 @@ fn scenario_cmd(args: Vec<String>) -> ExitCode {
         }
     }
 
-    if let Some(path) = baseline {
-        let base_text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("cannot read baseline {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        let base = match Json::parse(&base_text) {
-            Ok(doc) => doc,
-            Err(e) => {
-                eprintln!("baseline {} is not valid JSON: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        let check = check_baseline(&doc, &base, max_regress);
-        for note in &check.notes {
-            println!("note: {note}");
-        }
-        if check.failures.is_empty() {
-            println!(
-                "baseline check passed ({}% regression budget)",
-                max_regress * 100.0
-            );
-        } else {
-            for failure in &check.failures {
-                eprintln!("REGRESSION: {failure}");
-            }
-            return ExitCode::FAILURE;
-        }
-    }
     if let Some(budget) = max_peak_bytes {
         if peak > budget {
             eprintln!(
@@ -662,7 +537,7 @@ fn print_summary(results: &[scenario::ScenarioResult]) {
                 let s = t.summary;
                 println!(
                     "{:<20}   trace: {} ticks, {} link + {} node + {} fault + {} tenant samples, \
-                     {} dropped, overhead {:.3}s",
+                     {} dropped",
                     "",
                     s.ticks,
                     s.link_samples,
@@ -670,7 +545,6 @@ fn print_summary(results: &[scenario::ScenarioResult]) {
                     s.fault_events,
                     t.tenant_samples,
                     s.link_dropped + s.node_dropped + s.fault_dropped,
-                    t.wall_overhead_secs,
                 );
             }
         }

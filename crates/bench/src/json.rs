@@ -3,8 +3,8 @@
 //!
 //! The workspace builds with no network access, so `serde_json` is out of
 //! reach; this module implements exactly the slice of JSON the benchmark
-//! harness needs to emit `BENCH.json`, validate its schema, and compare a
-//! run against the checked-in `bench/baseline.json`. Objects preserve
+//! harness needs to emit `BENCH.json`, validate its schema, and diff two
+//! reports for simulated equivalence. Objects preserve
 //! insertion order (they are `Vec<(String, Json)>`), which is what makes
 //! two identical runs render byte-identical reports.
 

@@ -20,8 +20,8 @@
 //! declarative [`scenario::ScenarioSpec`]s (flat TOML) executed across all
 //! three `RemoteBackend`s by the `sonuma-bench scenario` binary, reported
 //! as versioned machine-readable `BENCH.json` ([`json`] is the
-//! dependency-free JSON layer underneath), and gated in CI against
-//! `bench/baseline.json`.
+//! dependency-free JSON layer underneath), with every canned scenario's
+//! simulated results pinned by the digest ledger in `tests/golden.rs`.
 
 pub mod ablations;
 pub mod fig01;

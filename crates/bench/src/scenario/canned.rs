@@ -12,8 +12,8 @@ macro_rules! spec_file {
 }
 
 /// `(scenario name, spec text)`, in `--list` order. The `smoke-*` rows
-/// are what `--smoke` selects; the whole table is the set
-/// `bench/baseline.json` gates.
+/// are what `--smoke` selects; the whole table is the set the digest
+/// ledger in `tests/golden.rs` pins.
 const CANNED: [(&str, &str); 14] = [
     ("smoke-uniform-8", spec_file!("smoke-uniform-8")),
     ("smoke-torus-16", spec_file!("smoke-torus-16")),

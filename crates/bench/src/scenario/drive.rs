@@ -196,18 +196,16 @@ pub struct BackendRun {
     pub events: u64,
     /// Host wall-clock seconds the run took.
     pub wall_secs: f64,
-    /// Host-side engine throughput: `events / wall_secs`. This is the
-    /// metric the CI bench-smoke lane gates on.
+    /// Host-side engine throughput: `events / wall_secs`.
     pub wall_events_per_sec: f64,
     /// Host-side fabric throughput: fabric packets over `wall_secs`
     /// (0 for backends without a modeled fabric). Packet counts are a
     /// pure function of the spec, so this is the cleanest wall-clock
-    /// figure of merit for the fabric hot path; the bench-smoke lane
-    /// gates it alongside events/sec.
+    /// figure of merit for the fabric hot path.
     pub wall_packets_per_sec: f64,
-    /// Host wall-clock seconds world construction took (best across
-    /// repetitions) — reported separately from `wall_secs` (drive time)
-    /// so the parallel-construction win is gated on its own.
+    /// Host wall-clock seconds world construction took — reported
+    /// separately from `wall_secs` (drive time) so the
+    /// parallel-construction win shows on its own.
     pub wall_construct_secs: f64,
     /// Host threads the spec requested for this run.
     pub threads: usize,
@@ -262,10 +260,7 @@ pub struct BackendRun {
     pub kv: Option<KvOutcome>,
 }
 
-/// What the flight recorder captured during the first (traced) drive of
-/// a run. The timing repetitions run untraced, so `wall_overhead_secs`
-/// is the traced drive's wall time minus the best untraced wall time —
-/// a direct measurement of what arming the recorder costs.
+/// What the flight recorder captured during a traced run.
 #[derive(Debug, Clone)]
 pub struct TraceOutcome {
     /// Sampling cadence in simulated microseconds.
@@ -277,9 +272,6 @@ pub struct TraceOutcome {
     pub tenant_samples: u64,
     /// The rendered JSON-lines trace (what `--trace-out` writes).
     pub text: String,
-    /// Traced wall seconds minus the best untraced repetition's wall
-    /// seconds (clamped at 0; 0 when timing repetitions were skipped).
-    pub wall_overhead_secs: f64,
 }
 
 /// Wall-clock comparison against a `--threads 1` companion run of the
@@ -288,7 +280,7 @@ pub struct TraceOutcome {
 /// epoch structure differ.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CompareSerial {
-    /// Best-of-reps wall seconds of the single-thread run.
+    /// Wall seconds of the single-thread run.
     pub wall_secs: f64,
     /// Serial wall time over this run's wall time (> 1 means the shards
     /// paid off).
@@ -1027,14 +1019,9 @@ fn record_ok_bin(bins: &mut Vec<u64>, now: SimTime) {
     bins[us] += 1;
 }
 
-/// How many times each (spec, backend) pair is driven for wall-clock
-/// timing. The simulated metrics come from the first drive (they are
-/// identical across repetitions by construction); the reported
-/// `wall_events_per_sec` is the best of the repetitions, the standard
-/// antidote to scheduler noise in a CI-gated throughput number.
-pub const TIMING_REPS: u32 = 3;
-
-/// Executes one spec over every backend it requests.
+/// Executes one spec over every backend it requests: one build and one
+/// drive per backend. The wall figures are that drive's; wall
+/// performance is measured by the repo's `benchmark/` package.
 ///
 /// # Panics
 ///
@@ -1042,27 +1029,13 @@ pub const TIMING_REPS: u32 = 3;
 /// rejected for a non-backpressure reason (both indicate harness bugs —
 /// specs are validated at load time).
 pub fn run_spec(spec: &ScenarioSpec) -> ScenarioResult {
-    run_spec_with_reps(spec, TIMING_REPS)
-}
-
-/// Executes one spec with a single drive per backend — no timing
-/// repetitions, so wall figures are first-drive values and a traced
-/// run's `wall_overhead_secs` stays 0. This is what trace consumers
-/// (the determinism test, figure generation) want: the simulated
-/// metrics and trace bytes are identical to [`run_spec`]'s, without
-/// paying for re-timed drives.
-pub fn run_spec_once(spec: &ScenarioSpec) -> ScenarioResult {
-    run_spec_with_reps(spec, 1)
-}
-
-fn run_spec_with_reps(spec: &ScenarioSpec, reps: u32) -> ScenarioResult {
     spec.validate().expect("spec validated at load time");
     let trace_spec = spec.trace.as_ref().filter(|t| !t.is_empty());
     let mut runs = Vec::new();
     for kind in spec.backend.kinds() {
         let built_at = std::time::Instant::now();
         let mut instance = BackendInstance::build(spec, kind);
-        let mut construct_secs = built_at.elapsed().as_secs_f64();
+        let construct_secs = built_at.elapsed().as_secs_f64();
         // Only the soNUMA machine carries a flight recorder; the modeled
         // baselines have no fabric or pipelines to sample.
         let traced = trace_spec.filter(|_| kind == BackendKind::Sonuma);
@@ -1074,6 +1047,7 @@ fn run_spec_with_reps(spec: &ScenarioSpec, reps: u32) -> ScenarioResult {
             .map(|t| sonuma_trace::TenantFlow::new(us_to_sim(t.interval_us)));
         let mut run = drive(spec, instance.as_dyn(), flow.as_mut());
         run.threads = spec.threads;
+        run.wall_construct_secs = construct_secs;
         if let (Some(t), BackendInstance::Sonuma(b)) = (traced, &instance) {
             let meta = sonuma_trace::TraceMeta {
                 scenario: spec.name.clone(),
@@ -1087,7 +1061,6 @@ fn run_spec_with_reps(spec: &ScenarioSpec, reps: u32) -> ScenarioResult {
                 summary: recorder.map(|r| r.summary()).unwrap_or_default(),
                 tenant_samples: flow.as_ref().map_or(0, |f| f.sample_count()),
                 text: sonuma_trace::render_jsonl(&meta, recorder, flow.as_ref()),
-                wall_overhead_secs: 0.0,
             });
         }
         if let BackendInstance::Sonuma(b) = &instance {
@@ -1156,36 +1129,6 @@ fn run_spec_with_reps(spec: &ScenarioSpec, reps: u32) -> ScenarioResult {
                 });
             }
         }
-        // The measured instance is fully snapshotted; release it before
-        // the re-timed builds so only one machine is ever resident.
-        drop(instance);
-        // The repetitions run untraced (never armed, no tenant sampler):
-        // the reported wall figures must describe the untraced hot path,
-        // and the first drive's wall time minus the best untraced one is
-        // the recorder's measured overhead. With tracing on and reps to
-        // come, the traced first-drive wall figures are discarded.
-        let traced_wall = run.trace.as_ref().map(|_| run.wall_secs);
-        if traced_wall.is_some() && reps > 1 {
-            run.wall_secs = 0.0;
-            run.wall_events_per_sec = 0.0;
-        }
-        for _ in 1..reps {
-            let built_at = std::time::Instant::now();
-            let mut retimed = BackendInstance::build(spec, kind);
-            construct_secs = construct_secs.min(built_at.elapsed().as_secs_f64());
-            let rep = drive(spec, retimed.as_dyn(), None);
-            debug_assert_eq!(rep.events, run.events, "repetitions must be identical");
-            if rep.wall_events_per_sec > run.wall_events_per_sec {
-                run.wall_events_per_sec = rep.wall_events_per_sec;
-                run.wall_secs = rep.wall_secs;
-            }
-        }
-        run.wall_construct_secs = construct_secs;
-        if let (Some(tw), Some(trace)) = (traced_wall, run.trace.as_mut()) {
-            if reps > 1 {
-                trace.wall_overhead_secs = (tw - run.wall_secs).max(0.0);
-            }
-        }
         if let Some(fabric) = &run.fabric {
             if run.wall_secs > 0.0 {
                 run.wall_packets_per_sec = fabric.packets as f64 / run.wall_secs;
@@ -1197,6 +1140,11 @@ fn run_spec_with_reps(spec: &ScenarioSpec, reps: u32) -> ScenarioResult {
         spec: spec.clone(),
         runs,
     }
+}
+
+#[doc(hidden)] // frozen-benchmark residue: ROADMAP item 9 deletes
+pub fn run_spec_once(spec: &ScenarioSpec) -> ScenarioResult {
+    run_spec(spec)
 }
 
 /// Executes a list of specs in order.

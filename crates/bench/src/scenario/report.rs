@@ -1,6 +1,6 @@
 //! Reporting: renders executed scenarios as the versioned `BENCH.json`
-//! document, validates a parsed document against that schema, slims it
-//! for check-in, and diffs two documents for simulated equivalence.
+//! document, validates a parsed document against that schema, and diffs
+//! two documents for simulated equivalence.
 
 use sonuma_core::{PipelineStats, SloClass};
 use sonuma_sim::stats::LatencyHistogram;
@@ -43,8 +43,8 @@ fn latency_json(prefix: &str, hist: &LatencyHistogram, p999: bool) -> Vec<(Strin
 }
 
 /// One row per SLO class the run has tenants of: tenant count, offered
-/// and completed operations (with their ratio, for the `kv` section's
-/// gates) and the class's latency members.
+/// and completed operations (with their ratio in the `kv` section) and
+/// the class's latency members.
 fn class_rows(run: &BackendRun, achieved: bool) -> Vec<Json> {
     let mut rows = Vec::new();
     for class in [SloClass::Gold, SloClass::Silver, SloClass::Bronze] {
@@ -247,7 +247,7 @@ fn kv_json(run: &BackendRun, kv: &KvOutcome) -> Json {
         })
         .collect();
     // Per-SLO-class rows: the tenant-visible (GET+PUT) tail and the
-    // achieved-vs-offered throughput the gold/silver/bronze gates read.
+    // achieved-vs-offered throughput of each gold/silver/bronze class.
     let slo = class_rows(run, true);
     Json::Obj(vec![
         ("keys".to_string(), Json::Num(kv.keys as f64)),
@@ -387,10 +387,6 @@ fn run_json(run: &BackendRun) -> Json {
                     "tenant_samples".to_string(),
                     Json::Num(t.tenant_samples as f64),
                 ),
-                (
-                    "wall_overhead_secs".to_string(),
-                    Json::Num(t.wall_overhead_secs),
-                ),
             ]),
         ));
     }
@@ -406,44 +402,22 @@ fn run_json(run: &BackendRun) -> Json {
 
 /// Builds the versioned report document from executed scenarios.
 pub fn report(results: &[ScenarioResult]) -> Json {
-    report_inner(results, None)
-}
-
-/// As [`report`], embedding a host calibration (see [`super::calibrate`]) so the
-/// report can gate — and be gated — across machines.
-pub fn report_calibrated(results: &[ScenarioResult], boxed_events_per_sec: f64) -> Json {
-    report_inner(results, Some(boxed_events_per_sec))
-}
-
-fn report_inner(results: &[ScenarioResult], calibration: Option<f64>) -> Json {
-    let mut members = vec![("schema".to_string(), Json::Str(REPORT_SCHEMA.into()))];
-    if let Some(eps) = calibration {
-        members.push((
-            "calibration".to_string(),
-            Json::Obj(vec![(
-                "wall_boxed_events_per_sec".to_string(),
-                Json::Num(eps),
-            )]),
-        ));
-    }
-    members.push((
-        "scenarios".to_string(),
-        Json::Arr(
-            results
-                .iter()
-                .map(|r| {
-                    Json::Obj(vec![
-                        ("spec".into(), r.spec.to_json()),
-                        (
-                            "runs".into(),
-                            Json::Arr(r.runs.iter().map(run_json).collect()),
-                        ),
-                    ])
-                })
-                .collect(),
-        ),
-    ));
-    Json::Obj(members)
+    let scenarios = results
+        .iter()
+        .map(|r| {
+            Json::Obj(vec![
+                ("spec".into(), r.spec.to_json()),
+                (
+                    "runs".into(),
+                    Json::Arr(r.runs.iter().map(run_json).collect()),
+                ),
+            ])
+        })
+        .collect();
+    Json::Obj(vec![
+        ("schema".to_string(), Json::Str(REPORT_SCHEMA.into())),
+        ("scenarios".to_string(), Json::Arr(scenarios)),
+    ])
 }
 
 /// Checks that a parsed document is a well-formed scenario report.
@@ -542,6 +516,11 @@ pub fn validate_report(doc: &Json) -> Result<(), String> {
                     kv.u64_of(key)
                         .ok_or(format!("scenario {name}/{backend}: kv has no {key}"))?;
                 }
+                // Every GET payload is verified on completion: a corrupt
+                // one is a broken run, not a figure.
+                if kv.u64_of("corrupt") != Some(0) {
+                    return Err(format!("scenario {name}/{backend}: kv has corrupt GETs"));
+                }
                 let achieved = kv.f64_of("achieved_fraction").ok_or(format!(
                     "scenario {name}/{backend}: kv has no achieved_fraction"
                 ))?;
@@ -580,14 +559,6 @@ pub fn validate_report(doc: &Json) -> Result<(), String> {
                     tr.u64_of(key)
                         .ok_or(format!("scenario {name}/{backend}: trace has no {key}"))?;
                 }
-                let overhead = tr.f64_of("wall_overhead_secs").ok_or(format!(
-                    "scenario {name}/{backend}: trace has no wall_overhead_secs"
-                ))?;
-                if overhead < 0.0 {
-                    return Err(format!(
-                        "scenario {name}/{backend}: negative trace overhead {overhead}"
-                    ));
-                }
             }
             if let Some(pt) = run.get("per_tenant") {
                 let jain = pt
@@ -609,31 +580,13 @@ pub fn validate_report(doc: &Json) -> Result<(), String> {
     }
     Ok(())
 }
-/// Strips the bulky `per_node` pipeline dumps from a report, recursively,
-/// leaving every aggregate (pipeline_total, fabric, per_tenant, sharding,
-/// faults) intact. `baseline --regen` checks in the slimmed form, which
-/// keeps `bench/baseline.json` a reviewable size at rack scale — the
-/// per-node rows carry no information the gates read.
-pub fn slim_report(doc: &Json) -> Json {
-    match doc {
-        Json::Obj(members) => Json::Obj(
-            members
-                .iter()
-                .filter(|(k, _)| k != "per_node")
-                .map(|(k, v)| (k.clone(), slim_report(v)))
-                .collect(),
-        ),
-        Json::Arr(items) => Json::Arr(items.iter().map(slim_report).collect()),
-        other => other.clone(),
-    }
-}
 
 // ---------------------------------------------------------------------
 // Parallel-equivalence diffing.
 // ---------------------------------------------------------------------
 
 /// Whether `key` is excluded from the parallel-equivalence comparison:
-/// host-dependent wall-clock fields (`wall_*`, `calibration`), the
+/// host-dependent wall-clock fields (`wall_*`), the
 /// requested thread count itself, and the `trace` sections (both the
 /// spec's and the run's — the trace *file* is gated byte-for-byte
 /// separately, and stripping the report sections lets `diff-runs` also
@@ -643,7 +596,7 @@ fn equivalence_ignored(key: &str) -> bool {
         || matches!(
             key,
             // `speculate_epochs` — frozen-benchmark residue: ROADMAP item 9 deletes
-            "calibration" | "threads" | "speculate_epochs" | "trace"
+            "threads" | "speculate_epochs" | "trace"
         )
 }
 
@@ -722,8 +675,8 @@ fn diff_json(a: &Json, b: &Json, path: &str, out: &mut Vec<String>) {
 }
 
 /// Compares two scenario reports for *simulated* equivalence: every
-/// member except the wall-clock fields, the calibration block, and the
-/// shard-metadata section (bar its `epochs`) must be byte-identical.
+/// member except the wall-clock fields and the shard-metadata section
+/// (bar its `epochs`) must be byte-identical.
 /// Returns the list of differences (empty means equivalent) — this is
 /// the check the CI `parallel-equivalence` step runs between
 /// `--threads 1` and `--threads 4` reports.

@@ -1,7 +1,7 @@
-//! The `sonuma-bench` binary, driven as a user would: no flag, file or
-//! argument may make it panic (exit 101). Bad input is a usage or input
-//! error — exit 2 with a message naming what was wrong — and a failed
-//! comparison is exit 1.
+//! The `sonuma-bench` and `gen-figures` binaries, driven as a user
+//! would: no flag, file or argument may make them panic (exit 101). Bad
+//! input is a usage or input error — exit 2 with a message naming what
+//! was wrong — and a failed comparison is exit 1.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -16,6 +16,13 @@ fn bench(args: &[&str]) -> Output {
         .args(args)
         .output()
         .expect("sonuma-bench starts")
+}
+
+fn gen_figures(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_gen-figures"))
+        .args(args)
+        .output()
+        .expect("gen-figures starts")
 }
 
 /// Writes `bytes` to the scratch file `name` under the target directory.
@@ -59,10 +66,36 @@ fn diff_runs_refuses_documents_that_are_not_reports() {
 }
 
 #[test]
-fn a_max_regress_that_would_disarm_the_gate_is_refused() {
-    for budget in ["nan", "inf", "-1", "1", "x"] {
-        let out = bench(&["scenario", "--smoke", "--max-regress", budget]);
-        assert_refused(&out, "--max-regress");
+fn removed_gate_flags_are_usage_errors() {
+    for args in [
+        &["scenario", "--smoke", "--baseline", "BENCH.json"][..],
+        &["scenario", "--smoke", "--max-regress", "0.2"],
+        &["baseline"],
+    ] {
+        assert_refused(&bench(args), "usage:");
+    }
+}
+
+#[test]
+fn gen_figures_refuses_bad_input_with_exit_2() {
+    let garbage = scratch("figures-garbage", &[0xff, b'{', 0x80, b'\n']);
+    let not_kv = scratch(
+        "figures-not-kv.json",
+        br#"{"schema": "x", "scenarios": []}"#,
+    );
+    let missing = "/nonexistent/sonuma-figures-input";
+    for (args, needle) in [
+        (&["--csv"][..], "--csv needs a value"),
+        (&["trace", "--trace-file"], "--trace-file needs a value"),
+        (&["kv", "--kv-report"], "--kv-report needs a value"),
+        (&["trace", "--trace-file", missing], missing),
+        (&["kv", "--kv-report", missing], missing),
+        (&["trace", "--trace-file", &garbage], "trace"),
+        (&["kv", "--kv-report", &garbage], &garbage),
+        (&["kv", "--kv-report", &not_kv], "no kv sections"),
+        (&["bogus"], "known: table1"),
+    ] {
+        assert_refused(&gen_figures(args), needle);
     }
 }
 
@@ -84,7 +117,6 @@ fn hostile_arguments_and_files_exit_1_or_2() {
     for file in [&garbage, &truncated] {
         cases.push(vec!["diff-runs", file, file]);
         cases.push(vec!["chrome-trace", file]);
-        cases.push(vec!["baseline", "--file", file]);
     }
     for args in cases {
         let out = bench(&args);

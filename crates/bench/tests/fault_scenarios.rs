@@ -1,16 +1,14 @@
 //! Fault-injection coverage at the scenario-harness level: the `[faults]`
 //! spec section round-trips through TOML, a zero-count section is
 //! indistinguishable from no section (the fault-free byte-identity
-//! contract), faulty runs report a gateable `faults` section, and the
-//! fault baseline gate catches each class of regression it exists for.
+//! contract), faulty runs report a schema-valid `faults` section, and the
+//! canned fault plans are pure functions of spec and topology.
 
 use proptest::prelude::*;
 
-use sonuma_bench::json::Json;
 use sonuma_bench::scenario::{
-    canned, check_baseline, equivalence_diff, report, run_specs, slim_report, validate_report,
-    BackendKind, BackendSel, FaultSpec, ScenarioSpec, TenancySpec, TopologySpec, TrafficSpec,
-    WorkloadKind,
+    canned, equivalence_diff, report, run_specs, validate_report, BackendKind, BackendSel,
+    FaultSpec, ScenarioSpec, TenancySpec, TopologySpec, TrafficSpec, WorkloadKind,
 };
 
 /// A fast open-loop spec on the soNUMA backend whose run spans its fault
@@ -102,111 +100,6 @@ fn faulty_run_reports_injection_and_recovery() {
     threaded.threads = 4;
     let b = report(&run_specs(&[threaded]));
     assert_eq!(equivalence_diff(&doc, &b), Vec::<String>::new());
-}
-
-#[test]
-fn fault_gate_catches_each_regression_class() {
-    // Degradation-only plan: no onset, so `recovered` is structurally
-    // true and the recovery/goodput/section gates all have a green
-    // baseline to regress from.
-    let mut spec = faulty_spec();
-    let f = spec.faults.as_mut().expect("fault section present");
-    f.killed_links = 0;
-    let doc = report(&run_specs(&[spec]));
-    // Self-comparison passes.
-    let check = check_baseline(&doc, &doc, 0.20);
-    assert!(check.failures.is_empty(), "{:?}", check.failures);
-
-    fn patch(doc: &Json, key: &str, value: Json) -> Json {
-        match doc {
-            Json::Obj(members) => Json::Obj(
-                members
-                    .iter()
-                    .map(|(k, v)| {
-                        if k == key {
-                            (k.clone(), value.clone())
-                        } else {
-                            (k.clone(), patch(v, key, value.clone()))
-                        }
-                    })
-                    .collect(),
-            ),
-            Json::Arr(items) => {
-                Json::Arr(items.iter().map(|v| patch(v, key, value.clone())).collect())
-            }
-            other => other.clone(),
-        }
-    }
-    // Lost recovery.
-    let broken = patch(&doc, "recovered", Json::Bool(false));
-    assert!(
-        check_baseline(&broken, &doc, 0.20)
-            .failures
-            .iter()
-            .any(|f| f.contains("recover")),
-        "lost recovery must gate"
-    );
-    // Goodput collapse.
-    let lossy = patch(&doc, "goodput_fraction", Json::Num(0.5));
-    assert!(
-        check_baseline(&lossy, &doc, 0.20)
-            .failures
-            .iter()
-            .any(|f| f.contains("goodput")),
-        "goodput collapse must gate"
-    );
-    // Dropped faults section entirely.
-    fn strip(doc: &Json, key: &str) -> Json {
-        match doc {
-            Json::Obj(members) => Json::Obj(
-                members
-                    .iter()
-                    .filter(|(k, _)| k != key)
-                    .map(|(k, v)| (k.clone(), strip(v, key)))
-                    .collect(),
-            ),
-            Json::Arr(items) => Json::Arr(items.iter().map(|v| strip(v, key)).collect()),
-            other => other.clone(),
-        }
-    }
-    let silent = strip(&doc, "faults");
-    assert!(
-        check_baseline(&silent, &doc, 0.20)
-            .failures
-            .iter()
-            .any(|f| f.contains("faults section")),
-        "silently disabled injection must gate"
-    );
-    // A gated key the baseline has and the current section lost fails
-    // too, instead of quietly skipping its rule.
-    let keyless = strip(&doc, "goodput_fraction");
-    assert!(
-        check_baseline(&keyless, &doc, 0.20)
-            .failures
-            .iter()
-            .any(|f| f.contains("goodput") && f.contains("missing")),
-        "a dropped gated key must gate"
-    );
-}
-
-#[test]
-fn slim_report_drops_only_per_node_detail() {
-    let doc = report(&run_specs(&[faulty_spec()]));
-    let full = doc.render();
-    let slim = slim_report(&doc).render();
-    assert!(full.contains("\"per_node\""));
-    assert!(!slim.contains("\"per_node\""));
-    assert!(slim.len() < full.len());
-    // Everything the gates read survives the diet.
-    for key in [
-        "\"faults\"",
-        "\"pipeline_total\"",
-        "\"fabric\"",
-        "\"events\"",
-    ] {
-        assert!(slim.contains(key), "{key} lost in slimming");
-    }
-    validate_report(&Json::parse(&slim).expect("slim parses")).expect("slim stays schema-valid");
 }
 
 #[test]

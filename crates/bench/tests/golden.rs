@@ -1,19 +1,23 @@
-//! Driver-identity oracle: the rendered report of one small spec per
-//! request source (closed window, tenant arrivals, tenant arrivals with
-//! the KV plane) must keep the 64-bit digest pinned here from the commit
-//! before the three drive loops were folded into one. Only `wall_*`
-//! members are stripped, so every simulated metric, the `sharding`
-//! metadata at one thread and the report layout are all covered. A
-//! fourth spec carries every optional report section at once and pins
-//! its rendered, slimmed and `diff-runs` forms to the commit before the
-//! per-class and latency row renderers were folded into one each.
-//! The rendered and slimmed digests were re-pinned once since, when a
-//! cache way shrank to 4 bytes: `sharding.resident_bytes` was the only
-//! line of any of the six reports that moved.
+//! Report-identity oracles. Only `wall_*` members are stripped, so every
+//! simulated metric, the `sharding` metadata and the report layout are
+//! covered.
+//!
+//! * The ledger: one FNV-1a digest per (canned scenario, backend) run,
+//!   the exact pin of every canned result. A row that moves prints its
+//!   replacement; re-pinning is pasting it, with the reason in the
+//!   change that moved it. The run facts the paper's rack claims rest on
+//!   are asserted by name beside it, so no re-pin can drop them.
+//! * Two inline specs (tenant arrivals with faults, the KV plane) keep
+//!   the whole-report digests pinned before the three drive loops were
+//!   folded into one.
+//! * A spec carrying every optional report section at once pins its
+//!   rendered and `diff-runs` forms to the commit before the row
+//!   renderers were shared. The rendered digest was re-pinned once, when
+//!   a cache way shrank to 4 bytes: `sharding.resident_bytes` moved.
 
 use sonuma_bench::json::Json;
 use sonuma_bench::scenario::{
-    canned, equivalence_diff, report, run_spec_once, slim_report, validate_report, ScenarioSpec,
+    canned, canned_names, equivalence_diff, report, run_spec, validate_report, ScenarioSpec,
 };
 
 /// A 16-node Poisson tenant run over a 4x4 torus with two links killed
@@ -135,21 +139,18 @@ fn fnv1a(text: &str) -> u64 {
     })
 }
 
-/// FNV-1a over the wall-stripped rendered report of one single-drive run.
+/// FNV-1a over the wall-stripped rendered report of one run of `spec`.
 fn digest(spec: &ScenarioSpec) -> u64 {
-    fnv1a(&strip_wall(&report(&[run_spec_once(spec)])).render())
+    fnv1a(&strip_wall(&report(&[run_spec(spec)])).render())
 }
 
 #[test]
 fn reports_match_the_digests_pinned_before_the_single_drive_loop() {
-    let inline = |text| ScenarioSpec::from_toml(text).expect("golden spec parses");
-    for (spec, pinned) in [
-        (canned("smoke-uniform-8").unwrap(), 0x0d6e_6d57_32d3_2d80),
-        (canned("smoke-torus-16").unwrap(), 0x1f36_6031_8986_d1f7),
-        (canned("smoke-mixed-4").unwrap(), 0x0bf9_f77c_0771_e9d0),
-        (inline(TENANTS_FAULTS), 0x4cdd_cd6d_fac7_6157),
-        (inline(KV), 0xbcd1_31a8_4a63_ec46),
+    for (text, pinned) in [
+        (TENANTS_FAULTS, 0x4cdd_cd6d_fac7_6157),
+        (KV, 0xbcd1_31a8_4a63_ec46),
     ] {
+        let spec = ScenarioSpec::from_toml(text).expect("golden spec parses");
         assert_eq!(
             digest(&spec),
             pinned,
@@ -160,13 +161,13 @@ fn reports_match_the_digests_pinned_before_the_single_drive_loop() {
     }
 }
 
-/// Every optional section at once renders, validates, slims and strips
-/// for `diff-runs` to the bytes of the commit before the row renderers
-/// were shared (digests of that build's strings).
+/// Every optional section at once renders, validates and strips for
+/// `diff-runs` to the bytes of the commit before the row renderers were
+/// shared (digests of that build's strings).
 #[test]
 fn a_run_with_every_section_keeps_its_pinned_renderings() {
     let spec = ScenarioSpec::from_toml(ALL_SECTIONS).expect("golden spec parses");
-    let doc = report(&[run_spec_once(&spec)]);
+    let doc = report(&[run_spec(&spec)]);
     validate_report(&doc).expect("the report validates");
     let run = &doc.get("scenarios").unwrap().as_arr().unwrap()[0]
         .get("runs")
@@ -192,10 +193,109 @@ fn a_run_with_every_section_keeps_its_pinned_renderings() {
     let doc = strip_wall(&doc);
     for (what, text, pinned) in [
         ("rendered", doc.render(), 0x5200_00d6_7725_e823u64),
-        ("slimmed", slim_report(&doc).render(), 0x5164_392f_3674_d8ff),
         ("diff-runs view", stripped, 0x464b_45e6_a55d_e6ac),
     ] {
         let digest = fnv1a(&text);
         assert_eq!(digest, pinned, "{what} bytes moved (0x{digest:016x})");
     }
+}
+
+/// `(canned scenario, backend, digest)`: FNV-1a of each wall-stripped,
+/// rendered run object of `report(&[run_spec(&canned(name))])`, all 28
+/// taken before the wall gate and its 18k-line baseline file were deleted.
+#[rustfmt::skip]
+const LEDGER: &[(&str, &str, u64)] = &[
+    ("smoke-uniform-8", "soNUMA", 0x7b7a0b4e329bf90d),
+    ("smoke-uniform-8", "RDMA (ConnectX-3)", 0x68e3af470c3cb357),
+    ("smoke-uniform-8", "TCP/IP (Calxeda)", 0xbaed3713601847eb),
+    ("smoke-torus-16", "soNUMA", 0xa4b93a5ebf064bf7),
+    ("smoke-mixed-4", "soNUMA", 0x5410451885aeeda9),
+    ("smoke-mixed-4", "RDMA (ConnectX-3)", 0x157172ccec142c2b),
+    ("smoke-mixed-4", "TCP/IP (Calxeda)", 0xa441b04712072306),
+    ("rack512-neighbor", "soNUMA", 0x9e60026ae4427dc6),
+    ("rack512-torus-scan", "soNUMA", 0xdc2c7146f0ef54d4),
+    ("rack64-tenants", "soNUMA", 0xf5ae90ec929d21ae),
+    ("rack64-tenants", "RDMA (ConnectX-3)", 0xb957746e4bdeb040),
+    ("rack64-tenants", "TCP/IP (Calxeda)", 0xde7b58d2da6e84ee),
+    ("rack64-tenants-strict", "soNUMA", 0x013d3522d361fce7),
+    ("rack64-tenants-strict", "RDMA (ConnectX-3)", 0xe8239bafb0cc5869),
+    ("rack64-tenants-strict", "TCP/IP (Calxeda)", 0x652d20041ec81d00),
+    ("rack1024-shard", "soNUMA", 0x894f5d97e058a2fd),
+    ("rack4096", "soNUMA", 0x477205951898f065),
+    ("rack8192", "soNUMA", 0x1328e1b74d994663),
+    ("rack512-linkflap", "soNUMA", 0x80154df9f8ad0e96),
+    ("rack512-linkflap", "RDMA (ConnectX-3)", 0x329c9d44a4bddb1b),
+    ("rack512-linkflap", "TCP/IP (Calxeda)", 0xd3175666323cbe8c),
+    ("rack1024-nodekill", "soNUMA", 0xfc7645ee0cbf0cc8),
+    ("rack512-kv", "soNUMA", 0x489feef2e581b61d),
+    ("rack512-kv", "RDMA (ConnectX-3)", 0xbc95f63b4517213f),
+    ("rack512-kv", "TCP/IP (Calxeda)", 0x237793a7b9144284),
+    ("rack1024-kv-zipf", "soNUMA", 0xa530f8452de07eea),
+    ("rack1024-kv-zipf", "RDMA (ConnectX-3)", 0xd45946d655373c6e),
+    ("rack1024-kv-zipf", "TCP/IP (Calxeda)", 0x530565fc8661caf7),
+];
+
+/// Facts the paper's rack claims rest on, asserted by name so that no
+/// re-pin can drop them.
+const FACTS: [(&str, &str, &str); 6] = [
+    ("rack512-linkflap", "soNUMA", RECOVERS),
+    ("rack1024-nodekill", "soNUMA", RECOVERS),
+    ("rack1024-nodekill", "soNUMA", GOLD_BELOW_BRONZE),
+    ("rack512-kv", "TCP/IP (Calxeda)", GOLD_BELOW_BRONZE),
+    ("rack1024-kv-zipf", "soNUMA", GOLD_BELOW_BRONZE),
+    ("rack1024-kv-zipf", "TCP/IP (Calxeda)", GOLD_BELOW_BRONZE),
+];
+const RECOVERS: &str = "goodput recovers to 90 % of its pre-fault rate";
+const GOLD_BELOW_BRONZE: &str = "gold p99 < bronze p99";
+
+/// Whether `fact` holds of `run`. Gold and bronze p99 are the `faults`
+/// members where the run has that section, else the `kv.slo` rows.
+fn holds(run: &Json, fact: &str) -> Option<bool> {
+    let faults = run.get("faults");
+    if fact == RECOVERS {
+        return Some(faults?.get("recovered")? == &Json::Bool(true));
+    }
+    if let Some(f) = faults {
+        return Some(f.f64_of("gold_p99_ns")? < f.f64_of("bronze_p99_ns")?);
+    }
+    let rows = run.get("kv")?.get("slo")?.as_arr()?;
+    let p99 = |c| rows.iter().find(|r| r.str_of("class") == Some(c));
+    Some(p99("gold")?.f64_of("lat_p99_ns")? < p99("bronze")?.f64_of("lat_p99_ns")?)
+}
+
+/// Runs each canned scenario `pick` selects and checks its rows and facts.
+/// A moved scenario fails with its replacement rows; there is no regen.
+fn check_ledger(pick: fn(&str) -> bool) {
+    assert!(LEDGER.iter().all(|row| canned(row.0).is_ok()));
+    let pinned = |name, backend| LEDGER.iter().any(|row| (row.0, row.1) == (name, backend));
+    assert!(FACTS.iter().all(|f| pinned(f.0, f.1)));
+    let mut moved = String::new();
+    for name in canned_names().filter(|n| pick(n)) {
+        let doc = report(&[run_spec(&canned(name).unwrap())]);
+        let scenario = &doc.get("scenarios").unwrap().as_arr().unwrap()[0];
+        let mut got = Vec::new();
+        for run in scenario.get("runs").unwrap().as_arr().unwrap() {
+            let backend = run.str_of("backend").unwrap();
+            got.push((name, backend, fnv1a(&strip_wall(run).render())));
+            for &(_, _, fact) in FACTS.iter().filter(|f| (f.0, f.1) == (name, backend)) {
+                assert_eq!(holds(run, fact), Some(true), "{name}/{backend}: {fact}");
+            }
+        }
+        if got.iter().ne(LEDGER.iter().filter(|row| row.0 == name)) {
+            for (n, b, d) in got {
+                moved += &format!("    ({n:?}, {b:?}, 0x{d:016x}),\n");
+            }
+        }
+    }
+    assert!(moved.is_empty(), "replace these ledger rows:\n{moved}");
+}
+
+#[test]
+fn ledger_rack1024_kv_zipf() {
+    check_ledger(|name| name == "rack1024-kv-zipf");
+}
+
+#[test]
+fn ledger_every_other_canned_scenario() {
+    check_ledger(|name| name != "rack1024-kv-zipf");
 }

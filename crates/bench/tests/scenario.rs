@@ -1,13 +1,12 @@
 //! Scenario-harness coverage: spec serde round-trips, malformed-spec
-//! rejection, report schema validity, baseline comparison, and the
-//! determinism contract (same spec + seed => byte-identical `BENCH.json`
+//! rejection, report schema validity, and the determinism contract (same spec + seed => byte-identical `BENCH.json`
 //! modulo wall-clock fields).
 
 use sonuma_bench::json::Json;
 use sonuma_bench::scenario::{
-    canned, canned_names, canned_specs, check_baseline, equivalence_diff, report, run_spec,
-    run_specs, validate_report, BackendKind, BackendSel, ScenarioSpec, SpecError, TopologySpec,
-    WorkloadKind, REPORT_SCHEMA,
+    canned, canned_names, canned_specs, equivalence_diff, report, run_spec, run_specs,
+    validate_report, BackendKind, BackendSel, ScenarioSpec, SpecError, TopologySpec, WorkloadKind,
+    REPORT_SCHEMA,
 };
 
 fn tiny_spec() -> ScenarioSpec {
@@ -233,128 +232,6 @@ fn sonuma_runs_expose_pipeline_counters() {
     assert_eq!(total.rcp_completions, run.ops);
     assert!(run.events > 0, "typed engine events must be counted");
     assert!(run.sim_time.as_ps() > 0);
-}
-
-#[test]
-fn baseline_check_flags_regressions_and_missing_runs() {
-    let results = run_specs(&[tiny_spec()]);
-    let doc = report(&results);
-    // Identical reports pass at any budget.
-    let check = check_baseline(&doc, &doc, 0.20);
-    assert!(check.failures.is_empty(), "{:?}", check.failures);
-    // A baseline that was 10x faster (10x the rate, a tenth of the wall
-    // time) fails the 20% budget via the aggregate gate — these tiny runs
-    // sit below the per-pair MIN_GATED_EVENTS floor.
-    fn speed_up(value: &mut Json, factor: f64) {
-        match value {
-            Json::Obj(members) => {
-                for (key, v) in members.iter_mut() {
-                    match (key.as_str(), &mut *v) {
-                        ("wall_events_per_sec", Json::Num(x)) => *x *= factor,
-                        ("wall_secs", Json::Num(x)) => *x /= factor,
-                        _ => speed_up(v, factor),
-                    }
-                }
-            }
-            Json::Arr(items) => items.iter_mut().for_each(|v| speed_up(v, factor)),
-            _ => {}
-        }
-    }
-    let mut inflated = doc.clone();
-    speed_up(&mut inflated, 10.0);
-    let check = check_baseline(&doc, &inflated, 0.20);
-    assert!(!check.failures.is_empty(), "10x slower must regress");
-    // Baseline entries missing from the run are failures too.
-    let mut other = tiny_spec();
-    other.name = "renamed".into();
-    let renamed = report(&run_specs(&[other]));
-    let check = check_baseline(&renamed, &doc, 0.20);
-    assert!(check.failures.iter().any(|f| f.contains("missing in run")));
-}
-
-#[test]
-fn packet_rate_gate_fails_when_current_rate_collapses() {
-    // A fabric-backed pair above the event floor must fail — not skip —
-    // the packets/sec gate if the current run's wall_packets_per_sec
-    // drops to zero (e.g. the fabric summary is lost). Hand-crafted
-    // reports keep the test instant and the numbers explicit.
-    let doc_with_pps = |pps: f64| {
-        Json::parse(&format!(
-            r#"{{"schema": "{REPORT_SCHEMA}",
-               "scenarios": [{{
-                 "spec": {{"name": "rack", "nodes": 512, "seed": 1}},
-                 "runs": [{{
-                   "backend": "soNUMA", "sim_us": 10.0,
-                   "events": 200000, "wall_secs": 0.5,
-                   "wall_events_per_sec": 400000.0,
-                   "wall_packets_per_sec": {pps}
-                 }}]
-               }}]}}"#
-        ))
-        .expect("handwritten report parses")
-    };
-    let baseline = doc_with_pps(300000.0);
-    // Zeroed current rate: must fail on packets/sec specifically.
-    let check = check_baseline(&doc_with_pps(0.0), &baseline, 0.20);
-    assert!(
-        check.failures.iter().any(|f| f.contains("packets/sec")),
-        "zeroed packet rate must fail the gate: {:?}",
-        check.failures
-    );
-    // A >20% drop fails; a small drop passes.
-    let check = check_baseline(&doc_with_pps(200000.0), &baseline, 0.20);
-    assert!(check.failures.iter().any(|f| f.contains("packets/sec")));
-    let check = check_baseline(&doc_with_pps(290000.0), &baseline, 0.20);
-    assert!(check.failures.is_empty(), "{:?}", check.failures);
-}
-
-#[test]
-fn baseline_check_normalizes_by_host_calibration() {
-    use sonuma_bench::scenario::report_calibrated;
-    let results = run_specs(&[tiny_spec()]);
-    // Same results, "recorded" on hosts of different speeds. Halving
-    // wall_secs doubles the implied throughput of the baseline host.
-    fn scale_wall_secs(value: &mut Json, factor: f64) {
-        match value {
-            Json::Obj(members) => {
-                for (key, v) in members.iter_mut() {
-                    match (key.as_str(), &mut *v) {
-                        ("wall_secs", Json::Num(x)) => *x *= factor,
-                        ("wall_events_per_sec", Json::Num(x)) => *x /= factor,
-                        _ => scale_wall_secs(v, factor),
-                    }
-                }
-            }
-            Json::Arr(items) => items.iter_mut().for_each(|v| scale_wall_secs(v, factor)),
-            _ => {}
-        }
-    }
-    let current = report_calibrated(&results, 1_000_000.0);
-    // A 2x-faster baseline host: twice the throughput AND twice the
-    // calibration. Absolute comparison would flag a 50% regression;
-    // normalization must pass it.
-    let mut fast_host = report_calibrated(&results, 2_000_000.0);
-    scale_wall_secs(&mut fast_host, 0.5);
-    let check = check_baseline(&current, &fast_host, 0.20);
-    assert!(
-        check.failures.is_empty(),
-        "hardware speed must not gate: {:?}",
-        check.failures
-    );
-    // Same wall numbers but claiming a 2x-slower host: the code "ran 2x
-    // faster than its host" in the baseline, so the current run is a real
-    // 50% normalized regression and must fail.
-    let slow_host_same_speed = report_calibrated(&results, 500_000.0);
-    let check = check_baseline(&current, &slow_host_same_speed, 0.20);
-    assert!(
-        !check.failures.is_empty(),
-        "normalized regression must fail"
-    );
-    // Without calibration on one side, the gate falls back to absolute
-    // rates and says so.
-    let uncalibrated = report(&results);
-    let check = check_baseline(&uncalibrated, &current, 0.20);
-    assert!(check.notes.iter().any(|n| n.contains("no calibration")));
 }
 
 #[test]

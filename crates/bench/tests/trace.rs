@@ -10,7 +10,7 @@ use std::path::PathBuf;
 
 use sonuma_bench::json::Json;
 use sonuma_bench::scenario::{
-    equivalence_diff, report, run_spec_once, run_specs, validate_report, BackendKind, BackendSel,
+    equivalence_diff, report, run_spec, run_specs, validate_report, BackendKind, BackendSel,
     FaultSpec, ScenarioSpec, TenancySpec, TopologySpec, TraceSpec, TrafficSpec, WorkloadKind,
 };
 
@@ -134,10 +134,10 @@ fn traced_run_reports_samples_and_emits_a_trace() {
 fn trace_bytes_are_identical_across_threads() {
     // The satellite determinism contract, at test scale: the CI fault
     // lane `cmp`s the same property on the full rack512-linkflap run.
-    let serial = run_spec_once(&traced_spec());
+    let serial = run_spec(&traced_spec());
     let mut sharded_spec = traced_spec();
     sharded_spec.threads = 4;
-    let sharded = run_spec_once(&sharded_spec);
+    let sharded = run_spec(&sharded_spec);
     let a = &serial.runs[0].trace.as_ref().expect("serial trace").text;
     let b = &sharded.runs[0].trace.as_ref().expect("sharded trace").text;
     assert!(a.lines().count() > 1, "trace must carry records");
