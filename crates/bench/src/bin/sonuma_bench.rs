@@ -12,9 +12,6 @@
 //! * `--canned <name>` — one canned spec by name (repeatable; see `--list`);
 //! * `--spec <file.toml>` — a spec file (repeatable);
 //! * `--out <path>` — report destination (default `BENCH.json`);
-//! * `--compare-threads` — run each spec serially *and* sharded, record
-//!   the wall ratio and both epoch counts in the report's `sharding`
-//!   section, and fail on any simulated divergence;
 //! * `--max-peak-bytes <n>` — exit nonzero if the process's peak heap
 //!   (tracked by the bench's own allocator) exceeds `n` bytes;
 //! * `--trace-out <path>` — write each soNUMA run's flight-recorder
@@ -34,8 +31,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use sonuma_bench::json::Json;
 use sonuma_bench::scenario::{
-    self, canned, canned_names, canned_specs, equivalence_diff, report, run_spec,
-    run_spec_compare_threads, validate_report, ScenarioSpec, TraceSpec,
+    self, canned, canned_names, canned_specs, equivalence_diff, report, run_spec, validate_report,
+    ScenarioSpec, TraceSpec,
 };
 
 /// System allocator wrapped with a live-bytes high-water mark, so every
@@ -115,8 +112,7 @@ fn peak_rss_bytes() -> u64 {
 fn usage() -> ! {
     eprintln!(
         "usage: sonuma-bench scenario [--smoke] [--canned NAME]... [--spec FILE]...\n\
-         \x20                          [--threads N] [--compare-threads]\n\
-         \x20                          [--max-peak-bytes N] [--out FILE]\n\
+         \x20                          [--threads N] [--max-peak-bytes N] [--out FILE]\n\
          \x20                          [--trace-out FILE] [--trace-interval-us F] [--list]\n\
          \x20      sonuma-bench diff-runs A.json B.json\n\
          \x20      sonuma-bench chrome-trace TRACE.jsonl [--out FILE]"
@@ -264,7 +260,6 @@ fn scenario_cmd(args: Vec<String>) -> ExitCode {
     let mut specs: Vec<ScenarioSpec> = Vec::new();
     let mut out = PathBuf::from("BENCH.json");
     let mut threads: Option<usize> = None;
-    let mut compare_threads = false;
     let mut max_peak_bytes: Option<u64> = None;
     let mut trace_out: Option<PathBuf> = None;
     let mut trace_interval_us: Option<f64> = None;
@@ -313,7 +308,6 @@ fn scenario_cmd(args: Vec<String>) -> ExitCode {
                     std::process::exit(2);
                 }));
             }
-            "--compare-threads" => compare_threads = true,
             "--max-peak-bytes" => {
                 max_peak_bytes = Some(value("--max-peak-bytes").parse().unwrap_or_else(|_| {
                     eprintln!("--max-peak-bytes needs a byte count");
@@ -373,31 +367,8 @@ fn scenario_cmd(args: Vec<String>) -> ExitCode {
         }
     }
 
-    let results: Vec<scenario::ScenarioResult> = if compare_threads {
-        specs.iter().map(run_spec_compare_threads).collect()
-    } else {
-        specs.iter().map(run_spec).collect()
-    };
+    let results: Vec<scenario::ScenarioResult> = specs.iter().map(run_spec).collect();
     print_summary(&results);
-    if compare_threads {
-        for result in &results {
-            for run in &result.runs {
-                if let Some(cmp) = &run.compare_serial {
-                    println!(
-                        "compare-threads {}/{}: wall {:.3}s vs {:.3}s serial (x{:.2}), \
-                         epochs {} vs {} serial",
-                        result.spec.name,
-                        run.backend,
-                        run.wall_secs,
-                        cmp.wall_secs,
-                        cmp.wall_ratio,
-                        run.epochs,
-                        cmp.epochs,
-                    );
-                }
-            }
-        }
-    }
 
     let mut doc = report(&results);
     if let Err(e) = validate_report(&doc) {

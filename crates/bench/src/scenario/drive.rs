@@ -203,9 +203,8 @@ pub struct BackendRun {
     /// pure function of the spec, so this is the cleanest wall-clock
     /// figure of merit for the fabric hot path.
     pub wall_packets_per_sec: f64,
-    /// Host wall-clock seconds world construction took — reported
-    /// separately from `wall_secs` (drive time) so the
-    /// parallel-construction win shows on its own.
+    /// Host wall-clock seconds world construction took, reported
+    /// separately from `wall_secs` (drive time).
     pub wall_construct_secs: f64,
     /// Host threads the spec requested for this run.
     pub threads: usize,
@@ -234,9 +233,6 @@ pub struct BackendRun {
     /// Estimated resident heap bytes of the simulated machine at the end
     /// of the run (soNUMA runs only) — the rack4096 memory-diet metric.
     pub resident_bytes: u64,
-    /// Wall ratio (threads=1 time over this run's time) and serial epoch
-    /// count from a `--compare-threads` companion run, if one was made.
-    pub compare_serial: Option<CompareSerial>,
     /// Cluster-wide pipeline counters (soNUMA runs only).
     pub pipeline_total: Option<PipelineStats>,
     /// Per-node pipeline counters, indexed by node id (soNUMA runs only).
@@ -272,22 +268,6 @@ pub struct TraceOutcome {
     pub tenant_samples: u64,
     /// The rendered JSON-lines trace (what `--trace-out` writes).
     pub text: String,
-}
-
-/// Wall-clock comparison against a `--threads 1` companion run of the
-/// same spec (the `--compare-threads` mode). Simulated metrics are
-/// byte-identical by the determinism contract — only host time and the
-/// epoch structure differ.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CompareSerial {
-    /// Wall seconds of the single-thread run.
-    pub wall_secs: f64,
-    /// Serial wall time over this run's wall time (> 1 means the shards
-    /// paid off).
-    pub wall_ratio: f64,
-    /// Epochs the single-shard engine ran — equal to the sharded
-    /// `epochs`.
-    pub epochs: u64,
 }
 
 impl BackendRun {
@@ -373,18 +353,14 @@ impl BackendInstance {
                 }
                 BackendInstance::Sonuma(Box::new(backend))
             }
-            BackendKind::Rdma => {
-                let mut b = Box::new(RdmaBackend::connectx3(spec.nodes, spec.segment_bytes));
-                // Thread-count hint: the modeled baselines have no internal
-                // parallelism and ignore it (default trait impl).
-                b.set_threads(spec.threads);
-                BackendInstance::Rdma(b)
-            }
-            BackendKind::Tcp => {
-                let mut b = Box::new(TcpBackend::calxeda(spec.nodes, spec.segment_bytes));
-                b.set_threads(spec.threads);
-                BackendInstance::Tcp(b)
-            }
+            BackendKind::Rdma => BackendInstance::Rdma(Box::new(RdmaBackend::connectx3(
+                spec.nodes,
+                spec.segment_bytes,
+            ))),
+            BackendKind::Tcp => BackendInstance::Tcp(Box::new(TcpBackend::calxeda(
+                spec.nodes,
+                spec.segment_bytes,
+            ))),
         }
     }
 
@@ -964,7 +940,6 @@ fn drive_source(
         lookahead: None,
         pair_bound_violations: 0,
         resident_bytes: 0,
-        compare_serial: None,
         pipeline_total: None,
         per_node: Vec::new(),
         tenants: Vec::new(),
@@ -1150,42 +1125,4 @@ pub fn run_spec_once(spec: &ScenarioSpec) -> ScenarioResult {
 /// Executes a list of specs in order.
 pub fn run_specs(specs: &[ScenarioSpec]) -> Vec<ScenarioResult> {
     specs.iter().map(run_spec).collect()
-}
-
-/// Executes `spec` twice — at `threads = 1` and at the spec's own thread
-/// count (forced to 4 when the spec says 1) — and attaches the serial
-/// run's wall time, the wall ratio, and the serial epoch count to each
-/// backend run (the `--compare-threads` mode).
-///
-/// # Panics
-///
-/// Panics if the two runs disagree on any simulated metric: that would
-/// be a determinism break, which the bench must never paper over.
-pub fn run_spec_compare_threads(spec: &ScenarioSpec) -> ScenarioResult {
-    let mut serial_spec = spec.clone();
-    serial_spec.threads = 1;
-    let mut sharded_spec = spec.clone();
-    if sharded_spec.threads == 1 {
-        sharded_spec.threads = 4;
-    }
-    let serial = run_spec(&serial_spec);
-    let mut result = run_spec(&sharded_spec);
-    for (run, srun) in result.runs.iter_mut().zip(&serial.runs) {
-        assert_eq!(
-            (run.events, run.ops, run.sim_time, run.epochs),
-            (srun.events, srun.ops, srun.sim_time, srun.epochs),
-            "{}: serial and sharded runs diverged",
-            spec.name
-        );
-        run.compare_serial = Some(CompareSerial {
-            wall_secs: srun.wall_secs,
-            wall_ratio: if run.wall_secs > 0.0 {
-                srun.wall_secs / run.wall_secs
-            } else {
-                0.0
-            },
-            epochs: srun.epochs,
-        });
-    }
-    result
 }

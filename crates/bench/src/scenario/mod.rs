@@ -33,9 +33,8 @@ mod toml;
 
 pub use canned::{canned, canned_names, canned_specs};
 pub use drive::{
-    run_spec, run_spec_compare_threads, run_spec_once, run_specs, BackendRun, CompareSerial,
-    FabricSummary, FaultOutcome, KvClassOutcome, KvOutcome, ScenarioResult, TenantOutcome,
-    TraceOutcome, MAX_REPORTED_LINKS,
+    run_spec, run_spec_once, run_specs, BackendRun, FabricSummary, FaultOutcome, KvClassOutcome,
+    KvOutcome, ScenarioResult, TenantOutcome, TraceOutcome, MAX_REPORTED_LINKS,
 };
 pub use report::{
     equivalence_diff, report, validate_report, MAX_REPORTED_BINS, MAX_REPORTED_TENANTS,
@@ -65,9 +64,9 @@ pub use spec::{
 /// lookahead; a min/max pair of keys while the engine kept one bound per
 /// shard pair), `pair_bound_violations` (always 0
 /// when the conservative bound holds), `resident_bytes` (the modeled
-/// machine's resident-heap estimate), and the optional `compare_serial`
-/// object written by `--compare-threads` (serial wall time, wall ratio,
-/// serial epoch count).
+/// machine's resident-heap estimate), and an optional `compare_serial`
+/// object (serial wall time, wall ratio, serial epoch count), dropped
+/// with the `--compare-threads` flag that wrote it.
 /// v6 added the `[faults]` spec section ([`FaultSpec`]) and the per-run
 /// `faults` section ([`FaultOutcome`]): injected link/node fault counts,
 /// fabric drop/corrupt/reroute counters, source-side recovery counters
@@ -82,8 +81,7 @@ pub use spec::{
 /// byte matches a v6 report body.
 /// v8 added the `speculate_epochs` spec field (`[execution]` section),
 /// the per-run `wall_construct_secs` field (world-construction wall
-/// time, reported separately from drive time so the
-/// parallel-construction win is gated on its own), and a
+/// time, reported separately from drive time), and a
 /// `sharding.speculation` object. The run-ahead engine they described
 /// was removed in PR 21: `sharding.speculation` is no longer emitted and
 /// `speculate_epochs` is always 0, echoed only so report bytes stay put.

@@ -322,16 +322,6 @@ fn run_json(run: &BackendRun) -> Json {
     if let Some(lookahead) = run.lookahead {
         sharding.push(("lookahead_ns".to_string(), Json::Num(lookahead.as_ns_f64())));
     }
-    if let Some(cmp) = &run.compare_serial {
-        sharding.push((
-            "compare_serial".to_string(),
-            Json::Obj(vec![
-                ("wall_secs".to_string(), Json::Num(cmp.wall_secs)),
-                ("wall_ratio".to_string(), Json::Num(cmp.wall_ratio)),
-                ("epochs".to_string(), Json::Num(cmp.epochs as f64)),
-            ]),
-        ));
-    }
     if !run.shard_events.is_empty() {
         sharding.push((
             "shard_events".to_string(),

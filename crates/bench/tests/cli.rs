@@ -70,6 +70,7 @@ fn removed_gate_flags_are_usage_errors() {
     for args in [
         &["scenario", "--smoke", "--baseline", "BENCH.json"][..],
         &["scenario", "--smoke", "--max-regress", "0.2"],
+        &["scenario", "--smoke", "--compare-threads"],
         &["baseline"],
     ] {
         assert_refused(&bench(args), "usage:");

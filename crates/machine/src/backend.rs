@@ -65,17 +65,6 @@ struct NodePort {
     next_token: u64,
 }
 
-/// A registered tenant channel, logged so `set_threads` can rebuild the
-/// cluster under a new partition and replay the registrations.
-#[derive(Debug, Clone, Copy)]
-struct TenantChannel {
-    node: NodeId,
-    channel: u32,
-    tenant: TenantId,
-    weight: u32,
-    slo: SloClass,
-}
-
 /// The full soNUMA machine exposed as a [`RemoteBackend`].
 ///
 /// # Example
@@ -95,7 +84,6 @@ pub struct SonumaBackend {
     sharded: ShardedCluster,
     ports: Vec<NodePort>,
     segment_len: u64,
-    tenant_log: Vec<TenantChannel>,
     /// Idle-clock floor (`advance_clock_to`): the externally visible
     /// `now()` never lags behind a requested jump even while events are
     /// still catching up.
@@ -156,7 +144,6 @@ impl SonumaBackend {
             sharded,
             ports: (0..nodes).map(|_| NodePort::default()).collect(),
             segment_len,
-            tenant_log: Vec::new(),
             clock_floor: SimTime::ZERO,
         }
     }
@@ -195,9 +182,7 @@ impl SonumaBackend {
     }
 
     /// Arms a flight recorder on the underlying cluster (see
-    /// [`ShardedCluster::arm_trace`]). Must run after any
-    /// [`SonumaBackend::set_threads`] call — re-sharding rebuilds the
-    /// cluster and would discard the recorder.
+    /// [`ShardedCluster::arm_trace`]).
     ///
     /// # Panics
     ///
@@ -289,13 +274,6 @@ impl SonumaBackend {
         weight: u32,
         slo: SloClass,
     ) {
-        self.tenant_log.push(TenantChannel {
-            node,
-            channel,
-            tenant,
-            weight,
-            slo,
-        });
         self.sharded.register_tenant(
             node,
             TenantSpec {
@@ -400,24 +378,6 @@ impl RemoteBackend for SonumaBackend {
 
     fn segment_len(&self) -> u64 {
         self.segment_len
-    }
-
-    fn set_threads(&mut self, threads: usize) {
-        if threads == self.sharded.num_shards() {
-            return;
-        }
-        assert!(
-            self.now() == SimTime::ZERO
-                && self.sharded.events_processed() == 0
-                && self.ports.iter().all(|p| p.next_token == 0),
-            "set_threads must be called before any traffic"
-        );
-        let config = self.sharded.config().clone();
-        let replay = std::mem::take(&mut self.tenant_log);
-        *self = Self::with_threads(config, self.segment_len, threads.max(1));
-        for t in replay {
-            self.register_tenant_channel(t.node, t.channel, t.tenant, t.weight, t.slo);
-        }
     }
 
     fn write_ctx(&mut self, node: NodeId, offset: u64, data: &[u8]) {
@@ -728,33 +688,6 @@ mod tests {
             .unwrap();
         let _ = b.complete_all(NodeId(0));
         assert!(b.now() > SimTime::from_us(5));
-    }
-
-    #[test]
-    fn set_threads_repartitions_before_traffic() {
-        let mut b = SonumaBackend::simulated_hardware(4, 1 << 16);
-        b.register_tenant_channel(NodeId(1), 0, TenantId(7), 2, SloClass::Gold);
-        b.set_threads(2);
-        assert_eq!(b.num_shards(), 2);
-        // The tenant registration survived the rebuild.
-        let stats = b.tenant_stats(NodeId(1));
-        assert_eq!(stats.len(), 1);
-        assert_eq!(stats[0].0.id, TenantId(7));
-        let t = b
-            .post_on(NodeId(1), 0, RemoteRequest::read(NodeId(2), 0, 64))
-            .unwrap();
-        let done = b.complete_all(NodeId(1));
-        assert_eq!(done.len(), 1);
-        assert_eq!(done[0].token, t);
-    }
-
-    #[test]
-    #[should_panic(expected = "before any traffic")]
-    fn set_threads_after_traffic_panics() {
-        let mut b = SonumaBackend::simulated_hardware(2, 4096);
-        b.post(NodeId(0), RemoteRequest::read(NodeId(1), 0, 64))
-            .unwrap();
-        b.set_threads(4);
     }
 
     #[test]

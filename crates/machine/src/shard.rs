@@ -182,9 +182,8 @@ impl EpochWorld for ShardSlot {
     }
 }
 
-/// Builds shard `s`'s slice of the world. Pure function of the (shared,
-/// read-only) config and plan, so [`ShardedCluster::with_plan`] can fan
-/// construction across scoped threads.
+/// Builds shard `s`'s slice of the world: a pure function of the config
+/// and plan.
 fn build_shard(config: &MachineConfig, plan: &ShardPlan, s: usize) -> ShardSlot {
     let range = plan.range(s);
     // Lane ids are local: a shard allocates lane headers for the nodes it
@@ -284,31 +283,11 @@ impl ShardedCluster {
         );
         let lookahead = config.fabric.min_delivery_delay(HEADER_BYTES as u64);
         let cut_links = plan.cut_links(&config.fabric.topology);
-        // Shard worlds are independent slices built from shared read-only
-        // inputs, so a multi-shard build runs one construction thread per
-        // shard (the worker pool does not exist yet — scoped threads
-        // borrow `config`/`plan` directly). Joining in shard order keeps
-        // the result deterministic; at rack4096/rack8192 construction is
-        // hundreds of MB of node-table writes, so this parallelizes the
-        // startup wall the same way epochs parallelize the drive.
-        let shards: Vec<ShardSlot> = if plan.shards() > 1 {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..plan.shards())
-                    .map(|s| {
-                        let (config, plan) = (&config, &plan);
-                        scope.spawn(move || build_shard(config, plan, s))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("shard construction panicked"))
-                    .collect()
-            })
-        } else {
-            (0..plan.shards())
-                .map(|s| build_shard(&config, &plan, s))
-                .collect()
-        };
+        // Serial on purpose: one construction thread per shard measured
+        // slower on every sharded workload (DESIGN.md, "Prove or remove").
+        let shards: Vec<ShardSlot> = (0..plan.shards())
+            .map(|s| build_shard(&config, &plan, s))
+            .collect();
         let num_shards = shards.len();
         ShardedCluster {
             engine: ShardedEngine::new(shards, lookahead),

@@ -167,16 +167,6 @@ pub trait RemoteBackend {
     /// Number of nodes.
     fn num_nodes(&self) -> usize;
 
-    /// Hints how many host threads the backend may use to execute the
-    /// simulation. Purely a performance knob: implementations must keep
-    /// every simulated outcome identical for every value (the sharded
-    /// soNUMA machine repartitions its cluster; the modeled baselines,
-    /// which have no internal parallelism, ignore it). Must be called
-    /// before any traffic; implementations may panic otherwise.
-    fn set_threads(&mut self, threads: usize) {
-        let _ = threads;
-    }
-
     /// Bytes in each node's globally accessible segment.
     fn segment_len(&self) -> u64;
 
@@ -245,9 +235,9 @@ pub trait RemoteBackend {
     fn now(&self) -> SimTime;
 
     /// Number of discrete events the backend's engine has executed so far
-    /// — the denominator of the wall-clock events/sec metric the benchmark
-    /// harness gates CI on. Implementations without an internal event
-    /// engine report completions processed instead.
+    /// — the denominator of the wall-clock events/sec metric. Implementations
+    /// without an internal event engine report completions processed
+    /// instead.
     fn events_processed(&self) -> u64;
 
     /// Runs [`RemoteBackend::advance`] to quiescence and drains every

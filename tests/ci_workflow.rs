@@ -9,7 +9,8 @@
 //!
 //! No lane can be watched running from here either, so a second check
 //! holds `ci.yml` to the tree: every scenario it runs by `--canned NAME`
-//! is a shipped spec, and every repo path it names exists.
+//! is a shipped spec, every repo path it names exists, and every flag it
+//! passes `sonuma-bench` is one the binary parses.
 
 use std::path::{Path, PathBuf};
 
@@ -80,5 +81,24 @@ fn ci_workflow_names_only_what_the_tree_ships() {
             problems.push(format!("{path}: no such file in the repo"));
         }
     }
+    // A command continues over `\`-ended lines; the flags that count are
+    // the ones after the `--` that ends cargo's own arguments.
+    let cli = std::fs::read_to_string(root.join("crates/bench/src/bin/sonuma_bench.rs"))
+        .expect("sonuma_bench.rs reads");
+    let mut commands = 0;
+    for command in text.replace("\\\n", " ").lines() {
+        let Some((_, args)) = command.split_once("--bin sonuma-bench --") else {
+            continue;
+        };
+        commands += 1;
+        for flag in args.split_whitespace().filter(|w| w.starts_with("--")) {
+            if !cli.contains(&format!("\"{flag}\"")) {
+                problems.push(format!(
+                    "sonuma-bench {flag}: the binary parses no such flag"
+                ));
+            }
+        }
+    }
+    assert!(commands > 0, "ci.yml runs no sonuma-bench command");
     assert!(problems.is_empty(), "ci.yml:\n{}", problems.join("\n"));
 }
