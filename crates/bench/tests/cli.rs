@@ -110,12 +110,14 @@ fn hostile_arguments_and_files_exit_1_or_2() {
         "truncated.json",
         br#"{"schema": "sonuma-bench.scenario/v9", "scen"#,
     );
+    // Nested past any stack: the parser must refuse it, not overflow.
+    let deep = scratch("deep.json", "[".repeat(200_000).as_bytes());
     let mut cases: Vec<Vec<&str>> = vec![
         vec!["frobnicate"],
         vec!["scenario", "--frobnicate"],
         vec!["scenario", "--spec", &garbage],
     ];
-    for file in [&garbage, &truncated] {
+    for file in [&garbage, &truncated, &deep] {
         cases.push(vec!["diff-runs", file, file]);
         cases.push(vec!["chrome-trace", file]);
     }

@@ -9,11 +9,13 @@
 //!   are asserted by name beside it, so no re-pin can drop them.
 //! * Two inline specs (tenant arrivals with faults, the KV plane) keep
 //!   the whole-report digests pinned before the three drive loops were
-//!   folded into one.
+//!   folded into one, re-pinned once when physical memory moved from
+//!   8 KB frames to 512 B blocks: `sharding.resident_bytes` moved.
 //! * A spec carrying every optional report section at once pins its
 //!   rendered and `diff-runs` forms to the commit before the row
-//!   renderers were shared. The rendered digest was re-pinned once, when
-//!   a cache way shrank to 4 bytes: `sharding.resident_bytes` moved.
+//!   renderers were shared. The rendered digest was re-pinned twice, when
+//!   a cache way shrank to 4 bytes and when physical memory moved to
+//!   512 B blocks: each time `sharding.resident_bytes` moved.
 
 use sonuma_bench::json::Json;
 use sonuma_bench::scenario::{
@@ -147,8 +149,8 @@ fn digest(spec: &ScenarioSpec) -> u64 {
 #[test]
 fn reports_match_the_digests_pinned_before_the_single_drive_loop() {
     for (text, pinned) in [
-        (TENANTS_FAULTS, 0x4cdd_cd6d_fac7_6157),
-        (KV, 0xbcd1_31a8_4a63_ec46),
+        (TENANTS_FAULTS, 0x10a3_9b59_496b_36cd),
+        (KV, 0x7c5c_2bdc_ed3e_f5c4),
     ] {
         let spec = ScenarioSpec::from_toml(text).expect("golden spec parses");
         assert_eq!(
@@ -192,7 +194,7 @@ fn a_run_with_every_section_keeps_its_pinned_renderings() {
     let stripped = equivalence_diff(&doc, &Json::Null).remove(0);
     let doc = strip_wall(&doc);
     for (what, text, pinned) in [
-        ("rendered", doc.render(), 0x5200_00d6_7725_e823u64),
+        ("rendered", doc.render(), 0x4968_22ad_bba3_281au64),
         ("diff-runs view", stripped, 0x464b_45e6_a55d_e6ac),
     ] {
         let digest = fnv1a(&text);
@@ -203,34 +205,37 @@ fn a_run_with_every_section_keeps_its_pinned_renderings() {
 /// `(canned scenario, backend, digest)`: FNV-1a of each wall-stripped,
 /// rendered run object of `report(&[run_spec(&canned(name))])`, all 28
 /// taken before the wall gate and its 18k-line baseline file were deleted.
+/// The 14 soNUMA rows were re-pinned when physical memory moved from 8 KB
+/// frames to 512 B blocks: `sharding.resident_bytes` was the only member
+/// that moved.
 #[rustfmt::skip]
 const LEDGER: &[(&str, &str, u64)] = &[
-    ("smoke-uniform-8", "soNUMA", 0x7b7a0b4e329bf90d),
+    ("smoke-uniform-8", "soNUMA", 0xefa9ca920bf57c50),
     ("smoke-uniform-8", "RDMA (ConnectX-3)", 0x68e3af470c3cb357),
     ("smoke-uniform-8", "TCP/IP (Calxeda)", 0xbaed3713601847eb),
-    ("smoke-torus-16", "soNUMA", 0xa4b93a5ebf064bf7),
-    ("smoke-mixed-4", "soNUMA", 0x5410451885aeeda9),
+    ("smoke-torus-16", "soNUMA", 0xad668f9fb2d89544),
+    ("smoke-mixed-4", "soNUMA", 0xbcc101185fe84b95),
     ("smoke-mixed-4", "RDMA (ConnectX-3)", 0x157172ccec142c2b),
     ("smoke-mixed-4", "TCP/IP (Calxeda)", 0xa441b04712072306),
-    ("rack512-neighbor", "soNUMA", 0x9e60026ae4427dc6),
-    ("rack512-torus-scan", "soNUMA", 0xdc2c7146f0ef54d4),
-    ("rack64-tenants", "soNUMA", 0xf5ae90ec929d21ae),
+    ("rack512-neighbor", "soNUMA", 0x4742d1e0f3e4982a),
+    ("rack512-torus-scan", "soNUMA", 0x4792df2adc815170),
+    ("rack64-tenants", "soNUMA", 0x1a84e5e948b8a168),
     ("rack64-tenants", "RDMA (ConnectX-3)", 0xb957746e4bdeb040),
     ("rack64-tenants", "TCP/IP (Calxeda)", 0xde7b58d2da6e84ee),
-    ("rack64-tenants-strict", "soNUMA", 0x013d3522d361fce7),
+    ("rack64-tenants-strict", "soNUMA", 0xe98a8a6f0c3dfe7d),
     ("rack64-tenants-strict", "RDMA (ConnectX-3)", 0xe8239bafb0cc5869),
     ("rack64-tenants-strict", "TCP/IP (Calxeda)", 0x652d20041ec81d00),
-    ("rack1024-shard", "soNUMA", 0x894f5d97e058a2fd),
-    ("rack4096", "soNUMA", 0x477205951898f065),
-    ("rack8192", "soNUMA", 0x1328e1b74d994663),
-    ("rack512-linkflap", "soNUMA", 0x80154df9f8ad0e96),
+    ("rack1024-shard", "soNUMA", 0xf61ba96726fec1c2),
+    ("rack4096", "soNUMA", 0x47114f73efc32c10),
+    ("rack8192", "soNUMA", 0xcacc153d1045fe5b),
+    ("rack512-linkflap", "soNUMA", 0x41e6c641de2abace),
     ("rack512-linkflap", "RDMA (ConnectX-3)", 0x329c9d44a4bddb1b),
     ("rack512-linkflap", "TCP/IP (Calxeda)", 0xd3175666323cbe8c),
-    ("rack1024-nodekill", "soNUMA", 0xfc7645ee0cbf0cc8),
-    ("rack512-kv", "soNUMA", 0x489feef2e581b61d),
+    ("rack1024-nodekill", "soNUMA", 0xc34b9129f3951e13),
+    ("rack512-kv", "soNUMA", 0xb18f47e42677586d),
     ("rack512-kv", "RDMA (ConnectX-3)", 0xbc95f63b4517213f),
     ("rack512-kv", "TCP/IP (Calxeda)", 0x237793a7b9144284),
-    ("rack1024-kv-zipf", "soNUMA", 0xa530f8452de07eea),
+    ("rack1024-kv-zipf", "soNUMA", 0x43acec27c8b0f848),
     ("rack1024-kv-zipf", "RDMA (ConnectX-3)", 0xd45946d655373c6e),
     ("rack1024-kv-zipf", "TCP/IP (Calxeda)", 0x530565fc8661caf7),
 ];

@@ -283,8 +283,8 @@ impl Node {
 
     /// Estimated heap bytes this node's model state actually occupies.
     ///
-    /// Counts what is *resident*, not what is addressable: touched
-    /// physical frames, valid cache ways (the hierarchy keeps no
+    /// Counts what is *resident*, not what is addressable: written
+    /// physical blocks, valid cache ways (the hierarchy keeps no
     /// coherence entries beside them), grown ITT/CT slots, page-table
     /// entries, and per-QP cursor state. The way arrays are sized by
     /// geometry but their untouched pages are never faulted in, and
@@ -295,7 +295,7 @@ impl Node {
         // state is those bits, so a line costs nothing beyond its ways.
         const LINE_STATE_BYTES: u64 = 4;
         const PTE_BYTES: u64 = 8; // one pfn per page in an extent's run
-        let frames = self.phys.resident_frames() as u64 * PAGE_BYTES;
+        let blocks = self.phys.resident_bytes();
         let lines = self.hierarchy.resident_lines() as u64 * LINE_STATE_BYTES;
         let ptes = self.space.mapped_pages() as u64 * PTE_BYTES;
         let rmc = self.rmc.itt.resident_bytes() as u64
@@ -306,7 +306,7 @@ impl Node {
             .iter()
             .map(|q| std::mem::size_of::<AppQpCursors>() as u64 + q.slot_busy.capacity() as u64)
             .sum::<u64>();
-        frames + lines + ptes + rmc + qp_cursors
+        blocks + lines + ptes + rmc + qp_cursors
     }
 
     /// Translates a virtual address through the node's page table.

@@ -5,9 +5,9 @@
 //! crate provides that substrate in a *functional-backing + timing-model*
 //! style:
 //!
-//! * [`PhysicalMemory`] holds the actual bytes (sparse 8 KB frames) and is
-//!   the single source of truth for data. Queue pairs, context segments and
-//!   message buffers all live here as real bytes.
+//! * [`PhysicalMemory`] holds the actual bytes (sparse 512 B blocks) and
+//!   is the single source of truth for data. Queue pairs, context segments
+//!   and message buffers all live here as real bytes.
 //! * [`CacheArray`] models set-associative tag arrays with LRU replacement;
 //!   [`MemoryHierarchy`] composes per-agent L1s, a shared LLC, and
 //!   [`DramModel`] into a latency calculator with MESI-style line ownership,
@@ -46,5 +46,5 @@ pub use hierarchy::{
     AccessKind, AccessResult, AgentId, HierarchyConfig, HitLevel, MemoryHierarchy,
 };
 pub use page::{AddressSpace, FrameAllocator};
-pub use phys::PhysicalMemory;
+pub use phys::{PhysicalMemory, BLOCK_BYTES};
 pub use tlb::Tlb;

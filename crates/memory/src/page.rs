@@ -4,13 +4,15 @@
 //! pin pages in physical memory" (§5.1), and the RMC walks the same page
 //! tables the OS maintains. We model a per-context address space with a
 //! flat page table (the walk *cost* is a configurable number of memory
-//! references, standing in for a radix walk) and a bump-with-free-list frame
-//! allocator per node.
+//! references, standing in for a radix walk) and a bump frame allocator per
+//! node.
 
 use crate::addr::{PAddr, VAddr, PAGE_BYTES};
 use crate::error::MemError;
 
-/// Allocates physical frames within one node.
+/// Allocates physical frames within one node, in address order. Nothing
+/// unmaps, so a frame is never returned and a bump pointer is the whole
+/// allocator: the frames in use are always `0..n`.
 ///
 /// # Example
 ///
@@ -18,15 +20,13 @@ use crate::error::MemError;
 /// use sonuma_memory::FrameAllocator;
 ///
 /// let mut alloc = FrameAllocator::new(4 << 20); // 4 MiB = 512 frames
-/// let f = alloc.alloc().unwrap();
-/// alloc.free(f);
-/// assert_eq!(alloc.alloc().unwrap(), f); // free list is reused first
+/// assert_eq!(alloc.alloc().unwrap(), 0);
+/// assert_eq!(alloc.alloc().unwrap(), 1);
 /// ```
 #[derive(Debug, Clone)]
 pub struct FrameAllocator {
     total_frames: u64,
     next_fresh: u64,
-    free_list: Vec<u64>,
 }
 
 impl FrameAllocator {
@@ -35,7 +35,6 @@ impl FrameAllocator {
         FrameAllocator {
             total_frames: capacity_bytes / PAGE_BYTES,
             next_fresh: 0,
-            free_list: Vec::new(),
         }
     }
 
@@ -45,22 +44,12 @@ impl FrameAllocator {
     ///
     /// Returns [`MemError::OutOfFrames`] when memory is exhausted.
     pub fn alloc(&mut self) -> Result<u64, MemError> {
-        if let Some(f) = self.free_list.pop() {
-            return Ok(f);
-        }
         if self.next_fresh < self.total_frames {
-            let f = self.next_fresh;
             self.next_fresh += 1;
-            Ok(f)
+            Ok(self.next_fresh - 1)
         } else {
             Err(MemError::OutOfFrames)
         }
-    }
-
-    /// Returns a frame to the allocator.
-    pub fn free(&mut self, frame: u64) {
-        debug_assert!(frame < self.total_frames);
-        self.free_list.push(frame);
     }
 }
 
@@ -202,14 +191,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn allocator_bump_and_free_list() {
+    fn allocator_bumps_until_out_of_frames() {
         let mut a = FrameAllocator::new(3 * PAGE_BYTES);
-        let f0 = a.alloc().unwrap();
-        let f1 = a.alloc().unwrap();
-        assert_ne!(f0, f1);
-        a.free(f0);
-        assert_eq!(a.alloc().unwrap(), f0);
-        let _ = a.alloc().unwrap();
+        assert_eq!(a.alloc(), Ok(0));
+        assert_eq!(a.alloc(), Ok(1));
+        assert_eq!(a.alloc(), Ok(2));
+        assert_eq!(a.alloc(), Err(MemError::OutOfFrames));
         assert_eq!(a.alloc(), Err(MemError::OutOfFrames));
     }
 

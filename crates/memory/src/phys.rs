@@ -1,12 +1,19 @@
 //! Functional physical memory: the bytes behind every simulated node.
 
 use crate::addr::{PAddr, PAGE_BYTES};
+use std::ops::Range;
 
-/// One simulated node's physical memory: a sparse array of 8 KB frames.
+/// Bytes the host materialises at once: the unit of [`PhysicalMemory`]'s
+/// table. Measured, not tuned: smaller blocks cost more in allocator
+/// headers and table slots than they save in sparser fill (DESIGN.md,
+/// "The frame").
+pub const BLOCK_BYTES: usize = 512;
+
+/// One simulated node's physical memory: a sparse array of 512 B blocks.
 ///
 /// This is the *functional* half of the memory model — the timing half lives
-/// in [`crate::MemoryHierarchy`]. Frames materialize (zero-filled) on first
-/// touch, so a 4 GB node costs only what the workload actually uses.
+/// in [`crate::MemoryHierarchy`]. Blocks materialize (zero-filled) on first
+/// write, so a 4 GB node costs only what the workload actually writes.
 ///
 /// # Example
 ///
@@ -19,12 +26,24 @@ use crate::addr::{PAddr, PAGE_BYTES};
 /// ```
 #[derive(Debug, Clone)]
 pub struct PhysicalMemory {
-    /// Indexed by frame number and grown on first write: frames come from
-    /// a bump allocator, so the touched indices are dense from zero. `None`
-    /// (and everything past the end) is a frame never written.
-    frames: Vec<Option<Box<[u8]>>>,
+    /// Indexed by `paddr / BLOCK_BYTES` and grown on first write: frames
+    /// come from a bump allocator, so the touched indices are dense from
+    /// zero. `None` (and everything past the end) is a block never written.
+    blocks: Vec<Option<Box<[u8; BLOCK_BYTES]>>>,
     resident: usize,
     capacity: u64,
+}
+
+/// Splits `len` bytes at `addr` into `(block, offset in it, buffer range)`.
+fn pieces(addr: u64, len: usize) -> impl Iterator<Item = (usize, usize, Range<usize>)> {
+    let mut done = 0;
+    std::iter::from_fn(move || {
+        let cur = addr as usize + done;
+        let take = (BLOCK_BYTES - cur % BLOCK_BYTES).min(len - done);
+        let piece = (cur / BLOCK_BYTES, cur % BLOCK_BYTES, done..done + take);
+        done += take;
+        (take > 0).then_some(piece)
+    })
 }
 
 impl PhysicalMemory {
@@ -37,7 +56,7 @@ impl PhysicalMemory {
         assert!(capacity > 0, "zero-capacity memory");
         let capacity = capacity.div_ceil(PAGE_BYTES) * PAGE_BYTES;
         PhysicalMemory {
-            frames: Vec::new(),
+            blocks: Vec::new(),
             resident: 0,
             capacity,
         }
@@ -48,19 +67,18 @@ impl PhysicalMemory {
         self.capacity
     }
 
-    /// Number of frames currently materialized.
-    pub fn resident_frames(&self) -> usize {
-        self.resident
+    /// Bytes currently materialized: written blocks × [`BLOCK_BYTES`].
+    pub fn resident_bytes(&self) -> u64 {
+        (self.resident * BLOCK_BYTES) as u64
     }
 
-    fn frame_mut(&mut self, frame_no: u64) -> &mut [u8] {
-        let i = frame_no as usize;
-        if i >= self.frames.len() {
-            self.frames.resize_with(i + 1, || None);
+    fn block_mut(&mut self, i: usize) -> &mut [u8; BLOCK_BYTES] {
+        if i >= self.blocks.len() {
+            self.blocks.resize_with(i + 1, || None);
         }
-        self.frames[i].get_or_insert_with(|| {
+        self.blocks[i].get_or_insert_with(|| {
             self.resident += 1;
-            vec![0u8; PAGE_BYTES as usize].into_boxed_slice()
+            Box::new([0; BLOCK_BYTES])
         })
     }
 
@@ -78,20 +96,11 @@ impl PhysicalMemory {
             "read past end of memory: {addr}+{}",
             buf.len()
         );
-        let mut cur = addr.raw();
-        let mut done = 0usize;
-        while done < buf.len() {
-            let frame_no = cur / PAGE_BYTES;
-            let off = (cur % PAGE_BYTES) as usize;
-            let take = ((PAGE_BYTES as usize) - off).min(buf.len() - done);
-            match self.frames.get(frame_no as usize) {
-                Some(Some(frame)) => {
-                    buf[done..done + take].copy_from_slice(&frame[off..off + take])
-                }
-                _ => buf[done..done + take].fill(0),
+        for (i, off, at) in pieces(addr.raw(), buf.len()) {
+            match self.blocks.get(i) {
+                Some(Some(block)) => buf[at.clone()].copy_from_slice(&block[off..off + at.len()]),
+                _ => buf[at].fill(0),
             }
-            cur += take as u64;
-            done += take;
         }
     }
 
@@ -107,15 +116,8 @@ impl PhysicalMemory {
             "write past end of memory: {addr}+{}",
             data.len()
         );
-        let mut cur = addr.raw();
-        let mut done = 0usize;
-        while done < data.len() {
-            let frame_no = cur / PAGE_BYTES;
-            let off = (cur % PAGE_BYTES) as usize;
-            let take = ((PAGE_BYTES as usize) - off).min(data.len() - done);
-            self.frame_mut(frame_no)[off..off + take].copy_from_slice(&data[done..done + take]);
-            cur += take as u64;
-            done += take;
+        for (i, off, at) in pieces(addr.raw(), data.len()) {
+            self.block_mut(i)[off..off + at.len()].copy_from_slice(&data[at]);
         }
     }
 
@@ -162,20 +164,26 @@ mod tests {
         let mut buf = [0xFFu8; 16];
         mem.read(PAddr::new(4096), &mut buf);
         assert_eq!(buf, [0u8; 16]);
-        assert_eq!(mem.resident_frames(), 0);
+        assert_eq!(mem.resident_bytes(), 0);
     }
 
     #[test]
-    fn only_written_frames_are_resident() {
+    fn only_written_blocks_are_resident() {
+        let block = BLOCK_BYTES as u64;
         let mut mem = PhysicalMemory::new(1 << 20);
         mem.store_u64(PAddr::new(5 * PAGE_BYTES + 8), 9);
         mem.store_u64(PAddr::new(5 * PAGE_BYTES), 1);
-        assert_eq!(mem.resident_frames(), 1);
-        // A gap below the written frame and a frame past the table.
+        assert_eq!(mem.resident_bytes(), block);
+        // The next block of the same frame is a block of its own.
+        mem.store_u64(PAddr::new(5 * PAGE_BYTES + block), 2);
+        assert_eq!(mem.resident_bytes(), 2 * block);
+        // A gap below the written blocks, the frame's untouched tail and a
+        // block past the table.
         assert_eq!(mem.load_u64(PAddr::new(2 * PAGE_BYTES)), 0);
+        assert_eq!(mem.load_u64(PAddr::new(6 * PAGE_BYTES - 8)), 0);
         assert_eq!(mem.load_u64(PAddr::new(9 * PAGE_BYTES)), 0);
         assert_eq!(mem.load_u64(PAddr::new(5 * PAGE_BYTES + 8)), 9);
-        assert_eq!(mem.resident_frames(), 1);
+        assert_eq!(mem.resident_bytes(), 2 * block);
     }
 
     #[test]
@@ -197,7 +205,7 @@ mod tests {
         let mut back = [0u8; 8];
         mem.read(addr, &mut back);
         assert_eq!(back, [1, 2, 3, 4, 5, 6, 7, 8]);
-        assert_eq!(mem.resident_frames(), 2);
+        assert_eq!(mem.resident_bytes(), 2 * BLOCK_BYTES as u64);
     }
 
     #[test]

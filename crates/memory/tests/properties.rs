@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use sonuma_memory::addr::split_into_lines;
 use sonuma_memory::{
     AccessKind, AddressSpace, AgentId, CacheArray, CacheGeometry, FrameAllocator, HierarchyConfig,
-    MemoryHierarchy, PAddr, PhysicalMemory, Tlb, VAddr, PAGE_BYTES,
+    MemoryHierarchy, PAddr, PhysicalMemory, Tlb, VAddr, BLOCK_BYTES, PAGE_BYTES,
 };
 use sonuma_sim::SimTime;
 
@@ -40,6 +40,70 @@ proptest! {
         let mut back = vec![0u8; a_data.len()];
         mem.read(PAddr::new(a_addr), &mut back);
         prop_assert_eq!(back, a_data);
+    }
+
+    /// The block store agrees with a flat byte array under any mix of
+    /// accesses, ranges straddling block and frame edges included. A read
+    /// materialises nothing, and the resident bytes are exactly the blocks
+    /// written.
+    #[test]
+    fn phys_mem_matches_a_flat_reference(
+        ops in vec(
+            ((0u8..5, any::<bool>(), 0u64..512), (0u64..32, 1usize..1200, any::<u64>(), any::<u64>())),
+            1..64,
+        ),
+    ) {
+        const CAP: u64 = 256 << 10;
+        let block = BLOCK_BYTES as u64;
+        let mut mem = PhysicalMemory::new(CAP);
+        let mut flat = vec![0u8; CAP as usize];
+        let mut written = std::collections::BTreeSet::new();
+        for ((op, frame_edge, k), (delta, len, x, y)) in ops {
+            // Up to 16 bytes either side of a block or frame edge.
+            let unit = if frame_edge { PAGE_BYTES } else { block };
+            let edge = k * unit % CAP;
+            let len = if op < 2 { len } else { 8 };
+            let addr = (edge + delta).saturating_sub(16).min(CAP - len as u64);
+            let (pa, at) = (PAddr::new(addr), addr as usize..addr as usize + len);
+            let old = u64::from_le_bytes(flat[at.clone()].try_into().unwrap_or([0; 8]));
+            let resident = mem.resident_bytes();
+            let stored = match op {
+                0 => {
+                    let data: Vec<u8> = (0..len).map(|i| (x >> (i % 8 * 8)) as u8 ^ i as u8).collect();
+                    mem.write(pa, &data);
+                    Some(data)
+                }
+                1 => {
+                    let mut back = vec![0xA5; len];
+                    mem.read(pa, &mut back);
+                    prop_assert_eq!(&back[..], &flat[at.clone()]);
+                    prop_assert_eq!(mem.resident_bytes(), resident);
+                    None
+                }
+                2 => {
+                    mem.store_u64(pa, x);
+                    Some(x.to_le_bytes().to_vec())
+                }
+                3 => {
+                    prop_assert_eq!(mem.fetch_add_u64(pa, x), old);
+                    Some(old.wrapping_add(x).to_le_bytes().to_vec())
+                }
+                _ => {
+                    let expected = if y % 2 == 0 { old } else { y };
+                    prop_assert_eq!(mem.compare_swap_u64(pa, expected, x), old);
+                    (expected == old).then(|| x.to_le_bytes().to_vec())
+                }
+            };
+            if let Some(data) = stored {
+                flat[at].copy_from_slice(&data);
+                written.extend(addr / block..=(addr + len as u64 - 1) / block);
+            }
+            prop_assert_eq!(mem.resident_bytes(), block * written.len() as u64);
+        }
+        let mut whole = vec![0xA5; CAP as usize];
+        mem.read(PAddr::new(0), &mut whole);
+        prop_assert!(whole == flat, "the block store and the flat reference differ");
+        prop_assert_eq!(mem.resident_bytes(), block * written.len() as u64);
     }
 
     /// `split_into_lines` partitions the range exactly: fragments are
