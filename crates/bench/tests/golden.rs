@@ -9,13 +9,17 @@
 //!   are asserted by name beside it, so no re-pin can drop them.
 //! * Two inline specs (tenant arrivals with faults, the KV plane) keep
 //!   the whole-report digests pinned before the three drive loops were
-//!   folded into one, re-pinned once when physical memory moved from
-//!   8 KB frames to 512 B blocks: `sharding.resident_bytes` moved.
+//!   folded into one, re-pinned twice: when physical memory moved from
+//!   8 KB frames to 512 B blocks, and when cache tag state came to be
+//!   counted as placed sets plus slot tables. Each time only
+//!   `sharding.resident_bytes` moved.
 //! * A spec carrying every optional report section at once pins its
 //!   rendered and `diff-runs` forms to the commit before the row
-//!   renderers were shared. The rendered digest was re-pinned twice, when
-//!   a cache way shrank to 4 bytes and when physical memory moved to
-//!   512 B blocks: each time `sharding.resident_bytes` moved.
+//!   renderers were shared. The rendered digest was re-pinned three
+//!   times, when a cache way shrank to 4 bytes, when physical memory
+//!   moved to 512 B blocks and when cache tag state came to be counted
+//!   as placed sets plus slot tables: each time `sharding.resident_bytes`
+//!   moved.
 
 use sonuma_bench::json::Json;
 use sonuma_bench::scenario::{
@@ -149,8 +153,8 @@ fn digest(spec: &ScenarioSpec) -> u64 {
 #[test]
 fn reports_match_the_digests_pinned_before_the_single_drive_loop() {
     for (text, pinned) in [
-        (TENANTS_FAULTS, 0x10a3_9b59_496b_36cd),
-        (KV, 0x7c5c_2bdc_ed3e_f5c4),
+        (TENANTS_FAULTS, 0xa222_a332_d2a5_04da),
+        (KV, 0xe1d4_82e3_3ac6_21d4),
     ] {
         let spec = ScenarioSpec::from_toml(text).expect("golden spec parses");
         assert_eq!(
@@ -194,7 +198,7 @@ fn a_run_with_every_section_keeps_its_pinned_renderings() {
     let stripped = equivalence_diff(&doc, &Json::Null).remove(0);
     let doc = strip_wall(&doc);
     for (what, text, pinned) in [
-        ("rendered", doc.render(), 0x4968_22ad_bba3_281au64),
+        ("rendered", doc.render(), 0xd732_0300_df60_dfd0u64),
         ("diff-runs view", stripped, 0x464b_45e6_a55d_e6ac),
     ] {
         let digest = fnv1a(&text);
@@ -206,36 +210,37 @@ fn a_run_with_every_section_keeps_its_pinned_renderings() {
 /// rendered run object of `report(&[run_spec(&canned(name))])`, all 28
 /// taken before the wall gate and its 18k-line baseline file were deleted.
 /// The 14 soNUMA rows were re-pinned when physical memory moved from 8 KB
-/// frames to 512 B blocks: `sharding.resident_bytes` was the only member
-/// that moved.
+/// frames to 512 B blocks, and again when cache tag state came to be
+/// counted as placed sets plus slot tables: each time
+/// `sharding.resident_bytes` was the only member that moved.
 #[rustfmt::skip]
 const LEDGER: &[(&str, &str, u64)] = &[
-    ("smoke-uniform-8", "soNUMA", 0xefa9ca920bf57c50),
+    ("smoke-uniform-8", "soNUMA", 0x02a1f74d5223e4fd),
     ("smoke-uniform-8", "RDMA (ConnectX-3)", 0x68e3af470c3cb357),
     ("smoke-uniform-8", "TCP/IP (Calxeda)", 0xbaed3713601847eb),
-    ("smoke-torus-16", "soNUMA", 0xad668f9fb2d89544),
-    ("smoke-mixed-4", "soNUMA", 0xbcc101185fe84b95),
+    ("smoke-torus-16", "soNUMA", 0x5ecf441432dc6048),
+    ("smoke-mixed-4", "soNUMA", 0xecf563596d28cf32),
     ("smoke-mixed-4", "RDMA (ConnectX-3)", 0x157172ccec142c2b),
     ("smoke-mixed-4", "TCP/IP (Calxeda)", 0xa441b04712072306),
-    ("rack512-neighbor", "soNUMA", 0x4742d1e0f3e4982a),
-    ("rack512-torus-scan", "soNUMA", 0x4792df2adc815170),
-    ("rack64-tenants", "soNUMA", 0x1a84e5e948b8a168),
+    ("rack512-neighbor", "soNUMA", 0x591e40855f969df9),
+    ("rack512-torus-scan", "soNUMA", 0x1782dd9c1a93f4b0),
+    ("rack64-tenants", "soNUMA", 0x6c9f448dfd75a93c),
     ("rack64-tenants", "RDMA (ConnectX-3)", 0xb957746e4bdeb040),
     ("rack64-tenants", "TCP/IP (Calxeda)", 0xde7b58d2da6e84ee),
-    ("rack64-tenants-strict", "soNUMA", 0xe98a8a6f0c3dfe7d),
+    ("rack64-tenants-strict", "soNUMA", 0xf499944fc9edb313),
     ("rack64-tenants-strict", "RDMA (ConnectX-3)", 0xe8239bafb0cc5869),
     ("rack64-tenants-strict", "TCP/IP (Calxeda)", 0x652d20041ec81d00),
-    ("rack1024-shard", "soNUMA", 0xf61ba96726fec1c2),
-    ("rack4096", "soNUMA", 0x47114f73efc32c10),
-    ("rack8192", "soNUMA", 0xcacc153d1045fe5b),
-    ("rack512-linkflap", "soNUMA", 0x41e6c641de2abace),
+    ("rack1024-shard", "soNUMA", 0xd4670ba8d36c447c),
+    ("rack4096", "soNUMA", 0xa912c4646e27b7ff),
+    ("rack8192", "soNUMA", 0x60c4c1db4018cd45),
+    ("rack512-linkflap", "soNUMA", 0x129e8d714da4e133),
     ("rack512-linkflap", "RDMA (ConnectX-3)", 0x329c9d44a4bddb1b),
     ("rack512-linkflap", "TCP/IP (Calxeda)", 0xd3175666323cbe8c),
-    ("rack1024-nodekill", "soNUMA", 0xc34b9129f3951e13),
-    ("rack512-kv", "soNUMA", 0xb18f47e42677586d),
+    ("rack1024-nodekill", "soNUMA", 0x4eecfe53a22aa434),
+    ("rack512-kv", "soNUMA", 0x1f51af57be021bf0),
     ("rack512-kv", "RDMA (ConnectX-3)", 0xbc95f63b4517213f),
     ("rack512-kv", "TCP/IP (Calxeda)", 0x237793a7b9144284),
-    ("rack1024-kv-zipf", "soNUMA", 0x43acec27c8b0f848),
+    ("rack1024-kv-zipf", "soNUMA", 0x021f24244e8ee4b7),
     ("rack1024-kv-zipf", "RDMA (ConnectX-3)", 0xd45946d655373c6e),
     ("rack1024-kv-zipf", "TCP/IP (Calxeda)", 0x530565fc8661caf7),
 ];

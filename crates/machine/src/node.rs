@@ -284,19 +284,17 @@ impl Node {
     /// Estimated heap bytes this node's model state actually occupies.
     ///
     /// Counts what is *resident*, not what is addressable: written
-    /// physical blocks, valid cache ways (the hierarchy keeps no
-    /// coherence entries beside them), grown ITT/CT slots, page-table
-    /// entries, and per-QP cursor state. The way arrays are sized by
-    /// geometry but their untouched pages are never faulted in, and
-    /// untouched table slots contribute nothing, which is exactly the
+    /// physical blocks, the cache sets fills have placed and their slot
+    /// tables (the hierarchy keeps no coherence entries beside them),
+    /// grown ITT/CT slots, page-table entries, and per-QP cursor state.
+    /// The way arrays are sized by geometry but pack filled sets from
+    /// their start, so the pages past the last filled set are never
+    /// faulted in; untouched table slots contribute nothing. That is the
     /// property the rack4096 memory diet relies on.
     pub fn resident_bytes(&self) -> u64 {
-        // One packed word per way: tag | rank | dirty | valid. Coherence
-        // state is those bits, so a line costs nothing beyond its ways.
-        const LINE_STATE_BYTES: u64 = 4;
         const PTE_BYTES: u64 = 8; // one pfn per page in an extent's run
         let blocks = self.phys.resident_bytes();
-        let lines = self.hierarchy.resident_lines() as u64 * LINE_STATE_BYTES;
+        let tags = self.hierarchy.resident_bytes();
         let ptes = self.space.mapped_pages() as u64 * PTE_BYTES;
         let rmc = self.rmc.itt.resident_bytes() as u64
             + self.rmc.ct.resident_bytes() as u64
@@ -306,7 +304,7 @@ impl Node {
             .iter()
             .map(|q| std::mem::size_of::<AppQpCursors>() as u64 + q.slot_busy.capacity() as u64)
             .sum::<u64>();
-        blocks + lines + ptes + rmc + qp_cursors
+        blocks + tags + ptes + rmc + qp_cursors
     }
 
     /// Translates a virtual address through the node's page table.

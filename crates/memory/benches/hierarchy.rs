@@ -7,9 +7,10 @@
 //! * `rack/512_nodes`: 512 Table 1 hierarchies visited round-robin, one
 //!   LLC access each — the shape of a rack run, where every node's state
 //!   has left the host caches by the time its next event runs.
-//! * `first_touch/llc_pages`: a fresh hierarchy per iteration and one
-//!   access per 4 KB of LLC state — what the first access to a page of
-//!   the way array costs (a page fault).
+//! * `first_touch/llc_pages`: fresh hierarchies and one access in each
+//!   of the 64 LLC sets that a by-set-index layout put on 64 separate
+//!   4 KB pages — what first fills of far-apart sets cost now that they
+//!   are packed in fill order (one page of ways plus the slot table).
 //!
 //! Runs offline through the in-repo criterion shim:
 //!
@@ -95,7 +96,8 @@ fn bench_first_touch(c: &mut Criterion) {
     let mut g = c.benchmark_group("first_touch");
     g.sample_size(10);
     let llc = HierarchyConfig::table1().l2_geometry;
-    // A way is one 4-byte word.
+    // Sets this far apart sat on separate pages when set `s` was stored
+    // at word `s × ways` (a way is one 4-byte word).
     let sets_per_page = 4096 / (4 * llc.ways() as u64);
     g.bench_function("llc_pages", |b| {
         // The hierarchies outlive the timed body (the shim drops its

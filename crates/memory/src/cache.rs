@@ -120,25 +120,30 @@ impl LookupResult {
 #[derive(Debug)]
 pub struct CacheArray {
     geom: CacheGeometry,
-    /// One word per way, a set being `ways` consecutive words from
-    /// `base`: `tag | rank | dirty | valid`, the rank `ceil(log2 ways)`
-    /// bits wide. Zero-initialized, so `vec![0; n]` takes untouched pages
-    /// from the allocator and a rack of 4 MB LLCs costs address space,
-    /// not memory, until sets fill.
+    /// One word per way, `tag | rank | dirty | valid`, the rank
+    /// `ceil(log2 ways)` bits wide. A set is `ways` consecutive words at
+    /// the position its first fill took, not at its set index, so the
+    /// filled sets are packed from `base` up whichever sets they are.
+    /// Zero-initialized and never grown, so `vec![0; n]` takes untouched
+    /// pages from the allocator and a rack of 4 MB LLCs costs address
+    /// space, not memory, beyond the sets it fills.
     words: Vec<u32>,
-    /// Index of set 0's first word: the first 64-byte boundary of
+    /// Index of position 0's first word: the first 64-byte boundary of
     /// `words`, so a 16-way set is exactly one host cache line.
     base: usize,
     /// Bit position of the tag, 2 + the rank width, and the rank field.
     tag_shift: u32,
     rank_mask: u32,
-    /// One bit per set: has any way of it ever been filled. A set whose
-    /// bit is clear is known empty *without loading its words*, so the
-    /// first touch of a fresh page of `words` is the fill's store. A
+    /// One slot per set, allocated by the first fill: 0 if no fill has
+    /// reached the set, else 1 + its position. A set with slot 0 is known
+    /// empty *without loading its ways*, and a fresh fill takes position
+    /// `placed`, so the first touch of its ways is the fill's store. A
     /// load first would map the kernel's shared zero page and the store
     /// after it would fault again to replace it (DESIGN.md, "First
     /// touch").
-    filled: Vec<u64>,
+    slots: Vec<u32>,
+    /// Sets placed so far: the next fresh fill's position.
+    placed: u32,
     hits: u64,
     misses: u64,
     /// Ways currently valid, maintained by fill and `invalidate` so
@@ -178,7 +183,8 @@ impl CacheArray {
             words,
             tag_shift,
             rank_mask: (1 << tag_shift) - RANK_ONE,
-            filled: vec![0; sets.div_ceil(64)],
+            slots: Vec::new(),
+            placed: 0,
             hits: 0,
             misses: 0,
             resident: 0,
@@ -195,30 +201,32 @@ impl CacheArray {
         self.misses
     }
 
+    /// Index of `set`'s first way, or `None` if no fill has reached it.
+    /// Loads the set's slot only: a never-filled set's ways stay
+    /// untouched.
     #[inline]
-    fn is_filled(&self, set: usize) -> bool {
-        self.filled[set / 64] >> (set % 64) & 1 != 0
+    fn first_word(&self, set: usize) -> Option<usize> {
+        let slot = *self.slots.get(set)? as usize;
+        (slot != 0).then(|| self.base + (slot - 1) * self.geom.ways() as usize)
     }
 
-    /// `addr`'s set index, the index of the set's first word, and the word
-    /// a valid clean way holding `addr`'s line at rank 0 would be. A tag
-    /// too wide for the word has no key, and so matches no way.
+    /// `addr`'s set index and the word a valid clean way holding `addr`'s
+    /// line at rank 0 would be. A tag too wide for the word has no key,
+    /// and so matches no way.
     #[inline]
-    fn locate(&self, addr: PAddr) -> (usize, usize, Option<u32>) {
+    fn locate(&self, addr: PAddr) -> (usize, Option<u32>) {
         let set = self.geom.set_of(addr) as usize;
         let tag = self.geom.tag_of(addr);
         let key =
             (tag >> (32 - self.tag_shift) == 0).then(|| (tag as u32) << self.tag_shift | VALID);
-        (set, self.base + set * self.geom.ways() as usize, key)
+        (set, key)
     }
 
     /// Index of the valid way holding `addr`'s line, if any.
     #[inline]
     fn way_of(&self, addr: PAddr) -> Option<usize> {
-        let (set, first, key) = self.locate(addr);
-        if !self.is_filled(set) {
-            return None;
-        }
+        let (set, key) = self.locate(addr);
+        let first = self.first_word(set)?;
         let (key, mask) = (key?, !(self.rank_mask | DIRTY));
         self.words[first..first + self.geom.ways() as usize]
             .iter()
@@ -248,42 +256,54 @@ impl CacheArray {
     /// the rank's `ceil(log2 ways)`: 26 for a 16-way cache).
     pub fn access(&mut self, addr: PAddr, write: bool) -> LookupResult {
         let dirty = if write { DIRTY } else { 0 };
-        let (set, first, key) = self.locate(addr);
+        let (set, key) = self.locate(addr);
         let tag_bits = 32 - self.tag_shift;
         let key = key.unwrap_or_else(|| panic!("tag of {addr} exceeds {tag_bits} bits"));
-        if self.is_filled(set) {
-            let (rank_mask, key_mask) = (self.rank_mask, !(self.rank_mask | DIRTY));
-            let ways = &mut self.words[first..first + self.geom.ways() as usize];
-            if let Some(way) = ways.iter().position(|&w| w & key_mask == key) {
-                promote(ways, way, rank_mask);
-                ways[way] = ways[way] & !rank_mask | dirty;
-                self.hits += 1;
-                return LookupResult::Hit;
-            }
+        let Some(first) = self.first_word(set) else {
+            return self.place(set, key | dirty);
+        };
+        let (rank_mask, key_mask) = (self.rank_mask, !(self.rank_mask | DIRTY));
+        let ways = &mut self.words[first..first + self.geom.ways() as usize];
+        if let Some(way) = ways.iter().position(|&w| w & key_mask == key) {
+            promote(ways, way, rank_mask);
+            ways[way] = ways[way] & !rank_mask | dirty;
+            self.hits += 1;
+            return LookupResult::Hit;
         }
         self.fill(set, first, key | dirty)
     }
 
-    /// Fills the missing line `word` into `set`, whose ways start at
-    /// `first`. Out of line, so a hit runs through a small function.
+    /// First fill of the never-filled `set` with the line `word`: the set
+    /// takes the next free position, and its ways are written by stores
+    /// alone (way 0 `word` at rank 0, way `j` invalid at rank `j`). Out of
+    /// line, so a hit runs through a small function.
+    #[inline(never)]
+    fn place(&mut self, set: usize, word: u32) -> LookupResult {
+        if self.slots.is_empty() {
+            self.slots = vec![0; self.geom.sets() as usize];
+        }
+        self.placed += 1;
+        self.slots[set] = self.placed;
+        let ways = self.geom.ways() as usize;
+        let first = self.base + (self.placed as usize - 1) * ways;
+        for (w, j) in self.words[first..first + ways].iter_mut().zip(0..) {
+            *w = j * RANK_ONE;
+        }
+        self.words[first] = word;
+        self.misses += 1;
+        self.resident += 1;
+        LookupResult::Miss {
+            evicted_clean: None,
+        }
+    }
+
+    /// Fills the missing line `word` into the filled `set`, whose ways
+    /// start at `first`. Out of line, like `place`.
     #[inline(never)]
     fn fill(&mut self, set: usize, first: usize, word: u32) -> LookupResult {
-        let (rank_mask, fresh) = (self.rank_mask, !self.is_filled(set));
+        let rank_mask = self.rank_mask;
         let ways = &mut self.words[first..first + self.geom.ways() as usize];
         self.misses += 1;
-        if fresh {
-            // First fill of the set, by stores alone: way 0 at rank 0,
-            // way `j` invalid at rank `j`.
-            self.filled[set / 64] |= 1 << (set % 64);
-            for (w, j) in ways.iter_mut().zip(0..) {
-                *w = j * RANK_ONE;
-            }
-            ways[0] = word;
-            self.resident += 1;
-            return LookupResult::Miss {
-                evicted_clean: None,
-            };
-        }
 
         // The victim: the first invalid way, else the LRU way, ranked last.
         let lru = (ways.len() as u32 - 1) * RANK_ONE;
@@ -334,6 +354,15 @@ impl CacheArray {
     /// Number of resident lines (for tests and occupancy stats).
     pub fn resident_lines(&self) -> usize {
         self.resident
+    }
+
+    /// Host bytes of tag state this cache has written: every filled set's
+    /// ways, 4 B each, plus the 4-byte-a-set slot table once the first
+    /// fill has allocated it. A never-filled set's ways cost nothing, and
+    /// neither does an invalidated way of a filled one.
+    pub fn resident_bytes(&self) -> u64 {
+        let ways = u64::from(self.placed) * u64::from(self.geom.ways());
+        (ways + self.slots.len() as u64) * 4
     }
 }
 
@@ -519,8 +548,7 @@ mod tests {
                     12..=13 => drop(c.clean(addr)),
                     _ => drop(c.probe(addr)),
                 }
-                for set in (0..4).filter(|&s| c.is_filled(s)) {
-                    let first = c.base + set * ways;
+                for first in (0..4).filter_map(|s| c.first_word(s)) {
                     let mut ranks: Vec<u32> = c.words[first..first + ways]
                         .iter()
                         .map(|w| (w & c.rank_mask) / RANK_ONE)
@@ -533,6 +561,27 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn sets_are_placed_in_first_fill_order() {
+        let mut c = tiny();
+        assert!(!c.probe(line(3)));
+        assert!(c.slots.is_empty(), "a lookup allocated the slot table");
+        assert_eq!(c.resident_bytes(), 0);
+        // Set 3, then set 0, then set 3 again: two positions, in that order.
+        for i in [3, 0, 7] {
+            c.access(line(i), false);
+        }
+        assert_eq!(
+            (c.first_word(3), c.first_word(0)),
+            (Some(c.base), Some(c.base + 2))
+        );
+        assert_eq!((c.first_word(1), c.first_word(2)), (None, None));
+        // Two sets of two 4-byte ways, and four 4-byte slots.
+        assert_eq!(c.resident_bytes(), 2 * 2 * 4 + 4 * 4);
+        assert!(c.invalidate(line(0)).is_some());
+        assert_eq!(c.resident_bytes(), 2 * 2 * 4 + 4 * 4);
     }
 
     #[test]

@@ -174,10 +174,7 @@ impl MemoryHierarchy {
         &self.dram
     }
 
-    /// Valid ways across all levels. Each way array is sized by geometry,
-    /// but a page of it is faulted in only by the first fill that lands
-    /// there, so this — not `size_bytes()` — tracks what the hierarchy
-    /// actually costs (4 bytes a way). O(agents): each array keeps its own
+    /// Valid ways across all levels. O(agents): each array keeps its own
     /// count.
     pub fn resident_lines(&self) -> usize {
         self.l1s
@@ -185,6 +182,14 @@ impl MemoryHierarchy {
             .map(CacheArray::resident_lines)
             .sum::<usize>()
             + self.l2.resident_lines()
+    }
+
+    /// Host bytes of tag state across all levels
+    /// ([`CacheArray::resident_bytes`]). Each way array is sized by
+    /// geometry, but filled sets are packed in first-fill order, so this —
+    /// not `size_bytes()` — tracks what the hierarchy actually costs.
+    pub fn resident_bytes(&self) -> u64 {
+        self.l1s.iter().map(CacheArray::resident_bytes).sum::<u64>() + self.l2.resident_bytes()
     }
 
     fn note(&mut self, level: HitLevel) {

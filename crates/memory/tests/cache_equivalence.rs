@@ -2,12 +2,15 @@
 //! properties its layout exists for: exact LRU and store-first fills.
 //!
 //! `CacheArray` keeps a way as one packed 4-byte word (tag | recency rank
-//! | dirty | valid) and knows a never-filled set empty from one bit,
-//! without loading its words. Before that a way was one 8-byte word with
-//! a 32-bit LRU stamp, and before that 17 bytes in three parallel
-//! arrays. [`ThreeArrayCache`] below is that earlier implementation, kept
-//! verbatim (on the public `CacheGeometry`) as the reference: over random
-//! operation streams the two must agree on every result, victim lines
+//! | dirty | valid), places each set's ways at the next free position on
+//! the set's first fill rather than at its set index, and knows a
+//! never-filled set empty from its slot, without loading its words.
+//! Before that a way was one 8-byte word with a 32-bit LRU stamp, and
+//! before that 17 bytes in three parallel arrays. [`ThreeArrayCache`]
+//! below is that earlier implementation, kept verbatim (on the public
+//! `CacheGeometry`) as the reference: over random operation streams on
+//! sets scattered across the geometry, so that first-fill order differs
+//! from set order, the two must agree on every result, victim lines
 //! included, and on every counter.
 
 use proptest::collection::vec;
@@ -184,23 +187,25 @@ const GEOMETRIES: [(u64, u32); 10] = [
     (4096, 64),
 ];
 
-/// Line `k` of the lines that map to set `s`: a few sets, and more lines
-/// per set than it has ways, so every geometry sees evictions.
-fn line_addr(geom: CacheGeometry, k: u64, s: u64) -> PAddr {
+/// Line `k` of the lines that map to set `picks[s % 8]`, the picks
+/// drawn from anywhere in the geometry, so the order the ops first fill
+/// sets in is not their index order. More lines per set than it has
+/// ways, so every geometry sees evictions.
+fn line_addr(geom: CacheGeometry, picks: &[u64], k: u64, s: u64) -> PAddr {
     let k = k % (2 * geom.ways() as u64 + 2);
-    let s = s % geom.sets().min(8);
+    let s = picks[s as usize % picks.len()] & (geom.sets() - 1);
     PAddr::new((k * geom.sets() + s) * 64)
 }
 
-/// Runs `ops` = `(operation, k, s)` through both implementations and
-/// compares everything observable.
-fn check(shape: usize, ops: &[(u8, u64, u64)]) {
+/// Runs `ops` = `(operation, k, s)` through both implementations on the
+/// sets `picks` names and compares everything observable.
+fn check(shape: usize, picks: &[u64], ops: &[(u8, u64, u64)]) {
     let (size, ways) = GEOMETRIES[shape];
     let geom = CacheGeometry::new(size, ways);
     let mut packed = CacheArray::new(geom);
     let mut reference = ThreeArrayCache::new(geom);
     for (i, &(op, k, s)) in ops.iter().enumerate() {
-        let addr = line_addr(geom, k, s);
+        let addr = line_addr(geom, picks, k, s);
         let ctx = || format!("op {i}: {op} on {addr:?} ({size} B, {ways}-way)");
         match op {
             // Accesses dominate, as they do in a run; one in four writes.
@@ -239,7 +244,7 @@ fn check(shape: usize, ops: &[(u8, u64, u64)]) {
     assert_eq!(packed.misses(), reference.misses());
     for k in 0..2 * ways as u64 + 2 {
         for s in 0..8 {
-            let addr = line_addr(geom, k, s);
+            let addr = line_addr(geom, picks, k, s);
             assert_eq!(packed.probe_state(addr), reference.probe_state(addr));
         }
     }
@@ -249,13 +254,14 @@ proptest! {
     #[test]
     fn packed_ways_match_the_three_array_reference(
         shape in 0usize..GEOMETRIES.len(),
+        picks in vec(any::<u64>(), 8..9),
         ops in vec((0u8..10, 0u64..256, 0u64..8), 1..2_000),
     ) {
-        check(shape, &ops);
+        check(shape, &picks, &ops);
     }
 }
 
-/// What the filled bit buys, measured: page faults around lookups and
+/// What the slot table buys, measured: page faults around lookups and
 /// fills of a fresh LLC-sized array.
 #[cfg(target_os = "linux")]
 mod first_touch {
@@ -287,15 +293,15 @@ mod first_touch {
         CacheGeometry::new(4 * 1024 * 1024, 16)
     }
 
-    /// A lookup in a never-filled set answers from the set's "ever filled"
-    /// bit: it must not load the way words, which would fault every page of a
-    /// fresh array in (as the shared zero page) just to learn it is empty.
+    /// A lookup in a never-filled set answers from the set's slot: it must
+    /// not load the way words, which would fault every page of a fresh
+    /// array in (as the shared zero page) just to learn it is empty.
     #[test]
     fn lookups_in_never_filled_sets_fault_nothing_in() {
         let geom = llc();
         let mut c = CacheArray::new(geom);
         let line = |set: u64| PAddr::new(set * 64);
-        c.probe(line(0)); // the bitmap and this code are resident from here on
+        c.probe(line(0)); // this code is resident from here on
         let before = minor_faults();
         for set in 0..geom.sets() {
             assert!(!c.probe(line(set)));
@@ -310,21 +316,23 @@ mod first_touch {
         );
     }
 
-    /// The first touch of a fresh page of the way array is the fill's store,
-    /// so it costs one fault. A load before it would cost two: one to map the
-    /// zero page, one to replace it when the store follows. 64 sets share a
-    /// page, so the LLC's way array is 64 pages.
+    /// Sets are packed in first-fill order, not laid out by set index. One
+    /// fill in each of the 64 sets that a by-index layout puts on 64
+    /// separate pages lands in one 4 KB run of words, plus the 16 KB slot
+    /// table the first fill allocates: a handful of faults, where a
+    /// by-index layout takes one per set.
     #[test]
-    fn first_fill_of_a_fresh_page_takes_one_fault() {
+    fn sets_far_apart_share_pages_once_filled() {
         let geom = llc();
         let sets_per_page = PAGE / (WAY_BYTES * geom.ways() as u64);
+        // Fault the fill path's code in on another cache, alive to the end
+        // so the measured one cannot reuse its memory.
+        let mut warm = CacheArray::new(geom);
+        warm.access(PAddr::new(0), false);
         let mut c = CacheArray::new(geom);
-        let pages = geom.sets() / sets_per_page;
-        assert_eq!(pages, 64);
-        c.access(PAddr::new(0), false);
         let before = minor_faults();
-        for page in 1..pages {
-            let fill = c.access(PAddr::new(page * sets_per_page * 64), true);
+        for set in (0..geom.sets()).step_by(sets_per_page as usize) {
+            let fill = c.access(PAddr::new(set * 64), true);
             assert_eq!(
                 fill,
                 LookupResult::Miss {
@@ -334,8 +342,13 @@ mod first_touch {
         }
         let faults = minor_faults() - before;
         assert!(
-            faults <= pages + pages / 4,
-            "{faults} faults filling one set in each of {pages} fresh pages"
+            faults <= 8,
+            "{faults} faults filling 64 sets {sets_per_page} apart"
+        );
+        assert_eq!(
+            c.resident_bytes(),
+            64 * WAY_BYTES * geom.ways() as u64 + 4 * geom.sets(),
+            "64 sets of ways and one 4-byte slot a set"
         );
     }
 }

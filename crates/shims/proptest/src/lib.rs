@@ -8,8 +8,9 @@
 //! strategies.
 //!
 //! Differences from upstream, deliberately accepted for a test-only shim:
-//! no shrinking (a failing case panics with the assertion message but is
-//! not minimized), and the value streams differ from upstream proptest.
+//! no shrinking (a failing case panics with its case number and the
+//! assertion message but is not minimized), and the value streams differ
+//! from upstream proptest.
 //! Case generation is fully deterministic: the RNG seed is derived from the
 //! test function's name, so failures reproduce exactly across runs.
 
@@ -336,8 +337,23 @@ pub mod prelude {
     };
 }
 
+/// Re-panics with a failed case's panic message prefixed by what
+/// reproduces it: the test's name and the case number
+/// [`TestRng::for_case`] takes.
+#[doc(hidden)]
+pub fn fail_case(name: &str, case: u32, cases: u32, payload: Box<dyn std::any::Any + Send>) -> ! {
+    let msg = payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("(non-string panic payload)");
+    panic!("{name}: case {case} of {cases} failed: {msg}")
+}
+
 /// Defines property tests: each `fn name(arg in strategy, ...) { body }`
-/// becomes a `#[test]` running `cases` deterministic random cases.
+/// becomes a `#[test]` running `cases` deterministic random cases. A
+/// failing case panics with the test's name and case number beside the
+/// assertion's message.
 #[macro_export]
 macro_rules! proptest {
     (#![proptest_config($cfg:expr)] $($rest:tt)*) => {
@@ -351,7 +367,10 @@ macro_rules! proptest {
                 for case in 0..cfg.cases {
                     let mut prop_rng = $crate::TestRng::for_case(stringify!($name), case);
                     $(let $arg = $crate::Strategy::sample(&($strat), &mut prop_rng);)+
-                    $body
+                    let run = ::std::panic::AssertUnwindSafe(move || $body);
+                    if let Err(payload) = ::std::panic::catch_unwind(run) {
+                        $crate::fail_case(stringify!($name), case, cfg.cases, payload);
+                    }
                 }
             }
         )*
@@ -417,6 +436,19 @@ mod tests {
         fn macro_generates_cases(x in 0u32..10, flip in any::<bool>()) {
             prop_assert!(x < 10);
             let _ = flip;
+        }
+    }
+
+    /// Cases the body of `a_failing_case_is_named` has run.
+    static RUN: std::sync::atomic::AtomicU32 = std::sync::atomic::AtomicU32::new(0);
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+        #[test]
+        #[should_panic(expected = "a_failing_case_is_named: case 3 of 8 failed: boom")]
+        fn a_failing_case_is_named(_x in 0u32..10) {
+            let case = RUN.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            prop_assert!(case != 3, "boom");
         }
     }
 
