@@ -9,16 +9,18 @@
 //!   are asserted by name beside it, so no re-pin can drop them.
 //! * Two inline specs (tenant arrivals with faults, the KV plane) keep
 //!   the whole-report digests pinned before the three drive loops were
-//!   folded into one, re-pinned twice: when physical memory moved from
-//!   8 KB frames to 512 B blocks, and when cache tag state came to be
-//!   counted as placed sets plus slot tables. Each time only
+//!   folded into one, re-pinned three times: when physical memory moved
+//!   from 8 KB frames to 512 B blocks, when cache tag state came to be
+//!   counted as placed sets plus slot tables, and when a harvested
+//!   landing buffer came to give its blocks back. Each time only
 //!   `sharding.resident_bytes` moved.
 //! * A spec carrying every optional report section at once pins its
 //!   rendered and `diff-runs` forms to the commit before the row
-//!   renderers were shared. The rendered digest was re-pinned three
+//!   renderers were shared. The rendered digest was re-pinned four
 //!   times, when a cache way shrank to 4 bytes, when physical memory
-//!   moved to 512 B blocks and when cache tag state came to be counted
-//!   as placed sets plus slot tables: each time `sharding.resident_bytes`
+//!   moved to 512 B blocks, when cache tag state came to be counted as
+//!   placed sets plus slot tables and when a harvested landing buffer
+//!   came to give its blocks back: each time `sharding.resident_bytes`
 //!   moved.
 
 use sonuma_bench::json::Json;
@@ -153,8 +155,8 @@ fn digest(spec: &ScenarioSpec) -> u64 {
 #[test]
 fn reports_match_the_digests_pinned_before_the_single_drive_loop() {
     for (text, pinned) in [
-        (TENANTS_FAULTS, 0xa222_a332_d2a5_04da),
-        (KV, 0xe1d4_82e3_3ac6_21d4),
+        (TENANTS_FAULTS, 0x0360_7237_1698_0490),
+        (KV, 0x542e_df11_81d4_9476),
     ] {
         let spec = ScenarioSpec::from_toml(text).expect("golden spec parses");
         assert_eq!(
@@ -198,7 +200,7 @@ fn a_run_with_every_section_keeps_its_pinned_renderings() {
     let stripped = equivalence_diff(&doc, &Json::Null).remove(0);
     let doc = strip_wall(&doc);
     for (what, text, pinned) in [
-        ("rendered", doc.render(), 0xd732_0300_df60_dfd0u64),
+        ("rendered", doc.render(), 0x073a_1ec0_8ed2_3cd2u64),
         ("diff-runs view", stripped, 0x464b_45e6_a55d_e6ac),
     ] {
         let digest = fnv1a(&text);
@@ -210,37 +212,38 @@ fn a_run_with_every_section_keeps_its_pinned_renderings() {
 /// rendered run object of `report(&[run_spec(&canned(name))])`, all 28
 /// taken before the wall gate and its 18k-line baseline file were deleted.
 /// The 14 soNUMA rows were re-pinned when physical memory moved from 8 KB
-/// frames to 512 B blocks, and again when cache tag state came to be
-/// counted as placed sets plus slot tables: each time
-/// `sharding.resident_bytes` was the only member that moved.
+/// frames to 512 B blocks, when cache tag state came to be counted as
+/// placed sets plus slot tables, and when a harvested landing buffer
+/// came to give its blocks back: each time `sharding.resident_bytes` was
+/// the only member that moved.
 #[rustfmt::skip]
 const LEDGER: &[(&str, &str, u64)] = &[
-    ("smoke-uniform-8", "soNUMA", 0x02a1f74d5223e4fd),
+    ("smoke-uniform-8", "soNUMA", 0x1142c05c84275ab8),
     ("smoke-uniform-8", "RDMA (ConnectX-3)", 0x68e3af470c3cb357),
     ("smoke-uniform-8", "TCP/IP (Calxeda)", 0xbaed3713601847eb),
-    ("smoke-torus-16", "soNUMA", 0x5ecf441432dc6048),
-    ("smoke-mixed-4", "soNUMA", 0xecf563596d28cf32),
+    ("smoke-torus-16", "soNUMA", 0x85beed722d29d56f),
+    ("smoke-mixed-4", "soNUMA", 0xf8d9bd3033aa3262),
     ("smoke-mixed-4", "RDMA (ConnectX-3)", 0x157172ccec142c2b),
     ("smoke-mixed-4", "TCP/IP (Calxeda)", 0xa441b04712072306),
-    ("rack512-neighbor", "soNUMA", 0x591e40855f969df9),
-    ("rack512-torus-scan", "soNUMA", 0x1782dd9c1a93f4b0),
-    ("rack64-tenants", "soNUMA", 0x6c9f448dfd75a93c),
+    ("rack512-neighbor", "soNUMA", 0x24b8b94e60213a73),
+    ("rack512-torus-scan", "soNUMA", 0xb76f8a1026afd20b),
+    ("rack64-tenants", "soNUMA", 0x4eb463813508b242),
     ("rack64-tenants", "RDMA (ConnectX-3)", 0xb957746e4bdeb040),
     ("rack64-tenants", "TCP/IP (Calxeda)", 0xde7b58d2da6e84ee),
-    ("rack64-tenants-strict", "soNUMA", 0xf499944fc9edb313),
+    ("rack64-tenants-strict", "soNUMA", 0xadd1613f72d1ce37),
     ("rack64-tenants-strict", "RDMA (ConnectX-3)", 0xe8239bafb0cc5869),
     ("rack64-tenants-strict", "TCP/IP (Calxeda)", 0x652d20041ec81d00),
-    ("rack1024-shard", "soNUMA", 0xd4670ba8d36c447c),
-    ("rack4096", "soNUMA", 0xa912c4646e27b7ff),
-    ("rack8192", "soNUMA", 0x60c4c1db4018cd45),
-    ("rack512-linkflap", "soNUMA", 0x129e8d714da4e133),
+    ("rack1024-shard", "soNUMA", 0xa100a887b4c2b86a),
+    ("rack4096", "soNUMA", 0x501ab798bffaf2d0),
+    ("rack8192", "soNUMA", 0xee17d1ed4453a676),
+    ("rack512-linkflap", "soNUMA", 0x650cc70eadbb6df9),
     ("rack512-linkflap", "RDMA (ConnectX-3)", 0x329c9d44a4bddb1b),
     ("rack512-linkflap", "TCP/IP (Calxeda)", 0xd3175666323cbe8c),
-    ("rack1024-nodekill", "soNUMA", 0x4eecfe53a22aa434),
-    ("rack512-kv", "soNUMA", 0x1f51af57be021bf0),
+    ("rack1024-nodekill", "soNUMA", 0x75cb0618e19b41b9),
+    ("rack512-kv", "soNUMA", 0x8b88144cd14cc828),
     ("rack512-kv", "RDMA (ConnectX-3)", 0xbc95f63b4517213f),
     ("rack512-kv", "TCP/IP (Calxeda)", 0x237793a7b9144284),
-    ("rack1024-kv-zipf", "soNUMA", 0x021f24244e8ee4b7),
+    ("rack1024-kv-zipf", "soNUMA", 0xe0ff44ed6029b1b6),
     ("rack1024-kv-zipf", "RDMA (ConnectX-3)", 0xd45946d655373c6e),
     ("rack1024-kv-zipf", "TCP/IP (Calxeda)", 0x530565fc8661caf7),
 ];

@@ -14,10 +14,10 @@
 //! [`SonumaBackend::register_tenant_channel`] are scheduled by the RGP
 //! under their tenant's weight and SLO class.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use sonuma_fabric::{Fabric, ShardPlan};
-use sonuma_memory::VAddr;
+use sonuma_memory::{VAddr, BLOCK_BYTES};
 use sonuma_protocol::{
     BackendError, CtxId, NodeId, QpId, RemoteBackend, RemoteCompletion, RemoteOp, RemoteRequest,
     TenantId,
@@ -37,22 +37,42 @@ const BACKEND_CTX: CtxId = CtxId(0);
 struct PendingOp {
     token: u64,
     op: RemoteOp,
-    /// Local landing buffer (reads/atomics read back at completion).
-    buf: VAddr,
     len: u64,
+    /// The landing buffer it was posted with and that buffer's span: the
+    /// slot's pooled buffer at post time (a later post that outgrows it
+    /// while this op is in flight replaces the pool's, not this one).
+    buf: VAddr,
+    span: u64,
 }
 
-/// Driver state of one tenant channel: its queue pair, in-flight
-/// operations keyed by WQ slot (unique among outstanding operations on
-/// one QP), and pooled landing buffers.
+/// Driver state of one WQ slot.
+#[derive(Debug, Default)]
+struct Slot {
+    /// The landing buffer pooled for the slot and its span, grown on
+    /// demand and reused by every operation the slot carries.
+    pooled: Option<(VAddr, u64)>,
+    /// The operation in flight on the slot (unique among outstanding
+    /// operations on one QP).
+    pending: Option<PendingOp>,
+}
+
+/// Driver state of one tenant channel: its queue pair and one [`Slot`]
+/// per WQ slot, indexed by slot and grown to the highest slot posted (a
+/// channel that keeps a few operations in flight never pays for the
+/// rest of its ring).
 #[derive(Debug)]
 struct ChannelPort {
     qp: QpId,
-    pending: HashMap<u16, PendingOp>,
-    /// Pooled landing buffers, one per WQ slot, grown on demand and
-    /// reused across operations so arbitrarily long request streams never
-    /// exhaust the node heap.
-    bufs: HashMap<u16, (VAddr, u64)>,
+    slots: Vec<Slot>,
+}
+
+impl ChannelPort {
+    fn new(qp: QpId) -> Self {
+        ChannelPort {
+            qp,
+            slots: Vec::new(),
+        }
+    }
 }
 
 /// Per-node driver state: tenant channels (ordered map — harvest order,
@@ -286,14 +306,9 @@ impl SonumaBackend {
             .sharded
             .create_tenant_qp(node, BACKEND_CTX, 0, tenant)
             .expect("QP ring allocation failed");
-        self.ports[node.index()].channels.insert(
-            channel,
-            ChannelPort {
-                qp,
-                pending: HashMap::new(),
-                bufs: HashMap::new(),
-            },
-        );
+        self.ports[node.index()]
+            .channels
+            .insert(channel, ChannelPort::new(qp));
     }
 
     /// Lazily creates node `n`'s queue pair for `channel` (core 0 owns
@@ -307,14 +322,7 @@ impl SonumaBackend {
             .sharded
             .create_qp(NodeId(n as u16), BACKEND_CTX, 0)
             .expect("QP ring allocation failed");
-        self.ports[n].channels.insert(
-            channel,
-            ChannelPort {
-                qp,
-                pending: HashMap::new(),
-                bufs: HashMap::new(),
-            },
-        );
+        self.ports[n].channels.insert(channel, ChannelPort::new(qp));
         qp
     }
 
@@ -324,6 +332,11 @@ impl SonumaBackend {
     /// place and `drain_cq`'s empty fast path returns before touching the
     /// ring, so the per-advance poll sweep over hundreds of idle nodes
     /// costs integer compares, not heap traffic.
+    ///
+    /// Once its data is copied out, an operation's landing buffer is
+    /// discarded: the backend is its only reader, and the slot's next
+    /// operation rewrites it before anything reads it again, so giving
+    /// its host blocks back moves no simulated result.
     fn harvest(&mut self, n: usize) {
         let SonumaBackend { sharded, ports, .. } = self;
         let NodePort {
@@ -333,29 +346,22 @@ impl SonumaBackend {
             for port in channels.values_mut() {
                 let comps = cluster.drain_cq(n, port.qp);
                 for c in comps {
-                    let Some(p) = port.pending.remove(&c.wq_index) else {
+                    let Some(p) = port.slots[usize::from(c.wq_index)].pending.take() else {
                         continue;
                     };
-                    let mut data = Vec::new();
-                    if c.status.is_ok() {
-                        match p.op {
-                            RemoteOp::Read => {
-                                data = vec![0u8; p.len as usize];
-                                cluster
-                                    .node(n)
-                                    .read_virt(p.buf, &mut data)
-                                    .expect("landing buffer mapped");
-                            }
-                            RemoteOp::FetchAdd | RemoteOp::CompSwap => {
-                                data = vec![0u8; 8];
-                                cluster
-                                    .node(n)
-                                    .read_virt(p.buf, &mut data)
-                                    .expect("landing buffer mapped");
-                            }
-                            RemoteOp::Write | RemoteOp::Interrupt => {}
-                        }
-                    }
+                    let len = match (c.status.is_ok(), p.op) {
+                        (true, RemoteOp::Read) => p.len,
+                        (true, RemoteOp::FetchAdd | RemoteOp::CompSwap) => 8,
+                        _ => 0,
+                    };
+                    let mut data = vec![0u8; len as usize];
+                    let node = cluster.node_mut(n);
+                    node.read_virt(p.buf, &mut data)
+                        .expect("landing buffer mapped");
+                    // Whole blocks: `heap_alloc` hands each buffer whole
+                    // pages, so no block is shared with another buffer.
+                    node.discard_virt(p.buf, p.span.next_multiple_of(BLOCK_BYTES as u64))
+                        .expect("landing buffer mapped");
                     ready.push(RemoteCompletion {
                         token: p.token,
                         status: c.status,
@@ -422,42 +428,38 @@ impl RemoteBackend for SonumaBackend {
             // Zero-length reads/writes are rejected before touching the WQ.
             return Err(BackendError::BadRequest);
         }
-        // Reuse (or grow) the landing buffer pooled for the WQ slot this
-        // post will occupy; a failed post leaves the buffer pooled, so
-        // neither retries nor long streams leak node heap.
         let need = buf_len.max(64);
-        let wq_slot = self.sharded.with_node(n, |cluster, engine| {
-            NodeApi::new(cluster, engine, n, 0, SimTime::ZERO).next_wq_index(qp)
-        });
-        let pooled = self.ports[n]
-            .channels
-            .get(&channel)
-            .and_then(|port| port.bufs.get(&wq_slot))
-            .copied();
-        let buf = match pooled {
-            Some((va, len)) if len >= need => va,
-            _ => {
-                let va = self
-                    .sharded
-                    .with_node(n, |cluster, engine| {
-                        NodeApi::new(cluster, engine, n, 0, SimTime::ZERO).heap_alloc(need)
-                    })
-                    .map_err(|_| BackendError::Exhausted)?;
-                self.ports[n]
-                    .channels
-                    .get_mut(&channel)
-                    .expect("channel exists")
-                    .bufs
-                    .insert(wq_slot, (va, need));
-                va
-            }
-        };
-        let posted = self.sharded.with_node(n, |cluster, engine| {
+        let SonumaBackend { sharded, ports, .. } = self;
+        let NodePort {
+            channels,
+            next_token,
+            ..
+        } = &mut ports[n];
+        let slots = &mut channels.get_mut(&channel).expect("channel exists").slots;
+        sharded.with_node(n, |cluster, engine| {
             let mut api = NodeApi::new(cluster, engine, n, 0, SimTime::ZERO);
+            // Reuse (or grow) the landing buffer pooled for the WQ slot
+            // this post will occupy; a failed post leaves the buffer
+            // pooled, so a retry allocates nothing. A buffer the request
+            // outgrows stays mapped in the node heap for the rest of the
+            // run; only its host blocks go back, at its last harvest.
+            let i = usize::from(api.next_wq_index(qp));
+            if slots.len() <= i {
+                slots.resize_with(i + 1, Slot::default);
+            }
+            let slot = &mut slots[i];
+            let (buf, span) = match slot.pooled {
+                Some((va, span)) if span >= need => (va, span),
+                _ => {
+                    let va = api.heap_alloc(need).map_err(|_| BackendError::Exhausted)?;
+                    slot.pooled = Some((va, need));
+                    (va, need)
+                }
+            };
             if req.op == RemoteOp::Write {
                 api.local_write(buf, &req.payload).expect("buffer mapped");
             }
-            match req.op {
+            let posted = match req.op {
                 RemoteOp::Read => api.post_read(qp, req.dst, BACKEND_CTX, req.offset, buf, req.len),
                 RemoteOp::Write => api.post_write(
                     qp,
@@ -480,31 +482,23 @@ impl RemoteBackend for SonumaBackend {
                     req.operands.1,
                 ),
                 RemoteOp::Interrupt => unreachable!("rejected at validation"),
+            };
+            match posted {
+                Ok(wq_index) => debug_assert_eq!(usize::from(wq_index), i),
+                Err(ApiError::WqFull) => return Err(BackendError::Backpressure),
+                Err(_) => return Err(BackendError::BadRequest),
             }
-        });
-        let wq_index = match posted {
-            Ok(i) => i,
-            Err(ApiError::WqFull) => return Err(BackendError::Backpressure),
-            Err(ApiError::BadLength) => return Err(BackendError::BadRequest),
-            Err(_) => return Err(BackendError::BadRequest),
-        };
-        let port = &mut self.ports[n];
-        let token = port.next_token;
-        port.next_token += 1;
-        port.channels
-            .get_mut(&channel)
-            .expect("channel exists")
-            .pending
-            .insert(
-                wq_index,
-                PendingOp {
-                    token,
-                    op: req.op,
-                    buf,
-                    len: req.len,
-                },
-            );
-        Ok(token)
+            let token = *next_token;
+            *next_token += 1;
+            slot.pending = Some(PendingOp {
+                token,
+                op: req.op,
+                len: req.len,
+                buf,
+                span,
+            });
+            Ok(token)
+        })
     }
 
     fn poll(&mut self, src: NodeId) -> Vec<RemoteCompletion> {
@@ -638,6 +632,59 @@ mod tests {
             512,
             "two 16 KB reads unroll into 256 lines each"
         );
+    }
+
+    /// Host bytes of `node`'s physical memory.
+    fn phys_resident(b: &SonumaBackend, node: usize) -> u64 {
+        b.sharded
+            .peek_node(node, |c| c.node(node).phys.resident_bytes())
+    }
+
+    #[test]
+    fn a_long_read_stream_holds_its_physical_footprint() {
+        let mut b = SonumaBackend::simulated_hardware(2, 1 << 16);
+        b.write_ctx(NodeId(1), 0, &[0x5A; 4096]);
+        // Beyond the level after the first read, only the WQ and CQ rings
+        // may grow, one 64 B entry per fresh slot; from the second lap of
+        // the ring on, nothing does.
+        let entries = usize::from(b.config().qp_entries);
+        let rings = 2 * entries as u64 * 64;
+        let (mut first, mut lap) = (None, None);
+        for i in 0..1000 {
+            b.post(NodeId(0), RemoteRequest::read(NodeId(1), 0, 4096))
+                .unwrap();
+            let done = b.complete_all(NodeId(0));
+            assert_eq!(done[0].data, vec![0x5A; 4096], "read {i}");
+            let resident = phys_resident(&b, 0);
+            let first = *first.get_or_insert(resident);
+            assert!(resident <= first + rings, "{resident} B after read {i}");
+            if i + 1 >= entries {
+                assert_eq!(*lap.get_or_insert(resident), resident, "after read {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn one_slot_returns_each_payload_exactly() {
+        let mut config = MachineConfig::simulated_hardware(2);
+        config.qp_entries = 1;
+        let mut b = SonumaBackend::new(config, 1 << 16);
+        for (value, len) in [(0x11u8, 32 << 10), (0x22, 4 << 10), (0x33, 32 << 10)] {
+            b.write_ctx(NodeId(1), 0, &vec![value; len]);
+            let t = b
+                .post(NodeId(0), RemoteRequest::read(NodeId(1), 0, len as u64))
+                .unwrap();
+            let done = b.complete_all(NodeId(0));
+            assert_eq!((done.len(), done[0].token), (1, t));
+            assert!(done[0].data == vec![value; len], "{len} B of {value:#x}");
+            // Harvest gave the slot's buffer back: it reads as zeros.
+            let (va, span) = b.ports[0].channels[&0].slots[0].pooled.unwrap();
+            let mut left = vec![0xFF; span as usize];
+            b.sharded
+                .peek_node(0, |c| c.node(0).read_virt(va, &mut left))
+                .unwrap();
+            assert!(left.iter().all(|&x| x == 0), "{len} B of {value:#x}");
+        }
     }
 
     #[test]

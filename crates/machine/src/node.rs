@@ -351,6 +351,25 @@ impl Node {
         Ok(())
     }
 
+    /// Gives back the host bytes behind `len` bytes at virtual `va`
+    /// ([`PhysicalMemory::discard`] on each page's piece): the range stays
+    /// mapped and reads as zeros until it is written again.
+    ///
+    /// # Errors
+    ///
+    /// Fails if any page in the range is unmapped.
+    pub fn discard_virt(&mut self, va: VAddr, len: u64) -> Result<(), MemError> {
+        let mut done = 0;
+        while done < len {
+            let cur = va.offset(done);
+            let pa = self.translate(cur)?;
+            let take = (PAGE_BYTES - cur.page_offset()).min(len - done);
+            self.phys.discard(pa, take as usize);
+            done += take;
+        }
+        Ok(())
+    }
+
     /// Whether `[va, va + len)` lies inside one page — and is therefore
     /// contiguous in physical memory starting at `va`'s translation.
     #[inline]
@@ -513,6 +532,21 @@ mod tests {
         let mut back = vec![0u8; data.len()];
         n.read_virt(va, &mut back).unwrap();
         assert_eq!(back, data);
+    }
+
+    #[test]
+    fn discard_virt_frees_blocks_across_pages_and_keeps_the_mapping() {
+        let mut n = node();
+        let base = n.heap_alloc(2 * PAGE_BYTES).unwrap();
+        n.write_virt(base, &vec![1u8; 2 * PAGE_BYTES as usize])
+            .unwrap();
+        let before = n.phys.resident_bytes();
+        n.discard_virt(base, 2 * PAGE_BYTES).unwrap();
+        assert_eq!(before - n.phys.resident_bytes(), 2 * PAGE_BYTES);
+        let mut back = vec![0xFFu8; 2 * PAGE_BYTES as usize];
+        n.read_virt(base, &mut back).unwrap();
+        assert!(back.iter().all(|&b| b == 0));
+        assert!(n.discard_virt(base.offset(2 * PAGE_BYTES), 1).is_err());
     }
 
     #[test]

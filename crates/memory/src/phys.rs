@@ -121,6 +121,32 @@ impl PhysicalMemory {
         }
     }
 
+    /// Gives back the bytes of `[addr, addr + len)`: blocks wholly inside
+    /// the range are dropped, and the partial ends of written blocks are
+    /// zero-filled. Afterwards the range reads as zeros, the same as
+    /// memory never written, and a later write materializes it again.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range exceeds capacity.
+    pub fn discard(&mut self, addr: PAddr, len: usize) {
+        let end = addr.raw() + len as u64;
+        assert!(
+            end <= self.capacity,
+            "discard past end of memory: {addr}+{len}"
+        );
+        for (i, off, at) in pieces(addr.raw(), len) {
+            let Some(slot) = self.blocks.get_mut(i) else {
+                break;
+            };
+            if at.len() == BLOCK_BYTES {
+                self.resident -= usize::from(slot.take().is_some());
+            } else if let Some(block) = slot {
+                block[off..off + at.len()].fill(0);
+            }
+        }
+    }
+
     /// Reads a little-endian `u64`.
     pub fn load_u64(&self, addr: PAddr) -> u64 {
         let mut buf = [0u8; 8];
@@ -206,6 +232,61 @@ mod tests {
         mem.read(addr, &mut back);
         assert_eq!(back, [1, 2, 3, 4, 5, 6, 7, 8]);
         assert_eq!(mem.resident_bytes(), 2 * BLOCK_BYTES as u64);
+    }
+
+    #[test]
+    fn discard_drops_whole_blocks() {
+        let block = BLOCK_BYTES as u64;
+        let mut mem = PhysicalMemory::new(1 << 20);
+        mem.write(PAddr::new(block), &vec![7u8; 3 * BLOCK_BYTES]);
+        assert_eq!(mem.resident_bytes(), 3 * block);
+        mem.discard(PAddr::new(block), 2 * BLOCK_BYTES);
+        assert_eq!(mem.resident_bytes(), block);
+        // Discarding blocks never written, or past the table, is a no-op.
+        mem.discard(PAddr::new(64 * block), 4 * BLOCK_BYTES);
+        assert_eq!(mem.resident_bytes(), block);
+        assert_eq!(mem.load_u64(PAddr::new(3 * block)), 0x0707_0707_0707_0707);
+    }
+
+    #[test]
+    fn discard_zeroes_partial_ends_without_dropping_them() {
+        let block = BLOCK_BYTES as u64;
+        let mut mem = PhysicalMemory::new(1 << 20);
+        mem.write(PAddr::new(0), &vec![0xEEu8; 3 * BLOCK_BYTES]);
+        // The tail of block 0, all of block 1 and the head of block 2.
+        mem.discard(PAddr::new(block - 8), BLOCK_BYTES + 16);
+        assert_eq!(mem.resident_bytes(), 2 * block);
+        let mut back = vec![0u8; 3 * BLOCK_BYTES];
+        mem.read(PAddr::new(0), &mut back);
+        let zeroed = block as usize - 8..2 * block as usize + 8;
+        for (i, &b) in back.iter().enumerate() {
+            assert_eq!(b, if zeroed.contains(&i) { 0 } else { 0xEE }, "byte {i}");
+        }
+    }
+
+    #[test]
+    fn discarded_range_reads_as_zeros() {
+        let mut mem = PhysicalMemory::new(1 << 20);
+        let data: Vec<u8> = (0..4096u32).map(|i| (i % 251 + 1) as u8).collect();
+        mem.write(PAddr::new(PAGE_BYTES), &data);
+        mem.discard(PAddr::new(PAGE_BYTES), data.len());
+        let mut back = vec![0xFFu8; data.len()];
+        mem.read(PAddr::new(PAGE_BYTES), &mut back);
+        assert_eq!(back, vec![0u8; data.len()]);
+        assert_eq!(mem.resident_bytes(), 0);
+    }
+
+    #[test]
+    fn a_write_after_discard_materializes_the_block_again() {
+        let mut mem = PhysicalMemory::new(1 << 20);
+        mem.store_u64(PAddr::new(0), 1);
+        mem.store_u64(PAddr::new(8), 2);
+        mem.discard(PAddr::new(0), BLOCK_BYTES);
+        assert_eq!(mem.resident_bytes(), 0);
+        mem.store_u64(PAddr::new(0), 3);
+        assert_eq!(mem.resident_bytes(), BLOCK_BYTES as u64);
+        assert_eq!(mem.load_u64(PAddr::new(0)), 3);
+        assert_eq!(mem.load_u64(PAddr::new(8)), 0, "the old bytes are gone");
     }
 
     #[test]

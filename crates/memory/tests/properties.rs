@@ -43,13 +43,14 @@ proptest! {
     }
 
     /// The block store agrees with a flat byte array under any mix of
-    /// accesses, ranges straddling block and frame edges included. A read
-    /// materialises nothing, and the resident bytes are exactly the blocks
-    /// written.
+    /// accesses and discards, ranges straddling block and frame edges
+    /// included. A read materialises nothing, a discard reads back as
+    /// zeros, and the resident bytes are exactly the blocks written since
+    /// their last whole-block discard.
     #[test]
     fn phys_mem_matches_a_flat_reference(
         ops in vec(
-            ((0u8..5, any::<bool>(), 0u64..512), (0u64..32, 1usize..1200, any::<u64>(), any::<u64>())),
+            ((0u8..6, any::<bool>(), 0u64..512), (0u64..32, 1usize..1200, any::<u64>(), any::<u64>())),
             1..64,
         ),
     ) {
@@ -62,7 +63,7 @@ proptest! {
             // Up to 16 bytes either side of a block or frame edge.
             let unit = if frame_edge { PAGE_BYTES } else { block };
             let edge = k * unit % CAP;
-            let len = if op < 2 { len } else { 8 };
+            let len = if op < 2 || op == 5 { len } else { 8 };
             let addr = (edge + delta).saturating_sub(16).min(CAP - len as u64);
             let (pa, at) = (PAddr::new(addr), addr as usize..addr as usize + len);
             let old = u64::from_le_bytes(flat[at.clone()].try_into().unwrap_or([0; 8]));
@@ -88,10 +89,17 @@ proptest! {
                     prop_assert_eq!(mem.fetch_add_u64(pa, x), old);
                     Some(old.wrapping_add(x).to_le_bytes().to_vec())
                 }
-                _ => {
+                4 => {
                     let expected = if y % 2 == 0 { old } else { y };
                     prop_assert_eq!(mem.compare_swap_u64(pa, expected, x), old);
                     (expected == old).then(|| x.to_le_bytes().to_vec())
+                }
+                _ => {
+                    mem.discard(pa, len);
+                    flat[at.clone()].fill(0);
+                    let end = addr + len as u64;
+                    written.retain(|&b| b * block < addr || (b + 1) * block > end);
+                    None
                 }
             };
             if let Some(data) = stored {
