@@ -166,6 +166,12 @@ impl World for Cluster {
     type Event = ClusterEvent;
 
     fn handle(&mut self, engine: &mut ClusterEngine, event: ClusterEvent) {
+        // Nothing on this node accesses memory before this event's time
+        // again, so its DRAM ledger forgets the buckets behind it (the
+        // floor argument in `sonuma_memory::dram`).
+        self.node_mut(event.node() as usize)
+            .hierarchy
+            .retire_before(engine.now());
         match event {
             ClusterEvent::RgpService { node } => self.rgp_service(engine, node as usize),
             ClusterEvent::RgpResume { node } => {

@@ -98,17 +98,6 @@ pub struct AppQpCursors {
     pub slot_busy: Vec<bool>,
 }
 
-/// A remote write observed by this node (for memory-watch wake-ups).
-#[derive(Debug, Clone, Copy)]
-pub struct RemoteWrite {
-    /// Virtual address written.
-    pub addr: VAddr,
-    /// Bytes written.
-    pub len: u64,
-    /// Completion time of the write in the local hierarchy.
-    pub time: SimTime,
-}
-
 /// An armed memory watch: `core` wants a wake-up when a remote write lands
 /// in `[addr, addr+len)`.
 #[derive(Debug, Clone, Copy)]
@@ -180,8 +169,6 @@ pub struct Node {
     pub pending_interrupts: VecDeque<(sonuma_protocol::NodeId, u64)>,
     /// Interrupts dropped because no handler was registered.
     pub interrupts_dropped: u64,
-    /// Recent remote writes (pruned ring, newest last).
-    pub recent_remote_writes: VecDeque<RemoteWrite>,
     /// Retransmission state of in-flight requests, indexed by tid.
     /// Empty (and untouched) unless a fault plan is installed.
     pub(crate) retry: RetryTable,
@@ -259,7 +246,6 @@ impl Node {
             interrupt_handler: None,
             pending_interrupts: VecDeque::new(),
             interrupts_dropped: 0,
-            recent_remote_writes: VecDeque::new(),
             retry: RetryTable::default(),
             crashes: 0,
             crash_drops: 0,
@@ -469,15 +455,6 @@ impl Node {
         Ok(base)
     }
 
-    /// Records a remote write for watch matching, pruning old entries.
-    pub fn note_remote_write(&mut self, addr: VAddr, len: u64, time: SimTime) {
-        self.recent_remote_writes
-            .push_back(RemoteWrite { addr, len, time });
-        while self.recent_remote_writes.len() > 128 {
-            self.recent_remote_writes.pop_front();
-        }
-    }
-
     /// Returns the index of the first armed watch intersecting
     /// `[addr, addr+len)`, if any.
     pub fn matching_watch(&self, addr: VAddr, len: u64) -> Option<usize> {
@@ -635,18 +612,5 @@ mod tests {
             },
         );
         assert!(n.rmc.ct.lookup(CtxId(0)).is_ok());
-    }
-
-    #[test]
-    fn remote_write_log_prunes() {
-        let mut n = node();
-        for i in 0..200 {
-            n.note_remote_write(VAddr::new(i * 64), 64, SimTime::from_ns(i));
-        }
-        assert_eq!(n.recent_remote_writes.len(), 128);
-        assert_eq!(
-            n.recent_remote_writes.front().unwrap().addr,
-            VAddr::new(72 * 64)
-        );
     }
 }

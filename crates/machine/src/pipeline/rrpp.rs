@@ -143,7 +143,6 @@ impl Cluster {
                 let data = pkt.payload.expect("write request carries payload");
                 node.write_translated(va, pa, &data)
                     .expect("segment mapped");
-                node.note_remote_write(va, CACHE_LINE_BYTES, t_mem);
             }
             RemoteOp::FetchAdd => {
                 let delta = pkt
@@ -154,7 +153,6 @@ impl Cluster {
                 let mut buf = [0u8; 64];
                 buf[0..8].copy_from_slice(&old.to_le_bytes());
                 reply_payload = Some(buf);
-                node.note_remote_write(va, 8, t_mem);
             }
             RemoteOp::CompSwap => {
                 let p = pkt.payload.expect("compare-swap carries operands");
@@ -164,7 +162,6 @@ impl Cluster {
                 let mut buf = [0u8; 64];
                 buf[0..8].copy_from_slice(&old.to_le_bytes());
                 reply_payload = Some(buf);
-                node.note_remote_write(va, 8, t_mem);
             }
         }
 

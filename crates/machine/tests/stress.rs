@@ -7,6 +7,7 @@ use std::rc::Rc;
 use sonuma_machine::{AppProcess, Cluster, ClusterEngine, MachineConfig, NodeApi, Step, Wake};
 use sonuma_memory::VAddr;
 use sonuma_protocol::{CtxId, NodeId, QpId};
+use sonuma_sim::SimTime;
 
 const CTX: CtxId = CtxId(0);
 
@@ -164,4 +165,93 @@ fn rgp_is_fair_across_queue_pairs() {
         ratio < 1.5,
         "RGP starvation: finish times {a:.1} vs {b:.1} us"
     );
+}
+
+/// Streams 8 KB reads through `peer`'s context segment until simulated time
+/// `until`, then drains its completions. The segment is four times the
+/// LLC, and no line is read twice within the run, so every read misses
+/// to the peer's DRAM.
+struct Streamer {
+    qp: QpId,
+    peer: NodeId,
+    until: SimTime,
+    next_offset: u64,
+    outstanding: u32,
+    buf: VAddr,
+}
+
+const STREAM_CTX_BYTES: u64 = 16 << 20;
+const STREAM_BYTES: u64 = 8192;
+
+impl AppProcess for Streamer {
+    fn wake(&mut self, api: &mut NodeApi<'_>, why: Wake) -> Step {
+        if matches!(why, Wake::Start) {
+            let slots = api.qp_capacity(self.qp) as u64;
+            self.buf = api.heap_alloc(STREAM_BYTES * slots).unwrap();
+        }
+        if let Wake::CqReady(comps) = &why {
+            for c in comps {
+                assert!(c.status.is_ok());
+                self.outstanding -= 1;
+            }
+        }
+        while api.now() < self.until {
+            let slot = api.next_wq_index(self.qp) as u64;
+            let buf = VAddr::new(self.buf.raw() + slot * STREAM_BYTES);
+            let offset = self.next_offset;
+            match api.post_read(self.qp, self.peer, CTX, offset, buf, STREAM_BYTES) {
+                Ok(_) => self.outstanding += 1,
+                Err(_) => return Step::WaitCq(self.qp),
+            }
+            self.next_offset = (offset + STREAM_BYTES) % STREAM_CTX_BYTES;
+        }
+        if self.outstanding > 0 {
+            return Step::WaitCq(self.qp);
+        }
+        Step::Done
+    }
+}
+
+/// Two nodes read from each other's DRAM at full bandwidth for over a
+/// millisecond of simulated time: each node's DRAM ledger holds only the
+/// buckets between its event clock and the accesses queued ahead of it,
+/// not one per 200 ns of the run.
+#[test]
+fn dram_ledger_stays_bounded_under_streaming() {
+    let until = SimTime::from_us(1_200);
+    let mut cluster = Cluster::new(MachineConfig::simulated_hardware(2));
+    cluster.create_context(CTX, STREAM_CTX_BYTES).unwrap();
+    let mut engine = ClusterEngine::new();
+    for (me, peer) in [(0u16, 1u16), (1, 0)] {
+        let qp = cluster.create_qp(NodeId(me), CTX, 0).unwrap();
+        cluster.spawn(
+            &mut engine,
+            NodeId(me),
+            0,
+            Box::new(Streamer {
+                qp,
+                peer: NodeId(peer),
+                until,
+                next_offset: 0,
+                outstanding: 0,
+                buf: VAddr::new(0),
+            }),
+        );
+    }
+    let mut widest = [0usize; 2];
+    let mut horizon = SimTime::ZERO;
+    while engine.pending() > 0 {
+        horizon += SimTime::from_us(10);
+        engine.run_until(&mut cluster, horizon);
+        for (n, w) in widest.iter_mut().enumerate() {
+            *w = (*w).max(cluster.nodes[n].hierarchy.dram().buckets());
+        }
+    }
+    assert!(engine.now() >= until, "ran {:?}", engine.now());
+    for (n, &w) in widest.iter().enumerate() {
+        // 8 MB at ~9.6 GB/s keeps the channel busy for over 0.85 ms.
+        let lines = cluster.nodes[n].hierarchy.dram().accesses();
+        assert!(lines * 64 > 8 << 20, "node {n}: {lines} DRAM accesses");
+        assert!(w <= 32, "node {n}'s ledger reached {w} buckets");
+    }
 }

@@ -11,10 +11,43 @@
 //! an access that finds its bucket full queues into the next one. Bucketed
 //! accounting is tolerant of *out-of-order request timestamps*, which the
 //! run-to-block execution model produces (different cores' wake-ups advance
-//! logical time independently), while still converging to the exact
-//! sustained bandwidth under load.
+//! logical time independently, and RMC accesses run ahead of the event
+//! clock through MAQ and DRAM queueing), while still converging to the
+//! exact sustained bandwidth under load.
+//!
+//! # The ledger and its floor
+//!
+//! The admitted bytes per bucket live in a ring covering buckets `base,
+//! base + 1, …`. [`DramModel::retire_before`] drops every bucket wholly
+//! before a time, so the ring spans only the buckets between the owner's
+//! clock and the furthest access queued ahead of it, not all of simulated
+//! time. Out-of-order timestamps are tolerated at or above the retired
+//! floor, not without limit: an access in a retired bucket panics, because
+//! it would be admitted against a bucket whose bytes were forgotten.
+//!
+//! The machine retires each node's ledger behind the time of every event it
+//! dispatches for that node. That floor is safe because
+//!
+//! 1. every hierarchy access on a node starts no earlier than the event or
+//!    backend post that issues it: RMC line accesses start at the MAQ's
+//!    `start ≥ now`, DRAM misses are issued at `now + latency`, LLC
+//!    writebacks happen at the access's own `now`, and a core's accesses
+//!    happen inside its run-to-block wake, at or after the wake;
+//! 2. a node's events execute in nondecreasing time on both engines (one
+//!    lane per node on the sharded path, global time order on the serial
+//!    one); and
+//! 3. operations posted through the backend are posted at its `now()`,
+//!    which is at or after every executed event.
+//!
+//! So no bucket below `⌊event time / 200 ns⌋` is read again, and retiring
+//! changes no completion time.
+//!
+//! Accesses may still land *below* the ring's base and above the floor: an
+//! RMC access queued ahead of the clock can re-anchor an empty ring at a
+//! later bucket than the next event's accesses. The ring then extends
+//! downward; only the floor is a hard limit.
 
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 
 use sonuma_sim::SimTime;
 
@@ -67,8 +100,13 @@ impl Default for DramConfig {
 #[derive(Debug, Clone)]
 pub struct DramModel {
     config: DramConfig,
-    bucket_bytes: u64,
-    used: BTreeMap<u64, u64>,
+    bucket_bytes: u32,
+    /// Bytes admitted to buckets `base, base + 1, …`.
+    used: VecDeque<u32>,
+    /// Bucket index of `used[0]`; never below `floor`.
+    base: u64,
+    /// Buckets below this one are retired and may not be accessed.
+    floor: u64,
     accesses: u64,
 }
 
@@ -85,8 +123,10 @@ impl DramModel {
         assert!(bucket_bytes >= 64, "bucket narrower than one line");
         DramModel {
             config,
-            bucket_bytes,
-            used: BTreeMap::new(),
+            bucket_bytes: u32::try_from(bucket_bytes).expect("bucket wider than 4 GB"),
+            used: VecDeque::new(),
+            base: 0,
+            floor: 0,
             accesses: 0,
         }
     }
@@ -105,18 +145,41 @@ impl DramModel {
     /// Issues an access of `bytes` at time `now`; returns its completion
     /// time. Under saturation the access queues into the first bucket with
     /// spare bandwidth.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `now` lies in a bucket retired by
+    /// [`DramModel::retire_before`].
     pub fn access(&mut self, now: SimTime, bytes: u64) -> SimTime {
         self.accesses += 1;
         let mut idx = now.as_ps() / BUCKET.as_ps();
+        assert!(
+            idx >= self.floor,
+            "DRAM access in bucket {idx} below the retired floor {}",
+            self.floor
+        );
+        if self.used.is_empty() {
+            self.base = idx;
+        } else if idx < self.base {
+            // Above the floor but below the ring: extend it downward.
+            for _ in idx..self.base {
+                self.used.push_front(0);
+            }
+            self.base = idx;
+        }
         let mut remaining = bytes;
         let mut last_idx = idx;
         while remaining > 0 {
-            let used = self.used.entry(idx).or_insert(0);
-            let free = self.bucket_bytes.saturating_sub(*used);
+            let slot = (idx - self.base) as usize;
+            if slot >= self.used.len() {
+                self.used.resize(slot + 1, 0);
+            }
+            let used = &mut self.used[slot];
+            let free = self.bucket_bytes - *used;
             if free > 0 {
-                let take = free.min(remaining);
+                let take = u32::try_from(remaining).map_or(free, |r| r.min(free));
                 *used += take;
-                remaining -= take;
+                remaining -= u64::from(take);
                 last_idx = idx;
             }
             if remaining > 0 {
@@ -127,6 +190,27 @@ impl DramModel {
         // the final byte.
         let admitted_at = SimTime::from_ps(last_idx * BUCKET.as_ps()).max(now);
         admitted_at + self.config.access_latency + self.transfer_time(bytes)
+    }
+
+    /// Retires every bucket wholly before `t`: their bytes are dropped, and
+    /// a later access in one of them panics. Retiring behind an earlier
+    /// floor is a no-op. See the module docs for why the machine may retire
+    /// each node's ledger behind its event clock.
+    pub fn retire_before(&mut self, t: SimTime) {
+        let floor = t.as_ps() / BUCKET.as_ps();
+        if floor <= self.floor {
+            return;
+        }
+        self.floor = floor;
+        let gone = floor.saturating_sub(self.base).min(self.used.len() as u64);
+        self.used.drain(..gone as usize);
+        self.base = self.base.max(floor);
+    }
+
+    /// Buckets the ledger currently holds: those from its base to the
+    /// furthest bucket an access reached.
+    pub fn buckets(&self) -> usize {
+        self.used.len()
     }
 
     /// Lifetime access count.
@@ -208,6 +292,72 @@ mod tests {
         d.access(SimTime::ZERO, 64);
         d.access(SimTime::ZERO, 128);
         assert_eq!(d.accesses(), 2);
+    }
+
+    #[test]
+    fn access_below_base_above_floor_extends_ring_downward() {
+        let mut d = DramModel::new(DramConfig::ddr3_1600());
+        d.retire_before(SimTime::from_ns(400)); // floor: bucket 2
+        d.access(SimTime::from_ns(1_000), 64); // anchors the ring at bucket 5
+        assert_eq!(d.buckets(), 1);
+        let early = d.access(SimTime::from_ns(500), 64); // bucket 2
+        assert_eq!(d.buckets(), 4, "buckets 2..=5");
+        assert_eq!(
+            early,
+            SimTime::from_ns(500) + SimTime::from_ns(60) + d.transfer_time(64)
+        );
+        // Bucket 5's bytes survived the extension: fill it to one line
+        // short, and the next line still fits there.
+        for _ in 0..28 {
+            d.access(SimTime::from_ns(1_000), 64);
+        }
+        let last_fit = d.access(SimTime::from_ns(1_000), 64);
+        assert_eq!(
+            last_fit,
+            SimTime::from_ns(1_060) + d.transfer_time(64),
+            "bucket 5 admits 30 lines"
+        );
+        let spilled = d.access(SimTime::from_ns(1_000), 64);
+        assert_eq!(spilled, SimTime::from_ns(1_260) + d.transfer_time(64));
+    }
+
+    #[test]
+    #[should_panic(expected = "below the retired floor")]
+    fn access_below_the_retired_floor_panics() {
+        let mut d = DramModel::new(DramConfig::ddr3_1600());
+        d.access(SimTime::from_ns(100), 64);
+        d.retire_before(SimTime::from_ns(600)); // floor: bucket 3
+        d.access(SimTime::from_ns(599), 64); // bucket 2
+    }
+
+    #[test]
+    fn retiring_an_empty_ledger_then_accessing_far_ahead_allocates_no_gap() {
+        let mut d = DramModel::new(DramConfig::ddr3_1600());
+        d.retire_before(SimTime::from_us(10));
+        assert_eq!(d.buckets(), 0);
+        d.access(SimTime::from_us(5_000), 64);
+        assert_eq!(d.buckets(), 1);
+        // Retiring past everything empties the ring again.
+        d.retire_before(SimTime::from_us(6_000));
+        assert_eq!(d.buckets(), 0);
+        d.access(SimTime::from_us(50_000), 64);
+        assert_eq!(d.buckets(), 1);
+    }
+
+    #[test]
+    fn retiring_drops_only_buckets_wholly_before_the_time() {
+        let mut d = DramModel::new(DramConfig::ddr3_1600());
+        for t in [0, 200, 400, 600] {
+            d.access(SimTime::from_ns(t), 64);
+        }
+        assert_eq!(d.buckets(), 4);
+        d.retire_before(SimTime::from_ns(399)); // bucket 1 holds 399 ns
+        assert_eq!(d.buckets(), 3);
+        d.retire_before(SimTime::from_ns(200)); // behind the floor: no-op
+        assert_eq!(d.buckets(), 3);
+        d.access(SimTime::from_ns(200), 64); // bucket 1 is still live
+        d.retire_before(SimTime::from_ns(600));
+        assert_eq!(d.buckets(), 1);
     }
 
     #[test]

@@ -174,6 +174,13 @@ impl MemoryHierarchy {
         &self.dram
     }
 
+    /// Retires the DRAM ledger's buckets wholly before `t`
+    /// ([`DramModel::retire_before`]): no access of this hierarchy may
+    /// start before `t` afterwards.
+    pub fn retire_before(&mut self, t: SimTime) {
+        self.dram.retire_before(t);
+    }
+
     /// Valid ways across all levels. O(agents): each array keeps its own
     /// count.
     pub fn resident_lines(&self) -> usize {
