@@ -9,18 +9,20 @@
 //!   are asserted by name beside it, so no re-pin can drop them.
 //! * Two inline specs (tenant arrivals with faults, the KV plane) keep
 //!   the whole-report digests pinned before the three drive loops were
-//!   folded into one, re-pinned three times: when physical memory moved
+//!   folded into one, re-pinned four times: when physical memory moved
 //!   from 8 KB frames to 512 B blocks, when cache tag state came to be
-//!   counted as placed sets plus slot tables, and when a harvested
-//!   landing buffer came to give its blocks back. Each time only
+//!   counted as placed sets plus slot tables, when a harvested landing
+//!   buffer came to give its blocks back, and when a cache set came to
+//!   store 4 ways until its fifth line arrived. Each time only
 //!   `sharding.resident_bytes` moved.
 //! * A spec carrying every optional report section at once pins its
 //!   rendered and `diff-runs` forms to the commit before the row
-//!   renderers were shared. The rendered digest was re-pinned four
+//!   renderers were shared. The rendered digest was re-pinned five
 //!   times, when a cache way shrank to 4 bytes, when physical memory
 //!   moved to 512 B blocks, when cache tag state came to be counted as
-//!   placed sets plus slot tables and when a harvested landing buffer
-//!   came to give its blocks back: each time `sharding.resident_bytes`
+//!   placed sets plus slot tables, when a harvested landing buffer came
+//!   to give its blocks back and when a cache set came to store 4 ways
+//!   until its fifth line arrived: each time `sharding.resident_bytes`
 //!   moved.
 
 use sonuma_bench::json::Json;
@@ -155,8 +157,8 @@ fn digest(spec: &ScenarioSpec) -> u64 {
 #[test]
 fn reports_match_the_digests_pinned_before_the_single_drive_loop() {
     for (text, pinned) in [
-        (TENANTS_FAULTS, 0x0360_7237_1698_0490),
-        (KV, 0x542e_df11_81d4_9476),
+        (TENANTS_FAULTS, 0x94e9_8cf4_f4ed_b09e),
+        (KV, 0x5bf6_aac4_13d5_667e),
     ] {
         let spec = ScenarioSpec::from_toml(text).expect("golden spec parses");
         assert_eq!(
@@ -200,7 +202,7 @@ fn a_run_with_every_section_keeps_its_pinned_renderings() {
     let stripped = equivalence_diff(&doc, &Json::Null).remove(0);
     let doc = strip_wall(&doc);
     for (what, text, pinned) in [
-        ("rendered", doc.render(), 0x073a_1ec0_8ed2_3cd2u64),
+        ("rendered", doc.render(), 0x40e1_dcd0_2b99_7162u64),
         ("diff-runs view", stripped, 0x464b_45e6_a55d_e6ac),
     ] {
         let digest = fnv1a(&text);
@@ -213,37 +215,38 @@ fn a_run_with_every_section_keeps_its_pinned_renderings() {
 /// taken before the wall gate and its 18k-line baseline file were deleted.
 /// The 14 soNUMA rows were re-pinned when physical memory moved from 8 KB
 /// frames to 512 B blocks, when cache tag state came to be counted as
-/// placed sets plus slot tables, and when a harvested landing buffer
-/// came to give its blocks back: each time `sharding.resident_bytes` was
-/// the only member that moved.
+/// placed sets plus slot tables, when a harvested landing buffer came to
+/// give its blocks back, and when a cache set came to store 4 ways until
+/// its fifth line arrived: each time `sharding.resident_bytes` was the
+/// only member that moved.
 #[rustfmt::skip]
 const LEDGER: &[(&str, &str, u64)] = &[
-    ("smoke-uniform-8", "soNUMA", 0x1142c05c84275ab8),
+    ("smoke-uniform-8", "soNUMA", 0xef597c76c32d5ea6),
     ("smoke-uniform-8", "RDMA (ConnectX-3)", 0x68e3af470c3cb357),
     ("smoke-uniform-8", "TCP/IP (Calxeda)", 0xbaed3713601847eb),
-    ("smoke-torus-16", "soNUMA", 0x85beed722d29d56f),
-    ("smoke-mixed-4", "soNUMA", 0xf8d9bd3033aa3262),
+    ("smoke-torus-16", "soNUMA", 0xb9c6ff31e19eced3),
+    ("smoke-mixed-4", "soNUMA", 0x496af892618ab947),
     ("smoke-mixed-4", "RDMA (ConnectX-3)", 0x157172ccec142c2b),
     ("smoke-mixed-4", "TCP/IP (Calxeda)", 0xa441b04712072306),
-    ("rack512-neighbor", "soNUMA", 0x24b8b94e60213a73),
-    ("rack512-torus-scan", "soNUMA", 0xb76f8a1026afd20b),
-    ("rack64-tenants", "soNUMA", 0x4eb463813508b242),
+    ("rack512-neighbor", "soNUMA", 0x22bb240d5f199fe3),
+    ("rack512-torus-scan", "soNUMA", 0x27049a58b4a209ae),
+    ("rack64-tenants", "soNUMA", 0xff9daece46d977d2),
     ("rack64-tenants", "RDMA (ConnectX-3)", 0xb957746e4bdeb040),
     ("rack64-tenants", "TCP/IP (Calxeda)", 0xde7b58d2da6e84ee),
-    ("rack64-tenants-strict", "soNUMA", 0xadd1613f72d1ce37),
+    ("rack64-tenants-strict", "soNUMA", 0xc38aadeb688b2636),
     ("rack64-tenants-strict", "RDMA (ConnectX-3)", 0xe8239bafb0cc5869),
     ("rack64-tenants-strict", "TCP/IP (Calxeda)", 0x652d20041ec81d00),
-    ("rack1024-shard", "soNUMA", 0xa100a887b4c2b86a),
-    ("rack4096", "soNUMA", 0x501ab798bffaf2d0),
-    ("rack8192", "soNUMA", 0xee17d1ed4453a676),
-    ("rack512-linkflap", "soNUMA", 0x650cc70eadbb6df9),
+    ("rack1024-shard", "soNUMA", 0x454e27009e926ab3),
+    ("rack4096", "soNUMA", 0x253563e81e467d43),
+    ("rack8192", "soNUMA", 0x5e91ed9d55cc7873),
+    ("rack512-linkflap", "soNUMA", 0x61084341e41547f0),
     ("rack512-linkflap", "RDMA (ConnectX-3)", 0x329c9d44a4bddb1b),
     ("rack512-linkflap", "TCP/IP (Calxeda)", 0xd3175666323cbe8c),
-    ("rack1024-nodekill", "soNUMA", 0x75cb0618e19b41b9),
-    ("rack512-kv", "soNUMA", 0x8b88144cd14cc828),
+    ("rack1024-nodekill", "soNUMA", 0x1371a198979163ec),
+    ("rack512-kv", "soNUMA", 0x226a7b1e8a45d0a2),
     ("rack512-kv", "RDMA (ConnectX-3)", 0xbc95f63b4517213f),
     ("rack512-kv", "TCP/IP (Calxeda)", 0x237793a7b9144284),
-    ("rack1024-kv-zipf", "soNUMA", 0xe0ff44ed6029b1b6),
+    ("rack1024-kv-zipf", "soNUMA", 0x24a2b15c97a37ce1),
     ("rack1024-kv-zipf", "RDMA (ConnectX-3)", 0xd45946d655373c6e),
     ("rack1024-kv-zipf", "TCP/IP (Calxeda)", 0x530565fc8661caf7),
 ];

@@ -273,10 +273,11 @@ impl Node {
     /// physical blocks, the cache sets fills have placed and their slot
     /// tables (the hierarchy keeps no coherence entries beside them),
     /// grown ITT/CT slots, page-table entries, and per-QP cursor state.
-    /// The way arrays are sized by geometry but pack filled sets from
-    /// their start, so the pages past the last filled set are never
-    /// faulted in; untouched table slots contribute nothing. That is the
-    /// property the rack4096 memory diet relies on.
+    /// The way arrays are sized by geometry but pack filled sets from the
+    /// start of their young and grown regions, so the pages past the last
+    /// filled set of each are never faulted in; untouched table slots
+    /// contribute nothing. That is the property the rack4096 memory diet
+    /// relies on.
     pub fn resident_bytes(&self) -> u64 {
         const PTE_BYTES: u64 = 8; // one pfn per page in an extent's run
         let blocks = self.phys.resident_bytes();

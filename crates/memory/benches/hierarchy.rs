@@ -10,7 +10,8 @@
 //! * `first_touch/llc_pages`: fresh hierarchies and one access in each
 //!   of the 64 LLC sets that a by-set-index layout put on 64 separate
 //!   4 KB pages — what first fills of far-apart sets cost now that they
-//!   are packed in fill order (one page of ways plus the slot table).
+//!   are packed in fill order as young 4-way sets (a quarter page of
+//!   ways plus the slot table).
 //!
 //! Runs offline through the in-repo criterion shim:
 //!

@@ -5,6 +5,19 @@
 //! stay in [`crate::PhysicalMemory`]. This is the classic decoupled
 //! functional/timing simulator split and keeps the model honest: a hit or
 //! miss changes only latency, never values.
+//!
+//! A set stores its ways as they are used. From its first fill a set is
+//! *young*: it stores only its first `YOUNG_WAYS` (4) ways, in 16 B, and
+//! *grows* to all `ways` when a fill finds all 4 valid. A cache of at
+//! most 4 ways stores every way from the start, and its sets never grow.
+//! The invariant that makes this invisible: **in a young set, the
+//! unstored ways `4..ways` are invalid, and each has rank equal to its
+//! index.** The first fill writes way `j` at rank `j`; a fill takes the
+//! first invalid way by index, so it picks a stored way whenever one is
+//! invalid, and while young every stored way ranks below 4; promoting a
+//! way ages only ways ranked below it, so it never touches an unstored
+//! one. Hits, victims, dirty bits and counters are therefore those of
+//! the full `ways`-way array.
 
 use crate::addr::{PAddr, CACHE_LINE_BYTES};
 
@@ -120,30 +133,40 @@ impl LookupResult {
 #[derive(Debug)]
 pub struct CacheArray {
     geom: CacheGeometry,
-    /// One word per way, `tag | rank | dirty | valid`, the rank
-    /// `ceil(log2 ways)` bits wide. A set is `ways` consecutive words at
-    /// the position its first fill took, not at its set index, so the
-    /// filled sets are packed from `base` up whichever sets they are.
-    /// Zero-initialized and never grown, so `vec![0; n]` takes untouched
-    /// pages from the allocator and a rack of 4 MB LLCs costs address
-    /// space, not memory, beyond the sets it fills.
+    /// One word per stored way, `tag | rank | dirty | valid`, the rank
+    /// `ceil(log2 ways)` bits wide. Two regions: the young one at `base`,
+    /// one position of `young_ways()` consecutive words per set, then,
+    /// if the cache has more ways than a young set stores, the grown one
+    /// at `grown_base`, one position of `ways` consecutive words per set.
+    /// A set takes the next young position at its first fill and the next
+    /// grown position when it grows, not a position at its set index, so
+    /// the filled sets are packed from the start of each region whichever
+    /// sets they are. Zero-initialized and never grown, so `vec![0; n]`
+    /// takes untouched pages from the allocator and a rack of 4 MB LLCs
+    /// costs address space, not memory, beyond the sets it fills.
     words: Vec<u32>,
-    /// Index of position 0's first word: the first 64-byte boundary of
-    /// `words`, so a 16-way set is exactly one host cache line.
+    /// Index of young position 0's first word: the first 64-byte
+    /// boundary of `words`, so four young sets share one host cache line.
     base: usize,
+    /// Index of grown position 0's first word, also on a 64-byte
+    /// boundary, so a grown 16-way set is exactly one host cache line.
+    grown_base: usize,
     /// Bit position of the tag, 2 + the rank width, and the rank field.
     tag_shift: u32,
     rank_mask: u32,
     /// One slot per set, allocated by the first fill: 0 if no fill has
-    /// reached the set, else 1 + its position. A set with slot 0 is known
-    /// empty *without loading its ways*, and a fresh fill takes position
+    /// reached the set, else `GROWN` if it has grown, or'd with 1 + its
+    /// position in that region. A set with slot 0 is known empty
+    /// *without loading its ways*, and a fresh fill takes position
     /// `placed`, so the first touch of its ways is the fill's store. A
     /// load first would map the kernel's shared zero page and the store
     /// after it would fault again to replace it (DESIGN.md, "First
     /// touch").
     slots: Vec<u32>,
-    /// Sets placed so far: the next fresh fill's position.
+    /// Sets placed so far: the next fresh fill's young position.
     placed: u32,
+    /// Sets grown so far: the next growth's grown position.
+    grown: u32,
     hits: u64,
     misses: u64,
     /// Ways currently valid, maintained by fill and `invalidate` so
@@ -156,6 +179,12 @@ const DIRTY: u32 = 2;
 /// The rank field's lowest bit. Ranks of a filled set's ways, valid or
 /// not, are a permutation of `0..ways`, 0 the most recently used.
 const RANK_ONE: u32 = 4;
+/// Ways a young set stores. Counted over the five rack workloads, no LLC
+/// set ever held more than 5 valid lines at once and 99.6–100 % never
+/// more than 4 (DESIGN.md, "The young set").
+const YOUNG_WAYS: usize = 4;
+/// A slot's high bit: the set has grown, and its position is a grown one.
+const GROWN: u32 = 1 << 31;
 
 /// Moves `ways[way]` to rank 0 and ages every way more recent than it by
 /// one, so the ranks stay a permutation; the caller rewrites the way.
@@ -172,19 +201,29 @@ fn promote(ways: &mut [u32], way: usize, rank_mask: u32) {
 impl CacheArray {
     /// Creates an empty (all-invalid) cache.
     pub fn new(geom: CacheGeometry) -> Self {
-        let sets = geom.sets() as usize;
-        // 15 words of slack so the sets can start on a line boundary:
+        let (sets, ways) = (geom.sets() as usize, geom.ways() as usize);
+        // The grown region starts on a line boundary, which only a young
+        // region of fewer than 4 sets needs rounding for.
+        let (young_words, grown_words) = if ways > YOUNG_WAYS {
+            ((sets * YOUNG_WAYS).next_multiple_of(16), sets * ways)
+        } else {
+            (sets * ways, 0)
+        };
+        // 15 words of slack so the regions can start on a line boundary:
         // `vec![0u32; n]` is calloc, `alloc_zeroed` aligned to 64 writes.
-        let words = vec![0; sets * geom.ways() as usize + 15];
+        let words = vec![0; young_words + grown_words + 15];
+        let base = words.as_ptr().align_offset(64);
         let tag_shift = 2 + geom.ways().next_power_of_two().trailing_zeros();
         CacheArray {
             geom,
-            base: words.as_ptr().align_offset(64),
+            base,
+            grown_base: base + young_words,
             words,
             tag_shift,
             rank_mask: (1 << tag_shift) - RANK_ONE,
             slots: Vec::new(),
             placed: 0,
+            grown: 0,
             hits: 0,
             misses: 0,
             resident: 0,
@@ -201,13 +240,27 @@ impl CacheArray {
         self.misses
     }
 
-    /// Index of `set`'s first way, or `None` if no fill has reached it.
-    /// Loads the set's slot only: a never-filled set's ways stay
-    /// untouched.
+    /// Ways a young set stores: all of them in a cache of at most
+    /// `YOUNG_WAYS` ways, whose sets never grow.
     #[inline]
-    fn first_word(&self, set: usize) -> Option<usize> {
-        let slot = *self.slots.get(set)? as usize;
-        (slot != 0).then(|| self.base + (slot - 1) * self.geom.ways() as usize)
+    fn young_ways(&self) -> usize {
+        (self.geom.ways() as usize).min(YOUNG_WAYS)
+    }
+
+    /// Index of `set`'s first stored way and how many ways it stores, or
+    /// `None` if no fill has reached it. Loads the set's slot only: a
+    /// never-filled set's ways stay untouched.
+    #[inline]
+    fn set_words(&self, set: usize) -> Option<(usize, usize)> {
+        let slot = *self.slots.get(set)?;
+        let position = (slot & !GROWN).checked_sub(1)? as usize;
+        Some(if slot & GROWN == 0 {
+            let young = self.young_ways();
+            (self.base + position * young, young)
+        } else {
+            let ways = self.geom.ways() as usize;
+            (self.grown_base + position * ways, ways)
+        })
     }
 
     /// `addr`'s set index and the word a valid clean way holding `addr`'s
@@ -226,9 +279,9 @@ impl CacheArray {
     #[inline]
     fn way_of(&self, addr: PAddr) -> Option<usize> {
         let (set, key) = self.locate(addr);
-        let first = self.first_word(set)?;
+        let (first, stored) = self.set_words(set)?;
         let (key, mask) = (key?, !(self.rank_mask | DIRTY));
-        self.words[first..first + self.geom.ways() as usize]
+        self.words[first..first + stored]
             .iter()
             .position(|&w| w & mask == key)
             .map(|i| first + i)
@@ -259,24 +312,24 @@ impl CacheArray {
         let (set, key) = self.locate(addr);
         let tag_bits = 32 - self.tag_shift;
         let key = key.unwrap_or_else(|| panic!("tag of {addr} exceeds {tag_bits} bits"));
-        let Some(first) = self.first_word(set) else {
+        let Some((first, stored)) = self.set_words(set) else {
             return self.place(set, key | dirty);
         };
         let (rank_mask, key_mask) = (self.rank_mask, !(self.rank_mask | DIRTY));
-        let ways = &mut self.words[first..first + self.geom.ways() as usize];
+        let ways = &mut self.words[first..first + stored];
         if let Some(way) = ways.iter().position(|&w| w & key_mask == key) {
             promote(ways, way, rank_mask);
             ways[way] = ways[way] & !rank_mask | dirty;
             self.hits += 1;
             return LookupResult::Hit;
         }
-        self.fill(set, first, key | dirty)
+        self.fill(set, first, stored, key | dirty)
     }
 
     /// First fill of the never-filled `set` with the line `word`: the set
-    /// takes the next free position, and its ways are written by stores
-    /// alone (way 0 `word` at rank 0, way `j` invalid at rank `j`). Out of
-    /// line, so a hit runs through a small function.
+    /// takes the next free young position, and its ways are written by
+    /// stores alone (way 0 `word` at rank 0, way `j` invalid at rank `j`).
+    /// Out of line, so a hit runs through a small function.
     #[inline(never)]
     fn place(&mut self, set: usize, word: u32) -> LookupResult {
         if self.slots.is_empty() {
@@ -284,9 +337,9 @@ impl CacheArray {
         }
         self.placed += 1;
         self.slots[set] = self.placed;
-        let ways = self.geom.ways() as usize;
-        let first = self.base + (self.placed as usize - 1) * ways;
-        for (w, j) in self.words[first..first + ways].iter_mut().zip(0..) {
+        let young = self.young_ways();
+        let first = self.base + (self.placed as usize - 1) * young;
+        for (w, j) in self.words[first..first + young].iter_mut().zip(0..) {
             *w = j * RANK_ONE;
         }
         self.words[first] = word;
@@ -297,16 +350,26 @@ impl CacheArray {
         }
     }
 
-    /// Fills the missing line `word` into the filled `set`, whose ways
-    /// start at `first`. Out of line, like `place`.
+    /// Fills the missing line `word` into the filled `set`, whose
+    /// `stored` ways start at `first`. A young set whose stored ways are
+    /// all valid grows first. Out of line, like `place`.
     #[inline(never)]
-    fn fill(&mut self, set: usize, first: usize, word: u32) -> LookupResult {
-        let rank_mask = self.rank_mask;
-        let ways = &mut self.words[first..first + self.geom.ways() as usize];
+    fn fill(&mut self, set: usize, first: usize, stored: usize, word: u32) -> LookupResult {
+        let (rank_mask, all) = (self.rank_mask, self.geom.ways() as usize);
+        let young_and_full = stored < all
+            && self.words[first..first + stored]
+                .iter()
+                .all(|&w| w & VALID != 0);
+        let (first, stored) = if young_and_full {
+            (self.grow(set, first), all)
+        } else {
+            (first, stored)
+        };
+        let ways = &mut self.words[first..first + stored];
         self.misses += 1;
 
         // The victim: the first invalid way, else the LRU way, ranked last.
-        let lru = (ways.len() as u32 - 1) * RANK_ONE;
+        let lru = (all as u32 - 1) * RANK_ONE;
         let free = ways.iter().position(|&w| w & VALID == 0);
         let oldest = || ways.iter().position(|&w| w & rank_mask == lru);
         let way = free.or_else(oldest).expect("ranks are a permutation");
@@ -327,6 +390,25 @@ impl CacheArray {
                 evicted_clean: Some(victim_line),
             }
         }
+    }
+
+    /// Grows the young `set`, whose stored ways start at `first`: it
+    /// takes the next free grown position, its stored ways are copied
+    /// there, and way `j` of the rest is written invalid at rank `j`, the
+    /// state the unstored ways had. Returns the set's new first word.
+    fn grow(&mut self, set: usize, first: usize) -> usize {
+        let ways = self.geom.ways() as usize;
+        self.grown += 1;
+        self.slots[set] = GROWN | self.grown;
+        let to = self.grown_base + (self.grown as usize - 1) * ways;
+        self.words.copy_within(first..first + YOUNG_WAYS, to);
+        for (w, j) in self.words[to + YOUNG_WAYS..to + ways]
+            .iter_mut()
+            .zip(YOUNG_WAYS as u32..)
+        {
+            *w = j * RANK_ONE;
+        }
+        to
     }
 
     /// Invalidates `addr`'s line if resident; returns whether it was dirty.
@@ -356,13 +438,16 @@ impl CacheArray {
         self.resident
     }
 
-    /// Host bytes of tag state this cache has written: every filled set's
-    /// ways, 4 B each, plus the 4-byte-a-set slot table once the first
-    /// fill has allocated it. A never-filled set's ways cost nothing, and
-    /// neither does an invalidated way of a filled one.
+    /// Host bytes of tag state this cache has written: every placed set's
+    /// young ways and every grown set's ways, 4 B each, plus the
+    /// 4-byte-a-set slot table once the first fill has allocated it. A
+    /// never-filled set's ways cost nothing, and neither does an
+    /// invalidated way of a filled one; a grown set's young ways, left
+    /// behind, still count.
     pub fn resident_bytes(&self) -> u64 {
-        let ways = u64::from(self.placed) * u64::from(self.geom.ways());
-        (ways + self.slots.len() as u64) * 4
+        let young = u64::from(self.placed) * self.young_ways() as u64;
+        let grown = u64::from(self.grown) * u64::from(self.geom.ways());
+        (young + grown + self.slots.len() as u64) * 4
     }
 }
 
@@ -535,31 +620,31 @@ mod tests {
         // 4 sets of each shape, a xorshift stream over 3 x ways lines a set.
         for ways in [2u32, 4, 16] {
             let mut c = CacheArray::new(CacheGeometry::new(4 * ways as u64 * 64, ways));
-            let ways = ways as usize;
             let mut x = 0x9e37_79b9_7f4a_7c15u64;
             for step in 0..4_000 {
                 x ^= x << 13;
                 x ^= x >> 7;
                 x ^= x << 17;
-                let addr = line(x % (12 * ways as u64));
+                let addr = line(x % (12 * u64::from(ways)));
                 match x >> 60 {
                     0..=9 => drop(c.access(addr, x >> 59 & 1 == 0)),
                     10..=11 => drop(c.invalidate(addr)),
                     12..=13 => drop(c.clean(addr)),
                     _ => drop(c.probe(addr)),
                 }
-                for first in (0..4).filter_map(|s| c.first_word(s)) {
-                    let mut ranks: Vec<u32> = c.words[first..first + ways]
+                // A young 16-way set stores ranks 0..4 in 16 B, a grown
+                // one ranks 0..16 in one 64 B line.
+                for (first, stored) in (0..4).filter_map(|s| c.set_words(s)) {
+                    let mut ranks: Vec<u32> = c.words[first..first + stored]
                         .iter()
                         .map(|w| (w & c.rank_mask) / RANK_ONE)
                         .collect();
                     ranks.sort_unstable();
-                    assert!(ranks.iter().copied().eq(0..ways as u32), "step {step}");
-                    if ways == 16 {
-                        assert_eq!(c.words[first..].as_ptr() as usize % 64, 0);
-                    }
+                    assert!(ranks.iter().copied().eq(0..stored as u32), "step {step}");
+                    assert_eq!(c.words[first..].as_ptr() as usize % (4 * stored), 0);
                 }
             }
+            assert_eq!(c.grown > 0, ways > 4, "{ways} ways");
         }
     }
 
@@ -574,14 +659,99 @@ mod tests {
             c.access(line(i), false);
         }
         assert_eq!(
-            (c.first_word(3), c.first_word(0)),
-            (Some(c.base), Some(c.base + 2))
+            (c.set_words(3), c.set_words(0)),
+            (Some((c.base, 2)), Some((c.base + 2, 2)))
         );
-        assert_eq!((c.first_word(1), c.first_word(2)), (None, None));
+        assert_eq!((c.set_words(1), c.set_words(2)), (None, None));
         // Two sets of two 4-byte ways, and four 4-byte slots.
         assert_eq!(c.resident_bytes(), 2 * 2 * 4 + 4 * 4);
         assert!(c.invalidate(line(0)).is_some());
         assert_eq!(c.resident_bytes(), 2 * 2 * 4 + 4 * 4);
+    }
+
+    /// 4 sets x 16 ways; lines `4 * i` all map to set 0.
+    fn sixteen() -> CacheArray {
+        CacheArray::new(CacheGeometry::new(4 * 16 * 64, 16))
+    }
+
+    const MISS: LookupResult = LookupResult::Miss {
+        evicted_clean: None,
+    };
+
+    #[test]
+    fn four_fills_leave_a_set_young() {
+        let mut c = sixteen();
+        for i in 0..4 {
+            assert_eq!(c.access(line(4 * i), false), MISS);
+        }
+        assert_eq!(c.set_words(0), Some((c.base, 4)));
+        // Four 4-byte ways and four 4-byte slots.
+        assert_eq!(c.resident_bytes(), 4 * 4 + 4 * 4);
+    }
+
+    #[test]
+    fn a_young_set_refills_an_invalidated_way_in_place() {
+        let mut c = sixteen();
+        for i in 0..4 {
+            c.access(line(4 * i), false);
+        }
+        assert_eq!(c.invalidate(line(4)), Some(false));
+        assert_eq!(c.access(line(16), false), MISS);
+        // Line 16 took line 4's way, and the set did not grow.
+        assert_eq!(c.way_of(line(16)), Some(c.base + 1));
+        assert_eq!(c.set_words(0), Some((c.base, 4)));
+        assert_eq!(c.resident_bytes(), 4 * 4 + 4 * 4);
+    }
+
+    #[test]
+    fn the_fifth_fill_grows_the_set() {
+        let mut c = sixteen();
+        for i in 0..5 {
+            assert_eq!(c.access(line(4 * i), false), MISS);
+        }
+        assert_eq!(c.set_words(0), Some((c.grown_base, 16)));
+        assert_eq!(c.words[c.grown_base..].as_ptr() as usize % 64, 0);
+        // The young ways left behind, sixteen grown ones and four slots.
+        assert_eq!(c.resident_bytes(), (4 + 16 + 4) * 4);
+        // The fifth line took way 4, the first unstored way.
+        assert_eq!(c.way_of(line(16)), Some(c.grown_base + 4));
+        assert!((0..5).all(|i| c.probe(line(4 * i))));
+    }
+
+    #[test]
+    fn a_grown_set_fills_its_sixteen_ways_then_evicts_the_lru_line() {
+        let mut c = sixteen();
+        for i in 0..16 {
+            assert_eq!(c.access(line(4 * i), false), MISS, "line {}", 4 * i);
+        }
+        // Line 0, filled while young, becomes the most recent, so line 4
+        // is the least recent of the sixteen.
+        assert!(c.access(line(0), false).is_hit());
+        assert_eq!(
+            c.access(line(64), false),
+            LookupResult::Miss {
+                evicted_clean: Some(4)
+            }
+        );
+        assert_eq!(c.resident_lines(), 16);
+    }
+
+    #[test]
+    fn a_young_lines_dirty_bit_survives_growth() {
+        let mut c = sixteen();
+        c.access(line(0), true);
+        for i in 1..5 {
+            c.access(line(4 * i), false);
+        }
+        assert_eq!(c.set_words(0), Some((c.grown_base, 16)));
+        assert_eq!(c.probe_state(line(0)), Some(true));
+        for i in 5..16 {
+            assert_eq!(c.access(line(4 * i), false), MISS);
+        }
+        assert_eq!(
+            c.access(line(64), false),
+            LookupResult::MissDirtyEviction { victim_line: 0 }
+        );
     }
 
     #[test]

@@ -193,8 +193,9 @@ impl MemoryHierarchy {
 
     /// Host bytes of tag state across all levels
     /// ([`CacheArray::resident_bytes`]). Each way array is sized by
-    /// geometry, but filled sets are packed in first-fill order, so this —
-    /// not `size_bytes()` — tracks what the hierarchy actually costs.
+    /// geometry, but filled sets are packed in first-fill order and store
+    /// 4 ways until they grow, so this — not `size_bytes()` — tracks what
+    /// the hierarchy actually costs.
     pub fn resident_bytes(&self) -> u64 {
         self.l1s.iter().map(CacheArray::resident_bytes).sum::<u64>() + self.l2.resident_bytes()
     }

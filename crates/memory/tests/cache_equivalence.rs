@@ -3,8 +3,9 @@
 //!
 //! `CacheArray` keeps a way as one packed 4-byte word (tag | recency rank
 //! | dirty | valid), places each set's ways at the next free position on
-//! the set's first fill rather than at its set index, and knows a
-//! never-filled set empty from its slot, without loading its words.
+//! the set's first fill rather than at its set index, stores only 4 ways
+//! of a set until a fill finds them all valid, and knows a never-filled
+//! set empty from its slot, without loading its words.
 //! Before that a way was one 8-byte word with a 32-bit LRU stamp, and
 //! before that 17 bytes in three parallel arrays. [`ThreeArrayCache`]
 //! below is that earlier implementation, kept verbatim (on the public
@@ -173,8 +174,10 @@ impl ThreeArrayCache {
 }
 
 /// Geometries from "every fill evicts" up to Table 1's L1 and LLC and one
-/// fully associative set: rank widths 0 through 6.
-const GEOMETRIES: [(u64, u32); 10] = [
+/// fully associative set: rank widths 0 through 6. The last three have
+/// few sets and more ways than a young set stores, so that the op mix
+/// grows many of their sets, among invalidations and cleans.
+const GEOMETRIES: [(u64, u32); 13] = [
     (64, 1),
     (128, 2),
     (256, 1),
@@ -185,6 +188,9 @@ const GEOMETRIES: [(u64, u32); 10] = [
     (4 * 1024 * 1024, 16),
     (8192, 32),
     (4096, 64),
+    (512, 8),
+    (2048, 16),
+    (16 * 1024, 16),
 ];
 
 /// Line `k` of the lines that map to set `picks[s % 8]`, the picks
@@ -288,7 +294,11 @@ mod first_touch {
     /// Bytes of one way's word.
     const WAY_BYTES: u64 = 4;
 
-    /// Table 1's LLC: 65,536 ways, a 256 KB way array.
+    /// Ways a young set stores, in 16 B.
+    const YOUNG_WAYS: u64 = 4;
+
+    /// Table 1's LLC: 4,096 sets of 16 ways, a 64 KB young region and a
+    /// 256 KB grown one.
     fn llc() -> CacheGeometry {
         CacheGeometry::new(4 * 1024 * 1024, 16)
     }
@@ -318,7 +328,7 @@ mod first_touch {
 
     /// Sets are packed in first-fill order, not laid out by set index. One
     /// fill in each of the 64 sets that a by-index layout puts on 64
-    /// separate pages lands in one 4 KB run of words, plus the 16 KB slot
+    /// separate pages lands in 1 KB of young ways, plus the 16 KB slot
     /// table the first fill allocates: a handful of faults, where a
     /// by-index layout takes one per set.
     #[test]
@@ -347,8 +357,34 @@ mod first_touch {
         );
         assert_eq!(
             c.resident_bytes(),
-            64 * WAY_BYTES * geom.ways() as u64 + 4 * geom.sets(),
-            "64 sets of ways and one 4-byte slot a set"
+            64 * YOUNG_WAYS * WAY_BYTES + 4 * geom.sets(),
+            "64 young sets of ways and one 4-byte slot a set"
         );
+    }
+
+    /// A young set stores 4 ways in 16 B, so one fill in each of 256
+    /// adjacent sets writes 4 KB of ways, 256 young sets to a page. Stored
+    /// 16 ways a set, the same fills wrote 16 KB, 64 B a set: past set
+    /// 0's page, 4 more pages of ways. The first fill allocates the slot
+    /// table, which the allocator may clear whole, so it is not counted.
+    #[test]
+    fn adjacent_young_sets_share_a_page() {
+        let geom = llc();
+        let mut warm = CacheArray::new(geom);
+        warm.access(PAddr::new(0), false);
+        let mut c = CacheArray::new(geom);
+        c.access(PAddr::new(0), false);
+        let before = minor_faults();
+        for set in 1..256 {
+            let fill = c.access(PAddr::new(set * 64), false);
+            assert_eq!(
+                fill,
+                LookupResult::Miss {
+                    evicted_clean: None
+                }
+            );
+        }
+        let faults = minor_faults() - before;
+        assert!(faults < 4, "{faults} faults filling 255 adjacent sets");
     }
 }
