@@ -272,8 +272,6 @@ pub struct Fabric {
     config: FabricConfig,
     adj: AdjIndex,
     links: LinkTable,
-    /// Lazily-built forwarding table (see [`Fabric::next_hops`]).
-    next_hops: Option<NextHopTable>,
     /// Compiled link-fault state; `None` whenever the plan (if any) has no
     /// link faults, which keeps [`Fabric::send_faulty`] on the plain
     /// [`Fabric::send`] path.
@@ -399,7 +397,6 @@ impl Fabric {
             config,
             adj,
             links,
-            next_hops: None,
             fault_rt,
             packets_sent: 0,
             bytes_sent: 0,
@@ -415,15 +412,6 @@ impl Fabric {
     /// Number of nodes the fabric connects.
     pub fn nodes(&self) -> usize {
         self.config.topology.nodes()
-    }
-
-    /// The dense next-hop forwarding table for this fabric's topology,
-    /// built on first use (N×N; see [`NextHopTable`]). The send path
-    /// routes arithmetically and never needs it — this is the structure a
-    /// table-routed topology would plug in, exposed for tools and tests.
-    pub fn next_hops(&mut self) -> &NextHopTable {
-        self.next_hops
-            .get_or_insert_with(|| self.config.topology.next_hop_table())
     }
 
     /// Injects a packet of `bytes` on virtual lane `lane` at time `now`;
@@ -814,18 +802,6 @@ mod tests {
                 assert_eq!((row.bytes, row.packets), (bytes, packets), "{topo:?}");
             }
         }
-    }
-
-    #[test]
-    fn next_hops_table_is_lazily_built_and_consistent() {
-        let mut fabric = Fabric::new(FabricConfig::torus2d(4, 4));
-        let table = fabric.next_hops();
-        assert_eq!(table.nodes(), 16);
-        assert_eq!(
-            table.next_hop(NodeId(0), NodeId(10)),
-            NodeId(1),
-            "X-first dimension-order routing"
-        );
     }
 
     fn plan_with(links: Vec<LinkFault>) -> FaultPlan {

@@ -1,9 +1,10 @@
 //! [`SonumaBackend`]: the soNUMA machine behind the transport-agnostic
 //! [`RemoteBackend`] contract.
 //!
-//! The backend owns a [`ShardedCluster`] — the cluster partitioned into
-//! per-thread shards advancing in conservative epochs — and drives tenant
-//! channels (one queue pair per `(node, channel)`) from outside the
+//! The backend is the machine: it owns the cluster partitioned into
+//! per-thread shards advancing in conservative epochs, the global fabric
+//! and the commit merge between them (see [`crate::shard`]), and drives
+//! tenant channels (one queue pair per `(node, channel)`) from outside the
 //! simulation: posts go through the same access-library path simulated
 //! applications use ([`crate::NodeApi`]), so they pay WQ-store, RGP,
 //! fabric, RRPP and RCP costs exactly as §4.2 models them. With
@@ -19,16 +20,20 @@ use std::collections::BTreeMap;
 use sonuma_fabric::{Fabric, ShardPlan};
 use sonuma_memory::{VAddr, BLOCK_BYTES};
 use sonuma_protocol::{
-    BackendError, CtxId, NodeId, QpId, RemoteBackend, RemoteCompletion, RemoteOp, RemoteRequest,
-    TenantId,
+    BackendError, CtxId, NodeId, Packet, QpId, RemoteBackend, RemoteCompletion, RemoteOp,
+    RemoteRequest, TenantId, HEADER_BYTES,
 };
-use sonuma_sim::SimTime;
+use sonuma_sim::{ShardedEngine, SimTime};
+use sonuma_trace::{FlightRecorder, TraceConfig};
 
 use crate::api::{ApiError, NodeApi};
+use crate::cluster::Cluster;
 use crate::config::MachineConfig;
+use crate::mailbox::CommitBatch;
 use crate::pipeline::PipelineStats;
-use crate::shard::ShardedCluster;
+use crate::shard::{build_shard, ShardSlot, QUANTUM_EPOCHS};
 use crate::tenancy::{SloClass, TenantSpec, TenantStats};
+use crate::ClusterEngine;
 
 const BACKEND_CTX: CtxId = CtxId(0);
 
@@ -85,7 +90,10 @@ struct NodePort {
     next_token: u64,
 }
 
-/// The full soNUMA machine exposed as a [`RemoteBackend`].
+/// The full soNUMA machine exposed as a [`RemoteBackend`]: the cluster
+/// sharded across threads (see [`crate::shard`]), with the global fabric,
+/// the commit-frontier merge of the shards' outboxes and the driver ports
+/// of every node.
 ///
 /// # Example
 ///
@@ -101,21 +109,42 @@ struct NodePort {
 /// assert_eq!(done[0].data, vec![0xAB; 64]);
 /// ```
 pub struct SonumaBackend {
-    sharded: ShardedCluster,
+    pub(crate) engine: ShardedEngine<ShardSlot>,
+    pub(crate) fabric: Fabric,
+    pub(crate) plan: ShardPlan,
+    pub(crate) config: MachineConfig,
+    /// Global clock: the last quantum boundary (or an idle-jump target).
+    pub(crate) clock: SimTime,
+    /// Cached engine events + batched logical events, refreshed at round
+    /// boundaries (`events_processed` is a `&self` query).
+    pub(crate) events: u64,
+    /// Width of one quantum: `QUANTUM_EPOCHS` lookaheads.
+    pub(crate) quantum: SimTime,
+    /// Scratch for one commit's due departures, reused across commits.
+    pub(crate) batch: CommitBatch,
+    /// Scratch for one commit's deliveries, per destination shard and in
+    /// merged order, reused across commits.
+    pub(crate) deliveries: Vec<Vec<(SimTime, Packet)>>,
+    /// Cross-shard cut of the plan in force (directed links).
+    cut_links: usize,
+    /// Deliveries that landed sooner than the lookahead promised —
+    /// always zero when the conservative bound is sound; counted
+    /// in release builds too so the property tests can assert on it.
+    pub(crate) pair_bound_violations: u64,
+    /// The armed flight recorder, if any. Boxed so the (large, cold)
+    /// recorder state stays off the machine's cache footprint; `None`
+    /// (the default) leaves every hot path on exactly the untraced code.
+    pub(crate) trace: Option<Box<FlightRecorder>>,
     ports: Vec<NodePort>,
     segment_len: u64,
-    /// Idle-clock floor (`advance_clock_to`): the externally visible
-    /// `now()` never lags behind a requested jump even while events are
-    /// still catching up.
-    clock_floor: SimTime,
 }
 
 impl std::fmt::Debug for SonumaBackend {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SonumaBackend")
-            .field("nodes", &self.sharded.num_nodes())
-            .field("shards", &self.sharded.num_shards())
-            .field("now", &self.now())
+            .field("nodes", &self.config.nodes)
+            .field("shards", &self.plan.shards())
+            .field("now", &self.clock)
             .finish()
     }
 }
@@ -139,7 +168,8 @@ impl SonumaBackend {
     ///
     /// Panics if `threads` is zero or the segment cannot be mapped.
     pub fn with_threads(config: MachineConfig, segment_len: u64, threads: usize) -> Self {
-        Self::from_sharded(ShardedCluster::new(config, threads), segment_len)
+        let plan = ShardPlan::for_topology(&config.fabric.topology, threads);
+        Self::with_plan(config, segment_len, plan)
     }
 
     /// Builds a backend over an explicit node→shard partition (`bounds`
@@ -152,19 +182,57 @@ impl SonumaBackend {
     /// Panics on an invalid plan or if the segment cannot be mapped.
     pub fn with_partition(config: MachineConfig, segment_len: u64, bounds: Vec<usize>) -> Self {
         let plan = ShardPlan::from_bounds(bounds).expect("valid shard bounds");
-        Self::from_sharded(ShardedCluster::with_plan(config, plan), segment_len)
+        Self::with_plan(config, segment_len, plan)
     }
 
-    fn from_sharded(mut sharded: ShardedCluster, segment_len: u64) -> Self {
-        let nodes = sharded.num_nodes();
-        sharded
-            .create_context(BACKEND_CTX, segment_len)
-            .expect("segment must fit in node memory");
+    /// Builds the machine sharded per `plan`, with context `BACKEND_CTX`
+    /// (`segment_len` bytes) on every node.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the plan does not cover exactly `config.nodes` nodes, the
+    /// fabric topology disagrees with `config.nodes`, or the segment
+    /// cannot be mapped.
+    fn with_plan(config: MachineConfig, segment_len: u64, plan: ShardPlan) -> Self {
+        assert_eq!(
+            config.fabric.topology.nodes(),
+            config.nodes,
+            "fabric topology size must match node count"
+        );
+        assert_eq!(
+            plan.nodes(),
+            config.nodes,
+            "shard plan must cover every node"
+        );
+        let lookahead = config.fabric.min_delivery_delay(HEADER_BYTES as u64);
+        let cut_links = plan.cut_links(&config.fabric.topology);
+        // Serial on purpose: one construction thread per shard measured
+        // slower on every sharded workload (DESIGN.md, "Prove or remove").
+        let shards: Vec<ShardSlot> = (0..plan.shards())
+            .map(|s| {
+                let mut slot = build_shard(&config, &plan, s);
+                slot.world
+                    .create_context(BACKEND_CTX, segment_len)
+                    .expect("segment must fit in node memory");
+                slot
+            })
+            .collect();
+        let num_shards = shards.len();
         SonumaBackend {
-            sharded,
-            ports: (0..nodes).map(|_| NodePort::default()).collect(),
+            engine: ShardedEngine::new(shards, lookahead),
+            fabric: Fabric::new(config.fabric.clone()),
+            plan,
+            ports: (0..config.nodes).map(|_| NodePort::default()).collect(),
+            config,
+            clock: SimTime::ZERO,
+            events: 0,
+            quantum: lookahead * QUANTUM_EPOCHS,
+            batch: CommitBatch::default(),
+            deliveries: vec![Vec::new(); num_shards],
+            cut_links,
+            pair_bound_violations: 0,
+            trace: None,
             segment_len,
-            clock_floor: SimTime::ZERO,
         }
     }
 
@@ -180,102 +248,156 @@ impl SonumaBackend {
 
     /// The cluster configuration.
     pub fn config(&self) -> &MachineConfig {
-        self.sharded.config()
+        &self.config
     }
 
     /// Number of shards (== executing threads).
     pub fn num_shards(&self) -> usize {
-        self.sharded.num_shards()
+        self.plan.shards()
     }
 
-    /// Conservative epochs executed so far (partition-invariant).
+    /// Epoch barriers executed so far. The count is partition-invariant:
+    /// every epoch's horizon is a function of the global event set alone.
     pub fn epochs(&self) -> u64 {
-        self.sharded.epochs()
+        self.engine.epochs()
     }
 
     #[doc(hidden)] // frozen-benchmark residue: ROADMAP item 9 deletes
     pub fn set_speculation(&mut self, _k: u32) {}
 
-    /// The global memory fabric (traffic counters, link stats).
+    /// The global memory fabric (shared by every shard's traffic: traffic
+    /// counters, link stats).
     pub fn fabric(&self) -> &Fabric {
-        self.sharded.fabric()
+        &self.fabric
     }
 
-    /// Arms a flight recorder on the underlying cluster (see
-    /// [`ShardedCluster::arm_trace`]).
+    /// Arms a flight recorder: from now on, link counters are sampled
+    /// inside the commit merge (the global `(t, src, seq)` send order)
+    /// and node counters at quantum boundaries — both partition-invariant
+    /// points, so the recorded series are byte-identical across thread
+    /// counts. All recorder capacity is allocated here, once.
     ///
     /// # Panics
     ///
-    /// Panics if traffic has already run or the interval is zero.
-    pub fn arm_trace(&mut self, config: &sonuma_trace::TraceConfig) {
-        self.sharded.arm_trace(config);
+    /// Panics if the machine has already run (samples would start
+    /// mid-stream) or the configured interval is zero.
+    pub fn arm_trace(&mut self, config: &TraceConfig) {
+        assert!(
+            self.clock == SimTime::ZERO && self.events == 0,
+            "arm the flight recorder before any traffic"
+        );
+        self.trace = Some(Box::new(FlightRecorder::new(
+            config,
+            self.fabric.link_slots(),
+            self.config.nodes,
+        )));
     }
 
     /// The armed flight recorder, if any.
-    pub fn trace(&self) -> Option<&sonuma_trace::FlightRecorder> {
-        self.sharded.trace()
+    pub fn trace(&self) -> Option<&FlightRecorder> {
+        self.trace.as_deref()
     }
 
     /// Pipeline counters of `node`.
     pub fn pipeline_stats(&self, node: NodeId) -> PipelineStats {
-        self.sharded.pipeline_stats(node)
+        self.peek_node(node.index(), |cluster| cluster.pipeline_stats(node))
     }
 
     /// Cluster-wide pipeline counter totals.
     pub fn total_pipeline_stats(&self) -> PipelineStats {
-        self.sharded.total_pipeline_stats()
+        let mut total = PipelineStats::default();
+        for s in 0..self.plan.shards() {
+            self.engine.peek_shard(s, |slot| {
+                total.merge_from(&slot.world.total_pipeline_stats());
+            });
+        }
+        total
     }
 
     /// Per-tenant counters of `node`, in registration order.
     pub fn tenant_stats(&self, node: NodeId) -> Vec<(TenantSpec, TenantStats)> {
-        self.sharded.tenant_stats(node)
+        self.peek_node(node.index(), |cluster| cluster.tenant_stats(node))
     }
 
     /// Per-shard logical event counts (shard metadata for reports).
     pub fn shard_events(&self) -> Vec<u64> {
-        self.sharded.shard_events()
+        (0..self.plan.shards())
+            .map(|s| {
+                self.engine.peek_shard(s, |slot| {
+                    slot.engine.events_executed() + slot.world.batched_logical_events
+                })
+            })
+            .collect()
     }
 
     /// Fabric links cut by the shard partition (0 on a single shard).
     pub fn cut_links(&self) -> usize {
-        self.sharded.cut_links()
+        self.cut_links
     }
 
-    /// The lookahead bounding every epoch of the sharded engine.
+    /// The lookahead `L` bounding every epoch: the fabric's minimum
+    /// delivery delay of a header-only packet.
     pub fn lookahead(&self) -> SimTime {
-        self.sharded.lookahead()
+        self.engine.lookahead()
     }
 
-    /// Deliveries that arrived earlier than the lookahead promised.
-    /// Always 0 when the conservative bound is sound;
-    /// the sharding tests assert on it.
+    /// Deliveries that beat the lookahead promise — zero when the
+    /// conservative bound is sound (the sharding tests assert this stays
+    /// zero in release builds; debug builds also assert at the point of
+    /// violation).
     pub fn pair_bound_violations(&self) -> u64 {
-        self.sharded.pair_bound_violations()
+        self.pair_bound_violations
     }
 
     /// Estimated resident heap bytes of the simulated machine state (see
     /// `Node::resident_bytes`) — the rack4096 memory-diet metric.
     pub fn resident_bytes(&self) -> u64 {
-        self.sharded.resident_bytes()
+        self.fold_shards(Cluster::resident_bytes)
     }
 
     /// Node-crash events executed under the active fault plan (0 without
-    /// one).
+    /// one). Only owning shards count a node's crashes, so the sum is
+    /// partition-invariant.
     pub fn total_crashes(&self) -> u64 {
-        self.sharded.total_crashes()
+        self.fold_shards(Cluster::total_crashes)
     }
 
     /// Packets discarded at delivery because their destination was inside
     /// a crash window (0 without a fault plan).
     pub fn total_crash_drops(&self) -> u64 {
-        self.sharded.total_crash_drops()
+        self.fold_shards(Cluster::total_crash_drops)
     }
 
-    /// Delivery-order hash of `node` — equal across runs iff packets
-    /// arrived in the same order at the same times (the determinism
-    /// checksum the equivalence tests gate on).
+    /// Delivery-order hash of `node` (see `Node::deliver_hash`) — equal
+    /// across runs iff packets arrived in the same order at the same
+    /// times (the determinism checksum the equivalence tests gate on).
     pub fn delivery_hash(&self, node: NodeId) -> u64 {
-        self.sharded.delivery_hash(node)
+        self.peek_node(node.index(), |cluster| {
+            cluster.node(node.index()).deliver_hash
+        })
+    }
+
+    fn fold_shards(&self, f: impl Fn(&Cluster) -> u64) -> u64 {
+        (0..self.plan.shards())
+            .map(|s| self.engine.peek_shard(s, |slot| f(&slot.world)))
+            .sum()
+    }
+
+    /// Runs `f` with the shard owning `node` (its world and engine).
+    fn with_node<R>(
+        &mut self,
+        node: usize,
+        f: impl FnOnce(&mut Cluster, &mut ClusterEngine) -> R,
+    ) -> R {
+        let shard = self.plan.shard_of(node);
+        self.engine
+            .with_shard(shard, |slot| f(&mut slot.world, &mut slot.engine))
+    }
+
+    /// Read-only access to the shard owning `node`.
+    fn peek_node<R>(&self, node: usize, f: impl FnOnce(&Cluster) -> R) -> R {
+        let shard = self.plan.shard_of(node);
+        self.engine.peek_shard(shard, |slot| f(&slot.world))
     }
 
     /// Registers tenant `channel` on `node`: the tenant is registered
@@ -294,17 +416,16 @@ impl SonumaBackend {
         weight: u32,
         slo: SloClass,
     ) {
-        self.sharded.register_tenant(
-            node,
-            TenantSpec {
-                id: tenant,
-                weight,
-                slo,
-            },
-        );
+        let spec = TenantSpec {
+            id: tenant,
+            weight,
+            slo,
+        };
         let qp = self
-            .sharded
-            .create_tenant_qp(node, BACKEND_CTX, 0, tenant)
+            .with_node(node.index(), |cluster, _| {
+                cluster.register_tenant(node, spec);
+                cluster.create_tenant_qp(node, BACKEND_CTX, 0, tenant)
+            })
             .expect("QP ring allocation failed");
         self.ports[node.index()]
             .channels
@@ -319,8 +440,9 @@ impl SonumaBackend {
             return port.qp;
         }
         let qp = self
-            .sharded
-            .create_qp(NodeId(n as u16), BACKEND_CTX, 0)
+            .with_node(n, |cluster, _| {
+                cluster.create_qp(NodeId(n as u16), BACKEND_CTX, 0)
+            })
             .expect("QP ring allocation failed");
         self.ports[n].channels.insert(channel, ChannelPort::new(qp));
         qp
@@ -338,38 +460,39 @@ impl SonumaBackend {
     /// operation rewrites it before anything reads it again, so giving
     /// its host blocks back moves no simulated result.
     fn harvest(&mut self, n: usize) {
-        let SonumaBackend { sharded, ports, .. } = self;
         let NodePort {
             channels, ready, ..
-        } = &mut ports[n];
-        sharded.with_node(n, |cluster, _| {
-            for port in channels.values_mut() {
-                let comps = cluster.drain_cq(n, port.qp);
-                for c in comps {
-                    let Some(p) = port.slots[usize::from(c.wq_index)].pending.take() else {
-                        continue;
-                    };
-                    let len = match (c.status.is_ok(), p.op) {
-                        (true, RemoteOp::Read) => p.len,
-                        (true, RemoteOp::FetchAdd | RemoteOp::CompSwap) => 8,
-                        _ => 0,
-                    };
-                    let mut data = vec![0u8; len as usize];
-                    let node = cluster.node_mut(n);
-                    node.read_virt(p.buf, &mut data)
-                        .expect("landing buffer mapped");
-                    // Whole blocks: `heap_alloc` hands each buffer whole
-                    // pages, so no block is shared with another buffer.
-                    node.discard_virt(p.buf, p.span.next_multiple_of(BLOCK_BYTES as u64))
-                        .expect("landing buffer mapped");
-                    ready.push(RemoteCompletion {
-                        token: p.token,
-                        status: c.status,
-                        data,
-                    });
+        } = &mut self.ports[n];
+        let shard = self.plan.shard_of(n);
+        self.engine
+            .with_shard(shard, |ShardSlot { world: cluster, .. }| {
+                for port in channels.values_mut() {
+                    let comps = cluster.drain_cq(n, port.qp);
+                    for c in comps {
+                        let Some(p) = port.slots[usize::from(c.wq_index)].pending.take() else {
+                            continue;
+                        };
+                        let len = match (c.status.is_ok(), p.op) {
+                            (true, RemoteOp::Read) => p.len,
+                            (true, RemoteOp::FetchAdd | RemoteOp::CompSwap) => 8,
+                            _ => 0,
+                        };
+                        let mut data = vec![0u8; len as usize];
+                        let node = cluster.node_mut(n);
+                        node.read_virt(p.buf, &mut data)
+                            .expect("landing buffer mapped");
+                        // Whole blocks: `heap_alloc` hands each buffer whole
+                        // pages, so no block is shared with another buffer.
+                        node.discard_virt(p.buf, p.span.next_multiple_of(BLOCK_BYTES as u64))
+                            .expect("landing buffer mapped");
+                        ready.push(RemoteCompletion {
+                            token: p.token,
+                            status: c.status,
+                            data,
+                        });
+                    }
                 }
-            }
-        });
+            });
     }
 }
 
@@ -379,7 +502,7 @@ impl RemoteBackend for SonumaBackend {
     }
 
     fn num_nodes(&self) -> usize {
-        self.sharded.num_nodes()
+        self.config.nodes
     }
 
     fn segment_len(&self) -> u64 {
@@ -387,11 +510,15 @@ impl RemoteBackend for SonumaBackend {
     }
 
     fn write_ctx(&mut self, node: NodeId, offset: u64, data: &[u8]) {
-        self.sharded.write_ctx(node, BACKEND_CTX, offset, data);
+        self.with_node(node.index(), |cluster, _| {
+            cluster.write_ctx(node, BACKEND_CTX, offset, data)
+        });
     }
 
     fn read_ctx(&self, node: NodeId, offset: u64, buf: &mut [u8]) {
-        self.sharded.read_ctx(node, BACKEND_CTX, offset, buf);
+        self.peek_node(node.index(), |cluster| {
+            cluster.read_ctx(node, BACKEND_CTX, offset, buf)
+        });
     }
 
     fn post(&mut self, src: NodeId, req: RemoteRequest) -> Result<u64, BackendError> {
@@ -405,7 +532,7 @@ impl RemoteBackend for SonumaBackend {
         req: RemoteRequest,
     ) -> Result<u64, BackendError> {
         let n = src.index();
-        if n >= self.sharded.num_nodes() || req.dst.index() >= self.sharded.num_nodes() {
+        if n >= self.config.nodes || req.dst.index() >= self.config.nodes {
             return Err(BackendError::BadNode);
         }
         if req.op == RemoteOp::Write && req.len != req.payload.len() as u64 {
@@ -416,8 +543,6 @@ impl RemoteBackend for SonumaBackend {
             // the transport contract.
             return Err(BackendError::BadRequest);
         }
-        let qp = self.channel_qp(n, channel);
-
         // Stage a landing/source buffer sized for the payload (whole lines:
         // the RMC moves cache-line multiples).
         let buf_len = match req.op {
@@ -425,80 +550,90 @@ impl RemoteBackend for SonumaBackend {
             _ => 64,
         };
         if buf_len == 0 {
-            // Zero-length reads/writes are rejected before touching the WQ.
+            // Zero-length reads/writes are rejected before the channel's
+            // queue pair exists or the WQ is touched.
             return Err(BackendError::BadRequest);
         }
         let need = buf_len.max(64);
-        let SonumaBackend { sharded, ports, .. } = self;
+        let qp = self.channel_qp(n, channel);
         let NodePort {
             channels,
             next_token,
             ..
-        } = &mut ports[n];
+        } = &mut self.ports[n];
         let slots = &mut channels.get_mut(&channel).expect("channel exists").slots;
-        sharded.with_node(n, |cluster, engine| {
-            let mut api = NodeApi::new(cluster, engine, n, 0, SimTime::ZERO);
-            // Reuse (or grow) the landing buffer pooled for the WQ slot
-            // this post will occupy; a failed post leaves the buffer
-            // pooled, so a retry allocates nothing. A buffer the request
-            // outgrows stays mapped in the node heap for the rest of the
-            // run; only its host blocks go back, at its last harvest.
-            let i = usize::from(api.next_wq_index(qp));
-            if slots.len() <= i {
-                slots.resize_with(i + 1, Slot::default);
-            }
-            let slot = &mut slots[i];
-            let (buf, span) = match slot.pooled {
-                Some((va, span)) if span >= need => (va, span),
-                _ => {
-                    let va = api.heap_alloc(need).map_err(|_| BackendError::Exhausted)?;
-                    slot.pooled = Some((va, need));
-                    (va, need)
+        let shard = self.plan.shard_of(n);
+        self.engine
+            .with_shard(shard, |ShardSlot { world, engine }| {
+                let mut api = NodeApi::new(world, engine, n, 0, SimTime::ZERO);
+                // Reuse (or grow) the landing buffer pooled for the WQ slot
+                // this post will occupy; a failed post leaves the buffer
+                // pooled, so a retry allocates nothing. A buffer the request
+                // outgrows stays mapped in the node heap for the rest of the
+                // run; only its host blocks go back, at its last harvest.
+                let i = usize::from(api.next_wq_index(qp));
+                if slots.len() <= i {
+                    slots.resize_with(i + 1, Slot::default);
                 }
-            };
-            if req.op == RemoteOp::Write {
-                api.local_write(buf, &req.payload).expect("buffer mapped");
-            }
-            let posted = match req.op {
-                RemoteOp::Read => api.post_read(qp, req.dst, BACKEND_CTX, req.offset, buf, req.len),
-                RemoteOp::Write => api.post_write(
-                    qp,
-                    req.dst,
-                    BACKEND_CTX,
-                    req.offset,
-                    buf,
-                    req.payload.len() as u64,
-                ),
-                RemoteOp::FetchAdd => {
-                    api.post_fetch_add(qp, req.dst, BACKEND_CTX, req.offset, buf, req.operands.0)
+                let slot = &mut slots[i];
+                let (buf, span) = match slot.pooled {
+                    Some((va, span)) if span >= need => (va, span),
+                    _ => {
+                        let va = api.heap_alloc(need).map_err(|_| BackendError::Exhausted)?;
+                        slot.pooled = Some((va, need));
+                        (va, need)
+                    }
+                };
+                if req.op == RemoteOp::Write {
+                    api.local_write(buf, &req.payload).expect("buffer mapped");
                 }
-                RemoteOp::CompSwap => api.post_comp_swap(
-                    qp,
-                    req.dst,
-                    BACKEND_CTX,
-                    req.offset,
+                let posted = match req.op {
+                    RemoteOp::Read => {
+                        api.post_read(qp, req.dst, BACKEND_CTX, req.offset, buf, req.len)
+                    }
+                    RemoteOp::Write => api.post_write(
+                        qp,
+                        req.dst,
+                        BACKEND_CTX,
+                        req.offset,
+                        buf,
+                        req.payload.len() as u64,
+                    ),
+                    RemoteOp::FetchAdd => api.post_fetch_add(
+                        qp,
+                        req.dst,
+                        BACKEND_CTX,
+                        req.offset,
+                        buf,
+                        req.operands.0,
+                    ),
+                    RemoteOp::CompSwap => api.post_comp_swap(
+                        qp,
+                        req.dst,
+                        BACKEND_CTX,
+                        req.offset,
+                        buf,
+                        req.operands.0,
+                        req.operands.1,
+                    ),
+                    RemoteOp::Interrupt => unreachable!("rejected at validation"),
+                };
+                match posted {
+                    Ok(wq_index) => debug_assert_eq!(usize::from(wq_index), i),
+                    Err(ApiError::WqFull) => return Err(BackendError::Backpressure),
+                    Err(_) => return Err(BackendError::BadRequest),
+                }
+                let token = *next_token;
+                *next_token += 1;
+                slot.pending = Some(PendingOp {
+                    token,
+                    op: req.op,
+                    len: req.len,
                     buf,
-                    req.operands.0,
-                    req.operands.1,
-                ),
-                RemoteOp::Interrupt => unreachable!("rejected at validation"),
-            };
-            match posted {
-                Ok(wq_index) => debug_assert_eq!(usize::from(wq_index), i),
-                Err(ApiError::WqFull) => return Err(BackendError::Backpressure),
-                Err(_) => return Err(BackendError::BadRequest),
-            }
-            let token = *next_token;
-            *next_token += 1;
-            slot.pending = Some(PendingOp {
-                token,
-                op: req.op,
-                len: req.len,
-                buf,
-                span,
-            });
-            Ok(token)
-        })
+                    span,
+                });
+                Ok(token)
+            })
     }
 
     fn poll(&mut self, src: NodeId) -> Vec<RemoteCompletion> {
@@ -516,26 +651,37 @@ impl RemoteBackend for SonumaBackend {
         // count. The round also bounds the clock granularity callers
         // observe between polls (completion latencies measured at poll
         // time are late by at most one round's span).
-        self.sharded.advance_round()
+        self.advance_round()
     }
 
     fn now(&self) -> SimTime {
-        self.sharded.now().max(self.clock_floor)
+        self.clock
     }
 
     fn advance_clock_to(&mut self, t: SimTime) {
-        // The floor moves `now()` immediately (the trait contract); when
-        // nothing earlier is pending the shard engines jump too, so work
-        // posted after the jump charges from the advanced clock.
-        self.clock_floor = self.clock_floor.max(t);
-        self.sharded.advance_clock_to(t);
+        // `now()` moves immediately (the trait contract); when nothing
+        // earlier is pending the shard engines jump too, so work posted
+        // after the jump charges from the advanced clock. With events
+        // pending before `t`, engine clocks catch up through epochs.
+        // Staged departures that outran the last quantum count as pending
+        // work at their inject time (their arrivals lie even later), so
+        // an idle jump never carries an engine clock past them.
+        let mut min_next: Option<SimTime> = None;
+        self.engine.for_each_shard(|_, slot| {
+            let (staged, next) = slot.floors();
+            min_next = [min_next, staged, next].into_iter().flatten().min();
+        });
+        if min_next.is_none_or(|m| m >= t) {
+            self.engine.align_all(t);
+        }
+        self.clock = self.clock.max(t);
     }
 
     fn events_processed(&self) -> u64 {
         // Engine events plus the logical injections folded into line
         // bursts, so the count (and events/sec) is invariant under
         // `rgp_burst_lines` batching — and under the shard count.
-        self.sharded.events_processed()
+        self.events
     }
 }
 
@@ -589,6 +735,24 @@ mod tests {
     }
 
     #[test]
+    fn a_rejected_zero_length_post_creates_no_queue_pair() {
+        let mut b = SonumaBackend::simulated_hardware(2, 4096);
+        let qps = |b: &SonumaBackend| b.peek_node(0, |c| c.node(0).rmc.qps.len());
+        let empty = [
+            (7, RemoteRequest::read(NodeId(1), 0, 0)),
+            (8, RemoteRequest::write(NodeId(1), 0, Vec::new())),
+        ];
+        for (channel, req) in empty {
+            assert_eq!(
+                b.post_on(NodeId(0), channel, req),
+                Err(BackendError::BadRequest)
+            );
+            assert_eq!(qps(&b), 0, "channel {channel}");
+            assert!(!b.ports[0].channels.contains_key(&channel));
+        }
+    }
+
+    #[test]
     fn pipeline_stats_visible_through_backend() {
         let mut b = SonumaBackend::simulated_hardware(2, 1 << 20);
         for _ in 0..4 {
@@ -636,8 +800,7 @@ mod tests {
 
     /// Host bytes of `node`'s physical memory.
     fn phys_resident(b: &SonumaBackend, node: usize) -> u64 {
-        b.sharded
-            .peek_node(node, |c| c.node(node).phys.resident_bytes())
+        b.peek_node(node, |c| c.node(node).phys.resident_bytes())
     }
 
     #[test]
@@ -680,8 +843,7 @@ mod tests {
             // Harvest gave the slot's buffer back: it reads as zeros.
             let (va, span) = b.ports[0].channels[&0].slots[0].pooled.unwrap();
             let mut left = vec![0xFF; span as usize];
-            b.sharded
-                .peek_node(0, |c| c.node(0).read_virt(va, &mut left))
+            b.peek_node(0, |c| c.node(0).read_virt(va, &mut left))
                 .unwrap();
             assert!(left.iter().all(|&x| x == 0), "{len} B of {value:#x}");
         }

@@ -23,12 +23,12 @@ use crate::ClusterEngine;
 
 /// Where this cluster's packets go: straight into an owned fabric
 /// (classic single-engine mode) or into per-node outboxes committed at the
-/// epoch barrier (one shard of a `ShardedCluster`).
+/// epoch barrier (one shard of a `SonumaBackend`).
 pub(crate) enum RoutePath {
     /// The cluster owns the whole world; sends resolve inline.
     Direct(Box<Fabric>),
     /// The cluster is one shard; sends are staged in its [`Mailbox`] and
-    /// the `ShardedCluster` merges them into the global fabric in
+    /// the `SonumaBackend` merges them into the global fabric in
     /// deterministic order.
     Mailbox(Mailbox),
 }
@@ -103,7 +103,7 @@ impl Cluster {
 
     /// Builds one *shard* of a cluster: the world of nodes
     /// `range.start..range.end`, with fabric sends staged in a mailbox
-    /// for the owning `ShardedCluster`'s epoch merge.
+    /// for the owning `SonumaBackend`'s epoch merge.
     ///
     /// # Panics
     ///
@@ -169,13 +169,13 @@ impl Cluster {
     ///
     /// # Panics
     ///
-    /// Panics on a shard cluster — shards do not own the fabric; ask the
-    /// `ShardedCluster` (or `SonumaBackend::fabric`) instead.
+    /// Panics on a shard cluster — shards do not own the fabric; ask
+    /// `SonumaBackend::fabric` instead.
     pub fn fabric(&self) -> &Fabric {
         match &self.route {
             RoutePath::Direct(fabric) => fabric,
             RoutePath::Mailbox(_) => {
-                panic!("shard clusters do not own the fabric; query the ShardedCluster")
+                panic!("shard clusters do not own the fabric; query the SonumaBackend")
             }
         }
     }

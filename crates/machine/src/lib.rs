@@ -22,14 +22,16 @@
 //!   A [`PipelineStats`] snapshot exposes every pipeline counter per node;
 //! * `sched` — run-to-block core scheduling: CQ wake-ups, memory watches,
 //!   and remote-interrupt delivery;
-//! * [`shard`] — [`ShardedCluster`]: the cluster partitioned into
+//! * [`shard`] — how the machine executes: the cluster partitioned into
 //!   per-thread shards (each a [`Cluster`] owning a slice of nodes, with
 //!   fabric sends staged in per-node outboxes, `mailbox`), advanced in
 //!   conservative epochs with a deterministic fabric merge at each
 //!   barrier, so `--threads N` runs are bit-identical to serial ones;
-//! * [`backend`] — [`SonumaBackend`], the soNUMA implementation of the
-//!   transport-agnostic `sonuma_protocol::RemoteBackend` contract, so the
-//!   same request streams can run over the baselines for Table 2.
+//! * [`backend`] — [`SonumaBackend`], the machine: it owns the shards,
+//!   the global fabric and the driver ports, and is the soNUMA
+//!   implementation of the transport-agnostic
+//!   `sonuma_protocol::RemoteBackend` contract, so the same request
+//!   streams can run over the baselines for Table 2.
 //!
 //! Applications are [`AppProcess`] state machines running on simulated
 //! cores in run-to-block style: each wake-up performs local work and API
@@ -60,7 +62,6 @@ pub use node::Node;
 pub use pipeline::rgp::{QpClass, QpScheduler, SchedPolicy};
 pub use pipeline::{PipelineStats, RcpState, RgpPhase, RgpState, RrppState};
 pub use process::{AppProcess, Completion, Step, Wake};
-pub use shard::{ShardedCluster, ADVANCE_ROUND_EVENTS};
 pub use tenancy::{SloClass, TenantSpec, TenantStats, TenantTable};
 
 /// Convenience alias: the typed event engine specialized to the cluster

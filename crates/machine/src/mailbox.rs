@@ -7,7 +7,7 @@
 //! inside it, `stage_local` offsets swap neighbours), so a queue is kept
 //! `(t, staging order)`-sorted on insert: a push at the back, or a binary
 //! search and a shift of a few entries. Nothing is ever re-sorted: the
-//! `ShardedCluster` commit takes each listed node's due
+//! `SonumaBackend` commit takes each listed node's due
 //! prefix into a [`CommitBatch`], which orders 16-byte keys — never the
 //! departures — by `(t, src, seq)` exactly once.
 

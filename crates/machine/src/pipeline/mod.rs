@@ -177,7 +177,7 @@ impl Cluster {
     /// serialization + credits) and schedule the typed
     /// [`ClusterEvent::Deliver`] at the computed arrival. Shard clusters
     /// instead stage the send in the source node's outbox; the
-    /// `ShardedCluster` applies every staged send to the one global fabric
+    /// `SonumaBackend` applies every staged send to the one global fabric
     /// at the epoch barrier, in `(time, source, staging order)` order — a
     /// pure function of simulated history, which is what keeps
     /// `--threads N` bit-identical to `--threads 1`.

@@ -1,6 +1,6 @@
 //! The sharded cluster: conservative-parallel execution of the machine.
 //!
-//! [`ShardedCluster`] partitions the cluster's nodes into contiguous
+//! [`SonumaBackend`] partitions the cluster's nodes into contiguous
 //! shards (one per thread, planned by `sonuma_fabric::ShardPlan` so grid
 //! shards are whole torus slabs), gives each shard *ownership* of its
 //! slice of world state — a [`Cluster`] in mailbox mode plus its own
@@ -8,7 +8,8 @@
 //! fabric's *lookahead* `L`: no packet is delivered sooner than one hop
 //! plus one header serialization after its injection
 //! (`FabricConfig::min_delivery_delay`, 15.75 ns on the paper's torus).
-//! The single global [`Fabric`] lives here, not in any shard.
+//! The single global [`Fabric`](sonuma_fabric::Fabric) lives here, not in
+//! any shard.
 //!
 //! # Why `--threads N` is bit-identical to `--threads 1`
 //!
@@ -33,9 +34,9 @@
 //! 3. **Epoch and round boundaries are partition-invariant.** Every
 //!    epoch runs all shards to the one horizon `min floor + L - 1`, a
 //!    function of the global event set alone, so the epoch structure —
-//!    and [`ShardedCluster::epochs`] — is the same for every partition.
+//!    and [`SonumaBackend::epochs`] — is the same for every partition.
 //!    Execution proceeds in *quanta* of
-//!    [`QUANTUM_EPOCHS`] lookaheads anchored at the globally earliest
+//!    `QUANTUM_EPOCHS` lookaheads anchored at the globally earliest
 //!    pending work; every quantum runs to completion — all events and
 //!    staged traffic up to the quantum boundary are final — and every
 //!    shard clock re-aligns to the boundary. Rounds hand control back to
@@ -85,21 +86,19 @@
 //! Pre-committing before anchoring a quantum also settles the anchor on
 //! true event floors, keeping epoch windows tiled to the lookahead grid
 //! instead of split across staged-head offsets. The per-delivery
-//! [`ShardedCluster::pair_bound_violations`] counter (asserted zero by
+//! [`SonumaBackend::pair_bound_violations`] counter (asserted zero by
 //! the partition property tests) checks the promise at runtime.
 
-use sonuma_fabric::{Fabric, ShardPlan};
-use sonuma_protocol::{CtxId, NodeId, Packet, QpId, TenantId, HEADER_BYTES};
-use sonuma_sim::{EpochWorld, ShardedEngine, SimTime};
-use sonuma_trace::{FaultKind, FlightRecorder, NodeCounters, TraceConfig};
+use sonuma_fabric::ShardPlan;
+use sonuma_protocol::NodeId;
+use sonuma_sim::{EpochWorld, SimTime};
+use sonuma_trace::{FaultKind, NodeCounters};
 
 use crate::cluster::{Cluster, RoutePath};
 use crate::config::MachineConfig;
 use crate::event::ClusterEvent;
-use crate::mailbox::{CommitBatch, Mailbox};
-use crate::pipeline::PipelineStats;
-use crate::tenancy::{TenantSpec, TenantStats};
-use crate::ClusterEngine;
+use crate::mailbox::Mailbox;
+use crate::{ClusterEngine, SonumaBackend};
 
 /// Events one `advance()` round executes before handing control back to
 /// the driver (posts/polls happen between rounds). Rounds are measured in
@@ -107,7 +106,7 @@ use crate::ClusterEngine;
 /// checked at quantum boundaries (also partition-invariant), so the
 /// driver's interleaving with the simulation is identical at every
 /// thread count. 64 matches the pre-sharding `run_steps(64)` burst.
-pub const ADVANCE_ROUND_EVENTS: u64 = 64;
+const ADVANCE_ROUND_EVENTS: u64 = 64;
 
 /// Width of one execution quantum, in lookaheads
 /// (`FabricConfig::min_delivery_delay` of the smallest packet). A quantum
@@ -115,7 +114,7 @@ pub const ADVANCE_ROUND_EVENTS: u64 = 64;
 /// pending work — a topology constant times a partition-invariant anchor,
 /// so quantum boundaries are partition-invariant. The width sets the
 /// driver's observation granularity, so changing it changes results.
-pub const QUANTUM_EPOCHS: u64 = 4;
+pub(crate) const QUANTUM_EPOCHS: u64 = 4;
 
 /// One shard: its slice of the world plus the engine that drives it.
 pub(crate) struct ShardSlot {
@@ -126,7 +125,7 @@ pub(crate) struct ShardSlot {
 // SAFETY: the only non-`Send` constituent of `Cluster` is the attached
 // application process slot (`CoreSlot.process`, a `Box<dyn AppProcess>`
 // whose implementations may capture `Rc` state). Shard clusters are
-// constructed exclusively by `ShardedCluster` from fresh nodes, and
+// constructed exclusively by `SonumaBackend` from fresh nodes, and
 // nothing in the sharded surface can attach a process (`Cluster::spawn`
 // is unreachable through it), so every `process` slot is `None` for the
 // slot's entire lifetime. All remaining state is owned plain data, and
@@ -145,7 +144,7 @@ impl ShardSlot {
 
     /// The shard's floors: earliest staged-but-uncommitted departure, and
     /// earliest pending event. Both O(1).
-    fn floors(&mut self) -> (Option<SimTime>, Option<SimTime>) {
+    pub(crate) fn floors(&mut self) -> (Option<SimTime>, Option<SimTime>) {
         (self.outbox().floor(), self.engine.next_time())
     }
 }
@@ -172,19 +171,11 @@ impl EpochWorld for ShardSlot {
     fn align_clock(&mut self, to: SimTime) {
         self.engine.advance_now_to(to);
     }
-
-    fn pending_floor(&mut self) -> Option<SimTime> {
-        // Staged-but-uncommitted departures are pending work the engine
-        // must fence peers from — they join the floor at their inject
-        // times.
-        let (staged, next) = self.floors();
-        earlier(staged, next)
-    }
 }
 
 /// Builds shard `s`'s slice of the world: a pure function of the config
 /// and plan.
-fn build_shard(config: &MachineConfig, plan: &ShardPlan, s: usize) -> ShardSlot {
+pub(crate) fn build_shard(config: &MachineConfig, plan: &ShardPlan, s: usize) -> ShardSlot {
     let range = plan.range(s);
     // Lane ids are local: a shard allocates lane headers for the nodes it
     // owns, not for the rack.
@@ -205,418 +196,14 @@ fn build_shard(config: &MachineConfig, plan: &ShardPlan, s: usize) -> ShardSlot 
     slot
 }
 
-/// The cluster sharded across threads, with the global fabric and the
-/// commit-frontier merge of the shards' outboxes. Mirrors the [`Cluster`] driver surface
-/// (contexts, queue pairs, tenants, functional segment access,
-/// statistics) with global node ids routed to the owning shard.
-pub struct ShardedCluster {
-    engine: ShardedEngine<ShardSlot>,
-    fabric: Fabric,
-    plan: ShardPlan,
-    config: MachineConfig,
-    /// Global clock: the last quantum boundary (or an idle-jump target).
-    clock: SimTime,
-    /// Cached engine events + batched logical events, refreshed at round
-    /// boundaries (`events_processed` is a `&self` query).
-    events: u64,
-    /// Width of one quantum: `QUANTUM_EPOCHS` lookaheads.
-    quantum: SimTime,
-    /// Scratch for one commit's due departures, reused across commits.
-    batch: CommitBatch,
-    /// Scratch for one commit's deliveries, per destination shard and in
-    /// merged order, reused across commits.
-    deliveries: Vec<Vec<(SimTime, Packet)>>,
-    /// Cross-shard cut of the plan in force (directed links).
-    cut_links: usize,
-    /// Deliveries that landed sooner than the lookahead promised —
-    /// always zero when the conservative bound is sound; counted
-    /// in release builds too so the property tests can assert on it.
-    pair_bound_violations: u64,
-    /// The armed flight recorder, if any. Boxed so the (large, cold)
-    /// recorder state stays off the cluster's cache footprint; `None`
-    /// (the default) leaves every hot path on exactly the untraced code.
-    trace: Option<Box<FlightRecorder>>,
-}
-
-impl std::fmt::Debug for ShardedCluster {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedCluster")
-            .field("nodes", &self.config.nodes)
-            .field("shards", &self.plan.shards())
-            .field("lookahead", &self.engine.lookahead())
-            .field("clock", &self.clock)
-            .finish()
-    }
-}
-
-impl ShardedCluster {
-    /// Builds a cluster sharded into (at most) `threads` topology-aware
-    /// contiguous slabs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is zero or the fabric topology disagrees with
-    /// `config.nodes`.
-    pub fn new(config: MachineConfig, threads: usize) -> Self {
-        let plan = ShardPlan::for_topology(&config.fabric.topology, threads);
-        Self::with_plan(config, plan)
-    }
-
-    /// Builds a cluster sharded per an explicit [`ShardPlan`] — the
-    /// surface the partition-equivalence property tests use to exercise
-    /// arbitrary contiguous partitions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plan does not cover exactly `config.nodes` nodes or
-    /// the fabric topology disagrees with `config.nodes`.
-    pub fn with_plan(config: MachineConfig, plan: ShardPlan) -> Self {
-        assert_eq!(
-            config.fabric.topology.nodes(),
-            config.nodes,
-            "fabric topology size must match node count"
-        );
-        assert_eq!(
-            plan.nodes(),
-            config.nodes,
-            "shard plan must cover every node"
-        );
-        let lookahead = config.fabric.min_delivery_delay(HEADER_BYTES as u64);
-        let cut_links = plan.cut_links(&config.fabric.topology);
-        // Serial on purpose: one construction thread per shard measured
-        // slower on every sharded workload (DESIGN.md, "Prove or remove").
-        let shards: Vec<ShardSlot> = (0..plan.shards())
-            .map(|s| build_shard(&config, &plan, s))
-            .collect();
-        let num_shards = shards.len();
-        ShardedCluster {
-            engine: ShardedEngine::new(shards, lookahead),
-            fabric: Fabric::new(config.fabric.clone()),
-            plan,
-            config,
-            clock: SimTime::ZERO,
-            events: 0,
-            quantum: lookahead * QUANTUM_EPOCHS,
-            batch: CommitBatch::default(),
-            deliveries: vec![Vec::new(); num_shards],
-            cut_links,
-            pair_bound_violations: 0,
-            trace: None,
-        }
-    }
-
-    /// Arms a flight recorder: from now on, link counters are sampled
-    /// inside the commit merge (the global `(t, src, seq)` send order)
-    /// and node counters at quantum boundaries — both partition-invariant
-    /// points, so the recorded series are byte-identical across thread
-    /// counts. All recorder capacity is allocated here, once.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cluster has already run (samples would start
-    /// mid-stream) or the configured interval is zero.
-    pub fn arm_trace(&mut self, config: &TraceConfig) {
-        assert!(
-            self.clock == SimTime::ZERO && self.events == 0,
-            "arm the flight recorder before any traffic"
-        );
-        self.trace = Some(Box::new(FlightRecorder::new(
-            config,
-            self.fabric.link_slots(),
-            self.config.nodes,
-        )));
-    }
-
-    /// The armed flight recorder, if any.
-    pub fn trace(&self) -> Option<&FlightRecorder> {
-        self.trace.as_deref()
-    }
-
-    /// The cluster configuration.
-    pub fn config(&self) -> &MachineConfig {
-        &self.config
-    }
-
-    /// Number of nodes across all shards.
-    pub fn num_nodes(&self) -> usize {
-        self.config.nodes
-    }
-
-    /// Number of shards (== executing threads).
-    pub fn num_shards(&self) -> usize {
-        self.plan.shards()
-    }
-
-    /// The partition in force.
-    pub fn plan(&self) -> &ShardPlan {
-        &self.plan
-    }
-
-    /// Epoch barriers executed so far. The count is partition-invariant:
-    /// every epoch's horizon is a function of the global event set alone.
-    pub fn epochs(&self) -> u64 {
-        self.engine.epochs()
-    }
-
-    /// The lookahead `L` bounding every epoch: the fabric's minimum
-    /// delivery delay of a header-only packet.
-    pub fn lookahead(&self) -> SimTime {
-        self.engine.lookahead()
-    }
-
-    /// Directed links cut by the plan in force.
-    pub fn cut_links(&self) -> usize {
-        self.cut_links
-    }
-
-    /// Deliveries that beat the lookahead promise — zero when the
-    /// conservative bound is sound (the partition property tests assert
-    /// this stays zero in release builds; debug builds also assert at the
-    /// point of violation).
-    pub fn pair_bound_violations(&self) -> u64 {
-        self.pair_bound_violations
-    }
-
-    /// The shard owning `node`.
-    pub fn shard_of(&self, node: usize) -> usize {
-        self.plan.shard_of(node)
-    }
-
-    /// The global memory fabric (shared by every shard's traffic).
-    pub fn fabric(&self) -> &Fabric {
-        &self.fabric
-    }
-
-    /// The global simulated clock: every shard is aligned to it between
-    /// rounds.
-    pub fn now(&self) -> SimTime {
-        self.clock
-    }
-
-    /// Engine events executed plus batched logical events, summed across
-    /// shards — partition-invariant (cached at round boundaries).
-    pub fn events_processed(&self) -> u64 {
-        self.events
-    }
-
-    /// Per-shard logical event counts, for the report's sharding section.
-    pub fn shard_events(&self) -> Vec<u64> {
-        (0..self.plan.shards())
-            .map(|s| {
-                self.engine.peek_shard(s, |slot| {
-                    slot.engine.events_executed() + slot.world.batched_logical_events
-                })
-            })
-            .collect()
-    }
-
-    /// Runs `f` with the shard owning `node` (its world and engine).
-    pub(crate) fn with_node<R>(
-        &mut self,
-        node: usize,
-        f: impl FnOnce(&mut Cluster, &mut ClusterEngine) -> R,
-    ) -> R {
-        let shard = self.plan.shard_of(node);
-        self.engine
-            .with_shard(shard, |slot| f(&mut slot.world, &mut slot.engine))
-    }
-
-    /// Read-only access to the shard owning `node`.
-    pub(crate) fn peek_node<R>(&self, node: usize, f: impl FnOnce(&Cluster) -> R) -> R {
-        let shard = self.plan.shard_of(node);
-        self.engine.peek_shard(shard, |slot| f(&slot.world))
-    }
-
-    // ------------------------------------------------------------------
-    // Driver surface (global node ids, routed to the owning shard).
-    // ------------------------------------------------------------------
-
-    /// Establishes context `ctx` on every node of every shard.
-    ///
-    /// # Errors
-    ///
-    /// Fails if any node cannot map the segment.
-    pub fn create_context(
-        &mut self,
-        ctx: CtxId,
-        segment_len: u64,
-    ) -> Result<(), sonuma_memory::MemError> {
-        let mut result = Ok(());
-        self.engine.for_each_shard(|_, slot| {
-            if result.is_ok() {
-                result = slot.world.create_context(ctx, segment_len);
-            }
-        });
-        result
-    }
-
-    /// Creates a queue pair on `node` (see [`Cluster::create_qp`]).
-    ///
-    /// # Errors
-    ///
-    /// Fails on memory exhaustion or an unregistered context.
-    pub fn create_qp(
-        &mut self,
-        node: NodeId,
-        ctx: CtxId,
-        owner_core: usize,
-    ) -> Result<QpId, sonuma_memory::MemError> {
-        self.with_node(node.index(), |cluster, _| {
-            cluster.create_qp(node, ctx, owner_core)
-        })
-    }
-
-    /// Registers a tenant on `node` (see [`Cluster::register_tenant`]).
-    pub fn register_tenant(&mut self, node: NodeId, spec: TenantSpec) {
-        self.with_node(node.index(), |cluster, _| {
-            cluster.register_tenant(node, spec)
-        });
-    }
-
-    /// Creates a tenant-bound queue pair (see [`Cluster::create_tenant_qp`]).
-    ///
-    /// # Errors
-    ///
-    /// Fails on memory exhaustion or an unregistered context.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tenant` is not registered on `node`.
-    pub fn create_tenant_qp(
-        &mut self,
-        node: NodeId,
-        ctx: CtxId,
-        owner_core: usize,
-        tenant: TenantId,
-    ) -> Result<QpId, sonuma_memory::MemError> {
-        self.with_node(node.index(), |cluster, _| {
-            cluster.create_tenant_qp(node, ctx, owner_core, tenant)
-        })
-    }
-
-    /// Per-tenant counters of `node` (see [`Cluster::tenant_stats`]).
-    pub fn tenant_stats(&self, node: NodeId) -> Vec<(TenantSpec, TenantStats)> {
-        self.peek_node(node.index(), |cluster| cluster.tenant_stats(node))
-    }
-
-    /// Functional write into `node`'s context segment.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the context or range is invalid.
-    pub fn write_ctx(&mut self, node: NodeId, ctx: CtxId, offset: u64, data: &[u8]) {
-        self.with_node(node.index(), |cluster, _| {
-            cluster.write_ctx(node, ctx, offset, data)
-        });
-    }
-
-    /// Functional read from `node`'s context segment.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the context or range is invalid.
-    pub fn read_ctx(&self, node: NodeId, ctx: CtxId, offset: u64, buf: &mut [u8]) {
-        self.peek_node(node.index(), |cluster| {
-            cluster.read_ctx(node, ctx, offset, buf)
-        });
-    }
-
-    // ------------------------------------------------------------------
-    // Statistics.
-    // ------------------------------------------------------------------
-
-    /// Pipeline counters of `node`.
-    pub fn pipeline_stats(&self, node: NodeId) -> PipelineStats {
-        self.peek_node(node.index(), |cluster| cluster.pipeline_stats(node))
-    }
-
-    /// Cluster-wide pipeline counter totals.
-    pub fn total_pipeline_stats(&self) -> PipelineStats {
-        let mut total = PipelineStats::default();
-        for s in 0..self.plan.shards() {
-            self.engine.peek_shard(s, |slot| {
-                total.merge_from(&slot.world.total_pipeline_stats());
-            });
-        }
-        total
-    }
-
-    /// Total remote operations completed across the cluster.
-    pub fn total_ops_completed(&self) -> u64 {
-        self.fold_shards(|c| c.total_ops_completed())
-    }
-
-    /// Total remote-read payload bytes delivered.
-    pub fn total_bytes_read(&self) -> u64 {
-        self.fold_shards(|c| c.total_bytes_read())
-    }
-
-    /// Total remote-write payload bytes delivered.
-    pub fn total_bytes_written(&self) -> u64 {
-        self.fold_shards(|c| c.total_bytes_written())
-    }
-
-    /// Estimated resident heap bytes across every node's model state
-    /// (see `Node::resident_bytes`), summed over all shards.
-    pub fn resident_bytes(&self) -> u64 {
-        self.fold_shards(|c| c.resident_bytes())
-    }
-
-    /// Node-crash events executed (0 without a fault plan). Only owning
-    /// shards count a node's crashes, so the sum is partition-invariant.
-    pub fn total_crashes(&self) -> u64 {
-        self.fold_shards(|c| c.total_crashes())
-    }
-
-    /// Packets discarded at delivery because the destination was inside a
-    /// crash window (0 without a fault plan).
-    pub fn total_crash_drops(&self) -> u64 {
-        self.fold_shards(|c| c.total_crash_drops())
-    }
-
-    /// The delivery-order hash of `node` (see `Node::deliver_hash`):
-    /// equal across two runs iff packets arrived at `node` in the same
-    /// order at the same times.
-    pub fn delivery_hash(&self, node: NodeId) -> u64 {
-        self.peek_node(node.index(), |cluster| {
-            cluster.node(node.index()).deliver_hash
-        })
-    }
-
-    fn fold_shards(&self, f: impl Fn(&Cluster) -> u64) -> u64 {
-        (0..self.plan.shards())
-            .map(|s| self.engine.peek_shard(s, |slot| f(&slot.world)))
-            .sum()
-    }
-
-    // ------------------------------------------------------------------
-    // Execution.
-    // ------------------------------------------------------------------
-
-    /// Jumps the global clock to `t` when nothing earlier is pending (the
-    /// open-loop idle jump). With events pending before `t`, only the
-    /// externally visible clock moves; engine clocks catch up through
-    /// epochs.
-    pub fn advance_clock_to(&mut self, t: SimTime) {
-        // Staged departures that outran the last quantum count as pending
-        // work at their inject time (their arrivals lie even later), so
-        // an idle jump never carries an engine clock past them.
-        let mut min_next: Option<SimTime> = None;
-        self.engine
-            .for_each_shard(|_, slot| min_next = earlier(min_next, slot.pending_floor()));
-        if min_next.is_none_or(|m| m >= t) {
-            self.engine.for_each_shard(|_, slot| slot.align_clock(t));
-        }
-        self.clock = self.clock.max(t);
-    }
-
+impl SonumaBackend {
     /// Runs one driver round: whole quanta until [`ADVANCE_ROUND_EVENTS`]
     /// events have executed or the simulation drains. Both the event
     /// threshold and the quantum boundaries it is checked at are
     /// partition-invariant, so the driver regains control at the same
     /// simulated instants for every thread count. Returns whether work
     /// remains.
-    pub fn advance_round(&mut self) -> bool {
+    pub(crate) fn advance_round(&mut self) -> bool {
         let mut ran_total = 0u64;
         let more = loop {
             match self.run_quantum() {
@@ -812,7 +399,7 @@ impl ShardedCluster {
                     fs.corrupted,
                     fs.rerouted,
                     fs.unreachable,
-                    self.fold_shards(|c| c.total_crash_drops()),
+                    self.total_crash_drops(),
                     pt.rgp_timeouts,
                     pt.rgp_retransmits,
                 ],

@@ -27,7 +27,7 @@
 //! and therefore its results and its epoch count — is identical for any
 //! shard count, provided the caller's exchange step merges staged traffic
 //! in a partition-independent order (see `sonuma-machine`'s
-//! `ShardedCluster` for the fabric merge that does this, and for how it
+//! `SonumaBackend` for the fabric merge that does this, and for how it
 //! re-aligns shard clocks to quantum boundaries so externally injected
 //! work charges invariant times).
 //!
@@ -66,15 +66,6 @@ pub trait EpochWorld: Send + 'static {
     /// or after every event executed so far, and before every pending
     /// one). A target at or before the current clock is a no-op.
     fn align_clock(&mut self, to: SimTime);
-
-    /// The earliest pending work of the shard: its earliest pending local
-    /// event, merged with the earliest staged-but-unapplied cross-shard
-    /// output it has produced. Output the caller's exchange step has not
-    /// applied yet is work peers must still be fenced from, so it joins
-    /// the floor. The default covers worlds that stage nothing.
-    fn pending_floor(&mut self) -> Option<SimTime> {
-        self.next_event_time()
-    }
 
     #[doc(hidden)] // frozen-benchmark residue: ROADMAP item 9 deletes
     fn snapshot(&mut self) {}
@@ -326,15 +317,15 @@ impl<S: EpochWorld> ShardedEngine<S> {
     /// nothing committed".
     pub fn run_epoch(&mut self) -> u64 {
         let n = self.ctl.slots.len();
-        // The earliest floor; all locks are free here. `pending_floor`
-        // rather than `next_event_time`: any output a shard staged but
-        // the caller has not exchanged yet fences its peers too.
+        // The earliest floor; all locks are free here. Output a shard
+        // staged but the caller has not exchanged yet fences its peers
+        // too: the caller publishes it as the shard's source floor.
         let mut min_floor = u64::MAX;
         for i in 0..n {
             let next = self.ctl.slots[i]
                 .lock()
                 .expect("shard poisoned")
-                .pending_floor();
+                .next_event_time();
             let floor = match (next, self.source_floors[i]) {
                 (Some(a), Some(b)) => Some(a.min(b)),
                 (a, b) => a.or(b),
