@@ -19,8 +19,8 @@
 //!
 //! | Module | Holds |
 //! |---|---|
-//! | `spec` | [`ScenarioSpec`], its sections, validation, the JSON form |
-//! | `toml` | the flat-TOML reader and writer |
+//! | `spec` | [`ScenarioSpec`], its sections, validation, the key tables, the JSON form |
+//! | `toml` | the flat-TOML reader and writer over the key tables |
 //! | `drive` | the one drive loop over a request source, [`run_spec`], [`BackendRun`] |
 //! | `report` | report rendering, [`validate_report`], [`equivalence_diff`] |
 //! | `canned` | the canned scenarios, embedded from `bench/specs/*.toml` |

@@ -1,6 +1,12 @@
 //! The declarative spec: [`ScenarioSpec`] and its optional sections,
 //! their defaults, cross-field validation and the JSON form embedded in
 //! every report. The TOML reader and writer live in the `toml` module.
+//!
+//! Every key is named once, in the key tables below (one per section, in
+//! report order, each row binding a key to its field): `from_toml` looks
+//! keys up in them, and `to_toml` and [`ScenarioSpec::to_json`] render
+//! them. Every keyword type has one label table ([`Keyword`]) serving
+//! parsing, both renderings and the `(a|b|c)` list of its error text.
 
 use std::fmt;
 
@@ -8,8 +14,34 @@ use sonuma_core::{NodeId, SchedPolicy, SloClass};
 use sonuma_fabric::{FabricConfig, FaultPlan, LinkFault, NodeFault, Topology};
 use sonuma_sim::{DetRng, SimTime};
 
+use super::toml::Value;
 use crate::json::Json;
 use crate::trafficgen::ArrivalKind;
+
+/// A keyword type: a closed set of values, each with one label. The one
+/// label table serves parsing, TOML and JSON rendering, and the `(a|b|c)`
+/// list an unknown label's error names.
+pub(super) trait Keyword: Copy + PartialEq + 'static {
+    /// What an unknown label is reported as (`unknown platform "x"`).
+    const WHAT: &'static str;
+    /// Every value with its label, in error-text order.
+    const LABELS: &'static [(Self, &'static str)];
+
+    /// The value's label.
+    fn name(self) -> &'static str {
+        let labelled = Self::LABELS.iter().find(|&&(v, _)| v == self);
+        labelled.expect("every value has a label").1
+    }
+
+    /// The value `label` names.
+    fn parse(label: &str) -> Result<Self, String> {
+        let found = Self::LABELS.iter().find(|&&(_, l)| l == label);
+        found.map(|&(v, _)| v).ok_or_else(|| {
+            let all: Vec<&str> = Self::LABELS.iter().map(|&(_, l)| l).collect();
+            format!("unknown {} {label:?} ({})", Self::WHAT, all.join("|"))
+        })
+    }
+}
 
 /// A transport a scenario runs over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -20,16 +52,6 @@ pub enum BackendKind {
     Rdma,
     /// The calibrated Calxeda TCP/IP model.
     Tcp,
-}
-
-impl BackendKind {
-    pub(super) fn as_str(self) -> &'static str {
-        match self {
-            BackendKind::Sonuma => "sonuma",
-            BackendKind::Rdma => "rdma",
-            BackendKind::Tcp => "tcp",
-        }
-    }
 }
 
 /// Which backends a spec requests.
@@ -49,13 +71,16 @@ impl BackendSel {
             BackendSel::All => vec![BackendKind::Sonuma, BackendKind::Rdma, BackendKind::Tcp],
         }
     }
+}
 
-    pub(super) fn as_str(self) -> &'static str {
-        match self {
-            BackendSel::All => "all",
-            BackendSel::One(k) => k.as_str(),
-        }
-    }
+impl Keyword for BackendSel {
+    const WHAT: &'static str = "backend";
+    const LABELS: &'static [(Self, &'static str)] = &[
+        (Self::One(BackendKind::Sonuma), "sonuma"),
+        (Self::One(BackendKind::Rdma), "rdma"),
+        (Self::One(BackendKind::Tcp), "tcp"),
+        (Self::All, "all"),
+    ];
 }
 
 /// Fabric arrangement for soNUMA runs (the modeled baselines have no
@@ -70,6 +95,10 @@ pub enum TopologySpec {
     Torus3d(usize, usize, usize),
 }
 
+/// Every topology shape's label and `:dimensions` pattern, in error-text
+/// order: the one list parsing, rendering and the error text read.
+const SHAPES: [(&str, &str); 3] = [("crossbar", ""), ("torus2d", ":WxH"), ("torus3d", ":XxYxZ")];
+
 impl TopologySpec {
     pub(super) fn to_config(self, nodes: usize) -> FabricConfig {
         match self {
@@ -79,11 +108,38 @@ impl TopologySpec {
         }
     }
 
+    /// The spec label: `crossbar`, `torus2d:4x4`, `torus3d:8x8x8`.
     pub(super) fn render(self) -> String {
-        match self {
-            TopologySpec::Crossbar => "crossbar".to_string(),
-            TopologySpec::Torus2d(w, h) => format!("torus2d:{w}x{h}"),
-            TopologySpec::Torus3d(x, y, z) => format!("torus3d:{x}x{y}x{z}"),
+        let (shape, dims) = match self {
+            TopologySpec::Crossbar => return SHAPES[0].0.to_string(),
+            TopologySpec::Torus2d(w, h) => (SHAPES[1].0, format!("{w}x{h}")),
+            TopologySpec::Torus3d(x, y, z) => (SHAPES[2].0, format!("{x}x{y}x{z}")),
+        };
+        format!("{shape}:{dims}")
+    }
+
+    /// Reads a label [`TopologySpec::render`] writes.
+    pub(super) fn parse(text: &str) -> Result<TopologySpec, String> {
+        let (label, dims) = text
+            .split_once(':')
+            .map_or((text, None), |(l, d)| (l, Some(d)));
+        let shape = SHAPES
+            .iter()
+            .position(|&(l, p)| l == label && p.is_empty() == dims.is_none());
+        let Some(shape) = shape else {
+            let all: Vec<String> = SHAPES.iter().map(|(l, p)| format!("{l}{p}")).collect();
+            return Err(format!("unknown topology {text:?} ({})", all.join("|")));
+        };
+        let dims: Vec<usize> = dims
+            .into_iter()
+            .flat_map(|d| d.split('x'))
+            .map(|d| d.parse().map_err(|_| format!("bad dimension {d:?}")))
+            .collect::<Result<_, _>>()?;
+        match (shape, dims.as_slice()) {
+            (0, []) => Ok(TopologySpec::Crossbar),
+            (1, &[w, h]) => Ok(TopologySpec::Torus2d(w, h)),
+            (2, &[x, y, z]) => Ok(TopologySpec::Torus3d(x, y, z)),
+            _ => Err(format!("{label} needs {}", &SHAPES[shape].1[1..])),
         }
     }
 }
@@ -95,6 +151,12 @@ pub enum PlatformSpec {
     Hardware,
     /// The Xen-based development platform (§7.1).
     Dev,
+}
+
+impl Keyword for PlatformSpec {
+    const WHAT: &'static str = "platform";
+    const LABELS: &'static [(Self, &'static str)] =
+        &[(Self::Hardware, "hardware"), (Self::Dev, "dev")];
 }
 
 /// Request stream shape.
@@ -109,14 +171,13 @@ pub enum WorkloadKind {
     Mixed,
 }
 
-impl WorkloadKind {
-    pub(super) fn as_str(self) -> &'static str {
-        match self {
-            WorkloadKind::UniformRead => "uniform-read",
-            WorkloadKind::NeighborRead => "neighbor-read",
-            WorkloadKind::Mixed => "mixed",
-        }
-    }
+impl Keyword for WorkloadKind {
+    const WHAT: &'static str = "workload";
+    const LABELS: &'static [(Self, &'static str)] = &[
+        (Self::UniformRead, "uniform-read"),
+        (Self::NeighborRead, "neighbor-read"),
+        (Self::Mixed, "mixed"),
+    ];
 }
 
 /// How tenant scheduling weights are assigned.
@@ -128,21 +189,10 @@ pub enum WeightMode {
     Tiered,
 }
 
-impl WeightMode {
-    pub(super) fn as_str(self) -> &'static str {
-        match self {
-            WeightMode::Uniform => "uniform",
-            WeightMode::Tiered => "tiered",
-        }
-    }
-
-    pub(super) fn parse(s: &str) -> Result<WeightMode, String> {
-        match s {
-            "uniform" => Ok(WeightMode::Uniform),
-            "tiered" => Ok(WeightMode::Tiered),
-            other => Err(format!("unknown weights {other:?} (uniform|tiered)")),
-        }
-    }
+impl Keyword for WeightMode {
+    const WHAT: &'static str = "weights";
+    const LABELS: &'static [(Self, &'static str)] =
+        &[(Self::Uniform, "uniform"), (Self::Tiered, "tiered")];
 }
 
 /// The `[tenants]` section: how many tenants share the cluster and how
@@ -579,6 +629,62 @@ impl Default for TrafficSpec {
     }
 }
 
+/// One spec key: its name in TOML and in the report's JSON echo, and the
+/// field it binds.
+pub(super) struct Key<S> {
+    pub(super) name: &'static str,
+    pub(super) get: fn(&S) -> &dyn Value,
+    pub(super) get_mut: fn(&mut S) -> &mut dyn Value,
+}
+
+/// A key table, in report order: each field binds the key of its own
+/// name, or `field as "key"` another.
+macro_rules! keys {
+    (@name $field:ident) => { stringify!($field) };
+    (@name $field:ident $key:literal) => { $key };
+    ($s:ty: $($field:ident $(as $key:literal)?),+ $(,)?) => {
+        &[$(Key::<$s> {
+            name: keys!(@name $field $($key)?),
+            get: |s| &s.$field,
+            get_mut: |s| &mut s.$field,
+        }),+]
+    };
+}
+
+// One table per section, named after it; `TOP` holds the top-level keys.
+pub(super) const TOP: &[Key<ScenarioSpec>] = keys!(ScenarioSpec:
+    name, nodes, topology, platform, backend, workload, read_fraction, op_bytes,
+    ops_per_node, window, segment_bytes, seed,
+);
+/// `[execution]`, echoed at the report's top level after `seed`.
+pub(super) const EXECUTION: &[Key<ScenarioSpec>] = keys!(ScenarioSpec: threads, qp_entries);
+/// `[execution]`'s frozen-benchmark residue (ROADMAP item 9 deletes): read
+/// and echoed, never written back; `validate` rejects any value but 0.
+pub(super) const RESIDUE: &[Key<ScenarioSpec>] = keys!(ScenarioSpec: speculate_epochs);
+pub(super) const TENANTS: &[Key<TenancySpec>] =
+    keys!(TenancySpec: tenants as "count", scheduler, weights);
+pub(super) const TRAFFIC: &[Key<TrafficSpec>] = keys!(TrafficSpec:
+    arrival, rate_per_tenant, duration_us, zipf_addr, zipf_dst, burst,
+);
+pub(super) const FAULTS: &[Key<FaultSpec>] = keys!(FaultSpec:
+    seed, degraded_links, drop_prob, corrupt_prob, derate, credit_loss, killed_links,
+    kill_at_us, revive_at_us, crashed_nodes, crash_at_us, restart_at_us, timeout_us,
+    max_retries,
+);
+pub(super) const TRACE: &[Key<TraceSpec>] =
+    keys!(TraceSpec: interval_us, link_capacity, node_capacity, event_capacity);
+pub(super) const KV: &[Key<KvSpec>] = keys!(KvSpec:
+    keys, value_min, value_max, zipf_key, get_fraction, repeat_prob, seed,
+);
+
+/// A section's keys with the values they bind, in report order.
+pub(super) type Fields<'a> = Vec<(&'static str, &'a dyn Value)>;
+
+/// The values `keys` bind in `section`.
+pub(super) fn values<'a, S>(keys: &[Key<S>], section: &'a S) -> Fields<'a> {
+    keys.iter().map(|k| (k.name, (k.get)(section))).collect()
+}
+
 /// Why a spec failed to load.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SpecError {
@@ -847,114 +953,50 @@ impl ScenarioSpec {
 
     /// Human-readable workload label.
     pub fn workload_label(&self) -> &'static str {
-        self.workload.as_str()
+        self.workload.name()
     }
 
     /// Human-readable backend-selection label.
     pub fn backend_label(&self) -> &'static str {
-        self.backend.as_str()
+        self.backend.name()
+    }
+
+    /// The optional sections the report echoes and `to_toml` writes, in
+    /// report order: `[tenants]` and `[traffic]` only together, and
+    /// `[faults]`, `[trace]` and `[kv]` only when they drive something (an
+    /// empty section behaves, and so renders, as no section at all).
+    pub(super) fn sections(&self) -> Vec<(&'static str, Fields<'_>)> {
+        let mut out = Vec::new();
+        if let (Some(tn), Some(tr)) = (&self.tenancy, &self.traffic) {
+            out.push(("tenants", values(TENANTS, tn)));
+            out.push(("traffic", values(TRAFFIC, tr)));
+        }
+        if let Some(f) = self.faults.as_ref().filter(|f| !f.is_empty()) {
+            out.push(("faults", values(FAULTS, f)));
+        }
+        if let Some(t) = self.trace.as_ref().filter(|t| !t.is_empty()) {
+            out.push(("trace", values(TRACE, t)));
+        }
+        if let Some(kv) = self.kv.as_ref().filter(|kv| !kv.is_empty()) {
+            out.push(("kv", values(KV, kv)));
+        }
+        out
     }
 
     /// The spec as an ordered JSON object (embedded in the report).
     pub fn to_json(&self) -> Json {
-        let mut members = vec![
-            ("name".into(), Json::Str(self.name.clone())),
-            ("nodes".into(), Json::Num(self.nodes as f64)),
-            ("topology".into(), Json::Str(self.topology.render())),
-            (
-                "platform".into(),
-                Json::Str(
-                    match self.platform {
-                        PlatformSpec::Hardware => "hardware",
-                        PlatformSpec::Dev => "dev",
-                    }
-                    .into(),
-                ),
-            ),
-            ("backend".into(), Json::Str(self.backend.as_str().into())),
-            ("workload".into(), Json::Str(self.workload.as_str().into())),
-            ("read_fraction".into(), Json::Num(self.read_fraction)),
-            ("op_bytes".into(), Json::Num(self.op_bytes as f64)),
-            ("ops_per_node".into(), Json::Num(self.ops_per_node as f64)),
-            ("window".into(), Json::Num(self.window as f64)),
-            ("segment_bytes".into(), Json::Num(self.segment_bytes as f64)),
-            ("seed".into(), Json::Num(self.seed as f64)),
-            ("threads".into(), Json::Num(self.threads as f64)),
-            ("qp_entries".into(), Json::Num(self.qp_entries as f64)),
-            // frozen-benchmark residue: ROADMAP item 9 deletes
-            (
-                "speculate_epochs".into(),
-                Json::Num(self.speculate_epochs as f64),
-            ),
-        ];
-        if let (Some(tn), Some(tr)) = (&self.tenancy, &self.traffic) {
-            members.push((
-                "tenants".into(),
-                Json::Obj(vec![
-                    ("count".into(), Json::Num(tn.tenants as f64)),
-                    ("scheduler".into(), Json::Str(tn.scheduler.as_str().into())),
-                    ("weights".into(), Json::Str(tn.weights.as_str().into())),
-                ]),
-            ));
-            members.push((
-                "traffic".into(),
-                Json::Obj(vec![
-                    ("arrival".into(), Json::Str(tr.arrival.as_str().into())),
-                    ("rate_per_tenant".into(), Json::Num(tr.rate_per_tenant)),
-                    ("duration_us".into(), Json::Num(tr.duration_us)),
-                    ("zipf_addr".into(), Json::Num(tr.zipf_addr)),
-                    ("zipf_dst".into(), Json::Num(tr.zipf_dst)),
-                    ("burst".into(), Json::Num(tr.burst as f64)),
-                ]),
-            ));
+        fn members(fields: Fields<'_>) -> Vec<(String, Json)> {
+            fields
+                .into_iter()
+                .map(|(key, v)| (key.into(), v.json()))
+                .collect()
         }
-        // Zero-count sections are omitted, mirroring `to_toml`.
-        if let Some(f) = self.faults.as_ref().filter(|f| !f.is_empty()) {
-            members.push((
-                "faults".into(),
-                Json::Obj(vec![
-                    ("seed".into(), Json::Num(f.seed as f64)),
-                    ("degraded_links".into(), Json::Num(f.degraded_links as f64)),
-                    ("drop_prob".into(), Json::Num(f.drop_prob)),
-                    ("corrupt_prob".into(), Json::Num(f.corrupt_prob)),
-                    ("derate".into(), Json::Num(f.derate)),
-                    ("credit_loss".into(), Json::Num(f.credit_loss as f64)),
-                    ("killed_links".into(), Json::Num(f.killed_links as f64)),
-                    ("kill_at_us".into(), Json::Num(f.kill_at_us)),
-                    ("revive_at_us".into(), Json::Num(f.revive_at_us)),
-                    ("crashed_nodes".into(), Json::Num(f.crashed_nodes as f64)),
-                    ("crash_at_us".into(), Json::Num(f.crash_at_us)),
-                    ("restart_at_us".into(), Json::Num(f.restart_at_us)),
-                    ("timeout_us".into(), Json::Num(f.timeout_us)),
-                    ("max_retries".into(), Json::Num(f.max_retries as f64)),
-                ]),
-            ));
+        let mut out = members(values(TOP, self));
+        out.extend(members(values(EXECUTION, self)));
+        out.extend(members(values(RESIDUE, self)));
+        for (name, fields) in self.sections() {
+            out.push((name.into(), Json::Obj(members(fields))));
         }
-        if let Some(t) = self.trace.as_ref().filter(|t| !t.is_empty()) {
-            members.push((
-                "trace".into(),
-                Json::Obj(vec![
-                    ("interval_us".into(), Json::Num(t.interval_us)),
-                    ("link_capacity".into(), Json::Num(t.link_capacity as f64)),
-                    ("node_capacity".into(), Json::Num(t.node_capacity as f64)),
-                    ("event_capacity".into(), Json::Num(t.event_capacity as f64)),
-                ]),
-            ));
-        }
-        if let Some(kv) = self.kv.as_ref().filter(|kv| !kv.is_empty()) {
-            members.push((
-                "kv".into(),
-                Json::Obj(vec![
-                    ("keys".into(), Json::Num(kv.keys as f64)),
-                    ("value_min".into(), Json::Num(kv.value_min as f64)),
-                    ("value_max".into(), Json::Num(kv.value_max as f64)),
-                    ("zipf_key".into(), Json::Num(kv.zipf_key)),
-                    ("get_fraction".into(), Json::Num(kv.get_fraction)),
-                    ("repeat_prob".into(), Json::Num(kv.repeat_prob)),
-                    ("seed".into(), Json::Num(kv.seed as f64)),
-                ]),
-            ));
-        }
-        Json::Obj(members)
+        Json::Obj(out)
     }
 }

@@ -1,6 +1,9 @@
 //! The flat-TOML form of a [`ScenarioSpec`]: `key = value` lines under
-//! optional `[tenants]`, `[traffic]`, `[execution]`, `[faults]`, `[trace]`
-//! and `[kv]` tables. [`ScenarioSpec::to_toml`] and
+//! optional `[execution]`, `[tenants]`, `[traffic]`, `[faults]`, `[trace]`
+//! and `[kv]` tables, comments allowed after any line. Neither direction
+//! names a key: both walk the key tables in `spec`, and each field type's
+//! [`Value`] impl reads and writes its value (and renders it for the
+//! report's JSON echo). [`ScenarioSpec::to_toml`] and
 //! [`ScenarioSpec::from_toml`] round-trip every field.
 
 use std::collections::HashSet;
@@ -8,96 +11,90 @@ use std::collections::HashSet;
 use sonuma_core::SchedPolicy;
 
 use super::spec::{
-    BackendKind, BackendSel, FaultSpec, KvSpec, PlatformSpec, ScenarioSpec, SpecError, TenancySpec,
-    TopologySpec, TraceSpec, TrafficSpec, WeightMode, WorkloadKind,
+    values, BackendSel, Fields, Key, Keyword, PlatformSpec, ScenarioSpec, SpecError, TopologySpec,
+    WeightMode, WorkloadKind, EXECUTION, FAULTS, KV, RESIDUE, TENANTS, TOP, TRACE, TRAFFIC,
 };
+use crate::json::Json;
 use crate::trafficgen::ArrivalKind;
+
+/// A field type a spec key can bind: how its TOML value parses, and how it
+/// renders back into TOML and into the report's JSON echo.
+pub(super) trait Value {
+    fn set(&mut self, value: Scalar, lineno: usize, key: &str) -> Result<(), SpecError>;
+    fn toml(&self) -> String;
+    fn json(&self) -> Json;
+}
+
+/// Numeric fields: integers are narrowed to the field's own width.
+macro_rules! number_value {
+    ($($t:ty: $read:ident),+) => {$(
+        impl Value for $t {
+            fn set(&mut self, value: Scalar, lineno: usize, key: &str) -> Result<(), SpecError> {
+                *self = value.$read(lineno, key)?;
+                Ok(())
+            }
+            fn toml(&self) -> String {
+                self.to_string()
+            }
+            fn json(&self) -> Json {
+                Json::Num(*self as f64)
+            }
+        }
+    )+};
+}
+number_value!(u16: into_uint, u32: into_uint, u64: into_uint, usize: into_uint, f64: into_f64);
+
+/// Quoted-label fields (`field type: label method, parser;`).
+macro_rules! label_value {
+    ($($t:ty: $label:ident, $parse:expr;)+) => {$(
+        impl Value for $t {
+            fn set(&mut self, value: Scalar, lineno: usize, key: &str) -> Result<(), SpecError> {
+                let label = value.into_string(lineno, key)?;
+                *self = $parse(label.as_str()).map_err(|m| SpecError::Parse(lineno, m))?;
+                Ok(())
+            }
+            fn toml(&self) -> String {
+                format!("\"{}\"", self.$label())
+            }
+            fn json(&self) -> Json {
+                Json::Str(self.$label().into())
+            }
+        }
+    )+};
+}
+label_value! {
+    String: clone, |label: &str| Ok::<_, String>(label.into());
+    TopologySpec: render, TopologySpec::parse;
+    PlatformSpec: name, PlatformSpec::parse;
+    BackendSel: name, BackendSel::parse;
+    WorkloadKind: name, WorkloadKind::parse;
+    WeightMode: name, WeightMode::parse;
+    SchedPolicy: as_str, SchedPolicy::parse;
+    ArrivalKind: as_str, ArrivalKind::parse;
+}
 
 impl ScenarioSpec {
     /// Renders the spec as flat TOML, the format [`ScenarioSpec::from_toml`]
     /// reads back (round-trip stable). No product caller: it is API as the
     /// round-trip oracle the parser's tests check `from_toml` against.
     pub fn to_toml(&self) -> String {
-        let mut out = String::new();
-        out.push_str("# sonuma-bench scenario spec\n");
-        out.push_str(&format!("name = \"{}\"\n", self.name));
-        out.push_str(&format!("nodes = {}\n", self.nodes));
-        out.push_str(&format!("topology = \"{}\"\n", self.topology.render()));
-        out.push_str(&format!(
-            "platform = \"{}\"\n",
-            match self.platform {
-                PlatformSpec::Hardware => "hardware",
-                PlatformSpec::Dev => "dev",
-            }
-        ));
-        out.push_str(&format!("backend = \"{}\"\n", self.backend.as_str()));
-        out.push_str(&format!("workload = \"{}\"\n", self.workload.as_str()));
-        out.push_str(&format!("read_fraction = {}\n", self.read_fraction));
-        out.push_str(&format!("op_bytes = {}\n", self.op_bytes));
-        out.push_str(&format!("ops_per_node = {}\n", self.ops_per_node));
-        out.push_str(&format!("window = {}\n", self.window));
-        out.push_str(&format!("segment_bytes = {}\n", self.segment_bytes));
-        out.push_str(&format!("seed = {}\n", self.seed));
-        if self.threads != 1 || self.qp_entries != 64 {
-            out.push_str("\n[execution]\n");
-            if self.threads != 1 {
-                out.push_str(&format!("threads = {}\n", self.threads));
-            }
-            if self.qp_entries != 64 {
-                out.push_str(&format!("qp_entries = {}\n", self.qp_entries));
-            }
+        fn lines(fields: Fields<'_>) -> String {
+            let line = |(key, v): (&str, &dyn Value)| format!("{key} = {}\n", v.toml());
+            fields.into_iter().map(line).collect()
         }
-        if let (Some(tn), Some(tr)) = (&self.tenancy, &self.traffic) {
-            out.push_str("\n[tenants]\n");
-            out.push_str(&format!("count = {}\n", tn.tenants));
-            out.push_str(&format!("scheduler = \"{}\"\n", tn.scheduler.as_str()));
-            out.push_str(&format!("weights = \"{}\"\n", tn.weights.as_str()));
-            out.push_str("\n[traffic]\n");
-            out.push_str(&format!("arrival = \"{}\"\n", tr.arrival.as_str()));
-            out.push_str(&format!("rate_per_tenant = {}\n", tr.rate_per_tenant));
-            out.push_str(&format!("duration_us = {}\n", tr.duration_us));
-            out.push_str(&format!("zipf_addr = {}\n", tr.zipf_addr));
-            out.push_str(&format!("zipf_dst = {}\n", tr.zipf_dst));
-            out.push_str(&format!("burst = {}\n", tr.burst));
+        let mut out = format!("# sonuma-bench scenario spec\n{}", lines(values(TOP, self)));
+        // `[execution]` carries only what differs from the defaults.
+        let default = ScenarioSpec::default();
+        let execution: Fields<'_> = EXECUTION
+            .iter()
+            .filter(|k| (k.get)(self).toml() != (k.get)(&default).toml())
+            .map(|k| (k.name, (k.get)(self)))
+            .collect();
+        if !execution.is_empty() {
+            out.push_str(&format!("\n[execution]\n{}", lines(execution)));
         }
-        // A zero-count section renders as no section: the two are
-        // behaviorally identical, and rendering them identically keeps
-        // reports byte-identical too.
-        if let Some(f) = self.faults.as_ref().filter(|f| !f.is_empty()) {
-            out.push_str("\n[faults]\n");
-            out.push_str(&format!("seed = {}\n", f.seed));
-            out.push_str(&format!("degraded_links = {}\n", f.degraded_links));
-            out.push_str(&format!("drop_prob = {}\n", f.drop_prob));
-            out.push_str(&format!("corrupt_prob = {}\n", f.corrupt_prob));
-            out.push_str(&format!("derate = {}\n", f.derate));
-            out.push_str(&format!("credit_loss = {}\n", f.credit_loss));
-            out.push_str(&format!("killed_links = {}\n", f.killed_links));
-            out.push_str(&format!("kill_at_us = {}\n", f.kill_at_us));
-            out.push_str(&format!("revive_at_us = {}\n", f.revive_at_us));
-            out.push_str(&format!("crashed_nodes = {}\n", f.crashed_nodes));
-            out.push_str(&format!("crash_at_us = {}\n", f.crash_at_us));
-            out.push_str(&format!("restart_at_us = {}\n", f.restart_at_us));
-            out.push_str(&format!("timeout_us = {}\n", f.timeout_us));
-            out.push_str(&format!("max_retries = {}\n", f.max_retries));
-        }
-        // Likewise, a zero-interval [trace] table renders as no section.
-        if let Some(t) = self.trace.as_ref().filter(|t| !t.is_empty()) {
-            out.push_str("\n[trace]\n");
-            out.push_str(&format!("interval_us = {}\n", t.interval_us));
-            out.push_str(&format!("link_capacity = {}\n", t.link_capacity));
-            out.push_str(&format!("node_capacity = {}\n", t.node_capacity));
-            out.push_str(&format!("event_capacity = {}\n", t.event_capacity));
-        }
-        // And a zero-key [kv] table renders as no section.
-        if let Some(kv) = self.kv.as_ref().filter(|kv| !kv.is_empty()) {
-            out.push_str("\n[kv]\n");
-            out.push_str(&format!("keys = {}\n", kv.keys));
-            out.push_str(&format!("value_min = {}\n", kv.value_min));
-            out.push_str(&format!("value_max = {}\n", kv.value_max));
-            out.push_str(&format!("zipf_key = {}\n", kv.zipf_key));
-            out.push_str(&format!("get_fraction = {}\n", kv.get_fraction));
-            out.push_str(&format!("repeat_prob = {}\n", kv.repeat_prob));
-            out.push_str(&format!("seed = {}\n", kv.seed));
+        for (name, fields) in self.sections() {
+            out.push_str(&format!("\n[{name}]\n{}", lines(fields)));
         }
         out
     }
@@ -111,298 +108,92 @@ impl ScenarioSpec {
     /// constraint violations.
     pub fn from_toml(text: &str) -> Result<ScenarioSpec, SpecError> {
         let mut spec = ScenarioSpec::default();
-        let mut saw_name = false;
-        let mut saw_nodes = false;
-        /// Which TOML table the parser is inside.
-        #[derive(PartialEq, Eq, Hash, Clone, Copy)]
-        enum Section {
-            Top,
-            Tenants,
-            Traffic,
-            Execution,
-            Faults,
-            Trace,
-            Kv,
-        }
-        let mut section = Section::Top;
+        // The table the parser is inside, `""` at the top level.
+        let mut table = "";
         // TOML forbids defining a table or a key twice: `(table, key)`
         // pairs seen so far, a table header being its own `""` key.
-        let mut seen: HashSet<(Section, &str)> = HashSet::new();
+        let mut seen: HashSet<(&str, &str)> = HashSet::new();
         for (idx, raw) in text.lines().enumerate() {
             let lineno = idx + 1;
             let line = raw.trim();
             if line.is_empty() || line.starts_with('#') {
                 continue;
             }
-            let parse_err = |msg: &str| SpecError::Parse(lineno, msg.to_string());
+            let parse_err = |msg: String| SpecError::Parse(lineno, msg);
             if let Some(header) = line.strip_prefix('[') {
+                // A header may end in a comment, like a value line.
+                let header = header.split_once('#').map_or(header, |(h, _)| h).trim_end();
                 let name = header
                     .strip_suffix(']')
-                    .ok_or_else(|| parse_err("unterminated section header"))?
+                    .ok_or_else(|| parse_err("unterminated section header".into()))?
                     .trim();
-                section = match name {
-                    "tenants" => {
-                        spec.tenancy.get_or_insert_with(TenancySpec::default);
-                        Section::Tenants
-                    }
-                    "traffic" => {
-                        spec.traffic.get_or_insert_with(TrafficSpec::default);
-                        Section::Traffic
-                    }
-                    "execution" => Section::Execution,
-                    "faults" => {
-                        spec.faults.get_or_insert_with(FaultSpec::default);
-                        Section::Faults
-                    }
-                    "trace" => {
-                        spec.trace.get_or_insert_with(TraceSpec::default);
-                        Section::Trace
-                    }
-                    "kv" => {
-                        spec.kv.get_or_insert_with(KvSpec::default);
-                        Section::Kv
-                    }
-                    other => {
-                        return Err(parse_err(&format!(
-                            "unknown section [{other}] (tenants|traffic|execution|faults|trace|kv)"
-                        )))
-                    }
-                };
-                if !seen.insert((section, "")) {
-                    return Err(parse_err(&format!("duplicate section [{name}]")));
+                // Looking up no key opens the section with its defaults.
+                if name.is_empty() || spec.field(name, "").is_none() {
+                    return Err(parse_err(format!(
+                        "unknown section [{name}] (tenants|traffic|execution|faults|trace|kv)"
+                    )));
                 }
+                if !seen.insert((name, "")) {
+                    return Err(parse_err(format!("duplicate section [{name}]")));
+                }
+                table = name;
                 continue;
             }
             let (key, value) = line
                 .split_once('=')
-                .ok_or_else(|| parse_err("expected `key = value`"))?;
+                .ok_or_else(|| parse_err("expected `key = value`".into()))?;
             let key = key.trim();
-            if !seen.insert((section, key)) {
-                return Err(parse_err(&format!("duplicate key {key:?}")));
+            if !seen.insert((table, key)) {
+                return Err(parse_err(format!("duplicate key {key:?}")));
             }
-            let value = parse_scalar(value.trim()).map_err(|m| SpecError::Parse(lineno, m))?;
-            if section == Section::Tenants {
-                let tn = spec.tenancy.as_mut().expect("section initialized");
-                match key {
-                    "count" => tn.tenants = value.into_uint(lineno, "count")?,
-                    "scheduler" => {
-                        tn.scheduler = SchedPolicy::parse(&value.into_string(lineno, "scheduler")?)
-                            .map_err(|m| SpecError::Parse(lineno, m))?;
-                    }
-                    "weights" => {
-                        tn.weights = WeightMode::parse(&value.into_string(lineno, "weights")?)
-                            .map_err(|m| SpecError::Parse(lineno, m))?;
-                    }
-                    other => {
-                        return Err(SpecError::Parse(
-                            lineno,
-                            format!("unknown key {other:?} in [tenants]"),
-                        ));
-                    }
-                }
-                continue;
-            }
-            if section == Section::Execution {
-                match key {
-                    "threads" => spec.threads = value.into_uint(lineno, "threads")?,
-                    "qp_entries" => {
-                        spec.qp_entries = value.into_uint(lineno, "qp_entries")?;
-                    }
-                    // frozen-benchmark residue: ROADMAP item 9 deletes
-                    // (`validate` rejects any value but 0)
-                    "speculate_epochs" => {
-                        spec.speculate_epochs = value.into_uint(lineno, "speculate_epochs")?;
-                    }
-                    other => {
-                        return Err(SpecError::Parse(
-                            lineno,
-                            format!("unknown key {other:?} in [execution]"),
-                        ));
-                    }
-                }
-                continue;
-            }
-            if section == Section::Faults {
-                let f = spec.faults.as_mut().expect("section initialized");
-                match key {
-                    "seed" => f.seed = value.into_u64(lineno, "seed")?,
-                    "degraded_links" => {
-                        f.degraded_links = value.into_uint(lineno, "degraded_links")?;
-                    }
-                    "drop_prob" => f.drop_prob = value.into_f64(lineno, "drop_prob")?,
-                    "corrupt_prob" => f.corrupt_prob = value.into_f64(lineno, "corrupt_prob")?,
-                    "derate" => f.derate = value.into_f64(lineno, "derate")?,
-                    "credit_loss" => {
-                        f.credit_loss = value.into_uint(lineno, "credit_loss")?;
-                    }
-                    "killed_links" => {
-                        f.killed_links = value.into_uint(lineno, "killed_links")?;
-                    }
-                    "kill_at_us" => f.kill_at_us = value.into_f64(lineno, "kill_at_us")?,
-                    "revive_at_us" => f.revive_at_us = value.into_f64(lineno, "revive_at_us")?,
-                    "crashed_nodes" => {
-                        f.crashed_nodes = value.into_uint(lineno, "crashed_nodes")?;
-                    }
-                    "crash_at_us" => f.crash_at_us = value.into_f64(lineno, "crash_at_us")?,
-                    "restart_at_us" => {
-                        f.restart_at_us = value.into_f64(lineno, "restart_at_us")?;
-                    }
-                    "timeout_us" => f.timeout_us = value.into_f64(lineno, "timeout_us")?,
-                    "max_retries" => {
-                        f.max_retries = value.into_uint(lineno, "max_retries")?;
-                    }
-                    other => {
-                        return Err(SpecError::Parse(
-                            lineno,
-                            format!("unknown key {other:?} in [faults]"),
-                        ));
-                    }
-                }
-                continue;
-            }
-            if section == Section::Trace {
-                let t = spec.trace.as_mut().expect("section initialized");
-                match key {
-                    "interval_us" => t.interval_us = value.into_f64(lineno, "interval_us")?,
-                    "link_capacity" => {
-                        t.link_capacity = value.into_uint(lineno, "link_capacity")?;
-                    }
-                    "node_capacity" => {
-                        t.node_capacity = value.into_uint(lineno, "node_capacity")?;
-                    }
-                    "event_capacity" => {
-                        t.event_capacity = value.into_uint(lineno, "event_capacity")?;
-                    }
-                    other => {
-                        return Err(SpecError::Parse(
-                            lineno,
-                            format!("unknown key {other:?} in [trace]"),
-                        ));
-                    }
-                }
-                continue;
-            }
-            if section == Section::Kv {
-                let kv = spec.kv.as_mut().expect("section initialized");
-                match key {
-                    "keys" => kv.keys = value.into_u64(lineno, "keys")?,
-                    "value_min" => kv.value_min = value.into_u64(lineno, "value_min")?,
-                    "value_max" => kv.value_max = value.into_u64(lineno, "value_max")?,
-                    "zipf_key" => kv.zipf_key = value.into_f64(lineno, "zipf_key")?,
-                    "get_fraction" => kv.get_fraction = value.into_f64(lineno, "get_fraction")?,
-                    "repeat_prob" => kv.repeat_prob = value.into_f64(lineno, "repeat_prob")?,
-                    "seed" => kv.seed = value.into_u64(lineno, "seed")?,
-                    other => {
-                        return Err(SpecError::Parse(
-                            lineno,
-                            format!("unknown key {other:?} in [kv]"),
-                        ));
-                    }
-                }
-                continue;
-            }
-            if section == Section::Traffic {
-                let tr = spec.traffic.as_mut().expect("section initialized");
-                match key {
-                    "arrival" => {
-                        tr.arrival = ArrivalKind::parse(&value.into_string(lineno, "arrival")?)
-                            .map_err(|m| SpecError::Parse(lineno, m))?;
-                    }
-                    "rate_per_tenant" => {
-                        tr.rate_per_tenant = value.into_f64(lineno, "rate_per_tenant")?;
-                    }
-                    "duration_us" => tr.duration_us = value.into_f64(lineno, "duration_us")?,
-                    "zipf_addr" => tr.zipf_addr = value.into_f64(lineno, "zipf_addr")?,
-                    "zipf_dst" => tr.zipf_dst = value.into_f64(lineno, "zipf_dst")?,
-                    "burst" => tr.burst = value.into_uint(lineno, "burst")?,
-                    other => {
-                        return Err(SpecError::Parse(
-                            lineno,
-                            format!("unknown key {other:?} in [traffic]"),
-                        ));
-                    }
-                }
-                continue;
-            }
-            match key {
-                "name" => {
-                    spec.name = value.into_string(lineno, "name")?;
-                    saw_name = true;
-                }
-                "nodes" => {
-                    spec.nodes = value.into_uint(lineno, "nodes")?;
-                    saw_nodes = true;
-                }
-                "topology" => {
-                    spec.topology = parse_topology(&value.into_string(lineno, "topology")?)
-                        .map_err(|m| SpecError::Parse(lineno, m))?;
-                }
-                "platform" => {
-                    spec.platform = match value.into_string(lineno, "platform")?.as_str() {
-                        "hardware" => PlatformSpec::Hardware,
-                        "dev" => PlatformSpec::Dev,
-                        other => {
-                            return Err(SpecError::Parse(
-                                lineno,
-                                format!("unknown platform {other:?} (hardware|dev)"),
-                            ))
-                        }
-                    };
-                }
-                "backend" => {
-                    spec.backend = match value.into_string(lineno, "backend")?.as_str() {
-                        "all" => BackendSel::All,
-                        "sonuma" => BackendSel::One(BackendKind::Sonuma),
-                        "rdma" => BackendSel::One(BackendKind::Rdma),
-                        "tcp" => BackendSel::One(BackendKind::Tcp),
-                        other => {
-                            return Err(SpecError::Parse(
-                                lineno,
-                                format!("unknown backend {other:?} (sonuma|rdma|tcp|all)"),
-                            ))
-                        }
-                    };
-                }
-                "workload" => {
-                    spec.workload = match value.into_string(lineno, "workload")?.as_str() {
-                        "uniform-read" => WorkloadKind::UniformRead,
-                        "neighbor-read" => WorkloadKind::NeighborRead,
-                        "mixed" => WorkloadKind::Mixed,
-                        other => {
-                            return Err(SpecError::Parse(
-                                lineno,
-                                format!(
-                                    "unknown workload {other:?} \
-                                     (uniform-read|neighbor-read|mixed)"
-                                ),
-                            ))
-                        }
-                    };
-                }
-                "read_fraction" => spec.read_fraction = value.into_f64(lineno, "read_fraction")?,
-                "op_bytes" => spec.op_bytes = value.into_u64(lineno, "op_bytes")?,
-                "ops_per_node" => spec.ops_per_node = value.into_u64(lineno, "ops_per_node")?,
-                "window" => spec.window = value.into_uint(lineno, "window")?,
-                "segment_bytes" => spec.segment_bytes = value.into_u64(lineno, "segment_bytes")?,
-                "seed" => spec.seed = value.into_u64(lineno, "seed")?,
-                other => {
-                    return Err(SpecError::Parse(lineno, format!("unknown key {other:?}")));
-                }
-            }
+            let value = parse_scalar(value.trim()).map_err(parse_err)?;
+            let Some(slot) = spec.field(table, key).flatten() else {
+                let within = if table.is_empty() {
+                    String::new()
+                } else {
+                    format!(" in [{table}]")
+                };
+                return Err(parse_err(format!("unknown key {key:?}{within}")));
+            };
+            slot.set(value, lineno, key)?;
         }
-        if !saw_name {
-            return Err(SpecError::Invalid("missing required key `name`".into()));
-        }
-        if !saw_nodes {
-            return Err(SpecError::Invalid("missing required key `nodes`".into()));
+        if let Some(key) = ["name", "nodes"]
+            .into_iter()
+            .find(|&k| !seen.contains(&("", k)))
+        {
+            return Err(SpecError::Invalid(format!("missing required key `{key}`")));
         }
         spec.validate()?;
         Ok(spec)
     }
+
+    /// The field `key` binds in table `table` (`""` is the top level),
+    /// opening an optional section with its defaults: `None` for an
+    /// unknown table, `Some(None)` for an unknown key.
+    fn field(&mut self, table: &str, key: &str) -> Option<Option<&mut dyn Value>> {
+        fn find<'a, 'k, S: 'k>(
+            keys: impl IntoIterator<Item = &'k Key<S>>,
+            section: &'a mut S,
+            key: &str,
+        ) -> Option<&'a mut dyn Value> {
+            let k = keys.into_iter().find(|k| k.name == key)?;
+            Some((k.get_mut)(section))
+        }
+        Some(match table {
+            "" => find(TOP, self, key),
+            "execution" => find(EXECUTION.iter().chain(RESIDUE), self, key),
+            "tenants" => find(TENANTS, self.tenancy.get_or_insert_default(), key),
+            "traffic" => find(TRAFFIC, self.traffic.get_or_insert_default(), key),
+            "faults" => find(FAULTS, self.faults.get_or_insert_default(), key),
+            "trace" => find(TRACE, self.trace.get_or_insert_default(), key),
+            "kv" => find(KV, self.kv.get_or_insert_default(), key),
+            _ => return None,
+        })
+    }
 }
 
 /// A scalar TOML value: quoted string or bare number.
-enum Scalar {
+pub(super) enum Scalar {
     Str(String),
     Num(String),
 }
@@ -467,35 +258,4 @@ fn parse_scalar(value: &str) -> Result<Scalar, String> {
         return Err("empty value".to_string());
     }
     Ok(Scalar::Num(bare.to_string()))
-}
-
-fn parse_topology(text: &str) -> Result<TopologySpec, String> {
-    if text == "crossbar" {
-        return Ok(TopologySpec::Crossbar);
-    }
-    let dims = |spec: &str| -> Result<Vec<usize>, String> {
-        spec.split('x')
-            .map(|d| {
-                d.parse::<usize>()
-                    .map_err(|_| format!("bad dimension {d:?}"))
-            })
-            .collect()
-    };
-    if let Some(rest) = text.strip_prefix("torus2d:") {
-        let d = dims(rest)?;
-        if d.len() != 2 {
-            return Err("torus2d needs WxH".to_string());
-        }
-        return Ok(TopologySpec::Torus2d(d[0], d[1]));
-    }
-    if let Some(rest) = text.strip_prefix("torus3d:") {
-        let d = dims(rest)?;
-        if d.len() != 3 {
-            return Err("torus3d needs XxYxZ".to_string());
-        }
-        return Ok(TopologySpec::Torus3d(d[0], d[1], d[2]));
-    }
-    Err(format!(
-        "unknown topology {text:?} (crossbar|torus2d:WxH|torus3d:XxYxZ)"
-    ))
 }

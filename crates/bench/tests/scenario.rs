@@ -2,12 +2,16 @@
 //! rejection, report schema validity, and the determinism contract (same spec + seed => byte-identical `BENCH.json`
 //! modulo wall-clock fields).
 
+use proptest::prelude::*;
 use sonuma_bench::json::Json;
 use sonuma_bench::scenario::{
     canned, canned_names, canned_specs, equivalence_diff, report, run_spec, run_specs,
-    validate_report, BackendKind, BackendSel, ScenarioSpec, SpecError, TopologySpec, WorkloadKind,
+    validate_report, BackendKind, BackendSel, FaultSpec, KvSpec, PlatformSpec, ScenarioSpec,
+    SpecError, TenancySpec, TopologySpec, TraceSpec, TrafficSpec, WeightMode, WorkloadKind,
     REPORT_SCHEMA,
 };
+use sonuma_bench::trafficgen::ArrivalKind;
+use sonuma_core::SchedPolicy;
 
 fn tiny_spec() -> ScenarioSpec {
     ScenarioSpec {
@@ -179,6 +183,10 @@ fn comments_and_spacing_are_tolerated() {
     let spec = ScenarioSpec::from_toml(text).unwrap();
     assert_eq!(spec.name, "spaced");
     assert_eq!(spec.nodes, 2);
+    // A table header takes a trailing comment too.
+    let text = "name = \"x\"\nnodes = 2\n[faults] # degraded links\ndegraded_links = 1\n";
+    let spec = ScenarioSpec::from_toml(text).unwrap();
+    assert_eq!(spec.faults.map(|f| f.degraded_links), Some(1));
 }
 
 #[test]
@@ -377,4 +385,127 @@ fn mid_scale_neighbor_scenario_completes() {
     assert_eq!(run.ops, 64 * 8);
     assert_eq!(run.errors, 0);
     assert_eq!(run.per_node.len(), 64);
+}
+
+/// A topology with the node count it arranges.
+fn topology() -> impl Strategy<Value = (TopologySpec, usize)> {
+    (0usize..3, 2usize..=16, 2usize..5, 2usize..5, 2usize..4).prop_map(|(shape, n, a, b, c)| {
+        match shape {
+            0 => (TopologySpec::Crossbar, n),
+            1 => (TopologySpec::Torus2d(a, b), a * b),
+            _ => (TopologySpec::Torus3d(a, b, c), a * b * c),
+        }
+    })
+}
+
+/// A `[faults]` section that injects something (an empty one renders as
+/// no section, so it would not round-trip as `Some`).
+fn faults() -> impl Strategy<Value = FaultSpec> {
+    let counts = (1usize..4, 0usize..3, 0usize..2, 0u32..=64, 0usize..=64);
+    let times = (any::<f64>(), any::<f64>(), any::<bool>(), any::<f64>());
+    (any::<u64>(), counts, times).prop_map(|(seed, counts, times)| {
+        let (degraded_links, killed_links, crashed_nodes, max_retries, credit_loss) = counts;
+        let (p, t, revives, d) = times;
+        FaultSpec {
+            seed,
+            degraded_links,
+            drop_prob: p,
+            corrupt_prob: 1.0 - p,
+            derate: 1.0 + 63.0 * d,
+            credit_loss,
+            killed_links,
+            kill_at_us: 1.0 + 50.0 * t,
+            revive_at_us: if revives { 60.0 + t } else { 0.0 },
+            crashed_nodes,
+            crash_at_us: 0.5 + 40.0 * d,
+            restart_at_us: 41.0 + 40.0 * t,
+            timeout_us: 0.25 + 100.0 * p,
+            max_retries,
+        }
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Any valid spec survives the TOML round trip exactly and echoes the
+    /// same JSON after it: each optional section present or absent, every
+    /// topology shape, and every platform, backend, workload, scheduler,
+    /// weight mode and arrival process.
+    #[test]
+    fn whole_spec_roundtrips_through_toml(
+        (topology, nodes) in topology(),
+        keywords in (0usize..2, 0usize..4, 0usize..3, 0usize..3, 0usize..2, 0usize..3),
+        closed in (any::<f64>(), 1u64..=8, 1u64..200, 1usize..=16, any::<u64>(), 20u32..=22),
+        execution in (1usize..=64, 0usize..3),
+        present in (any::<bool>(), any::<bool>(), any::<bool>()),
+        open in (1usize..4, any::<f64>(), any::<f64>(), 1u32..=1024),
+        faults in proptest::option::of(faults()),
+        kv in (1u64..64, 6u32..10, 0u32..3, any::<f64>(), any::<u64>()),
+    ) {
+        let (platform, backend, workload, scheduler, weights, arrival) = keywords;
+        let (read_fraction, op_lines, ops_per_node, window, seed, segment_pow) = closed;
+        let (threads, qp) = execution;
+        let (tenants, trace, kv_on) = present;
+        let (per_node, x, y, burst) = open;
+        let tenancy = tenants.then_some(TenancySpec {
+            tenants: nodes * per_node,
+            scheduler: [SchedPolicy::RoundRobin, SchedPolicy::Wdrr, SchedPolicy::StrictPriority]
+                [scheduler],
+            weights: [WeightMode::Uniform, WeightMode::Tiered][weights],
+        });
+        let traffic = tenants.then_some(TrafficSpec {
+            arrival: [ArrivalKind::Poisson, ArrivalKind::Uniform, ArrivalKind::Bursty][arrival],
+            rate_per_tenant: 1.0 + 1e6 * x,
+            duration_us: 0.5 + 100.0 * y,
+            zipf_addr: 4.0 * x,
+            zipf_dst: 4.0 * y,
+            burst,
+        });
+        let (keys, min_pow, max_extra, z, kv_seed) = kv;
+        let spec = ScenarioSpec {
+            name: format!("prop-{seed}"),
+            nodes,
+            topology,
+            platform: [PlatformSpec::Hardware, PlatformSpec::Dev][platform],
+            backend: [
+                BackendSel::One(BackendKind::Sonuma),
+                BackendSel::One(BackendKind::Rdma),
+                BackendSel::One(BackendKind::Tcp),
+                BackendSel::All,
+            ][backend],
+            workload: [WorkloadKind::UniformRead, WorkloadKind::NeighborRead, WorkloadKind::Mixed]
+                [workload],
+            read_fraction,
+            op_bytes: 64 * op_lines,
+            ops_per_node,
+            window,
+            segment_bytes: 1 << segment_pow,
+            seed,
+            threads,
+            qp_entries: [32, 64, 4096][qp],
+            tenancy,
+            traffic,
+            faults,
+            trace: trace.then_some(TraceSpec {
+                interval_us: 0.001 + 10.0 * y,
+                link_capacity: 1 + (x * 4096.0) as usize,
+                ..TraceSpec::default()
+            }),
+            kv: (kv_on && tenants).then_some(KvSpec {
+                keys,
+                value_min: 1 << min_pow,
+                value_max: 1 << (min_pow + max_extra),
+                zipf_key: 4.0 * z,
+                get_fraction: 1.0 - z,
+                repeat_prob: z,
+                seed: kv_seed,
+            }),
+            ..ScenarioSpec::default()
+        };
+        spec.validate().expect("generated spec is valid");
+        let back = ScenarioSpec::from_toml(&spec.to_toml()).expect("round trip parses");
+        prop_assert_eq!(back.to_json().render(), spec.to_json().render());
+        prop_assert_eq!(back, spec);
+    }
 }

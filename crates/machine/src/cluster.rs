@@ -349,11 +349,6 @@ impl Cluster {
         self.nodes.iter().map(|n| n.ops_completed).sum()
     }
 
-    /// Total remote-read payload bytes delivered across the cluster.
-    pub fn total_bytes_read(&self) -> u64 {
-        self.nodes.iter().map(|n| n.bytes_read).sum()
-    }
-
     /// Total remote-write payload bytes delivered across the cluster.
     pub fn total_bytes_written(&self) -> u64 {
         self.nodes.iter().map(|n| n.bytes_written).sum()

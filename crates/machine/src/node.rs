@@ -179,8 +179,6 @@ pub struct Node {
     pub crash_drops: u64,
     /// Completed remote operations issued by this node.
     pub ops_completed: u64,
-    /// Payload bytes this node read from remote memory.
-    pub bytes_read: u64,
     /// Payload bytes this node wrote to remote memory.
     pub bytes_written: u64,
     /// Rolling FNV-style hash over `(time, src, tid, seq)` of every packet
@@ -250,7 +248,6 @@ impl Node {
             crashes: 0,
             crash_drops: 0,
             ops_completed: 0,
-            bytes_read: 0,
             bytes_written: 0,
             deliver_hash: 0xcbf2_9ce4_8422_2325,
         }

@@ -88,7 +88,6 @@ impl Cluster {
             } else {
                 node.write_translated(dest, pa, &payload)
                     .expect("buffer mapped");
-                node.bytes_read += CACHE_LINE_BYTES;
             }
         } else if pkt.op == RemoteOp::Write {
             node.bytes_written += CACHE_LINE_BYTES;
