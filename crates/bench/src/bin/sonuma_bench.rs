@@ -12,8 +12,9 @@
 //! * `--canned <name>` — one canned spec by name (repeatable; see `--list`);
 //! * `--spec <file.toml>` — a spec file (repeatable);
 //! * `--out <path>` — report destination (default `BENCH.json`);
-//! * `--max-peak-bytes <n>` — exit nonzero if the process's peak heap
-//!   (tracked by the bench's own allocator) exceeds `n` bytes;
+//! * `--max-peak-bytes <n>` — exit nonzero if the process's peak
+//!   resident set (`VmHWM`) exceeds `n` bytes; exit 2 where `VmHWM`
+//!   cannot be read;
 //! * `--trace-out <path>` — write each soNUMA run's flight-recorder
 //!   trace (JSON lines; arms tracing at the default cadence when the
 //!   spec has no `[trace]` section). With several scenarios selected,
@@ -24,10 +25,8 @@
 //! Subcommand `chrome-trace` converts a saved trace to Chrome
 //! trace-event JSON for `chrome://tracing` / Perfetto.
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use sonuma_bench::json::Json;
 use sonuma_bench::scenario::{
@@ -35,78 +34,16 @@ use sonuma_bench::scenario::{
     ScenarioSpec, TraceSpec,
 };
 
-/// System allocator wrapped with a live-bytes high-water mark, so every
-/// report carries `wall_peak_alloc_bytes` — the allocator's view of peak
-/// RSS, immune to the page-cache noise `/usr/bin/time -v` picks up. The
-/// two relaxed counters cost nothing measurable against the simulator's
-/// allocation rate, and the bench binary is the only place that pays it.
-struct PeakAlloc;
-
-static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
-static PEAK_BYTES: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for PeakAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc(layout);
-        if !p.is_null() {
-            let live = LIVE_BYTES.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
-            PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
-        }
-        p
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout);
-        LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
-    }
-
-    // Forwarded, NOT defaulted: the trait's default `alloc_zeroed` is
-    // alloc + memset, which would physically touch every page of the
-    // simulator's deliberately lazy `vec![0; n]` cache arrays. The
-    // system allocator hands out already-zero mmap pages instead.
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc_zeroed(layout);
-        if !p.is_null() {
-            let live = LIVE_BYTES.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
-            PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
-        }
-        p
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let p = System.realloc(ptr, layout, new_size);
-        if !p.is_null() {
-            let live = if new_size >= layout.size() {
-                LIVE_BYTES.fetch_add(new_size - layout.size(), Ordering::Relaxed)
-                    + (new_size - layout.size())
-            } else {
-                LIVE_BYTES.fetch_sub(layout.size() - new_size, Ordering::Relaxed)
-                    - (layout.size() - new_size)
-            };
-            PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
-        }
-        p
-    }
-}
-
-#[global_allocator]
-static PEAK_ALLOC: PeakAlloc = PeakAlloc;
-
-/// Peak resident set (`VmHWM`) in bytes, from `/proc/self/status`.
-/// Returns 0 where that interface is missing (non-Linux); callers fall
-/// back to the allocator high-water mark, which is an upper bound
-/// because untouched zero pages count toward it but never become
-/// resident.
-fn peak_rss_bytes() -> u64 {
-    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
-        return 0;
-    };
+/// Peak resident set (`VmHWM`) in bytes, from `/proc/self/status`, or
+/// `None` where that interface is missing (non-Linux).
+fn peak_rss_bytes() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
     status
         .lines()
         .find_map(|l| l.strip_prefix("VmHWM:"))
         .and_then(|v| v.trim().strip_suffix("kB"))
         .and_then(|v| v.trim().parse::<u64>().ok())
-        .map_or(0, |kb| kb * 1024)
+        .map(|kb| kb * 1024)
 }
 
 fn usage() -> ! {
@@ -249,7 +186,7 @@ fn chrome_trace_cmd(args: Vec<String>) -> ExitCode {
         "wrote {} ({} link, {} node, {} tenant, {} fault records)",
         out.display(),
         doc.links.len(),
-        doc.node_recs.len(),
+        doc.nodes.len(),
         doc.tenants.len(),
         doc.faults.len()
     );
@@ -343,6 +280,10 @@ fn scenario_cmd(args: Vec<String>) -> ExitCode {
         eprintln!("no scenarios selected (use --smoke, --canned, or --spec)");
         return ExitCode::from(2);
     }
+    if max_peak_bytes.is_some() && peak_rss_bytes().is_none() {
+        eprintln!("--max-peak-bytes: the peak resident set (VmHWM) cannot be read on this host");
+        return ExitCode::from(2);
+    }
     if let Some(threads) = threads {
         for spec in &mut specs {
             spec.threads = threads;
@@ -376,21 +317,18 @@ fn scenario_cmd(args: Vec<String>) -> ExitCode {
         return ExitCode::FAILURE;
     }
     // `wall_` prefix => stripped by the equivalence diff like every other
-    // host-side number. The alloc mark counts untouched zero pages, the
-    // RSS mark only what the kernel materialized; the gap is the lazy
-    // state the memory diet never paid for.
-    let peak_alloc = PEAK_BYTES.load(Ordering::Relaxed) as u64;
+    // host-side number.
     let peak_rss = peak_rss_bytes();
-    let peak = if peak_rss > 0 { peak_rss } else { peak_alloc };
     if let Json::Obj(members) = &mut doc {
-        members.push(("wall_peak_alloc_bytes".into(), Json::Num(peak_alloc as f64)));
-        members.push(("wall_peak_rss_bytes".into(), Json::Num(peak_rss as f64)));
+        let bytes = peak_rss.unwrap_or(0) as f64;
+        members.push(("wall_peak_rss_bytes".into(), Json::Num(bytes)));
     }
-    println!(
-        "peak heap: {:.1} MiB allocated, {:.1} MiB resident",
-        peak_alloc as f64 / (1024.0 * 1024.0),
-        peak_rss as f64 / (1024.0 * 1024.0)
-    );
+    if let Some(peak) = peak_rss {
+        println!(
+            "peak heap: {:.1} MiB resident",
+            peak as f64 / (1024.0 * 1024.0)
+        );
+    }
     let text = doc.render();
     if let Err(e) = std::fs::write(&out, &text) {
         eprintln!("cannot write {}: {e}", out.display());
@@ -440,7 +378,7 @@ fn scenario_cmd(args: Vec<String>) -> ExitCode {
         }
     }
 
-    if let Some(budget) = max_peak_bytes {
+    if let (Some(budget), Some(peak)) = (max_peak_bytes, peak_rss) {
         if peak > budget {
             eprintln!(
                 "REGRESSION: peak resident heap {peak} bytes exceeds --max-peak-bytes {budget}"

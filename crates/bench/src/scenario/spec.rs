@@ -716,6 +716,26 @@ impl ScenarioSpec {
         if self.name.is_empty() {
             return err("name must be nonempty".into());
         }
+        // A spec file's strings have no escapes.
+        if let Some(c) = self.name.chars().find(|&c| c == '"' || c.is_control()) {
+            return err(format!(
+                "name contains {c:?}, which a spec file cannot hold"
+            ));
+        }
+        // The report echoes integers as JSON numbers, exact up to 2^53;
+        // every other integer key has a smaller upper bound of its own.
+        for (key, value) in [
+            ("seed", Some(self.seed)),
+            ("ops_per_node", Some(self.ops_per_node)),
+            ("[faults] seed", self.faults.as_ref().map(|f| f.seed)),
+            ("[kv] seed", self.kv.as_ref().map(|kv| kv.seed)),
+        ] {
+            if let Some(v) = value.filter(|&v| v > 1 << 53) {
+                return err(format!(
+                    "{key} = {v} exceeds 2^53, the largest integer the report echoes exactly"
+                ));
+            }
+        }
         if self.nodes < 2 {
             return err(format!(
                 "nodes = {} (remote ops need at least 2)",

@@ -1,108 +1,37 @@
-//! Flight-recorder trace consumers: the JSON-lines parser, the
+//! Flight-recorder trace consumers: the JSON-lines reader, the
 //! Chrome-trace converter, and the two trace figures (link-utilization
 //! heatmap, stall/recovery timeline).
 //!
-//! The trace *writer* lives in `sonuma-trace` and knows nothing about
-//! JSON parsing; this module is the other direction — it reads a trace
-//! file back through the bench's own [`Json`] layer, so the converter
-//! and figures work on any saved `--trace-out` artifact, not just an
-//! in-process recorder.
+//! The trace schema and writer live in `sonuma-trace`; this module is the
+//! other direction. It reads a trace file back through the bench's own
+//! [`Json`] layer into the recorder's own record types, walking the same
+//! member lists the writer renders, so the converter and figures work on
+//! any saved `--trace-out` artifact, not just an in-process recorder.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use sonuma_trace::{
+    FaultEvent, FaultKind, Fields, LinkSample, Member, NodeSample, TenantSample, TraceMeta,
+    TraceRecord, TRACE_SCHEMA,
+};
+
 use crate::json::Json;
 use crate::report::CsvTable;
-
-/// One parsed `"rec":"link"` line.
-#[derive(Debug, Clone, Copy)]
-pub struct LinkRec {
-    /// Window end, ps.
-    pub t_ps: u64,
-    /// Sending node.
-    pub src: u16,
-    /// Receiving node.
-    pub dst: u16,
-    /// Bytes serialized during the window.
-    pub bytes: u64,
-    /// Packets serialized during the window.
-    pub packets: u64,
-    /// Credit stalls during the window.
-    pub credit_stalls: u64,
-}
-
-/// One parsed `"rec":"node"` line (window deltas plus the ITT gauge).
-#[derive(Debug, Clone, Copy)]
-pub struct NodeRec {
-    /// Window end, ps.
-    pub t_ps: u64,
-    /// The node.
-    pub node: u16,
-    /// RGP requests unrolled during the window.
-    pub rgp_requests: u64,
-    /// RRPP packets served during the window.
-    pub rrpp_served: u64,
-    /// Operations completed during the window.
-    pub rcp_completions: u64,
-    /// RGP stalls on a full ITT during the window.
-    pub rgp_itt_stalls: u64,
-    /// Posts rejected on a full WQ during the window.
-    pub api_wq_full: u64,
-    /// ITT entries in flight at the window end.
-    pub itt_in_flight: u64,
-    /// Timeouts fired during the window.
-    pub rgp_timeouts: u64,
-    /// Lines retransmitted during the window.
-    pub rgp_retransmits: u64,
-}
-
-/// One parsed `"rec":"tenant"` line.
-#[derive(Debug, Clone, Copy)]
-pub struct TenantRec {
-    /// Window end, ps.
-    pub t_ps: u64,
-    /// The tenant.
-    pub tenant: u32,
-    /// Completions during the window.
-    pub completions: u64,
-    /// p99 latency upper bound, ps.
-    pub p99_ps: u64,
-}
-
-/// One parsed `"rec":"fault"` line.
-#[derive(Debug, Clone)]
-pub struct FaultRec {
-    /// Scheduled instant (transitions) or window end (counter deltas), ps.
-    pub t_ps: u64,
-    /// Event name (`link_kill`, `timeouts`, ...).
-    pub kind: String,
-    /// First endpoint, 0 when unused.
-    pub a: u16,
-    /// Second endpoint, 0 when unused.
-    pub b: u16,
-    /// Delta count (1 for transitions).
-    pub count: u64,
-}
 
 /// A fully parsed trace file.
 #[derive(Debug, Default)]
 pub struct TraceDoc {
-    /// Scenario name from the header.
-    pub scenario: String,
-    /// Backend label from the header.
-    pub backend: String,
-    /// Machine size from the header.
-    pub nodes: u64,
-    /// Sampling cadence from the header, ps.
-    pub interval_ps: u64,
+    /// The header.
+    pub meta: TraceMeta,
     /// Link windows, in file order (sorted by time).
-    pub links: Vec<LinkRec>,
+    pub links: Vec<LinkSample>,
     /// Node windows, in file order.
-    pub node_recs: Vec<NodeRec>,
+    pub nodes: Vec<NodeSample>,
     /// Tenant windows, in file order.
-    pub tenants: Vec<TenantRec>,
+    pub tenants: Vec<TenantSample>,
     /// Fault events, in file order.
-    pub faults: Vec<FaultRec>,
+    pub faults: Vec<FaultEvent>,
 }
 
 /// Parses a JSON-lines trace produced by `--trace-out`.
@@ -110,75 +39,31 @@ pub struct TraceDoc {
 /// # Errors
 ///
 /// Returns a one-line description naming the offending line on malformed
-/// input or a schema the parser does not understand.
+/// input, a schema the parser does not understand, or an unknown record
+/// or fault kind.
 pub fn parse_trace(text: &str) -> Result<TraceDoc, String> {
     let mut lines = text.lines().enumerate();
     let (_, header) = lines.next().ok_or("empty trace file")?;
     let header = Json::parse(header).map_err(|e| format!("line 1: {e}"))?;
-    match header.str_of("schema") {
-        Some(sonuma_trace::TRACE_SCHEMA) => {}
-        other => {
-            return Err(format!(
-                "trace schema {:?} (this binary reads {:?})",
-                other.unwrap_or("<missing>"),
-                sonuma_trace::TRACE_SCHEMA
-            ))
-        }
+    let mut doc = TraceDoc::default();
+    let schema = std::iter::once(("schema", Member::Tag(TRACE_SCHEMA)));
+    read_fields(&header, 1, schema.chain(doc.meta.fields()))?;
+    if doc.meta.interval_ps == 0 {
+        return Err("line 1: interval_ps is 0".into());
     }
-    let mut doc = TraceDoc {
-        scenario: header.str_of("scenario").unwrap_or_default().to_string(),
-        backend: header.str_of("backend").unwrap_or_default().to_string(),
-        nodes: header.u64_of("nodes").ok_or("header has no nodes")?,
-        interval_ps: header
-            .u64_of("interval_ps")
-            .filter(|&i| i > 0)
-            .ok_or("header has no interval_ps")?,
-        ..TraceDoc::default()
-    };
+    fn read<R: TraceRecord>(rec: &Json, lineno: usize) -> Result<R, String> {
+        let mut r = R::default();
+        read_fields(rec, lineno, r.fields())?;
+        Ok(r)
+    }
     for (idx, line) in lines {
         let lineno = idx + 1;
         let rec = Json::parse(line).map_err(|e| format!("line {lineno}: {e}"))?;
-        let t_ps = rec
-            .u64_of("t_ps")
-            .ok_or(format!("line {lineno}: no t_ps"))?;
-        let field = |key: &str| rec.u64_of(key).ok_or(format!("line {lineno}: no {key}"));
         match rec.str_of("rec") {
-            Some("link") => doc.links.push(LinkRec {
-                t_ps,
-                src: field("src")? as u16,
-                dst: field("dst")? as u16,
-                bytes: field("bytes")?,
-                packets: field("packets")?,
-                credit_stalls: field("credit_stalls")?,
-            }),
-            Some("node") => doc.node_recs.push(NodeRec {
-                t_ps,
-                node: field("node")? as u16,
-                rgp_requests: field("rgp_requests")?,
-                rrpp_served: field("rrpp_served")?,
-                rcp_completions: field("rcp_completions")?,
-                rgp_itt_stalls: field("rgp_itt_stalls")?,
-                api_wq_full: field("api_wq_full")?,
-                itt_in_flight: field("itt_in_flight")?,
-                rgp_timeouts: field("rgp_timeouts")?,
-                rgp_retransmits: field("rgp_retransmits")?,
-            }),
-            Some("tenant") => doc.tenants.push(TenantRec {
-                t_ps,
-                tenant: field("tenant")? as u32,
-                completions: field("completions")?,
-                p99_ps: field("p99_ps")?,
-            }),
-            Some("fault") => doc.faults.push(FaultRec {
-                t_ps,
-                kind: rec
-                    .str_of("kind")
-                    .ok_or(format!("line {lineno}: fault has no kind"))?
-                    .to_string(),
-                a: field("a")? as u16,
-                b: field("b")? as u16,
-                count: field("count")?,
-            }),
+            Some(LinkSample::REC) => doc.links.push(read(&rec, lineno)?),
+            Some(NodeSample::REC) => doc.nodes.push(read(&rec, lineno)?),
+            Some(TenantSample::REC) => doc.tenants.push(read(&rec, lineno)?),
+            Some(FaultEvent::REC) => doc.faults.push(read(&rec, lineno)?),
             other => {
                 return Err(format!(
                     "line {lineno}: unknown record kind {:?}",
@@ -190,13 +75,47 @@ pub fn parse_trace(text: &str) -> Result<TraceDoc, String> {
     Ok(doc)
 }
 
-/// Whether a fault event is a scheduled transition (rendered as an
-/// instant marker) rather than a per-window counter delta.
-fn is_transition(kind: &str) -> bool {
-    matches!(
-        kind,
-        "link_kill" | "link_revive" | "node_crash" | "node_restart"
-    )
+/// Stores each of `json`'s members through its [`Member`] view. Strings
+/// may be absent (they read as empty); every other member must be there.
+fn read_fields<'a>(
+    json: &Json,
+    lineno: usize,
+    fields: impl Iterator<Item = (&'static str, Member<'a>)>,
+) -> Result<(), String> {
+    for (key, member) in fields {
+        let text = json.str_of(key);
+        let missing = || format!("line {lineno}: no {key}");
+        let int = || json.u64_of(key).ok_or_else(missing);
+        match member {
+            Member::Tag(tag) if text == Some(tag) => {}
+            Member::Tag(tag) => {
+                let got = text.unwrap_or("<missing>");
+                return Err(format!(
+                    "line {lineno}: {key} {got:?} (this binary reads {tag:?})"
+                ));
+            }
+            Member::Str(s) => *s = text.unwrap_or_default().to_string(),
+            Member::Kind(kind) => {
+                let label = text.ok_or_else(missing)?;
+                *kind = FaultKind::parse(label)
+                    .ok_or_else(|| format!("line {lineno}: unknown fault kind {label:?}"))?;
+            }
+            Member::U16(v) => *v = int()? as u16,
+            Member::U32(v) => *v = int()? as u32,
+            Member::U64(v) => *v = int()?,
+        }
+    }
+    Ok(())
+}
+
+/// A transition's marker label: `link_kill 3->4`, `node_crash n7`.
+fn transition_name(f: &FaultEvent) -> String {
+    match f.kind {
+        FaultKind::LinkKill | FaultKind::LinkRevive => {
+            format!("{} {}->{}", f.kind.as_str(), f.a, f.b)
+        }
+        _ => format!("{} n{}", f.kind.as_str(), f.a),
+    }
 }
 
 /// Converts a parsed trace into Chrome trace-event JSON (load it at
@@ -221,8 +140,8 @@ pub fn chrome_trace(doc: &TraceDoc) -> String {
         ));
     }
     let mut pipes: BTreeMap<u64, [u64; 6]> = BTreeMap::new();
-    for n in &doc.node_recs {
-        let e = pipes.entry(n.t_ps).or_default();
+    for n in &doc.nodes {
+        let (e, n) = (pipes.entry(n.t_ps).or_default(), &n.counters);
         e[0] += n.rgp_requests;
         e[1] += n.rrpp_served;
         e[2] += n.rcp_completions;
@@ -248,21 +167,17 @@ pub fn chrome_trace(doc: &TraceDoc) -> String {
     }
     let mut fault_counters: BTreeMap<u64, BTreeMap<&str, u64>> = BTreeMap::new();
     for f in &doc.faults {
-        if is_transition(&f.kind) {
-            let name = if f.kind.starts_with("link_") {
-                format!("{} {}->{}", f.kind, f.a, f.b)
-            } else {
-                format!("{} n{}", f.kind, f.a)
-            };
+        if f.kind.is_transition() {
             events.push(format!(
-                "{{\"name\":\"{name}\",\"ph\":\"i\",\"ts\":{},\"pid\":0,\"tid\":0,\"s\":\"g\"}}",
+                "{{\"name\":\"{}\",\"ph\":\"i\",\"ts\":{},\"pid\":0,\"tid\":0,\"s\":\"g\"}}",
+                transition_name(f),
                 ts(f.t_ps)
             ));
         } else {
             *fault_counters
                 .entry(f.t_ps)
                 .or_default()
-                .entry(self_kind(&f.kind))
+                .entry(f.kind.as_str())
                 .or_default() += f.count;
         }
     }
@@ -279,27 +194,12 @@ pub fn chrome_trace(doc: &TraceDoc) -> String {
     }
     format!(
         "{{\"displayTimeUnit\":\"ms\",\"otherData\":{{\"scenario\":\"{}\",\"backend\":\"{}\",\"nodes\":{},\"interval_ps\":{}}},\"traceEvents\":[\n{}\n]}}\n",
-        doc.scenario,
-        doc.backend,
-        doc.nodes,
-        doc.interval_ps,
+        doc.meta.scenario,
+        doc.meta.backend,
+        doc.meta.nodes,
+        doc.meta.interval_ps,
         events.join(",\n")
     )
-}
-
-/// Interns the small, known set of counter-kind names so the Chrome
-/// counter args stay `&'static str` keyed.
-fn self_kind(kind: &str) -> &'static str {
-    match kind {
-        "packets_dropped" => "packets_dropped",
-        "packets_corrupted" => "packets_corrupted",
-        "packets_rerouted" => "packets_rerouted",
-        "packets_unreachable" => "packets_unreachable",
-        "crash_drops" => "crash_drops",
-        "timeouts" => "timeouts",
-        "retransmits" => "retransmits",
-        _ => "other",
-    }
 }
 
 /// Shade ramp for the ASCII heatmap, blank = idle.
@@ -352,10 +252,10 @@ pub fn render_heatmap(doc: &TraceDoc) -> String {
 
     let mut out = format!(
         "link utilization heatmap: {} ({} nodes, {} windows of {:.1} us, {} links)\n",
-        doc.scenario,
-        doc.nodes,
+        doc.meta.scenario,
+        doc.meta.nodes,
         windows.len(),
-        doc.interval_ps as f64 / 1e6,
+        doc.meta.interval_ps as f64 / 1e6,
         hot.len()
     );
     for (row, cells) in grid.iter().enumerate() {
@@ -421,15 +321,15 @@ pub struct TimelineRow {
     pub retransmits: u64,
 }
 
-/// Folds a trace into per-window totals plus the transition markers.
+/// Folds a trace into per-window totals.
 ///
 /// Node samples land on quantum boundaries, not exact cadence
 /// multiples, so every record is bucketed into the cadence window it
 /// terminates (`ceil(t / interval) * interval`) — one timeline row per
 /// window, not one per distinct sample time.
-pub fn timeline_rows(doc: &TraceDoc) -> (Vec<TimelineRow>, Vec<FaultRec>) {
+pub fn timeline_rows(doc: &TraceDoc) -> Vec<TimelineRow> {
     let mut rows: BTreeMap<u64, TimelineRow> = BTreeMap::new();
-    let interval = doc.interval_ps.max(1);
+    let interval = doc.meta.interval_ps.max(1);
     let window = |t: u64| t.div_ceil(interval) * interval;
     fn at(rows: &mut BTreeMap<u64, TimelineRow>, t: u64) -> &mut TimelineRow {
         let row = rows.entry(t).or_default();
@@ -440,8 +340,8 @@ pub fn timeline_rows(doc: &TraceDoc) -> (Vec<TimelineRow>, Vec<FaultRec>) {
         at(&mut rows, window(l.t_ps)).credit_stalls += l.credit_stalls;
     }
     let closed_loop = doc.tenants.is_empty();
-    for n in &doc.node_recs {
-        let row = at(&mut rows, window(n.t_ps));
+    for n in &doc.nodes {
+        let (row, n) = (at(&mut rows, window(n.t_ps)), &n.counters);
         if closed_loop {
             row.completions += n.rcp_completions;
         }
@@ -452,13 +352,7 @@ pub fn timeline_rows(doc: &TraceDoc) -> (Vec<TimelineRow>, Vec<FaultRec>) {
     for t in &doc.tenants {
         at(&mut rows, window(t.t_ps)).completions += t.completions;
     }
-    let transitions = doc
-        .faults
-        .iter()
-        .filter(|f| is_transition(&f.kind))
-        .cloned()
-        .collect();
-    (rows.into_values().collect(), transitions)
+    rows.into_values().collect()
 }
 
 /// The stall/recovery timeline: one line per sampling window with a
@@ -466,16 +360,21 @@ pub fn timeline_rows(doc: &TraceDoc) -> (Vec<TimelineRow>, Vec<FaultRec>) {
 /// splicing in at their scheduled instants — the `rack1024-nodekill`
 /// dip-and-climb rendered as text.
 pub fn render_timeline(doc: &TraceDoc) -> String {
-    let (rows, mut transitions) = timeline_rows(doc);
+    let rows = timeline_rows(doc);
+    let mut transitions: Vec<_> = doc
+        .faults
+        .iter()
+        .filter(|f| f.kind.is_transition())
+        .collect();
     transitions.sort_by_key(|f| f.t_ps);
     let mut transitions = transitions.into_iter().peekable();
     let peak = rows.iter().map(|r| r.completions).max().unwrap_or(0).max(1);
     const BAR: usize = 40;
     let mut out = format!(
         "stall/recovery timeline: {} ({} windows of {:.1} us)\n{:>9} {:<BAR$} {:>9} {:>9} {:>9} {:>8} {:>8}\n",
-        doc.scenario,
+        doc.meta.scenario,
         rows.len(),
-        doc.interval_ps as f64 / 1e6,
+        doc.meta.interval_ps as f64 / 1e6,
         "t_us",
         "completions",
         "ops",
@@ -487,12 +386,7 @@ pub fn render_timeline(doc: &TraceDoc) -> String {
     for row in &rows {
         while transitions.peek().is_some_and(|f| f.t_ps <= row.t_ps) {
             let f = transitions.next().expect("peeked");
-            let what = if f.kind.starts_with("link_") {
-                format!("{} {}->{}", f.kind, f.a, f.b)
-            } else {
-                format!("{} n{}", f.kind, f.a)
-            };
-            let _ = writeln!(out, "{:>9.1} ! {what}", f.t_ps as f64 / 1e6);
+            let _ = writeln!(out, "{:>9.1} ! {}", f.t_ps as f64 / 1e6, transition_name(f));
         }
         let fill = (row.completions as u128 * BAR as u128 / peak as u128) as usize;
         let _ = writeln!(
@@ -508,14 +402,14 @@ pub fn render_timeline(doc: &TraceDoc) -> String {
         );
     }
     for f in transitions {
-        let _ = writeln!(out, "{:>9.1} ! {}", f.t_ps as f64 / 1e6, f.kind);
+        let _ = writeln!(out, "{:>9.1} ! {}", f.t_ps as f64 / 1e6, f.kind.as_str());
     }
     out
 }
 
 /// The timeline's plottable form.
 pub fn timeline_csv(doc: &TraceDoc) -> CsvTable {
-    let (rows, _) = timeline_rows(doc);
+    let rows = timeline_rows(doc);
     let mut t = CsvTable::new(&[
         "t_us",
         "completions",
@@ -553,9 +447,9 @@ mod tests {
     #[test]
     fn parses_every_record_kind_and_renders() {
         let doc = parse_trace(SAMPLE).expect("sample parses");
-        assert_eq!(doc.nodes, 4);
+        assert_eq!(doc.meta.nodes, 4);
         assert_eq!(doc.links.len(), 1);
-        assert_eq!(doc.node_recs.len(), 1);
+        assert_eq!(doc.nodes.len(), 1);
         assert_eq!(doc.tenants.len(), 1);
         assert_eq!(doc.faults.len(), 2);
 
@@ -573,7 +467,7 @@ mod tests {
         assert!(heat.contains("0->1"), "{heat}");
         let tl = render_timeline(&doc);
         assert!(tl.contains("! link_kill 0->1"), "{tl}");
-        assert_eq!(timeline_rows(&doc).0.len(), 2);
+        assert_eq!(timeline_rows(&doc).len(), 2);
     }
 
     #[test]
@@ -586,5 +480,12 @@ mod tests {
         assert!(parse_trace(&broken)
             .expect_err("unknown record kind")
             .contains("mystery"));
+        // An unknown fault kind is an error too, not a silent "other".
+        let mut broken = String::from(SAMPLE);
+        broken.push_str(
+            "{\"t_ps\":3,\"rec\":\"fault\",\"kind\":\"meteor\",\"a\":0,\"b\":0,\"count\":1}\n",
+        );
+        let err = parse_trace(&broken).expect_err("unknown fault kind");
+        assert!(err.contains("line 7") && err.contains("meteor"), "{err}");
     }
 }

@@ -133,7 +133,7 @@ proptest! {
     /// exactly — seeds, probabilities, and timing knobs included.
     #[test]
     fn fault_spec_roundtrips_through_toml(
-        seed in 0u64..u64::MAX,
+        seed in 0u64..=1 << 53,
         degraded in 1usize..16,
         drop_milli in 0u32..1000,
         corrupt_milli in 0u32..1000,

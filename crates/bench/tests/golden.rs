@@ -1,29 +1,28 @@
-//! Report-identity oracles. Only `wall_*` members are stripped, so every
-//! simulated metric, the `sharding` metadata and the report layout are
-//! covered.
+//! Report-identity oracles. Each pins a report in two columns:
 //!
-//! * The ledger: one FNV-1a digest per (canned scenario, backend) run,
-//!   the exact pin of every canned result. A row that moves prints its
-//!   replacement; re-pinning is pasting it, with the reason in the
-//!   change that moved it. The run facts the paper's rack claims rest on
-//!   are asserted by name beside it, so no re-pin can drop them.
-//! * Two inline specs (tenant arrivals with faults, the KV plane) keep
-//!   the whole-report digests pinned before the three drive loops were
-//!   folded into one, re-pinned four times: when physical memory moved
-//!   from 8 KB frames to 512 B blocks, when cache tag state came to be
-//!   counted as placed sets plus slot tables, when a harvested landing
-//!   buffer came to give its blocks back, and when a cache set came to
-//!   store 4 ways until its fifth line arrived. Each time only
-//!   `sharding.resident_bytes` moved.
-//! * A spec carrying every optional report section at once pins its
-//!   rendered and `diff-runs` forms to the commit before the row
-//!   renderers were shared. The rendered digest was re-pinned five
-//!   times, when a cache way shrank to 4 bytes, when physical memory
-//!   moved to 512 B blocks, when cache tag state came to be counted as
-//!   placed sets plus slot tables, when a harvested landing buffer came
-//!   to give its blocks back and when a cache set came to store 4 ways
-//!   until its fifth line arrived: each time `sharding.resident_bytes`
-//!   moved.
+//! * `sim_digest`: the FNV-1a of the rendered report with every `wall_*`
+//!   member and every `sharding.resident_bytes` removed, and nothing else.
+//!   It covers every simulated number, the rest of the `sharding`
+//!   metadata (`threads`, `shards`, `epochs`, `cut_links`,
+//!   `pair_bound_violations`, `lookahead_ns`, `shard_events`) and the
+//!   layout. A change that leaves simulated results alone leaves it alone.
+//! * `resident_bytes`: each run's `sharding.resident_bytes`, pinned
+//!   exactly. It counts the simulator's own host structures, so a memory
+//!   change moves it and nothing else.
+//!
+//! The pins:
+//!
+//! * the ledger: one row per (canned scenario, backend) run, the exact
+//!   pin of every canned result. A row that moves prints its
+//!   replacement, naming the column that moved; re-pinning is pasting
+//!   it, with the reason in the change that moved it. The run facts the
+//!   paper's rack claims rest on are asserted by name beside it, so no
+//!   re-pin can drop them;
+//! * two inline specs (tenant arrivals with faults, the KV plane), one
+//!   `sim_digest` plus every run's `resident_bytes` each;
+//! * a spec carrying every optional report section at once, pinned the
+//!   same way, plus the digest of its `diff-runs` view, which never held
+//!   `resident_bytes`.
 
 use sonuma_bench::json::Json;
 use sonuma_bench::scenario::{
@@ -129,16 +128,25 @@ repeat_prob = 0.4
 seed = 4200
 "#;
 
-fn strip_wall(doc: &Json) -> Json {
+/// `doc` without its `wall_*` members and without its
+/// `sharding.resident_bytes`, whose values are pushed onto `resident` in
+/// document order.
+fn strip(doc: &Json, resident: &mut Vec<u64>) -> Json {
     match doc {
-        Json::Obj(members) => Json::Obj(
-            members
-                .iter()
-                .filter(|(k, _)| !k.starts_with("wall_"))
-                .map(|(k, v)| (k.clone(), strip_wall(v)))
-                .collect(),
-        ),
-        Json::Arr(items) => Json::Arr(items.iter().map(strip_wall).collect()),
+        Json::Obj(members) => {
+            let mut kept = Vec::new();
+            for (key, value) in members.iter().filter(|(k, _)| !k.starts_with("wall_")) {
+                let mut value = strip(value, resident);
+                if let (true, Json::Obj(sharding)) = (key == "sharding", &mut value) {
+                    let at = sharding.iter().position(|(k, _)| k == "resident_bytes");
+                    let bytes = sharding.remove(at.expect("sharding.resident_bytes")).1;
+                    resident.push(bytes.as_u64().expect("an integer"));
+                }
+                kept.push((key.clone(), value));
+            }
+            Json::Obj(kept)
+        }
+        Json::Arr(items) => Json::Arr(items.iter().map(|v| strip(v, resident)).collect()),
         other => other.clone(),
     }
 }
@@ -149,24 +157,31 @@ fn fnv1a(text: &str) -> u64 {
     })
 }
 
-/// FNV-1a over the wall-stripped rendered report of one run of `spec`.
-fn digest(spec: &ScenarioSpec) -> u64 {
-    fnv1a(&strip_wall(&report(&[run_spec(spec)])).render())
+/// `doc`'s two columns: the `sim_digest` of its stripped rendering, and
+/// the `resident_bytes` of each of its runs.
+fn split(doc: &Json) -> (u64, Vec<u64>) {
+    let mut resident = Vec::new();
+    let text = strip(doc, &mut resident).render();
+    (fnv1a(&text), resident)
 }
 
 #[test]
 fn reports_match_the_digests_pinned_before_the_single_drive_loop() {
-    for (text, pinned) in [
-        (TENANTS_FAULTS, 0x94e9_8cf4_f4ed_b09e),
-        (KV, 0x5bf6_aac4_13d5_667e),
+    for (text, pinned, pinned_resident) in [
+        (TENANTS_FAULTS, 0x9be8_3201_5927_5276, [767_040, 0, 0]),
+        (KV, 0x7915_3e3d_80c3_3d03, [639_616, 0, 0]),
     ] {
         let spec = ScenarioSpec::from_toml(text).expect("golden spec parses");
+        let (digest, resident) = split(&report(&[run_spec(&spec)]));
         assert_eq!(
-            digest(&spec),
-            pinned,
-            "{}: report bytes moved (digest 0x{:016x})",
-            spec.name,
-            digest(&spec)
+            digest, pinned,
+            "{}: simulated report bytes moved (sim_digest 0x{digest:016x})",
+            spec.name
+        );
+        assert_eq!(
+            resident, pinned_resident,
+            "{}: resident_bytes moved",
+            spec.name
         );
     }
 }
@@ -200,55 +215,52 @@ fn a_run_with_every_section_keeps_its_pinned_renderings() {
     // the whole stripped rendering: the only public view of what
     // `diff-runs` compares.
     let stripped = equivalence_diff(&doc, &Json::Null).remove(0);
-    let doc = strip_wall(&doc);
-    for (what, text, pinned) in [
-        ("rendered", doc.render(), 0x40e1_dcd0_2b99_7162u64),
-        ("diff-runs view", stripped, 0x464b_45e6_a55d_e6ac),
-    ] {
-        let digest = fnv1a(&text);
-        assert_eq!(digest, pinned, "{what} bytes moved (0x{digest:016x})");
-    }
+    let (digest, resident) = split(&doc);
+    assert_eq!(
+        digest, 0x4257_cb14_3b27_0f92,
+        "rendered bytes moved (sim_digest 0x{digest:016x})"
+    );
+    assert_eq!(resident, [7_159_840], "rendered resident_bytes moved");
+    let digest = fnv1a(&stripped);
+    assert_eq!(
+        digest, 0x464b_45e6_a55d_e6ac,
+        "diff-runs view bytes moved (0x{digest:016x})"
+    );
 }
 
-/// `(canned scenario, backend, digest)`: FNV-1a of each wall-stripped,
-/// rendered run object of `report(&[run_spec(&canned(name))])`, all 28
-/// taken before the wall gate and its 18k-line baseline file were deleted.
-/// The 14 soNUMA rows were re-pinned when physical memory moved from 8 KB
-/// frames to 512 B blocks, when cache tag state came to be counted as
-/// placed sets plus slot tables, when a harvested landing buffer came to
-/// give its blocks back, and when a cache set came to store 4 ways until
-/// its fifth line arrived: each time `sharding.resident_bytes` was the
-/// only member that moved.
+/// `(canned scenario, backend, sim_digest, resident_bytes)`, one row per
+/// run of `report(&[run_spec(&canned(name))])`; the columns are those of
+/// [`split`] over the run object.
 #[rustfmt::skip]
-const LEDGER: &[(&str, &str, u64)] = &[
-    ("smoke-uniform-8", "soNUMA", 0xef597c76c32d5ea6),
-    ("smoke-uniform-8", "RDMA (ConnectX-3)", 0x68e3af470c3cb357),
-    ("smoke-uniform-8", "TCP/IP (Calxeda)", 0xbaed3713601847eb),
-    ("smoke-torus-16", "soNUMA", 0xb9c6ff31e19eced3),
-    ("smoke-mixed-4", "soNUMA", 0x496af892618ab947),
-    ("smoke-mixed-4", "RDMA (ConnectX-3)", 0x157172ccec142c2b),
-    ("smoke-mixed-4", "TCP/IP (Calxeda)", 0xa441b04712072306),
-    ("rack512-neighbor", "soNUMA", 0x22bb240d5f199fe3),
-    ("rack512-torus-scan", "soNUMA", 0x27049a58b4a209ae),
-    ("rack64-tenants", "soNUMA", 0xff9daece46d977d2),
-    ("rack64-tenants", "RDMA (ConnectX-3)", 0xb957746e4bdeb040),
-    ("rack64-tenants", "TCP/IP (Calxeda)", 0xde7b58d2da6e84ee),
-    ("rack64-tenants-strict", "soNUMA", 0xc38aadeb688b2636),
-    ("rack64-tenants-strict", "RDMA (ConnectX-3)", 0xe8239bafb0cc5869),
-    ("rack64-tenants-strict", "TCP/IP (Calxeda)", 0x652d20041ec81d00),
-    ("rack1024-shard", "soNUMA", 0x454e27009e926ab3),
-    ("rack4096", "soNUMA", 0x253563e81e467d43),
-    ("rack8192", "soNUMA", 0x5e91ed9d55cc7873),
-    ("rack512-linkflap", "soNUMA", 0x61084341e41547f0),
-    ("rack512-linkflap", "RDMA (ConnectX-3)", 0x329c9d44a4bddb1b),
-    ("rack512-linkflap", "TCP/IP (Calxeda)", 0xd3175666323cbe8c),
-    ("rack1024-nodekill", "soNUMA", 0x1371a198979163ec),
-    ("rack512-kv", "soNUMA", 0x226a7b1e8a45d0a2),
-    ("rack512-kv", "RDMA (ConnectX-3)", 0xbc95f63b4517213f),
-    ("rack512-kv", "TCP/IP (Calxeda)", 0x237793a7b9144284),
-    ("rack1024-kv-zipf", "soNUMA", 0x24a2b15c97a37ce1),
-    ("rack1024-kv-zipf", "RDMA (ConnectX-3)", 0xd45946d655373c6e),
-    ("rack1024-kv-zipf", "TCP/IP (Calxeda)", 0x530565fc8661caf7),
+const LEDGER: &[(&str, &str, u64, u64)] = &[
+    ("smoke-uniform-8", "soNUMA", 0x634af045872bfccf, 686032),
+    ("smoke-uniform-8", "RDMA (ConnectX-3)", 0x8a3d5ab14d39d29d, 0),
+    ("smoke-uniform-8", "TCP/IP (Calxeda)", 0x26a9db2b7dcf47d1, 0),
+    ("smoke-torus-16", "soNUMA", 0x40f5964c99447216, 1602688),
+    ("smoke-mixed-4", "soNUMA", 0x314d6a6a89ee9d2c, 1363600),
+    ("smoke-mixed-4", "RDMA (ConnectX-3)", 0x593b702c6f075591, 0),
+    ("smoke-mixed-4", "TCP/IP (Calxeda)", 0x9bffd1254da3dbbe, 0),
+    ("rack512-neighbor", "soNUMA", 0xde5e4316296dd3c7, 11911168),
+    ("rack512-torus-scan", "soNUMA", 0xb0f6f79796c1f883, 16328056),
+    ("rack64-tenants", "soNUMA", 0x3d3875753783edfc, 10145856),
+    ("rack64-tenants", "RDMA (ConnectX-3)", 0x5b160d1197c1d634, 0),
+    ("rack64-tenants", "TCP/IP (Calxeda)", 0x7e9d8956e5ceb0f2, 0),
+    ("rack64-tenants-strict", "soNUMA", 0x34b86ef56216ddcf, 10125808),
+    ("rack64-tenants-strict", "RDMA (ConnectX-3)", 0xaeebb2cec72a459f, 0),
+    ("rack64-tenants-strict", "TCP/IP (Calxeda)", 0xd4ff258b741ea3fc, 0),
+    ("rack1024-shard", "soNUMA", 0x24f1edadae7a7362, 23822336),
+    ("rack4096", "soNUMA", 0xb748a5229d5011f6, 86114304),
+    ("rack8192", "soNUMA", 0xd8fa3e4574c097f1, 168296448),
+    ("rack512-linkflap", "soNUMA", 0x24658d035ad3c7df, 14206512),
+    ("rack512-linkflap", "RDMA (ConnectX-3)", 0x6a15481356a0abe1, 0),
+    ("rack512-linkflap", "TCP/IP (Calxeda)", 0xea40f6bf960d7378, 0),
+    ("rack1024-nodekill", "soNUMA", 0x35cb43ed02c055ab, 47071424),
+    ("rack512-kv", "soNUMA", 0x5dcc62d06614e132, 55665504),
+    ("rack512-kv", "RDMA (ConnectX-3)", 0x1f370f35c74ed6b5, 0),
+    ("rack512-kv", "TCP/IP (Calxeda)", 0xde1a7654be2a42e2, 0),
+    ("rack1024-kv-zipf", "soNUMA", 0x045eda5a58db85c7, 85035168),
+    ("rack1024-kv-zipf", "RDMA (ConnectX-3)", 0xb54cfd484d7ed850, 0),
+    ("rack1024-kv-zipf", "TCP/IP (Calxeda)", 0x6623f6801d9d661d, 0),
 ];
 
 /// Facts the paper's rack claims rest on, asserted by name so that no
@@ -283,8 +295,9 @@ fn holds(run: &Json, fact: &str) -> Option<bool> {
 /// A moved scenario fails with its replacement rows; there is no regen.
 fn check_ledger(pick: fn(&str) -> bool) {
     assert!(LEDGER.iter().all(|row| canned(row.0).is_ok()));
-    let pinned = |name, backend| LEDGER.iter().any(|row| (row.0, row.1) == (name, backend));
-    assert!(FACTS.iter().all(|f| pinned(f.0, f.1)));
+    let pinned =
+        |name: &str, backend: &str| LEDGER.iter().find(|row| (row.0, row.1) == (name, backend));
+    assert!(FACTS.iter().all(|f| pinned(f.0, f.1).is_some()));
     let mut moved = String::new();
     for name in canned_names().filter(|n| pick(n)) {
         let doc = report(&[run_spec(&canned(name).unwrap())]);
@@ -292,14 +305,28 @@ fn check_ledger(pick: fn(&str) -> bool) {
         let mut got = Vec::new();
         for run in scenario.get("runs").unwrap().as_arr().unwrap() {
             let backend = run.str_of("backend").unwrap();
-            got.push((name, backend, fnv1a(&strip_wall(run).render())));
+            let (digest, resident) = split(run);
+            got.push((name, backend, digest, resident[0]));
             for &(_, _, fact) in FACTS.iter().filter(|f| (f.0, f.1) == (name, backend)) {
                 assert_eq!(holds(run, fact), Some(true), "{name}/{backend}: {fact}");
             }
         }
         if got.iter().ne(LEDGER.iter().filter(|row| row.0 == name)) {
-            for (n, b, d) in got {
-                moved += &format!("    ({n:?}, {b:?}, 0x{d:016x}),\n");
+            for (n, b, d, r) in got {
+                let row = pinned(n, b);
+                let columns: Vec<&str> = [
+                    ("sim_digest", row.map(|row| row.2) != Some(d)),
+                    ("resident_bytes", row.map(|row| row.3) != Some(r)),
+                ]
+                .into_iter()
+                .filter_map(|(column, differs)| differs.then_some(column))
+                .collect();
+                let note = if columns.is_empty() {
+                    String::new()
+                } else {
+                    format!(" // {} moved", columns.join(" and "))
+                };
+                moved += &format!("    ({n:?}, {b:?}, 0x{d:016x}, {r}),{note}\n");
             }
         }
     }

@@ -169,6 +169,34 @@ fn malformed_specs_are_rejected() {
         Err(SpecError::Invalid(msg)) if msg.contains("1 ps") => {}
         other => panic!("{sub_ps:?} parsed as {other:?}"),
     }
+    // A name `to_toml` could not write back: a spec file's strings have
+    // no escapes, so a quote would end one early.
+    for (name, bad) in [("a\"b", '"'), ("tab\tname", '\t')] {
+        let spec = ScenarioSpec {
+            name: name.into(),
+            nodes: 2,
+            ..ScenarioSpec::default()
+        };
+        match spec.validate() {
+            Err(SpecError::Invalid(msg)) if msg.contains(&format!("{bad:?}")) => {}
+            other => panic!("name {name:?} validated as {other:?}"),
+        }
+    }
+    // Integers above 2^53 would echo inexactly in the report's JSON.
+    for (key, body) in [
+        ("seed", "seed = 9007199254740993\n"),
+        ("ops_per_node", "ops_per_node = 9007199254740993\n"),
+        ("[faults] seed", "[faults]\nseed = 9007199254740993\n"),
+        ("[kv] seed", "[kv]\nseed = 9007199254740993\n"),
+    ] {
+        let text = format!("name = \"x\"\nnodes = 2\n{body}");
+        match ScenarioSpec::from_toml(&text) {
+            Err(SpecError::Invalid(msg)) if msg.starts_with(&format!("{key} = ")) => {}
+            other => panic!("{text:?} parsed as {other:?}"),
+        }
+    }
+    ScenarioSpec::from_toml("name = \"x\"\nnodes = 2\nseed = 9007199254740992\n")
+        .expect("2^53 itself echoes exactly");
     // The same key name in two different tables is not a repeat.
     ScenarioSpec::from_toml("name = \"x\"\nnodes = 2\nseed = 1\n[faults]\nseed = 2\n")
         .expect("one `seed` per table is legal");
@@ -398,12 +426,37 @@ fn topology() -> impl Strategy<Value = (TopologySpec, usize)> {
     })
 }
 
+/// Spec names, some with a character a spec file cannot hold; a name
+/// `validate` rejects falls back to a plain one.
+fn spec_name() -> impl Strategy<Value = String> {
+    let names = [
+        "plain",
+        "a\"b",
+        "tab\tname",
+        "back\\slash",
+        "ünï cödé",
+        "hash # mark",
+        "it's",
+    ];
+    (0..names.len()).prop_map(move |i| {
+        let probe = ScenarioSpec {
+            name: names[i].into(),
+            nodes: 2,
+            ..ScenarioSpec::default()
+        };
+        match probe.validate() {
+            Ok(()) => names[i].into(),
+            Err(_) => "filtered".into(),
+        }
+    })
+}
+
 /// A `[faults]` section that injects something (an empty one renders as
 /// no section, so it would not round-trip as `Some`).
 fn faults() -> impl Strategy<Value = FaultSpec> {
     let counts = (1usize..4, 0usize..3, 0usize..2, 0u32..=64, 0usize..=64);
     let times = (any::<f64>(), any::<f64>(), any::<bool>(), any::<f64>());
-    (any::<u64>(), counts, times).prop_map(|(seed, counts, times)| {
+    (0u64..=1 << 53, counts, times).prop_map(|(seed, counts, times)| {
         let (degraded_links, killed_links, crashed_nodes, max_retries, credit_loss) = counts;
         let (p, t, revives, d) = times;
         FaultSpec {
@@ -436,12 +489,13 @@ proptest! {
     fn whole_spec_roundtrips_through_toml(
         (topology, nodes) in topology(),
         keywords in (0usize..2, 0usize..4, 0usize..3, 0usize..3, 0usize..2, 0usize..3),
-        closed in (any::<f64>(), 1u64..=8, 1u64..200, 1usize..=16, any::<u64>(), 20u32..=22),
+        name in spec_name(),
+        closed in (any::<f64>(), 1u64..=8, 1u64..200, 1usize..=16, 0u64..=1 << 53, 20u32..=22),
         execution in (1usize..=64, 0usize..3),
         present in (any::<bool>(), any::<bool>(), any::<bool>()),
         open in (1usize..4, any::<f64>(), any::<f64>(), 1u32..=1024),
         faults in proptest::option::of(faults()),
-        kv in (1u64..64, 6u32..10, 0u32..3, any::<f64>(), any::<u64>()),
+        kv in (1u64..64, 6u32..10, 0u32..3, any::<f64>(), 0u64..=1 << 53),
     ) {
         let (platform, backend, workload, scheduler, weights, arrival) = keywords;
         let (read_fraction, op_lines, ops_per_node, window, seed, segment_pow) = closed;
@@ -464,7 +518,7 @@ proptest! {
         });
         let (keys, min_pow, max_extra, z, kv_seed) = kv;
         let spec = ScenarioSpec {
-            name: format!("prop-{seed}"),
+            name: format!("{name}-{seed}"),
             nodes,
             topology,
             platform: [PlatformSpec::Hardware, PlatformSpec::Dev][platform],

@@ -2,16 +2,26 @@
 //! spec section round-trips through TOML, a zero-interval section is
 //! indistinguishable from no section (the tracing-off byte-identity
 //! contract), traced runs report a schema-valid `trace` section and emit
-//! a non-empty JSON-lines trace, the trace bytes are identical across
-//! `--threads`, and every checked-in spec under `bench/specs/` parses.
+//! a non-empty JSON-lines trace whose bytes are pinned and identical
+//! across `--threads`, the reader returns exactly what the recorder
+//! wrote, and every checked-in spec under `bench/specs/` parses.
 
 use std::fs;
 use std::path::PathBuf;
 
+use proptest::collection::vec;
+use proptest::option;
+use proptest::prelude::*;
 use sonuma_bench::json::Json;
 use sonuma_bench::scenario::{
     equivalence_diff, report, run_spec, run_specs, validate_report, BackendKind, BackendSel,
     FaultSpec, ScenarioSpec, TenancySpec, TopologySpec, TraceSpec, TrafficSpec, WorkloadKind,
+};
+use sonuma_bench::tracefig::parse_trace;
+use sonuma_sim::SimTime;
+use sonuma_trace::{
+    render_jsonl, FaultKind, FlightRecorder, NodeCounters, TenantFlow, TraceConfig, TraceMeta,
+    FAULT_COUNTER_KINDS,
 };
 
 /// A fast open-loop spec on the soNUMA backend with a link kill mid-run,
@@ -128,6 +138,124 @@ fn traced_run_reports_samples_and_emits_a_trace() {
         Vec::<String>::new(),
         "arming the recorder must not change any simulated metric"
     );
+}
+
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn trace_bytes_are_pinned_and_read_back_whole() {
+    // The file format is pinned byte for byte: this digest was taken
+    // while the writer still spelled every record in its own format
+    // string, before one member list per record served writer and reader.
+    let run = run_spec(&traced_spec());
+    let t = run.runs[0].trace.as_ref().expect("trace section attached");
+    let digest = fnv1a(&t.text);
+    assert_eq!(digest, PINNED_TRACE, "trace bytes moved (0x{digest:016x})");
+    let doc = parse_trace(&t.text).expect("the trace reads back");
+    assert_eq!(doc.meta.scenario, "tiny-trace");
+    assert_eq!(doc.links.len() as u64, t.summary.link_samples);
+    assert_eq!(doc.nodes.len() as u64, t.summary.node_samples);
+    assert_eq!(doc.faults.len() as u64, t.summary.fault_events);
+    assert_eq!(doc.tenants.len() as u64, t.tenant_samples);
+}
+
+const PINNED_TRACE: u64 = 0xec38_54a6_ff26_99ac;
+
+/// One sampling round of random activity: per-slot link increments
+/// `(bytes, packets, credit stalls)`, per-node counter increments (the
+/// sixth, `itt_in_flight`, is taken as the gauge's value), fault-counter
+/// increments, and an optional transition `(kind, a, b)`.
+type Round = (
+    Vec<(u64, u64, u64)>,
+    Vec<Vec<u64>>,
+    Vec<u64>,
+    Option<(usize, u16, u16)>,
+);
+
+fn round() -> impl Strategy<Value = Round> {
+    (
+        vec((0u64..3, 0u64..3, 0u64..2), 4..5),
+        vec(vec(0u64..3, 8..9), 3..4),
+        vec(0u64..2, 7..8),
+        option::of((0usize..4, 0u16..3, 0u16..3)),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Whatever a recorder and a tenant sampler hold, `parse_trace` of
+    /// `render_jsonl` returns exactly those samples, stream by stream.
+    #[test]
+    fn the_reader_returns_exactly_the_recorded_samples(
+        rounds in vec(round(), 1..10),
+        completions in vec((0u64..1_200, 0u32..4, 1u64..100_000), 0..60),
+    ) {
+        let interval = SimTime::from_ns(100);
+        let mut rec = FlightRecorder::new(&TraceConfig::every(interval), 4, 3);
+        let mut links = [(0u64, 0u64, 0u64); 4];
+        let mut nodes = [[0u64; 8]; 3];
+        let mut faults = [0u64; FAULT_COUNTER_KINDS.len()];
+        for (r, (link_inc, node_inc, fault_inc, transition)) in rounds.iter().enumerate() {
+            let t = SimTime::from_ns(100 * (r as u64 + 1));
+            let end = rec.close_fabric_window(t);
+            for (slot, &(b, p, s)) in link_inc.iter().enumerate() {
+                let cum = &mut links[slot];
+                *cum = (cum.0 + b * 64, cum.1 + p, cum.2 + s);
+                rec.record_link(end, slot, slot as u16, (slot as u16 + 1) % 4, cum.0, cum.1, cum.2);
+            }
+            let (_, w_end) = rec.begin_node_round(t);
+            if let Some((kind, a, b)) = *transition {
+                let at = SimTime::from_ps(w_end.as_ps() - 7 * u64::from(a));
+                rec.record_transition(at, FaultKind::LABELS[kind].0, a, b);
+            }
+            for (node, inc) in node_inc.iter().enumerate() {
+                let cum = &mut nodes[node];
+                for (i, v) in inc.iter().enumerate() {
+                    cum[i] = if i == 5 { *v } else { cum[i] + v };
+                }
+                let [rgp_requests, rrpp_served, rcp_completions, rgp_itt_stalls, api_wq_full, itt_in_flight, rgp_timeouts, rgp_retransmits] = *cum;
+                let counters = NodeCounters {
+                    rgp_requests,
+                    rrpp_served,
+                    rcp_completions,
+                    rgp_itt_stalls,
+                    api_wq_full,
+                    itt_in_flight,
+                    rgp_timeouts,
+                    rgp_retransmits,
+                };
+                rec.record_node(t, node as u16, counters);
+            }
+            for (cum, inc) in faults.iter_mut().zip(fault_inc) {
+                *cum += inc;
+            }
+            rec.record_fault_counters(t, faults);
+        }
+        let mut flow = TenantFlow::new(interval);
+        for &(at_ns, tenant, latency_ps) in &completions {
+            flow.record(SimTime::from_ns(at_ns), tenant, SimTime::from_ps(latency_ps));
+        }
+        let meta = TraceMeta {
+            scenario: "prop \"quoted\" \\ name".into(),
+            backend: "sonuma".into(),
+            nodes: 3,
+            interval_ps: interval.as_ps(),
+        };
+        let doc = parse_trace(&render_jsonl(&meta, Some(&rec), Some(&flow)))
+            .expect("the writer's output reads back");
+        prop_assert_eq!(&doc.meta.scenario, &meta.scenario);
+        prop_assert_eq!(&doc.meta.backend, &meta.backend);
+        prop_assert_eq!((doc.meta.nodes, doc.meta.interval_ps), (3, interval.as_ps()));
+        prop_assert_eq!(doc.links, rec.link_samples().copied().collect::<Vec<_>>());
+        prop_assert_eq!(doc.nodes, rec.node_samples().copied().collect::<Vec<_>>());
+        prop_assert_eq!(doc.faults, rec.fault_events().copied().collect::<Vec<_>>());
+        prop_assert_eq!(doc.tenants, flow.samples().collect::<Vec<_>>());
+    }
 }
 
 #[test]

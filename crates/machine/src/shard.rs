@@ -92,7 +92,7 @@
 use sonuma_fabric::ShardPlan;
 use sonuma_protocol::NodeId;
 use sonuma_sim::{EpochWorld, SimTime};
-use sonuma_trace::{FaultKind, NodeCounters};
+use sonuma_trace::{FaultKind, Fields, Member, NodeCounters};
 
 use crate::cluster::{Cluster, RoutePath};
 use crate::config::MachineConfig;
@@ -370,21 +370,16 @@ impl SonumaBackend {
                 let rec = &mut rec;
                 self.engine.peek_shard(s, |slot| {
                     for node in range {
-                        let st = slot.world.pipeline_stats(NodeId(node as u16));
-                        rec.record_node(
-                            now,
-                            node as u16,
-                            NodeCounters {
-                                rgp_requests: st.rgp_requests,
-                                rrpp_served: st.rrpp_served,
-                                rcp_completions: st.rcp_completions,
-                                rgp_itt_stalls: st.rgp_itt_stalls,
-                                api_wq_full: st.api_wq_full,
-                                itt_in_flight: st.itt_in_flight,
-                                rgp_timeouts: st.rgp_timeouts,
-                                rgp_retransmits: st.rgp_retransmits,
-                            },
-                        );
+                        let rows = slot.world.pipeline_stats(NodeId(node as u16)).rows();
+                        // The trace's counters are pipeline counters of
+                        // the same name.
+                        let mut cur = NodeCounters::default();
+                        for (name, field) in cur.fields() {
+                            if let Member::U64(v) = field {
+                                *v = rows.iter().find(|row| row.0 == name).expect("a counter").1;
+                            }
+                        }
+                        rec.record_node(now, node as u16, cur);
                     }
                 });
             }

@@ -1,38 +1,70 @@
-//! The versioned JSON-lines trace writer.
+//! The versioned JSON-lines trace schema and its writer.
 //!
 //! One header line (schema tag plus run identity) followed by one JSON
 //! object per sample, merged across the four record streams in
-//! `(t_ps, stream rank, ring order)` order. Every value is an integer —
-//! no float ever hits the file — so the bytes are a stable function of
-//! the samples alone and two runs can be compared with `cmp`.
+//! `(t_ps, stream rank, ring order)` order. Every value but the tags,
+//! names and fault kinds is an integer — no float ever hits the file — so
+//! the bytes are a stable function of the samples alone and two runs can
+//! be compared with `cmp`.
+//!
+//! Each line type names its fields once, in file order ([`Fields`]): the
+//! writer here renders them and a reader fills a default record through
+//! the same walk.
 
 use std::fmt::Write as _;
 
-use crate::recorder::FlightRecorder;
+use crate::recorder::{FaultKind, FlightRecorder};
 use crate::tenant::TenantFlow;
 use crate::TRACE_SCHEMA;
 
-/// Run identity stamped into the trace header. Deliberately excludes
-/// anything partition- or wall-clock-dependent (no thread count, no
-/// timestamps): the whole file must be byte-identical across `--threads`.
-#[derive(Debug, Clone)]
-pub struct TraceMeta {
-    /// Scenario name.
-    pub scenario: String,
-    /// Backend name (`sonuma`, …).
-    pub backend: String,
-    /// Number of nodes in the machine.
-    pub nodes: u64,
-    /// Sampling cadence in picoseconds.
-    pub interval_ps: u64,
+/// One member of a trace line, as a view into the record that holds it:
+/// the writer renders it, a reader stores the parsed value through it.
+#[derive(Debug)]
+pub enum Member<'a> {
+    /// A fixed string the line must carry (the schema, a `rec` tag).
+    Tag(&'static str),
+    /// A free string, written escaped.
+    Str(&'a mut String),
+    /// A fault kind, written as its label.
+    Kind(&'a mut FaultKind),
+    /// A 16-bit integer (node ids).
+    U16(&'a mut u16),
+    /// A 32-bit integer (tenant ids).
+    U32(&'a mut u32),
+    /// A 64-bit integer.
+    U64(&'a mut u64),
 }
 
-/// Stream ranks: ties at one `t_ps` order faults before links before
-/// nodes before tenants, each in ring order.
-const RANK_FAULT: u8 = 0;
-const RANK_LINK: u8 = 1;
-const RANK_NODE: u8 = 2;
-const RANK_TENANT: u8 = 3;
+/// A trace line type's fields, in file order, each keyed by its JSONL
+/// name.
+pub trait Fields {
+    /// Every field as a `(key, Member)` pair.
+    fn fields(&mut self) -> impl Iterator<Item = (&'static str, Member<'_>)>;
+}
+
+/// One sampled record stream of the trace. Its lines hold `t_ps`, the
+/// `rec` tag, then the record's other fields.
+pub trait TraceRecord: Fields + Default {
+    /// The `rec` tag of the stream's lines.
+    const REC: &'static str;
+}
+
+trace_line! {
+    /// Run identity stamped into the trace header. Deliberately excludes
+    /// anything partition- or wall-clock-dependent (no thread count, no
+    /// timestamps): the whole file must be byte-identical across `--threads`.
+    #[derive(Debug, Clone, Default)]
+    pub struct TraceMeta {
+        /// Scenario name.
+        pub scenario: String => Str,
+        /// Backend name (`sonuma`, …).
+        pub backend: String => Str,
+        /// Number of nodes in the machine.
+        pub nodes: u64 => U64,
+        /// Sampling cadence in picoseconds.
+        pub interval_ps: u64 => U64,
+    }
+}
 
 /// Renders the full trace as JSON lines (trailing newline included).
 pub fn render_jsonl(
@@ -40,76 +72,46 @@ pub fn render_jsonl(
     recorder: Option<&FlightRecorder>,
     tenants: Option<&TenantFlow>,
 ) -> String {
-    let mut records: Vec<(u64, u8, String)> = Vec::new();
+    fn line<R: TraceRecord>(mut r: R) -> String {
+        let mut fields = r.fields();
+        let rec = std::iter::once(("rec", Member::Tag(R::REC)));
+        render_line(fields.next().into_iter().chain(rec).chain(fields))
+    }
+    // Pushed stream by stream, so the stable sort on `t_ps` orders ties
+    // faults before links before nodes before tenants, each in ring order.
+    let mut records: Vec<(u64, String)> = Vec::new();
     if let Some(rec) = recorder {
-        for e in rec.fault_events() {
-            let mut line = format!(
-                "{{\"t_ps\":{},\"rec\":\"fault\",\"kind\":\"{}\"",
-                e.t_ps,
-                e.kind.as_str()
-            );
-            let _ = write!(line, ",\"a\":{},\"b\":{},\"count\":{}}}", e.a, e.b, e.count);
-            records.push((e.t_ps, RANK_FAULT, line));
-        }
-        for s in rec.link_samples() {
-            records.push((
-                s.t_ps,
-                RANK_LINK,
-                format!(
-                    "{{\"t_ps\":{},\"rec\":\"link\",\"src\":{},\"dst\":{},\"bytes\":{},\"packets\":{},\"credit_stalls\":{}}}",
-                    s.t_ps, s.src, s.dst, s.bytes, s.packets, s.credit_stalls
-                ),
-            ));
-        }
-        for s in rec.node_samples() {
-            let c = s.counters;
-            records.push((
-                s.t_ps,
-                RANK_NODE,
-                format!(
-                    "{{\"t_ps\":{},\"rec\":\"node\",\"node\":{},\"rgp_requests\":{},\"rrpp_served\":{},\"rcp_completions\":{},\"rgp_itt_stalls\":{},\"api_wq_full\":{},\"itt_in_flight\":{},\"rgp_timeouts\":{},\"rgp_retransmits\":{}}}",
-                    s.t_ps,
-                    s.node,
-                    c.rgp_requests,
-                    c.rrpp_served,
-                    c.rcp_completions,
-                    c.rgp_itt_stalls,
-                    c.api_wq_full,
-                    c.itt_in_flight,
-                    c.rgp_timeouts,
-                    c.rgp_retransmits
-                ),
-            ));
-        }
+        records.extend(rec.fault_events().map(|&e| (e.t_ps, line(e))));
+        records.extend(rec.link_samples().map(|&s| (s.t_ps, line(s))));
+        records.extend(rec.node_samples().map(|&s| (s.t_ps, line(s))));
     }
-    if let Some(flow) = tenants {
-        for s in flow.samples() {
-            records.push((
-                s.t_ps,
-                RANK_TENANT,
-                format!(
-                    "{{\"t_ps\":{},\"rec\":\"tenant\",\"tenant\":{},\"completions\":{},\"p99_ps\":{}}}",
-                    s.t_ps, s.tenant, s.completions, s.p99_ps
-                ),
-            ));
-        }
-    }
-    // Stable: within one (t, rank) key, ring order (itself deterministic)
-    // is preserved.
-    records.sort_by_key(|&(t, rank, _)| (t, rank));
+    let tenant_samples = tenants.into_iter().flat_map(TenantFlow::samples);
+    records.extend(tenant_samples.map(|s| (s.t_ps, line(s))));
+    records.sort_by_key(|&(t, _)| t);
 
-    let mut out = format!(
-        "{{\"schema\":\"{}\",\"scenario\":\"{}\",\"backend\":\"{}\",\"nodes\":{},\"interval_ps\":{}}}\n",
-        TRACE_SCHEMA,
-        escape(&meta.scenario),
-        escape(&meta.backend),
-        meta.nodes,
-        meta.interval_ps
-    );
-    for (_, _, line) in records {
+    let schema = std::iter::once(("schema", Member::Tag(TRACE_SCHEMA)));
+    let mut out = render_line(schema.chain(meta.clone().fields()));
+    for (_, line) in records {
         out.push_str(&line);
-        out.push('\n');
     }
+    out
+}
+
+/// One JSON object holding `fields` in order, newline-terminated.
+fn render_line<'a>(fields: impl Iterator<Item = (&'static str, Member<'a>)>) -> String {
+    let mut out = String::new();
+    for (i, (key, member)) in fields.enumerate() {
+        let _ = write!(out, "{}\"{key}\":", if i == 0 { '{' } else { ',' });
+        let _ = match member {
+            Member::Tag(s) => write!(out, "\"{s}\""),
+            Member::Str(s) => write!(out, "\"{}\"", escape(s)),
+            Member::Kind(k) => write!(out, "\"{}\"", k.as_str()),
+            Member::U16(v) => write!(out, "{v}"),
+            Member::U32(v) => write!(out, "{v}"),
+            Member::U64(v) => write!(out, "{v}"),
+        };
+    }
+    out.push_str("}\n");
     out
 }
 

@@ -3,6 +3,7 @@
 
 use sonuma_sim::SimTime;
 
+use crate::export::{Fields, Member};
 use crate::ring::Ring;
 
 /// Sampling configuration of one [`FlightRecorder`].
@@ -34,58 +35,66 @@ impl TraceConfig {
     }
 }
 
-/// One link's activity over one sampling window (counter deltas, not
-/// cumulative totals).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LinkSample {
-    /// Window end (an exact multiple of the sampling interval).
-    pub t_ps: u64,
-    /// Sending node.
-    pub src: u16,
-    /// Receiving node.
-    pub dst: u16,
-    /// Bytes serialized onto the wire during the window.
-    pub bytes: u64,
-    /// Packets serialized during the window.
-    pub packets: u64,
-    /// Credit stalls suffered during the window.
-    pub credit_stalls: u64,
+trace_line! {
+    /// One link's activity over one sampling window (counter deltas, not
+    /// cumulative totals).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct LinkSample {
+        /// Window end (an exact multiple of the sampling interval).
+        pub t_ps: u64 => U64,
+        /// Sending node.
+        pub src: u16 => U16,
+        /// Receiving node.
+        pub dst: u16 => U16,
+        /// Bytes serialized onto the wire during the window.
+        pub bytes: u64 => U64,
+        /// Packets serialized during the window.
+        pub packets: u64 => U64,
+        /// Credit stalls suffered during the window.
+        pub credit_stalls: u64 => U64,
+    }
+    rec = "link";
 }
 
-/// Cumulative per-node pipeline counters fed to
-/// [`FlightRecorder::record_node`]; every field but the
-/// `itt_in_flight` gauge is a running total the recorder turns into a
-/// window delta.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NodeCounters {
-    /// RGP: remote operations unrolled (cumulative).
-    pub rgp_requests: u64,
-    /// RRPP: request packets served (cumulative).
-    pub rrpp_served: u64,
-    /// RCP: operations completed (cumulative).
-    pub rcp_completions: u64,
-    /// RGP stalls on a full ITT (cumulative).
-    pub rgp_itt_stalls: u64,
-    /// Posts rejected on a full WQ (cumulative).
-    pub api_wq_full: u64,
-    /// ITT entries currently in flight (a gauge, recorded as-is).
-    pub itt_in_flight: u64,
-    /// Request timeouts fired (cumulative).
-    pub rgp_timeouts: u64,
-    /// Lines retransmitted (cumulative).
-    pub rgp_retransmits: u64,
+trace_line! {
+    /// Cumulative per-node pipeline counters fed to
+    /// [`FlightRecorder::record_node`]; every field but the
+    /// `itt_in_flight` gauge is a running total the recorder turns into a
+    /// window delta.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct NodeCounters {
+        /// RGP: remote operations unrolled (cumulative).
+        pub rgp_requests: u64 => U64,
+        /// RRPP: request packets served (cumulative).
+        pub rrpp_served: u64 => U64,
+        /// RCP: operations completed (cumulative).
+        pub rcp_completions: u64 => U64,
+        /// RGP stalls on a full ITT (cumulative).
+        pub rgp_itt_stalls: u64 => U64,
+        /// Posts rejected on a full WQ (cumulative).
+        pub api_wq_full: u64 => U64,
+        /// ITT entries currently in flight (a gauge, recorded as-is).
+        pub itt_in_flight: u64 => U64,
+        /// Request timeouts fired (cumulative).
+        pub rgp_timeouts: u64 => U64,
+        /// Lines retransmitted (cumulative).
+        pub rgp_retransmits: u64 => U64,
+    }
 }
 
-/// One node's activity over one sampling window.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NodeSample {
-    /// Window end (a quantum boundary, partition-invariant).
-    pub t_ps: u64,
-    /// The node.
-    pub node: u16,
-    /// Counter deltas over the window, plus the `itt_in_flight` gauge at
-    /// the window end.
-    pub counters: NodeCounters,
+trace_line! {
+    /// One node's activity over one sampling window.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct NodeSample {
+        /// Window end (a quantum boundary, partition-invariant).
+        pub t_ps: u64 => U64,
+        /// The node.
+        pub node: u16 => U16,
+        /// Counter deltas over the window, plus the `itt_in_flight` gauge at
+        /// the window end.
+        pub counters: NodeCounters => flatten,
+    }
+    rec = "node";
 }
 
 /// What a [`FaultEvent`] records.
@@ -118,38 +127,59 @@ pub enum FaultKind {
 }
 
 impl FaultKind {
+    /// Every kind with its trace label, in declaration order, so
+    /// `LABELS[kind as usize]` is `kind`'s row.
+    pub const LABELS: [(FaultKind, &'static str); 11] = [
+        (FaultKind::LinkKill, "link_kill"),
+        (FaultKind::LinkRevive, "link_revive"),
+        (FaultKind::NodeCrash, "node_crash"),
+        (FaultKind::NodeRestart, "node_restart"),
+        (FaultKind::PacketsDropped, "packets_dropped"),
+        (FaultKind::PacketsCorrupted, "packets_corrupted"),
+        (FaultKind::PacketsRerouted, "packets_rerouted"),
+        (FaultKind::PacketsUnreachable, "packets_unreachable"),
+        (FaultKind::CrashDrops, "crash_drops"),
+        (FaultKind::Timeouts, "timeouts"),
+        (FaultKind::Retransmits, "retransmits"),
+    ];
+
     /// The event name used in the exported trace.
     pub fn as_str(self) -> &'static str {
-        match self {
-            FaultKind::LinkKill => "link_kill",
-            FaultKind::LinkRevive => "link_revive",
-            FaultKind::NodeCrash => "node_crash",
-            FaultKind::NodeRestart => "node_restart",
-            FaultKind::PacketsDropped => "packets_dropped",
-            FaultKind::PacketsCorrupted => "packets_corrupted",
-            FaultKind::PacketsRerouted => "packets_rerouted",
-            FaultKind::PacketsUnreachable => "packets_unreachable",
-            FaultKind::CrashDrops => "crash_drops",
-            FaultKind::Timeouts => "timeouts",
-            FaultKind::Retransmits => "retransmits",
-        }
+        Self::LABELS[self as usize].1
+    }
+
+    /// The kind an exported event name stands for.
+    pub fn parse(label: &str) -> Option<FaultKind> {
+        Self::LABELS
+            .iter()
+            .find(|row| row.1 == label)
+            .map(|row| row.0)
+    }
+
+    /// Whether this is a scheduled transition (one instant) rather than
+    /// a per-window counter delta.
+    pub fn is_transition(self) -> bool {
+        !FAULT_COUNTER_KINDS.contains(&self)
     }
 }
 
-/// A fault instant: a scheduled transition at its exact scheduled time,
-/// or a per-window recovery-counter delta.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultEvent {
-    /// Scheduled instant (transitions) or window end (counter deltas).
-    pub t_ps: u64,
-    /// What happened.
-    pub kind: FaultKind,
-    /// First endpoint (link source / crashing node), `0` when unused.
-    pub a: u16,
-    /// Second endpoint (link destination), `0` when unused.
-    pub b: u16,
-    /// Delta count for counter events, `1` for transitions.
-    pub count: u64,
+trace_line! {
+    /// A fault instant: a scheduled transition at its exact scheduled time,
+    /// or a per-window recovery-counter delta.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct FaultEvent {
+        /// Scheduled instant (transitions) or window end (counter deltas).
+        pub t_ps: u64 => U64,
+        /// What happened.
+        pub kind: FaultKind => Kind,
+        /// First endpoint (link source / crashing node), `0` when unused.
+        pub a: u16 => U16,
+        /// Second endpoint (link destination), `0` when unused.
+        pub b: u16 => U16,
+        /// Delta count for counter events, `1` for transitions.
+        pub count: u64 => U64,
+    }
+    rec = "fault";
 }
 
 /// Streams tracked by [`FlightRecorder::record_fault_counters`], in the
@@ -248,11 +278,6 @@ impl FlightRecorder {
         }
     }
 
-    /// The sampling cadence.
-    pub fn interval(&self) -> SimTime {
-        SimTime::from_ps(self.interval_ps)
-    }
-
     // ------------------------------------------------------------------
     // Fabric cursor (driven by the committed send stream).
     // ------------------------------------------------------------------
@@ -330,33 +355,22 @@ impl FlightRecorder {
     /// Pushes a sample only when something changed since the last round.
     pub fn record_node(&mut self, t: SimTime, node: u16, cur: NodeCounters) {
         let prev = &mut self.prev_nodes[node as usize];
-        let delta = NodeCounters {
-            rgp_requests: cur.rgp_requests - prev.rgp_requests,
-            rrpp_served: cur.rrpp_served - prev.rrpp_served,
-            rcp_completions: cur.rcp_completions - prev.rcp_completions,
-            rgp_itt_stalls: cur.rgp_itt_stalls - prev.rgp_itt_stalls,
-            api_wq_full: cur.api_wq_full - prev.api_wq_full,
-            itt_in_flight: cur.itt_in_flight,
-            rgp_timeouts: cur.rgp_timeouts - prev.rgp_timeouts,
-            rgp_retransmits: cur.rgp_retransmits - prev.rgp_retransmits,
-        };
-        let moved = delta.rgp_requests
-            | delta.rrpp_served
-            | delta.rcp_completions
-            | delta.rgp_itt_stalls
-            | delta.api_wq_full
-            | delta.rgp_timeouts
-            | delta.rgp_retransmits
-            != 0
-            || delta.itt_in_flight != prev.itt_in_flight;
-        *prev = cur;
-        if moved {
+        if cur != *prev {
+            let mut base = *prev;
+            base.itt_in_flight = 0; // a gauge: recorded as-is
+            let mut delta = cur;
+            for ((_, d), (_, b)) in delta.fields().zip(base.fields()) {
+                if let (Member::U64(d), Member::U64(b)) = (d, b) {
+                    *d -= *b;
+                }
+            }
             self.nodes.push(NodeSample {
                 t_ps: t.as_ps(),
                 node,
                 counters: delta,
             });
         }
+        *prev = cur;
     }
 
     /// Records a scheduled fault transition at its exact instant.
@@ -380,9 +394,8 @@ impl FlightRecorder {
                 self.events.push(FaultEvent {
                     t_ps: t.as_ps(),
                     kind: *kind,
-                    a: 0,
-                    b: 0,
                     count: delta,
+                    ..FaultEvent::default()
                 });
             }
         }
@@ -494,6 +507,17 @@ mod tests {
         );
         assert_eq!(rec.node_samples().count(), 1);
         assert_eq!(rec.summary().ticks, 2);
+    }
+
+    #[test]
+    fn fault_kind_labels_follow_declaration_order() {
+        for (i, &(kind, label)) in FaultKind::LABELS.iter().enumerate() {
+            assert_eq!(kind as usize, i, "{label} is out of declaration order");
+            assert_eq!(kind.as_str(), label);
+            assert_eq!(FaultKind::parse(label), Some(kind));
+            assert_eq!(kind.is_transition(), i < 4);
+        }
+        assert_eq!(FaultKind::parse("other"), None);
     }
 
     #[test]

@@ -1,20 +1,20 @@
 //! The fixed-capacity sample ring.
 
+use std::collections::VecDeque;
+
 /// A ring buffer with capacity fixed at construction: pushes past
 /// capacity overwrite the oldest entry (flight-recorder semantics — the
 /// most recent window survives) and are tallied, never silently lost.
-/// `push` is allocation-free by construction: the backing store is built
-/// full-size up front.
+/// `push` is allocation-free by construction: the backing store is
+/// reserved full-size up front.
 #[derive(Debug, Clone)]
 pub struct Ring<T> {
-    buf: Vec<T>,
-    /// Index of the oldest retained entry.
-    head: usize,
-    len: usize,
+    buf: VecDeque<T>,
+    capacity: usize,
     overwritten: u64,
 }
 
-impl<T: Copy + Default> Ring<T> {
+impl<T> Ring<T> {
     /// A ring holding at most `capacity` entries.
     ///
     /// # Panics
@@ -23,51 +23,35 @@ impl<T: Copy + Default> Ring<T> {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "zero-capacity ring");
         Ring {
-            buf: vec![T::default(); capacity],
-            head: 0,
-            len: 0,
+            buf: VecDeque::with_capacity(capacity),
+            capacity,
             overwritten: 0,
         }
     }
 
     /// Appends `item`, evicting (and tallying) the oldest entry if full.
     pub fn push(&mut self, item: T) {
-        let cap = self.buf.len();
-        if self.len == cap {
-            self.buf[self.head] = item;
-            self.head = (self.head + 1) % cap;
+        if self.buf.len() == self.capacity {
+            self.buf.pop_front();
             self.overwritten += 1;
-        } else {
-            self.buf[(self.head + self.len) % cap] = item;
-            self.len += 1;
         }
+        self.buf.push_back(item);
     }
 
     /// Retained entries, oldest first.
     pub fn iter(&self) -> impl Iterator<Item = &T> + '_ {
-        let cap = self.buf.len();
-        (0..self.len).map(move |i| &self.buf[(self.head + i) % cap])
+        self.buf.iter()
     }
 
     /// Number of retained entries.
     pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether nothing has been retained.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.buf.len()
     }
 
     /// Entries evicted to make room — the sample-loss tally reports
     /// surface so a too-small ring is visible, not silent.
     pub fn overwritten(&self) -> u64 {
         self.overwritten
-    }
-
-    /// Total entries ever pushed.
-    pub fn pushed(&self) -> u64 {
-        self.len as u64 + self.overwritten
     }
 }
 
@@ -78,13 +62,12 @@ mod tests {
     #[test]
     fn keeps_newest_and_tallies_evictions() {
         let mut r: Ring<u32> = Ring::new(3);
-        assert!(r.is_empty());
+        assert_eq!(r.len(), 0);
         for v in 0..5 {
             r.push(v);
         }
         assert_eq!(r.len(), 3);
         assert_eq!(r.overwritten(), 2);
-        assert_eq!(r.pushed(), 5);
         let kept: Vec<u32> = r.iter().copied().collect();
         assert_eq!(kept, vec![2, 3, 4], "oldest evicted, order preserved");
     }

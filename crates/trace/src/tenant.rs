@@ -17,20 +17,23 @@ use std::collections::BTreeMap;
 
 use sonuma_sim::SimTime;
 
-/// One tenant's completions over one sampling window.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TenantSample {
-    /// Window end (an exact multiple of the sampling interval; the
-    /// window covers `[t_ps - interval, t_ps)`).
-    pub t_ps: u64,
-    /// The tenant.
-    pub tenant: u32,
-    /// Operations completed during the window.
-    pub completions: u64,
-    /// Upper bound of the window's 99th-percentile latency (from a
-    /// power-of-two histogram, so an integer — no float formatting in
-    /// the trace).
-    pub p99_ps: u64,
+trace_line! {
+    /// One tenant's completions over one sampling window.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct TenantSample {
+        /// Window end (an exact multiple of the sampling interval; the
+        /// window covers `[t_ps - interval, t_ps)`).
+        pub t_ps: u64 => U64,
+        /// The tenant.
+        pub tenant: u32 => U32,
+        /// Operations completed during the window.
+        pub completions: u64 => U64,
+        /// Upper bound of the window's 99th-percentile latency (from a
+        /// power-of-two histogram, so an integer — no float formatting in
+        /// the trace).
+        pub p99_ps: u64 => U64,
+    }
+    rec = "tenant";
 }
 
 /// Per-window, power-of-two latency histogram for one `(window, tenant)`
@@ -44,13 +47,6 @@ struct Cell {
 }
 
 impl Cell {
-    fn new() -> Cell {
-        Cell {
-            completions: 0,
-            hist: [0; 64],
-        }
-    }
-
     /// Smallest histogram upper bound covering at least 99% of the
     /// window's completions.
     fn p99_ps(&self) -> u64 {
@@ -58,11 +54,7 @@ impl Cell {
         for (idx, &n) in self.hist.iter().enumerate() {
             seen += u64::from(n);
             if seen * 100 >= self.completions * 99 {
-                return if idx >= 63 {
-                    u64::MAX
-                } else {
-                    (1u64 << (idx + 1)) - 1
-                };
+                return u64::MAX >> (63 - idx); // 2^(idx + 1) - 1
             }
         }
         0
@@ -97,7 +89,10 @@ impl TenantFlow {
     /// `completed_at` with the given end-to-end latency.
     pub fn record(&mut self, completed_at: SimTime, tenant: u32, latency: SimTime) {
         let end = (completed_at.as_ps() / self.interval_ps + 1) * self.interval_ps;
-        let cell = self.cells.entry((end, tenant)).or_insert_with(Cell::new);
+        let cell = self.cells.entry((end, tenant)).or_insert_with(|| Cell {
+            completions: 0,
+            hist: [0; 64],
+        });
         cell.completions += 1;
         let bucket = 63 - u64::leading_zeros(latency.as_ps().max(1)) as usize;
         cell.hist[bucket] = cell.hist[bucket].saturating_add(1);
