@@ -173,7 +173,8 @@ fn render_number(out: &mut String, x: f64) {
     }
 }
 
-fn render_string(out: &mut String, s: &str) {
+/// Appends `s` to `out` as a quoted, escaped JSON string literal.
+pub(crate) fn render_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

@@ -16,7 +16,7 @@ use sonuma_trace::{
     TraceRecord, TRACE_SCHEMA,
 };
 
-use crate::json::Json;
+use crate::json::{render_string, Json};
 use crate::report::CsvTable;
 
 /// A fully parsed trace file.
@@ -100,12 +100,17 @@ fn read_fields<'a>(
                 *kind = FaultKind::parse(label)
                     .ok_or_else(|| format!("line {lineno}: unknown fault kind {label:?}"))?;
             }
-            Member::U16(v) => *v = int()? as u16,
-            Member::U32(v) => *v = int()? as u32,
+            Member::U16(v) => *v = narrow(int()?, key, lineno)?,
+            Member::U32(v) => *v = narrow(int()?, key, lineno)?,
             Member::U64(v) => *v = int()?,
         }
     }
     Ok(())
+}
+
+/// `value` as a narrower integer member, or `line N: key V out of range`.
+fn narrow<T: TryFrom<u64>>(value: u64, key: &str, lineno: usize) -> Result<T, String> {
+    T::try_from(value).map_err(|_| format!("line {lineno}: {key} {value} out of range"))
 }
 
 /// A transition's marker label: `link_kill 3->4`, `node_crash n7`.
@@ -192,10 +197,11 @@ pub fn chrome_trace(doc: &TraceDoc) -> String {
             args.join(",")
         ));
     }
+    let (mut scenario, mut backend) = (String::new(), String::new());
+    render_string(&mut scenario, &doc.meta.scenario);
+    render_string(&mut backend, &doc.meta.backend);
     format!(
-        "{{\"displayTimeUnit\":\"ms\",\"otherData\":{{\"scenario\":\"{}\",\"backend\":\"{}\",\"nodes\":{},\"interval_ps\":{}}},\"traceEvents\":[\n{}\n]}}\n",
-        doc.meta.scenario,
-        doc.meta.backend,
+        "{{\"displayTimeUnit\":\"ms\",\"otherData\":{{\"scenario\":{scenario},\"backend\":{backend},\"nodes\":{},\"interval_ps\":{}}},\"traceEvents\":[\n{}\n]}}\n",
         doc.meta.nodes,
         doc.meta.interval_ps,
         events.join(",\n")
@@ -471,6 +477,19 @@ mod tests {
     }
 
     #[test]
+    fn chrome_trace_escapes_the_header_strings() {
+        let mut doc = parse_trace(SAMPLE).expect("sample parses");
+        for name in ["back\\slash", "quote\"d \u{e9}t\u{e9} \u{1F680}"] {
+            doc.meta.scenario = name.to_string();
+            doc.meta.backend = format!("{name}-backend");
+            let parsed = Json::parse(&chrome_trace(&doc)).expect("chrome trace is valid JSON");
+            let other = parsed.get("otherData").expect("otherData");
+            assert_eq!(other.str_of("scenario"), Some(name));
+            assert_eq!(other.str_of("backend"), Some(doc.meta.backend.as_str()));
+        }
+    }
+
+    #[test]
     fn rejects_foreign_schemas_and_malformed_lines() {
         assert!(parse_trace("{\"schema\":\"other/v9\"}\n")
             .expect_err("foreign schema")
@@ -487,5 +506,10 @@ mod tests {
         );
         let err = parse_trace(&broken).expect_err("unknown fault kind");
         assert!(err.contains("line 7") && err.contains("meteor"), "{err}");
+        // A member too wide for its field is an error, not a wrapped value.
+        let mut broken = String::from(SAMPLE);
+        broken.push_str("{\"t_ps\":3,\"rec\":\"link\",\"src\":70000,\"dst\":1,\"bytes\":0,\"packets\":0,\"credit_stalls\":0}\n");
+        let err = parse_trace(&broken).expect_err("src past u16");
+        assert_eq!(err, "line 7: src 70000 out of range");
     }
 }

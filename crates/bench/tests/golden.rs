@@ -168,8 +168,8 @@ fn split(doc: &Json) -> (u64, Vec<u64>) {
 #[test]
 fn reports_match_the_digests_pinned_before_the_single_drive_loop() {
     for (text, pinned, pinned_resident) in [
-        (TENANTS_FAULTS, 0x9be8_3201_5927_5276, [767_040, 0, 0]),
-        (KV, 0x7915_3e3d_80c3_3d03, [639_616, 0, 0]),
+        (TENANTS_FAULTS, 0x9be8_3201_5927_5276, [648_256, 0, 0]),
+        (KV, 0x7915_3e3d_80c3_3d03, [621_440, 0, 0]),
     ] {
         let spec = ScenarioSpec::from_toml(text).expect("golden spec parses");
         let (digest, resident) = split(&report(&[run_spec(&spec)]));
@@ -237,28 +237,28 @@ const LEDGER: &[(&str, &str, u64, u64)] = &[
     ("smoke-uniform-8", "RDMA (ConnectX-3)", 0x8a3d5ab14d39d29d, 0),
     ("smoke-uniform-8", "TCP/IP (Calxeda)", 0x26a9db2b7dcf47d1, 0),
     ("smoke-torus-16", "soNUMA", 0x40f5964c99447216, 1602688),
-    ("smoke-mixed-4", "soNUMA", 0x314d6a6a89ee9d2c, 1363600),
+    ("smoke-mixed-4", "soNUMA", 0x314d6a6a89ee9d2c, 563024),
     ("smoke-mixed-4", "RDMA (ConnectX-3)", 0x593b702c6f075591, 0),
     ("smoke-mixed-4", "TCP/IP (Calxeda)", 0x9bffd1254da3dbbe, 0),
     ("rack512-neighbor", "soNUMA", 0xde5e4316296dd3c7, 11911168),
     ("rack512-torus-scan", "soNUMA", 0xb0f6f79796c1f883, 16328056),
-    ("rack64-tenants", "soNUMA", 0x3d3875753783edfc, 10145856),
+    ("rack64-tenants", "soNUMA", 0x3d3875753783edfc, 8334848),
     ("rack64-tenants", "RDMA (ConnectX-3)", 0x5b160d1197c1d634, 0),
     ("rack64-tenants", "TCP/IP (Calxeda)", 0x7e9d8956e5ceb0f2, 0),
-    ("rack64-tenants-strict", "soNUMA", 0x34b86ef56216ddcf, 10125808),
+    ("rack64-tenants-strict", "soNUMA", 0x34b86ef56216ddcf, 8600880),
     ("rack64-tenants-strict", "RDMA (ConnectX-3)", 0xaeebb2cec72a459f, 0),
     ("rack64-tenants-strict", "TCP/IP (Calxeda)", 0xd4ff258b741ea3fc, 0),
     ("rack1024-shard", "soNUMA", 0x24f1edadae7a7362, 23822336),
-    ("rack4096", "soNUMA", 0xb748a5229d5011f6, 86114304),
-    ("rack8192", "soNUMA", 0xd8fa3e4574c097f1, 168296448),
-    ("rack512-linkflap", "soNUMA", 0x24658d035ad3c7df, 14206512),
+    ("rack4096", "soNUMA", 0xb748a5229d5011f6, 84017152),
+    ("rack8192", "soNUMA", 0xd8fa3e4574c097f1, 162004992),
+    ("rack512-linkflap", "soNUMA", 0x24658d035ad3c7df, 13071984),
     ("rack512-linkflap", "RDMA (ConnectX-3)", 0x6a15481356a0abe1, 0),
     ("rack512-linkflap", "TCP/IP (Calxeda)", 0xea40f6bf960d7378, 0),
-    ("rack1024-nodekill", "soNUMA", 0x35cb43ed02c055ab, 47071424),
-    ("rack512-kv", "soNUMA", 0x5dcc62d06614e132, 55665504),
+    ("rack1024-nodekill", "soNUMA", 0x35cb43ed02c055ab, 39925440),
+    ("rack512-kv", "soNUMA", 0x5dcc62d06614e132, 54974048),
     ("rack512-kv", "RDMA (ConnectX-3)", 0x1f370f35c74ed6b5, 0),
     ("rack512-kv", "TCP/IP (Calxeda)", 0xde1a7654be2a42e2, 0),
-    ("rack1024-kv-zipf", "soNUMA", 0x045eda5a58db85c7, 85035168),
+    ("rack1024-kv-zipf", "soNUMA", 0x045eda5a58db85c7, 83986592),
     ("rack1024-kv-zipf", "RDMA (ConnectX-3)", 0xb54cfd484d7ed850, 0),
     ("rack1024-kv-zipf", "TCP/IP (Calxeda)", 0x6623f6801d9d661d, 0),
 ];

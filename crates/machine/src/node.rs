@@ -267,9 +267,11 @@ impl Node {
     /// Estimated heap bytes this node's model state actually occupies.
     ///
     /// Counts what is *resident*, not what is addressable: written
-    /// physical blocks, the cache sets fills have placed and their slot
-    /// tables (the hierarchy keeps no coherence entries beside them),
-    /// grown ITT/CT slots, page-table entries, and per-QP cursor state.
+    /// physical memory (64 B per line a young block stores, 512 B per
+    /// full block; [`PhysicalMemory::resident_bytes`]), the cache sets
+    /// fills have placed and their slot tables (the hierarchy keeps no
+    /// coherence entries beside them), grown ITT/CT slots, page-table
+    /// entries, and per-QP cursor state.
     /// The way arrays are sized by geometry but pack filled sets from the
     /// start of their young and grown regions, so the pages past the last
     /// filled set of each are never faulted in; untouched table slots

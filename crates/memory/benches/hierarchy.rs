@@ -13,6 +13,19 @@
 //!   are packed in fill order as young 4-way sets (a quarter page of
 //!   ways plus the slot table).
 //!
+//! The `phys` group times the functional store, `PhysicalMemory`, in the
+//! shapes the workloads give it:
+//!
+//! * `phys/sparse_64B_writes`: one 64 B write to each of 64 Ki distinct
+//!   blocks of a fresh memory — remote writes scattered over a segment.
+//! * `phys/dense_8KB_writes`: 1,024 whole 8 KB pages written at once.
+//! * `phys/unwritten_64B_reads`: 1 M 64 B reads of memory never written.
+//! * `phys/young_64B_reads`: 1 M 64 B reads of lines stored one per block.
+//! * `phys/line_fill_32KB`: 64 landing buffers of 32 KB written line by
+//!   line, as replies land — each block's first lines before it is full.
+//! * `phys/discard_32KB`: the same buffers discarded whole (only the
+//!   discards are timed).
+//!
 //! Runs offline through the in-repo criterion shim:
 //!
 //! ```text
@@ -20,8 +33,11 @@
 //! ```
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use sonuma_memory::{AccessKind, AgentId, HierarchyConfig, MemoryHierarchy, PAddr};
+use sonuma_memory::{
+    AccessKind, AgentId, HierarchyConfig, MemoryHierarchy, PAddr, PhysicalMemory, BLOCK_BYTES,
+};
 use sonuma_sim::SimTime;
+use std::hint::black_box;
 
 const CORE: AgentId = AgentId(0);
 
@@ -117,11 +133,88 @@ fn bench_first_touch(c: &mut Criterion) {
     g.finish();
 }
 
+/// Block `i`'s address, at one of its eight lines so every line offset
+/// is exercised.
+fn sparse_line(i: u64) -> PAddr {
+    PAddr::new(i * BLOCK_BYTES as u64 + i % 8 * 64)
+}
+
+fn bench_phys(c: &mut Criterion) {
+    const BLOCKS: u64 = 64 << 10;
+    const BUFFER: usize = 32 << 10;
+    let line = [0x5Au8; 64];
+    let mut g = c.benchmark_group("phys");
+    g.sample_size(10);
+    // Each body returns its memory, so the frees fall outside the clock.
+    g.bench_function("sparse_64B_writes", |b| {
+        b.iter(|| {
+            let mut mem = PhysicalMemory::new(BLOCKS * BLOCK_BYTES as u64);
+            for i in 0..BLOCKS {
+                mem.write(sparse_line(i), &line);
+            }
+            mem
+        })
+    });
+    let page = vec![0xA5u8; 8 << 10];
+    g.bench_function("dense_8KB_writes", |b| {
+        b.iter(|| {
+            let mut mem = PhysicalMemory::new(1024 * page.len() as u64);
+            for i in 0..1024 {
+                mem.write(PAddr::new(i * page.len() as u64), &page);
+            }
+            mem
+        })
+    });
+    let mut young = PhysicalMemory::new(BLOCKS * BLOCK_BYTES as u64);
+    for i in 0..BLOCKS {
+        young.write(sparse_line(i), &line);
+    }
+    let unwritten = PhysicalMemory::new(young.capacity());
+    for (id, mem) in [
+        ("unwritten_64B_reads", &unwritten),
+        ("young_64B_reads", &young),
+    ] {
+        g.bench_function(id, |b| {
+            b.iter(|| {
+                let mut buf = [0u8; 64];
+                let mut sum = 0u64;
+                for i in 0..(1u64 << 20) {
+                    // Every 97th block: a stride that leaves host caches.
+                    mem.read(sparse_line(i * 97 % BLOCKS), &mut buf);
+                    sum += u64::from(black_box(buf)[i as usize % 64]);
+                }
+                sum
+            })
+        });
+    }
+    let fill = || {
+        let mut mem = PhysicalMemory::new(64 * BUFFER as u64);
+        for at in (0..64 * BUFFER as u64).step_by(64) {
+            mem.write(PAddr::new(at), &line);
+        }
+        mem
+    };
+    g.bench_function("line_fill_32KB", |b| b.iter(fill));
+    // One filled memory per sample, made before the clock starts.
+    let mut filled: Vec<PhysicalMemory> = (0..10).map(|_| fill()).collect();
+    g.bench_function("discard_32KB", |b| {
+        b.iter(|| {
+            let mut mem = filled.pop().expect("one memory per sample");
+            for buf in 0..64u64 {
+                mem.discard(PAddr::new(buf * BUFFER as u64), BUFFER);
+            }
+            mem
+        })
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_warm,
     bench_llc_stream,
     bench_rack,
-    bench_first_touch
+    bench_first_touch,
+    bench_phys
 );
 criterion_main!(benches);

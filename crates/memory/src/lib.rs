@@ -5,8 +5,9 @@
 //! crate provides that substrate in a *functional-backing + timing-model*
 //! style:
 //!
-//! * [`PhysicalMemory`] holds the actual bytes (sparse 512 B blocks) and
-//!   is the single source of truth for data. Queue pairs, context segments
+//! * [`PhysicalMemory`] holds the actual bytes (sparse 64 B lines,
+//!   gathered into 512 B blocks once a block is dense) and is the single
+//!   source of truth for data. Queue pairs, context segments
 //!   and message buffers all live here as real bytes.
 //! * [`CacheArray`] models set-associative tag arrays with LRU replacement;
 //!   [`MemoryHierarchy`] composes per-agent L1s, a shared LLC, and

@@ -42,29 +42,18 @@ proptest! {
         prop_assert_eq!(back, a_data);
     }
 
-    /// The block store agrees with a flat byte array under any mix of
-    /// accesses and discards, ranges straddling block and frame edges
-    /// included. A read materialises nothing, a discard reads back as
-    /// zeros, and the resident bytes are exactly the blocks written since
-    /// their last whole-block discard.
+    /// The line store agrees with a flat byte array under any mix of
+    /// accesses and discards, ranges straddling line, block and frame
+    /// edges included. A read materialises nothing, a discard reads back
+    /// as zeros, and the resident bytes follow [`Resident`]'s replay of
+    /// the young and full blocks.
     #[test]
-    fn phys_mem_matches_a_flat_reference(
-        ops in vec(
-            ((0u8..6, any::<bool>(), 0u64..512), (0u64..32, 1usize..1200, any::<u64>(), any::<u64>())),
-            1..64,
-        ),
-    ) {
+    fn phys_mem_matches_a_flat_reference(ops in phys_ops()) {
         const CAP: u64 = 256 << 10;
-        let block = BLOCK_BYTES as u64;
         let mut mem = PhysicalMemory::new(CAP);
         let mut flat = vec![0u8; CAP as usize];
-        let mut written = std::collections::BTreeSet::new();
-        for ((op, frame_edge, k), (delta, len, x, y)) in ops {
-            // Up to 16 bytes either side of a block or frame edge.
-            let unit = if frame_edge { PAGE_BYTES } else { block };
-            let edge = k * unit % CAP;
-            let len = if op < 2 || op == 5 { len } else { 8 };
-            let addr = (edge + delta).saturating_sub(16).min(CAP - len as u64);
+        let mut model = Resident::default();
+        for (op, addr, len, x, y) in ops.into_iter().map(|op| op.place(CAP)) {
             let (pa, at) = (PAddr::new(addr), addr as usize..addr as usize + len);
             let old = u64::from_le_bytes(flat[at.clone()].try_into().unwrap_or([0; 8]));
             let resident = mem.resident_bytes();
@@ -97,21 +86,20 @@ proptest! {
                 _ => {
                     mem.discard(pa, len);
                     flat[at.clone()].fill(0);
-                    let end = addr + len as u64;
-                    written.retain(|&b| b * block < addr || (b + 1) * block > end);
+                    model.discard(addr, len);
                     None
                 }
             };
             if let Some(data) = stored {
                 flat[at].copy_from_slice(&data);
-                written.extend(addr / block..=(addr + len as u64 - 1) / block);
+                model.write(addr, len);
             }
-            prop_assert_eq!(mem.resident_bytes(), block * written.len() as u64);
+            prop_assert_eq!(mem.resident_bytes(), model.bytes());
         }
         let mut whole = vec![0xA5; CAP as usize];
         mem.read(PAddr::new(0), &mut whole);
-        prop_assert!(whole == flat, "the block store and the flat reference differ");
-        prop_assert_eq!(mem.resident_bytes(), block * written.len() as u64);
+        prop_assert!(whole == flat, "the line store and the flat reference differ");
+        prop_assert_eq!(mem.resident_bytes(), model.bytes());
     }
 
     /// `split_into_lines` partitions the range exactly: fragments are
@@ -223,4 +211,172 @@ proptest! {
             }
         }
     }
+}
+
+/// One generated [`PhysicalMemory`] operation, before placement.
+#[derive(Debug, Clone, Copy)]
+struct PhysOp {
+    /// 0 write, 1 read, 2 store, 3 fetch-add, 4 compare-swap, 5 discard.
+    op: u8,
+    frame_edge: bool,
+    /// Which block or frame edge.
+    k: u64,
+    /// Which line past the edge.
+    line: u64,
+    /// Up to 16 bytes either side of that line's start.
+    delta: u64,
+    len: usize,
+    x: u64,
+    y: u64,
+}
+
+impl PhysOp {
+    /// `(op, addr, len, x, y)` inside a memory of `cap` bytes.
+    fn place(self, cap: u64) -> (u8, u64, usize, u64, u64) {
+        let unit = if self.frame_edge {
+            PAGE_BYTES
+        } else {
+            BLOCK_BYTES as u64
+        };
+        let edge = self.k * unit % cap;
+        let len = if self.op < 2 || self.op == 5 {
+            self.len
+        } else {
+            8
+        };
+        let addr = (edge + self.line * 64 + self.delta)
+            .saturating_sub(16)
+            .min(cap - len as u64);
+        (self.op, addr, len, self.x, self.y)
+    }
+}
+
+/// Op lists for the flat-reference property. Half the edges fall in the
+/// first two blocks or frames and half the lengths stay under two lines,
+/// so young blocks fill line by line, grow, and are partly discarded.
+fn phys_ops() -> impl Strategy<Value = Vec<PhysOp>> {
+    let op = (
+        (
+            0u8..6,
+            any::<bool>(),
+            prop_oneof![0u64..2, 0u64..512],
+            0u64..8,
+        ),
+        (
+            0u64..32,
+            prop_oneof![1usize..72, 1usize..1200],
+            any::<u64>(),
+            any::<u64>(),
+        ),
+    );
+    let op = op.prop_map(|((op, frame_edge, k, line), (delta, len, x, y))| PhysOp {
+        op,
+        frame_edge,
+        k,
+        line,
+        delta,
+        len,
+        x,
+        y,
+    });
+    vec(op, 1..64)
+}
+
+/// `PhysicalMemory`'s resident-bytes rule replayed per block: the lines a
+/// young block stores, or `None` once the block is full. It also counts
+/// the two transitions the flat-reference property must reach.
+#[derive(Debug, Default)]
+struct Resident {
+    blocks: std::collections::BTreeMap<u64, Option<u8>>,
+    /// Young blocks grown full by a write adding their fifth line.
+    grown: usize,
+    /// Discards that left part of a young block's lines in place.
+    young_partial_discards: usize,
+}
+
+impl Resident {
+    /// `(block, lines touched, lines wholly inside)` for each block that
+    /// `[addr, addr + len)` touches.
+    fn spans(addr: u64, len: usize) -> impl Iterator<Item = (u64, u8, u8)> {
+        let (block, end) = (BLOCK_BYTES as u64, addr + len as u64);
+        (addr / block..=(end - 1) / block).map(move |b| {
+            let (mut touched, mut inside) = (0u8, 0u8);
+            for l in 0..8 {
+                let lo = b * block + l * 64;
+                touched |= u8::from(lo < end && lo + 64 > addr) << l;
+                inside |= u8::from(lo >= addr && lo + 64 <= end) << l;
+            }
+            (b, touched, inside)
+        })
+    }
+
+    fn write(&mut self, addr: u64, len: usize) {
+        for (b, touched, _) in Self::spans(addr, len) {
+            let entry = self.blocks.entry(b).or_insert(Some(0));
+            if let Some(lines) = *entry {
+                let now = lines | touched;
+                *entry = (now.count_ones() <= 4).then_some(now);
+                self.grown += usize::from(entry.is_none() && lines != 0);
+            }
+        }
+    }
+
+    fn discard(&mut self, addr: u64, len: usize) {
+        for (b, _, inside) in Self::spans(addr, len) {
+            match self.blocks.get(&b).copied() {
+                Some(_) if inside == u8::MAX => {
+                    self.blocks.remove(&b);
+                }
+                Some(Some(lines)) if lines & !inside != 0 => {
+                    self.young_partial_discards += 1;
+                    self.blocks.insert(b, Some(lines & !inside));
+                }
+                Some(Some(_)) => {
+                    self.blocks.remove(&b);
+                }
+                _ => {}
+            }
+        }
+    }
+
+    fn bytes(&self) -> u64 {
+        let block = |lines: &Option<u8>| {
+            lines.map_or(BLOCK_BYTES as u64, |l| 64 * u64::from(l.count_ones()))
+        };
+        self.blocks.values().map(block).sum()
+    }
+}
+
+/// The flat-reference property's ops reach both young-block transitions
+/// in most cases, not just somewhere across the run (replayed without
+/// memory contents, so a compare-swap counts as no write).
+#[test]
+fn phys_ops_grow_young_blocks_and_discard_them_in_part() {
+    let cases = ProptestConfig::default().cases;
+    let (mut grown, mut partial) = (0, 0);
+    for case in 0..cases {
+        let mut rng = proptest::TestRng::for_case("phys_ops", case);
+        let mut model = Resident::default();
+        for (op, addr, len, _, _) in phys_ops()
+            .sample(&mut rng)
+            .into_iter()
+            .map(|op| op.place(256 << 10))
+        {
+            match op {
+                0 | 2 | 3 => model.write(addr, len),
+                5 => model.discard(addr, len),
+                _ => {}
+            }
+        }
+        grown += usize::from(model.grown > 0);
+        partial += usize::from(model.young_partial_discards > 0);
+    }
+    assert!(
+        grown * 2 > cases as usize,
+        "{grown} of {cases} cases grow a young block"
+    );
+    assert!(
+        partial * 2 > cases as usize,
+        "{partial} of {cases} cases discard part of a young block"
+    );
 }
