@@ -748,7 +748,7 @@ impl ScenarioSpec {
         match self.topology {
             TopologySpec::Crossbar => {}
             TopologySpec::Torus2d(w, h) => {
-                if w * h != self.nodes || w < 2 || h < 2 {
+                if w.checked_mul(h) != Some(self.nodes) || w < 2 || h < 2 {
                     return err(format!(
                         "torus2d:{w}x{h} does not arrange {} nodes",
                         self.nodes
@@ -756,7 +756,8 @@ impl ScenarioSpec {
                 }
             }
             TopologySpec::Torus3d(x, y, z) => {
-                if x * y * z != self.nodes || x < 2 || y < 2 || z < 2 {
+                let product = x.checked_mul(y).and_then(|xy| xy.checked_mul(z));
+                if product != Some(self.nodes) || x < 2 || y < 2 || z < 2 {
                     return err(format!(
                         "torus3d:{x}x{y}x{z} does not arrange {} nodes",
                         self.nodes
@@ -864,6 +865,12 @@ impl ScenarioSpec {
             }
             if f.max_retries > 64 {
                 return err(format!("max_retries = {} (max 64)", f.max_retries));
+            }
+            if f.killed_links > 64 {
+                return err(format!(
+                    "killed_links = {} (max 64: the fabric tracks dead links in one 64-bit mask)",
+                    f.killed_links
+                ));
             }
             if f.killed_links > 0 {
                 if !(f.kill_at_us > 0.0 && f.kill_at_us <= 1e6) {

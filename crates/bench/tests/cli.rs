@@ -57,6 +57,50 @@ fn a_trace_interval_below_one_picosecond_is_refused_not_a_panic() {
     assert_refused(&bench(&["scenario", "--spec", &spec]), "1 ps");
 }
 
+/// A shipped spec with each `(from, to)` line replaced, written to the
+/// scratch file `name`.
+fn edited_spec(shipped: &str, name: &str, edits: &[(&str, &str)]) -> String {
+    let path = format!("{}/../../bench/specs/{shipped}", env!("CARGO_MANIFEST_DIR"));
+    let mut spec = std::fs::read_to_string(path).expect("shipped spec reads");
+    for (from, to) in edits {
+        assert!(spec.contains(from), "{shipped} lacks {from:?}");
+        spec = spec.replace(from, to);
+    }
+    scratch(name, spec.as_bytes())
+}
+
+#[test]
+fn torus_dimensions_whose_product_overflows_are_refused_not_a_panic() {
+    // Each product wraps to exactly `nodes = 4` in a release build, so an
+    // unchecked multiply either panics (debug) or passes validation and
+    // panics later when a node id falls outside the shard plan.
+    for topology in [
+        "torus2d:9223372036854775810x2",
+        "torus3d:4611686018427387905x2x2",
+    ] {
+        let quoted = format!("{topology:?}");
+        let spec = edited_spec(
+            "smoke-torus-16.toml",
+            "overflow.toml",
+            &[("nodes = 16", "nodes = 4"), ("\"torus2d:4x4\"", &quoted)],
+        );
+        assert_refused(&bench(&["scenario", "--spec", &spec]), topology);
+    }
+}
+
+#[test]
+fn more_killed_links_than_the_dead_link_mask_holds_are_refused() {
+    let spec = edited_spec(
+        "rack512-linkflap.toml",
+        "kill65.toml",
+        &[
+            ("killed_links = 4", "killed_links = 65"),
+            ("backend = \"all\"", "backend = \"sonuma\""),
+        ],
+    );
+    assert_refused(&bench(&["scenario", "--spec", &spec]), "killed_links = 65");
+}
+
 #[test]
 fn diff_runs_refuses_documents_that_are_not_reports() {
     let not_a_report = scratch("error.json", br#"{"schema": "x"}"#);

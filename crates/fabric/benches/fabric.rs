@@ -1,12 +1,12 @@
-//! Fabric hot-path throughput: routing and packet injection across all
-//! four topologies.
+//! Fabric hot-path throughput: routing and packet injection on the
+//! crossbar and the torus.
 //!
 //! `route/*` measures pure next-hop arithmetic ([`Topology::route_iter`]
 //! walked to completion over a pseudorandom (src, dst) stream) and
 //! `send/*` the full analytic injection ([`Fabric::send`]: route + dense
-//! link lookup + credits + serialization) on the same stream. The four
-//! original shapes are at most 64 nodes, so their link state stays in
-//! cache; `torus3d-8x8x8` is the 512-node rack of the `scan512` workload
+//! link lookup + credits + serialization) on the same stream. The three
+//! shapes of 64 nodes keep their link state in cache; `torus3d-8x8x8` is
+//! the 512-node rack of the `scan512` workload
 //! (~6 hops a packet over 3,072 links), where the per-hop cost is the
 //! cache lines a hop touches. `send_faulty/torus3d-8x8x8` is the same
 //! stream through [`Fabric::send_faulty`] under a plan with two degraded
@@ -25,8 +25,8 @@ use sonuma_fabric::{Fabric, FabricConfig, FaultPlan, LinkFault, Topology};
 use sonuma_protocol::NodeId;
 use sonuma_sim::SimTime;
 
-/// The benchmarked topology set: one of each routing family at
-/// comparable, cache-resident node counts, then the rack-size torus.
+/// The benchmarked topology set: the crossbar and the 2D and 3D torus at
+/// the same cache-resident node count, then the rack-size torus.
 fn topologies() -> Vec<(&'static str, Topology, FabricConfig)> {
     vec![
         (
@@ -44,12 +44,6 @@ fn topologies() -> Vec<(&'static str, Topology, FabricConfig)> {
             Topology::torus3d(4, 4, 4),
             FabricConfig::torus3d(4, 4, 4),
         ),
-        ("mesh2d-8x8", Topology::mesh2d(8, 8), {
-            FabricConfig {
-                topology: Topology::mesh2d(8, 8),
-                ..FabricConfig::torus2d(8, 8)
-            }
-        }),
         rack_torus(),
     ]
 }

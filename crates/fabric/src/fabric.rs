@@ -28,8 +28,8 @@ enum AdjIndex {
     /// block of `n - 1` slots, one per possible peer (the diagonal is
     /// skipped — loopback never enters the fabric).
     Pairs { n: usize },
-    /// Torus/mesh: node × output port. Ports pair up per dimension
-    /// (+1 direction then −1), so a D-dimensional grid has 2·D ports per
+    /// Torus: node × output port. Ports pair up per dimension
+    /// (+1 direction then −1), so a D-dimensional torus has 2·D ports per
     /// node and `n · 2D` slots total.
     Grid { dims: [u16; 3], ndims: u8 },
 }
@@ -38,15 +38,9 @@ impl AdjIndex {
     fn of(topology: &Topology) -> AdjIndex {
         match *topology {
             Topology::Crossbar { nodes } => AdjIndex::Pairs { n: nodes },
-            Topology::Torus2D { width, height } | Topology::Mesh2D { width, height } => {
-                AdjIndex::Grid {
-                    dims: [width as u16, height as u16, 1],
-                    ndims: 2,
-                }
-            }
-            Topology::Torus3D { x, y, z } => AdjIndex::Grid {
-                dims: [x as u16, y as u16, z as u16],
-                ndims: 3,
+            Topology::Torus { dims, ndims } => AdjIndex::Grid {
+                dims: dims.map(|k| k as u16),
+                ndims: ndims as u8,
             },
         }
     }
@@ -251,7 +245,7 @@ pub struct FaultStats {
 /// link state is one 64-byte header per link in a dense table indexed by
 /// `node × port` arithmetic, with the credit drain times in one flat ring
 /// arena beside it. A hop is an add, a compare and two warm lines: no
-/// hashing, no division, and on a torus or mesh no heap allocation after
+/// hashing, no division, and on a torus no heap allocation after
 /// [`Fabric::new`] (the crossbar, whose N² slots are mostly never used,
 /// appends a link's state on its first packet).
 ///

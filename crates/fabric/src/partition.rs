@@ -3,12 +3,13 @@
 //! A [`ShardPlan`] splits the fabric's node id space into contiguous
 //! ranges, one per shard. Contiguity matters twice over: shard membership
 //! becomes a binary search over a handful of bounds, and — because node
-//! ids enumerate grid topologies x-major (the same order `AdjIndex` uses
-//! for the dense link table) — a contiguous id range is a contiguous slab
-//! of the torus/mesh, so most neighbor links stay shard-internal.
-//! [`ShardPlan::for_topology`] additionally aligns shard boundaries to
-//! whole rows (2D) or planes (3D) when the grid allows it, which keeps
-//! the cut surface — and with it cross-shard traffic — minimal.
+//! ids enumerate the torus with dimension 0 varying fastest (the same
+//! order `AdjIndex` uses for the dense link table) — a contiguous id range
+//! is a contiguous slab of the torus, so most neighbor links stay
+//! shard-internal. [`ShardPlan::for_topology`] additionally aligns shard
+//! boundaries to whole planes (the nodes spanned by every dimension but
+//! the last) when the torus allows it, which keeps the cut surface — and
+//! with it cross-shard traffic — minimal.
 
 use crate::topology::Topology;
 
@@ -36,8 +37,8 @@ impl ShardPlan {
         ShardPlan { bounds }
     }
 
-    /// A topology-aware contiguous split: grid boundaries snap to whole
-    /// rows/planes so torus/mesh shards cut the minimum number of links;
+    /// A topology-aware contiguous split: torus boundaries snap to whole
+    /// planes so shards cut the minimum number of links;
     /// crossbars (where every even split is equivalent) fall back to the
     /// even split.
     ///
@@ -54,8 +55,7 @@ impl ShardPlan {
         let nodes = topology.nodes();
         let plane = match *topology {
             Topology::Crossbar { .. } => 1,
-            Topology::Torus2D { width, .. } | Topology::Mesh2D { width, .. } => width,
-            Topology::Torus3D { x, y, .. } => x * y,
+            Topology::Torus { dims, ndims } => dims[..ndims - 1].iter().product(),
         };
         let even = ShardPlan::contiguous(nodes, shards);
         if plane <= 1 {
@@ -156,12 +156,11 @@ impl ShardPlan {
                     .map(|s| self.range(s).len() * (nodes - self.range(s).len()))
                     .sum()
             }
-            _ => {
-                let n = topology.nodes();
+            Topology::Torus { .. } => {
                 let mut cut = 0;
-                for a in 0..n {
+                for a in 0..topology.nodes() {
                     let sa = self.shard_of(a);
-                    for_each_grid_neighbor(topology, a, |b| {
+                    topology.for_each_neighbor(a, |b| {
                         if self.shard_of(b) != sa {
                             cut += 1;
                         }
@@ -170,41 +169,6 @@ impl ShardPlan {
                 cut
             }
         }
-    }
-}
-
-/// Calls `f` once per distinct node at hop distance 1 from `id` on a grid
-/// topology (±1 per dimension; torus dimensions wrap, mesh dimensions
-/// clamp at the edges).
-fn for_each_grid_neighbor(topology: &Topology, id: usize, mut f: impl FnMut(usize)) {
-    let (dims, wraps) = match *topology {
-        Topology::Crossbar { .. } => unreachable!("crossbar handled arithmetically"),
-        Topology::Torus2D { width, height } => ([width, height, 1], true),
-        Topology::Torus3D { x, y, z } => ([x, y, z], true),
-        Topology::Mesh2D { width, height } => ([width, height, 1], false),
-    };
-    let mut stride = 1usize;
-    for k in dims {
-        if k >= 2 {
-            let c = (id / stride) % k;
-            let base = id - c * stride;
-            if wraps {
-                let up = (c + 1) % k;
-                let down = (c + k - 1) % k;
-                f(base + up * stride);
-                if down != up {
-                    f(base + down * stride);
-                }
-            } else {
-                if c + 1 < k {
-                    f(base + (c + 1) * stride);
-                }
-                if c > 0 {
-                    f(base + (c - 1) * stride);
-                }
-            }
-        }
-        stride *= k;
     }
 }
 
@@ -280,7 +244,11 @@ mod tests {
             Topology::torus2d(4, 4),
             Topology::torus2d(2, 6),
             Topology::torus3d(3, 4, 2),
-            Topology::mesh2d(5, 3),
+            // Rings of 2 (one link to the other node) and of 1 (no link).
+            Topology::torus2d(2, 1),
+            Topology::torus2d(5, 1),
+            Topology::torus3d(2, 3, 2),
+            Topology::torus3d(4, 1, 3),
         ] {
             let n = topo.nodes();
             for plan in [

@@ -1,4 +1,6 @@
-//! Fabric topologies and routing.
+//! Fabric topologies and routing: the paper's full crossbar and the
+//! k-ary n-cube (a 2D or 3D torus) it suggests for racks, both routed by
+//! arithmetic on node ids.
 
 use sonuma_protocol::NodeId;
 
@@ -6,11 +8,11 @@ use sonuma_protocol::NodeId;
 ///
 /// Routing is topology-based — "the router's forwarding logic directly maps
 /// destination addresses to outgoing router ports" (§6) — so routes are
-/// computed, never looked up: dimension-order for meshes and torii, direct
-/// for the crossbar. [`Topology::route_iter`] yields the hop sequence
-/// without touching the heap (this is what [`crate::Fabric::send`] walks on
-/// every packet); [`Topology::route`] is the allocating convenience wrapper
-/// for tests and tools. Topologies whose routing is *not* arithmetic can be
+/// computed, never looked up: dimension-order on the torus, direct on the
+/// crossbar. [`Topology::route_iter`] yields the hop sequence without
+/// touching the heap (this is what [`crate::Fabric::send`] walks on every
+/// packet); [`Topology::route`] is the allocating convenience wrapper for
+/// tests and tools. Topologies whose routing is *not* arithmetic can be
 /// served by a precomputed [`NextHopTable`] instead.
 ///
 /// # Example
@@ -34,30 +36,16 @@ pub enum Topology {
         /// Number of nodes.
         nodes: usize,
     },
-    /// 2D torus with wraparound links, dimension-order (X then Y) routing.
-    Torus2D {
-        /// Width (X dimension).
-        width: usize,
-        /// Height (Y dimension).
-        height: usize,
-    },
-    /// 3D torus — the "low-dimensional k-ary n-cube" the paper suggests for
-    /// rack-scale deployments (§6).
-    Torus3D {
-        /// X dimension.
-        x: usize,
-        /// Y dimension.
-        y: usize,
-        /// Z dimension.
-        z: usize,
-    },
-    /// 2D mesh without wraparound links (e.g. a blade backplane where edge
-    /// links are not closed into rings).
-    Mesh2D {
-        /// Width (X dimension).
-        width: usize,
-        /// Height (Y dimension).
-        height: usize,
+    /// k-ary n-cube with wraparound links and dimension-order routing —
+    /// the "low-dimensional" rack fabric the paper suggests (§6). Node ids
+    /// enumerate it with dimension 0 varying fastest. Built by
+    /// [`Topology::torus2d`] and [`Topology::torus3d`].
+    Torus {
+        /// Ring size per dimension; entries past `ndims` are 1.
+        dims: [usize; 3],
+        /// Number of dimensions (2 or 3). It fixes the port and link-slot
+        /// layout (`2 · ndims` ports per node), so a ring of 1 still counts.
+        ndims: usize,
     },
 }
 
@@ -72,45 +60,37 @@ impl Topology {
         Topology::Crossbar { nodes }
     }
 
-    /// Builds a `width x height` 2D torus.
+    /// Builds a `width x height` 2D torus (X then Y routing).
     ///
     /// # Panics
     ///
     /// Panics if either dimension is zero.
     pub fn torus2d(width: usize, height: usize) -> Self {
         assert!(width > 0 && height > 0, "empty torus");
-        Topology::Torus2D { width, height }
+        Topology::Torus {
+            dims: [width, height, 1],
+            ndims: 2,
+        }
     }
 
-    /// Builds an `x par y par z` 3D torus.
+    /// Builds an `x × y × z` 3D torus (X, then Y, then Z routing).
     ///
     /// # Panics
     ///
     /// Panics if any dimension is zero.
     pub fn torus3d(x: usize, y: usize, z: usize) -> Self {
         assert!(x > 0 && y > 0 && z > 0, "empty torus");
-        Topology::Torus3D { x, y, z }
-    }
-
-    /// Builds a `width x height` mesh (no wraparound). No scenario selects
-    /// it: it is API for the routing-equivalence tests and the fabric
-    /// bench, which need a topology whose edges differ from its middle.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either dimension is zero.
-    pub fn mesh2d(width: usize, height: usize) -> Self {
-        assert!(width > 0 && height > 0, "empty mesh");
-        Topology::Mesh2D { width, height }
+        Topology::Torus {
+            dims: [x, y, z],
+            ndims: 3,
+        }
     }
 
     /// Total number of nodes.
     pub fn nodes(&self) -> usize {
         match *self {
             Topology::Crossbar { nodes } => nodes,
-            Topology::Torus2D { width, height } => width * height,
-            Topology::Torus3D { x, y, z } => x * y * z,
-            Topology::Mesh2D { width, height } => width * height,
+            Topology::Torus { dims, ndims } => dims[..ndims].iter().product(),
         }
     }
 
@@ -131,18 +111,9 @@ impl Topology {
         } else {
             match *self {
                 Topology::Crossbar { .. } => RouteState::Direct { dst: dst.0 },
-                Topology::Torus2D { width, height } => {
-                    torus_state(&[width, height], src.index(), dst.index())
+                Topology::Torus { dims, ndims } => {
+                    torus_state(&dims[..ndims], src.index(), dst.index())
                 }
-                Topology::Torus3D { x, y, z } => torus_state(&[x, y, z], src.index(), dst.index()),
-                Topology::Mesh2D { width, height } => RouteState::Mesh {
-                    dims: [width as u16, height as u16],
-                    id: src.0,
-                    x: (src.index() % width) as u16,
-                    y: (src.index() / width) as u16,
-                    gx: (dst.index() % width) as u16,
-                    gy: (dst.index() / width) as u16,
-                },
             }
         };
         RouteIter { state }
@@ -170,19 +141,14 @@ impl Topology {
         }
         match *self {
             Topology::Crossbar { .. } => 1,
-            Topology::Torus2D { width, height } => {
-                ring_distance(width, src.index(), dst.index())
-                    + ring_distance(height, src.index() / width, dst.index() / width)
-            }
-            Topology::Torus3D { x, y, z } => {
-                ring_distance(x, src.index(), dst.index())
-                    + ring_distance(y, src.index() / x, dst.index() / x)
-                    + ring_distance(z, src.index() / (x * y), dst.index() / (x * y))
-            }
-            Topology::Mesh2D { width, .. } => {
-                let (sx, sy) = (src.index() % width, src.index() / width);
-                let (dx, dy) = (dst.index() % width, dst.index() / width);
-                (sx.abs_diff(dx) + sy.abs_diff(dy)) as u32
+            Topology::Torus { dims, ndims } => {
+                let (mut s, mut d, mut hops) = (src.index(), dst.index(), 0);
+                for &k in &dims[..ndims] {
+                    hops += ring_distance(k, s, d);
+                    s /= k;
+                    d /= k;
+                }
+                hops
             }
         }
     }
@@ -196,57 +162,43 @@ impl Topology {
     }
 
     /// The physical neighbors of `v` — every node one link away, in
-    /// ascending id order. For the crossbar that is every other node; for
-    /// grids, the ±1 step in each dimension (deduplicated on rings of 2,
-    /// where both directions land on the same node).
+    /// ascending id order. For the crossbar that is every other node; on
+    /// the torus, the ±1 step in each dimension.
     ///
     /// # Panics
     ///
     /// Panics if `v` is out of range.
     pub fn neighbors(&self, v: NodeId) -> Vec<NodeId> {
-        let n = self.nodes();
-        assert!(v.index() < n, "node id out of range");
-        let mut out: Vec<NodeId> = match *self {
-            Topology::Crossbar { nodes } => (0..nodes as u16)
-                .filter(|&p| p != v.0)
-                .map(NodeId)
-                .collect(),
-            Topology::Torus2D { width, height } => {
-                grid_neighbors(&[width, height], true, v.index())
-            }
-            Topology::Torus3D { x, y, z } => grid_neighbors(&[x, y, z], true, v.index()),
-            Topology::Mesh2D { width, height } => {
-                grid_neighbors(&[width, height], false, v.index())
-            }
-        };
+        assert!(v.index() < self.nodes(), "node id out of range");
+        let mut out = Vec::new();
+        self.for_each_neighbor(v.index(), |u| out.push(NodeId(u as u16)));
         out.sort_unstable();
-        out.dedup();
         out
     }
-}
 
-/// The grid neighbors of node id `v`: ±1 in every dimension, wrapping on
-/// torii (`wraps`), clipped at the edges on meshes. May contain duplicates
-/// on rings of 2 (the caller dedups).
-fn grid_neighbors(dims: &[usize], wraps: bool, v: usize) -> Vec<NodeId> {
-    let mut out = Vec::with_capacity(2 * dims.len());
-    let mut stride = 1usize;
-    for &k in dims {
-        let c = (v / stride) % k;
-        if wraps {
-            out.push(v - c * stride + ((c + 1) % k) * stride);
-            out.push(v - c * stride + ((c + k - 1) % k) * stride);
-        } else {
-            if c + 1 < k {
-                out.push(v + stride);
-            }
-            if c > 0 {
-                out.push(v - stride);
+    /// Calls `f` once per distinct node one link from `v`, without
+    /// allocating: every other node on the crossbar, the +1 then −1 step of
+    /// each dimension on the torus (one call on a ring of 2, none on a ring
+    /// of 1).
+    pub(crate) fn for_each_neighbor(&self, v: usize, mut f: impl FnMut(usize)) {
+        match *self {
+            Topology::Crossbar { nodes } => (0..nodes).filter(|&u| u != v).for_each(f),
+            Topology::Torus { dims, ndims } => {
+                let mut stride = 1;
+                for &k in &dims[..ndims] {
+                    let c = (v / stride) % k;
+                    let base = v - c * stride;
+                    if k >= 2 {
+                        f(base + (c + 1) % k * stride);
+                    }
+                    if k >= 3 {
+                        f(base + (c + k - 1) % k * stride);
+                    }
+                    stride *= k;
+                }
             }
         }
-        stride *= k;
     }
-    out.into_iter().map(|id| NodeId(id as u16)).collect()
 }
 
 /// Shortest directed hop count between positions `s` and `d` on a ring of
@@ -315,22 +267,12 @@ enum RouteState {
         cur: [u16; 3],
         goal: [u16; 3],
     },
-    /// Dimension-order (XY) walk on a mesh: no wraparound, so every step
-    /// moves monotonically toward the destination coordinate.
-    Mesh {
-        dims: [u16; 2],
-        id: u16,
-        x: u16,
-        y: u16,
-        gx: u16,
-        gy: u16,
-    },
 }
 
 impl RouteIter {
     /// The next node of the route and the output port the packet leaves
     /// the current node on — the router's "destination address to outgoing
-    /// port" mapping (§6). Grid ports pair up per dimension, `2·dim` for
+    /// port" mapping (§6). Torus ports pair up per dimension, `2·dim` for
     /// the +1 direction and `2·dim + 1` for −1, numbered exactly as the
     /// fabric's link table numbers its slots; the crossbar has no ports
     /// and reports 0. Compares and adds only: no division on the hop path.
@@ -372,43 +314,7 @@ impl RouteIter {
                 *id = *id - c * stride + next * stride;
                 Some((NodeId(*id), port))
             }
-            RouteState::Mesh {
-                dims,
-                id,
-                x,
-                y,
-                gx,
-                gy,
-            } => {
-                let port = if x != gx {
-                    mesh_step(x, *gx, id, 1, dims[0])
-                } else if y != gy {
-                    2 + mesh_step(y, *gy, id, dims[0], dims[1])
-                } else {
-                    self.state = RouteState::Done;
-                    return None;
-                };
-                Some((NodeId(*id), port))
-            }
         }
-    }
-}
-
-/// One mesh step of coordinate `c` toward `g` in a dimension of `k`
-/// positions whose neighbors are `stride` ids apart; returns the port's
-/// direction bit. With exactly two positions the −1 neighbor is also the
-/// +1 neighbor modulo 2, and the link table files that link under the even
-/// port.
-#[inline]
-fn mesh_step(c: &mut u16, g: u16, id: &mut u16, stride: u16, k: u16) -> u8 {
-    if g > *c {
-        *c += 1;
-        *id += stride;
-        0
-    } else {
-        *c -= 1;
-        *id -= stride;
-        u8::from(k != 2)
     }
 }
 
@@ -531,36 +437,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mesh_routes_have_no_wraparound() {
-        let m = Topology::mesh2d(4, 4);
-        assert_eq!(m.nodes(), 16);
-        // 0 -> 3 must walk the whole row (no ring shortcut).
-        assert_eq!(
-            m.route(NodeId(0), NodeId(3)),
-            vec![NodeId(1), NodeId(2), NodeId(3)]
-        );
-        // Corner to corner: Manhattan distance.
-        assert_eq!(m.distance(NodeId(0), NodeId(15)), 6);
-        // Every route ends at its destination.
-        for s in 0..16u16 {
-            for d in 0..16u16 {
-                let path = m.route(NodeId(s), NodeId(d));
-                if s != d {
-                    assert_eq!(*path.last().unwrap(), NodeId(d));
-                    assert!(path.len() <= 6, "longer than corner to corner");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn mesh_is_slower_than_torus_at_the_edges() {
-        let mesh = Topology::mesh2d(4, 4);
-        let torus = Topology::torus2d(4, 4);
-        assert!(mesh.distance(NodeId(0), NodeId(3)) > torus.distance(NodeId(0), NodeId(3)));
-    }
-
-    #[test]
     fn crossbar_routes_are_single_hop() {
         let t = Topology::crossbar(8);
         assert_eq!(t.nodes(), 8);
@@ -644,7 +520,6 @@ mod tests {
             Topology::crossbar(9),
             Topology::torus2d(4, 4),
             Topology::torus3d(3, 4, 2),
-            Topology::mesh2d(5, 3),
         ] {
             let n = topo.nodes() as u16;
             for s in 0..n {
@@ -664,7 +539,7 @@ mod tests {
         for topo in [
             Topology::crossbar(6),
             Topology::torus2d(4, 3),
-            Topology::mesh2d(3, 4),
+            Topology::torus3d(2, 3, 2),
         ] {
             let table = topo.next_hop_table();
             assert_eq!(table.nodes(), topo.nodes());
@@ -688,13 +563,21 @@ mod tests {
             Topology::crossbar(5),
             Topology::torus2d(4, 3),
             Topology::torus3d(2, 3, 4),
-            Topology::mesh2d(3, 4),
             Topology::torus2d(2, 2), // rings of two: both directions coincide
+            // A ring of one has no link at all.
+            Topology::torus2d(2, 1),
+            Topology::torus2d(5, 1),
+            Topology::torus2d(1, 6),
+            Topology::torus3d(4, 1, 2),
+            Topology::torus3d(4, 2, 3),
         ] {
             let n = topo.nodes() as u16;
             for v in 0..n {
                 let nbrs = topo.neighbors(NodeId(v));
-                assert!(nbrs.windows(2).all(|w| w[0] < w[1]), "{topo:?} sorted");
+                assert!(
+                    nbrs.windows(2).all(|w| w[0] < w[1]),
+                    "{topo:?} {v}: {nbrs:?} not strictly ascending"
+                );
                 for &u in &nbrs {
                     assert_eq!(topo.distance(NodeId(v), u), 1, "{topo:?} {v}->{u:?}");
                     assert!(
@@ -718,7 +601,6 @@ mod tests {
             Topology::crossbar(6),
             Topology::torus2d(4, 4),
             Topology::torus3d(2, 3, 2),
-            Topology::mesh2d(3, 3),
         ] {
             let table = NextHopTable::build_avoiding(&topo, &[]);
             let n = topo.nodes() as u16;

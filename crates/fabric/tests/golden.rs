@@ -3,8 +3,8 @@
 //! A seeded 20 k-packet stream — both lanes, 24 B and 88 B packets,
 //! inject times clustered (and sometimes stepping backwards, as the
 //! sharded commit presents them) so credits stall, a quarter of the
-//! traffic on one hot pair — runs over one topology of each routing
-//! family, once through [`Fabric::send`] and once through
+//! traffic on one hot pair — runs over the crossbar, a 2D and a 3D
+//! torus, once through [`Fabric::send`] and once through
 //! [`Fabric::send_faulty`] under a plan with a derated, credit-starved
 //! link, a lossy link and a kill/revive window. Everything observable is
 //! folded into one FNV-1a digest per run: every `(arrival, hops, fate)`,
@@ -43,13 +43,6 @@ fn configs() -> Vec<(&'static str, FabricConfig)> {
         ("crossbar16", FabricConfig::paper_crossbar(16)),
         ("torus2d-4x4", FabricConfig::torus2d(4, 4)),
         ("torus3d-4x4x4", FabricConfig::torus3d(4, 4, 4)),
-        (
-            "mesh2d-4x4",
-            FabricConfig {
-                topology: Topology::mesh2d(4, 4),
-                ..FabricConfig::torus2d(4, 4)
-            },
-        ),
     ]
 }
 
@@ -166,7 +159,7 @@ fn digest(config: FabricConfig, faulty: bool) -> u64 {
 #[test]
 fn digests_match_the_boxed_deque_fabric() {
     // (topology, `send` digest, `send_faulty` digest under `plan`).
-    let golden: [(&str, u64, u64); 4] = [
+    let golden: [(&str, u64, u64); 3] = [
         ("crossbar16", 0xcc15_d734_b18d_4240, 0xe042_756e_831e_2b29),
         ("torus2d-4x4", 0x541b_502b_a46d_b87b, 0x9a75_1a55_1fa0_b27d),
         (
@@ -174,7 +167,6 @@ fn digests_match_the_boxed_deque_fabric() {
             0x367d_a5c9_7e91_03f4,
             0x475b_bfc3_a82f_5c89,
         ),
-        ("mesh2d-4x4", 0x2313_b60f_4053_eaea, 0x098e_46ba_dc26_e1f7),
     ];
     let got: Vec<(&str, u64, u64)> = configs()
         .into_iter()

@@ -3,18 +3,18 @@
 //! `Vec`-building implementation computed.
 //!
 //! The reference implementations below are verbatim ports of the
-//! pre-refactor `route_torus` / `route_mesh` (per-call `Vec`s and all),
-//! kept here as the oracle. Exhaustive all-pairs checks cover the
-//! acceptance topologies (crossbar, 4×4 torus, 4×4×4 torus, 8×8 mesh);
-//! the property test fuzzes arbitrary torus shapes.
+//! pre-refactor `route_torus` (per-call `Vec`s and all), kept here as the
+//! oracle. Exhaustive all-pairs checks cover the acceptance topologies
+//! (crossbar, 4×4 torus, 4×4×4 torus) and the degenerate rings; the
+//! property tests fuzz arbitrary 2D and 3D torus shapes.
 //!
 //! The walker also names each hop's output port, and the fabric files the
 //! link under `from · 2·ndims + port` without looking at the neighbor's
 //! id. `reference_slot` is a port of the division-based slot arithmetic
 //! that layout was defined by; `ports_match_reference_slots` holds the two
-//! together over every ordered pair, including the shapes where a ring or
-//! a mesh dimension has exactly two positions and both directions share a
-//! port.
+//! together over every ordered pair, including the shapes where a ring
+//! has exactly two positions and both directions share a port, and where
+//! a ring of one still takes its two port numbers in the slot layout.
 
 use proptest::prelude::*;
 use sonuma_fabric::{Fabric, FabricConfig, Topology};
@@ -54,22 +54,6 @@ fn reference_route_torus(dims: &[usize], src: usize, dst: usize) -> Vec<NodeId> 
     path
 }
 
-/// Pre-refactor XY mesh routing (the oracle).
-fn reference_route_mesh(width: usize, src: usize, dst: usize) -> Vec<NodeId> {
-    let (mut x, mut y) = (src % width, src / width);
-    let (gx, gy) = (dst % width, dst / width);
-    let mut path = Vec::new();
-    while x != gx {
-        x = if gx > x { x + 1 } else { x - 1 };
-        path.push(NodeId((y * width + x) as u16));
-    }
-    while y != gy {
-        y = if gy > y { y + 1 } else { y - 1 };
-        path.push(NodeId((y * width + x) as u16));
-    }
-    path
-}
-
 /// The oracle route for any topology.
 fn reference_route(topo: &Topology, src: usize, dst: usize) -> Vec<NodeId> {
     if src == dst {
@@ -77,9 +61,7 @@ fn reference_route(topo: &Topology, src: usize, dst: usize) -> Vec<NodeId> {
     }
     match *topo {
         Topology::Crossbar { .. } => vec![NodeId(dst as u16)],
-        Topology::Torus2D { width, height } => reference_route_torus(&[width, height], src, dst),
-        Topology::Torus3D { x, y, z } => reference_route_torus(&[x, y, z], src, dst),
-        Topology::Mesh2D { width, .. } => reference_route_mesh(width, src, dst),
+        Topology::Torus { dims, ndims } => reference_route_torus(&dims[..ndims], src, dst),
     }
 }
 
@@ -112,10 +94,7 @@ fn reference_slot(topo: &Topology, from: usize, to: usize) -> usize {
         Topology::Crossbar { nodes } => {
             return from * (nodes - 1) + if to < from { to } else { to - 1 };
         }
-        Topology::Torus2D { width, height } | Topology::Mesh2D { width, height } => {
-            vec![width, height]
-        }
-        Topology::Torus3D { x, y, z } => vec![x, y, z],
+        Topology::Torus { dims, ndims } => dims[..ndims].to_vec(),
     };
     let (mut f, mut t) = (from, to);
     for (d, &k) in dims.iter().enumerate() {
@@ -166,13 +145,14 @@ fn ports_match_reference_slots() {
         Topology::crossbar(16),
         Topology::torus2d(4, 4),
         Topology::torus3d(4, 4, 4),
-        Topology::mesh2d(8, 8),
         // A dimension of exactly two positions: −1 and +1 are one link.
         Topology::torus2d(2, 5),
         Topology::torus3d(2, 2, 3),
-        Topology::mesh2d(2, 4),
-        Topology::mesh2d(4, 2),
-        Topology::mesh2d(1, 6),
+        Topology::torus3d(3, 2, 4),
+        // The ablation's fabric: one ring of 2 and a ring of 1, still laid
+        // out as 2 dimensions (4 ports per node).
+        Topology::torus2d(2, 1),
+        Topology::torus2d(1, 6),
     ] {
         assert_equivalent(&topo);
         assert_ports_match(&topo);
@@ -194,11 +174,6 @@ fn torus3d_4x4x4_matches_reference() {
     assert_equivalent(&Topology::torus3d(4, 4, 4));
 }
 
-#[test]
-fn mesh2d_8x8_matches_reference() {
-    assert_equivalent(&Topology::mesh2d(8, 8));
-}
-
 proptest! {
     /// Any torus shape, any pair: `route_iter` reproduces the oracle.
     #[test]
@@ -216,13 +191,13 @@ proptest! {
         prop_assert_eq!(got, oracle);
     }
 
-    /// Any mesh shape, any pair: `route_iter` reproduces the oracle.
+    /// Any 2D torus shape, any pair: `route_iter` reproduces the oracle.
     #[test]
-    fn arbitrary_mesh_routes_match_reference(
+    fn arbitrary_torus2d_routes_match_reference(
         w in 1usize..12, h in 1usize..12,
         src in 0usize..144, dst in 0usize..144,
     ) {
-        let topo = Topology::mesh2d(w, h);
+        let topo = Topology::torus2d(w, h);
         let n = topo.nodes();
         let (src, dst) = (src % n, dst % n);
         let oracle = reference_route(&topo, src, dst);

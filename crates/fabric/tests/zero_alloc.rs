@@ -1,7 +1,7 @@
 //! The fabric hot path's zero-allocation guarantee, asserted with a
 //! counting global allocator.
 //!
-//! On a torus or mesh `Fabric::new` builds everything a packet will ever
+//! On a torus `Fabric::new` builds everything a packet will ever
 //! touch — one inline header per link slot and the flat arena of credit
 //! rings — so `Fabric::send` must not touch the heap at all, not even for
 //! the first packet on a link. The crossbar has N² slots of which a run
@@ -52,10 +52,6 @@ fn send_allocates_nothing_after_link_warmup() {
         FabricConfig::paper_crossbar(16),
         FabricConfig::torus2d(4, 4),
         FabricConfig::torus3d(4, 4, 4),
-        FabricConfig {
-            topology: Topology::mesh2d(4, 4),
-            ..FabricConfig::torus2d(4, 4)
-        },
     ];
     for config in configs {
         let topo = config.topology.clone();

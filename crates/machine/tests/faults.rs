@@ -17,13 +17,11 @@ use sonuma_sim::SimTime;
 fn config_for(topology: Topology) -> MachineConfig {
     let nodes = topology.nodes();
     let mut config = MachineConfig::simulated_hardware(nodes);
-    config.fabric = match &topology {
+    config.fabric = match topology {
         Topology::Crossbar { .. } => FabricConfig::paper_crossbar(nodes),
-        Topology::Torus2D { width, height } => FabricConfig::torus2d(*width, *height),
-        Topology::Torus3D { x, y, z } => FabricConfig::torus3d(*x, *y, *z),
-        Topology::Mesh2D { width, height } => FabricConfig {
-            topology: topology.clone(),
-            ..FabricConfig::torus2d(*width, *height)
+        Topology::Torus { .. } => FabricConfig {
+            topology,
+            ..FabricConfig::torus2d(1, 1)
         },
     };
     config
