@@ -19,7 +19,14 @@
 //! (refill) rewrites the same image, making concurrent GET/PUT of one
 //! key tear-free by construction.
 
-use crate::kvstore::hash_key;
+/// SplitMix64-finalized key hash: deterministic, well-spread. Key homes,
+/// value classes and value images all derive from it.
+fn hash_key(key: u64) -> u64 {
+    let mut z = key.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
 
 /// Where one key's value lives: resolved by [`KvDirectory::lookup`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,8 +44,6 @@ pub struct KvPlacement {
 /// benchmark driver shares.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KvDirectory {
-    nodes: usize,
-    segment_len: u64,
     value_min: u64,
     value_max: u64,
     placements: Vec<KvPlacement>,
@@ -102,8 +107,6 @@ impl KvDirectory {
             ));
         }
         Ok(KvDirectory {
-            nodes,
-            segment_len,
             value_min,
             value_max,
             placements,
@@ -119,11 +122,6 @@ impl KvDirectory {
     /// Number of keys in the directory.
     pub fn keys(&self) -> u64 {
         self.placements.len() as u64
-    }
-
-    /// Number of nodes the directory spreads over.
-    pub fn nodes(&self) -> usize {
-        self.nodes
     }
 
     /// Number of value-size classes (`value_min` doubling to `value_max`).
@@ -176,6 +174,14 @@ pub fn verify_value(key: u64, buf: &[u8]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn hash_is_deterministic_and_spread() {
+        assert_eq!(hash_key(7), hash_key(7));
+        let distinct: std::collections::HashSet<u64> =
+            (0..1000).map(|k| hash_key(k) % 4096).collect();
+        assert!(distinct.len() > 700, "poor spread: {}", distinct.len());
+    }
 
     #[test]
     fn every_key_resolves_to_a_valid_placement() {

@@ -10,20 +10,16 @@
 //!   multicore, `soNUMA(bulk)` with per-peer shuffle reads, and
 //!   `soNUMA(fine-grain)` with one asynchronous remote read per
 //!   cross-partition edge (the Fig. 4 programming model).
-//! * [`kvstore`] — a Pilaf-style key-value store: GETs are one-sided remote
-//!   reads with linear probing; PUTs go through the messaging library to
-//!   the server core (§2.1, §8 "killer applications").
-//! * [`kvdir`] — the rack-scale KV-cache *directory plane*: a deterministic
+//! * [`kvdir`] — the directory plane of the rack-scale KV-cache service,
+//!   the one key-value store here (§2.1, §8): a deterministic
 //!   key → `(node, offset, len)` map with power-of-two value-size classes
 //!   and per-node bump-allocated layouts, shared by every client of the
 //!   bench harness's KV service scenarios.
 
 pub mod graph;
 pub mod kvdir;
-pub mod kvstore;
 pub mod pagerank;
 
 pub use graph::{Graph, GraphConfig, Partition};
 pub use kvdir::{fill_value, verify_value, KvDirectory, KvPlacement};
-pub use kvstore::{KvClientReport, KvStoreConfig};
 pub use pagerank::{PagerankConfig, PagerankResult, Variant};

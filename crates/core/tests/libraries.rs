@@ -2,11 +2,12 @@
 //! the full machine model.
 
 use std::cell::RefCell;
+use std::collections::HashMap;
 use std::rc::Rc;
 
 use sonuma_core::{
-    AppProcess, Barrier, Messenger, MsgConfig, MsgError, NodeApi, NodeId, RecvPoll, SimTime, Step,
-    SystemBuilder, Wake,
+    ApiError, AppProcess, Barrier, Messenger, MsgConfig, MsgError, NodeApi, NodeId, RecvPoll,
+    SimTime, Step, SystemBuilder, VAddr, Wake, DEFAULT_CTX,
 };
 
 type Shared<T> = Rc<RefCell<T>>;
@@ -274,6 +275,165 @@ fn mixed_sizes_cross_the_threshold() {
     assert_eq!(msgs.len(), 8);
     for (k, m) in msgs.iter().enumerate() {
         let size = if k % 2 == 0 { 64 } else { 2048 };
+        assert_eq!(m, &message_pattern(k as u32, size), "message {k}");
+    }
+}
+
+/// Segment offset of the read area on the home node, past the messaging
+/// region.
+const READ_BASE: u64 = 1 << 20;
+
+/// The 64 bytes at line `id` of the read area: distinct for every `id`
+/// below 256 (the first byte differs), so a read that lands another
+/// read's line, or a stale one, fails the comparison.
+fn read_pattern(id: u32) -> [u8; 64] {
+    std::array::from_fn(|i| (id as usize * 131 + i * 17 + 5) as u8)
+}
+
+/// Streams messages through a `Messenger` while posting its own one-sided
+/// reads on the messenger's QP, one in flight per landing slot. A
+/// completion whose `wq_index` names one of its reads is a read; every
+/// other completion goes to the messenger.
+struct ReadingSender {
+    m: Messenger,
+    to: NodeId,
+    messages: u32,
+    sent: u32,
+    reads: u32,
+    posted: u32,
+    /// Landing lines, one per slot; a slot is reused once its read is
+    /// checked, so a stale landing shows the previous read's bytes.
+    landing: VAddr,
+    free_slots: Vec<u64>,
+    in_flight: HashMap<u16, (u32, u64)>,
+    verified: Shared<u32>,
+}
+
+fn reading_sender_size(k: u32) -> usize {
+    if k.is_multiple_of(2) {
+        100
+    } else {
+        1000
+    }
+}
+
+impl AppProcess for ReadingSender {
+    fn wake(&mut self, api: &mut NodeApi<'_>, why: Wake) -> Step {
+        if matches!(why, Wake::Start) {
+            self.m.init(api).unwrap();
+            self.landing = api.heap_alloc(64 * self.free_slots.len() as u64).unwrap();
+        }
+        let comps = sonuma_core::drain_completions(api, &why, self.m.qp());
+        for c in &comps {
+            let Some((id, slot)) = self.in_flight.remove(&c.wq_index) else {
+                continue;
+            };
+            assert!(c.status.is_ok(), "read {id} failed: {:?}", c.status);
+            let mut line = [0u8; 64];
+            api.local_read(VAddr::new(self.landing.raw() + slot * 64), &mut line)
+                .unwrap();
+            assert_eq!(line, read_pattern(id), "read {id} returned other bytes");
+            *self.verified.borrow_mut() += 1;
+            self.free_slots.push(slot);
+        }
+        self.m.on_completions(api, &comps);
+        loop {
+            let mut progressed = false;
+            while self.posted < self.reads {
+                let Some(slot) = self.free_slots.pop() else {
+                    break;
+                };
+                let landing = VAddr::new(self.landing.raw() + slot * 64);
+                let offset = READ_BASE + self.posted as u64 * 64;
+                match api.post_read(self.m.qp(), self.to, DEFAULT_CTX, offset, landing, 64) {
+                    Ok(wq) => {
+                        self.in_flight.insert(wq, (self.posted, slot));
+                        self.posted += 1;
+                        progressed = true;
+                    }
+                    Err(ApiError::WqFull) => {
+                        self.free_slots.push(slot);
+                        break;
+                    }
+                    Err(e) => panic!("read post failed: {e:?}"),
+                }
+            }
+            if self.sent < self.messages {
+                let data = message_pattern(self.sent, reading_sender_size(self.sent));
+                match self.m.try_send(api, self.to, &data) {
+                    Ok(()) => {
+                        self.sent += 1;
+                        progressed = true;
+                    }
+                    Err(MsgError::NoCredit | MsgError::Backpressure) => {}
+                    Err(e) => panic!("send failed: {e}"),
+                }
+            }
+            let reads_done = self.posted == self.reads && self.in_flight.is_empty();
+            if reads_done && self.sent == self.messages && self.m.all_sent() {
+                return Step::Done;
+            }
+            if !progressed {
+                let (addr, len) = self.m.credit_watch(self.to);
+                return Step::WaitCqOrMemory {
+                    qp: self.m.qp(),
+                    addr,
+                    len,
+                };
+            }
+        }
+    }
+}
+
+#[test]
+fn messages_and_own_reads_share_one_qp() {
+    let (messages, reads) = (24u32, 64u32);
+    let mut system = SystemBuilder::simulated_hardware(2).build();
+    let cfg = MsgConfig::hardware();
+    assert!(
+        cfg.region_bytes(2) <= READ_BASE,
+        "read area overlaps messaging"
+    );
+    for id in 0..reads {
+        system.write_ctx(NodeId(0), READ_BASE + id as u64 * 64, &read_pattern(id));
+    }
+    let qp0 = system.create_qp(NodeId(0), 0);
+    let qp1 = system.create_qp(NodeId(1), 0);
+    let got: Shared<Vec<Vec<u8>>> = Rc::new(RefCell::new(Vec::new()));
+    let verified: Shared<u32> = Rc::new(RefCell::new(0));
+    system.spawn(
+        NodeId(0),
+        0,
+        Box::new(Receiver {
+            m: Messenger::new(cfg, qp0, NodeId(0), 2, 0),
+            from: NodeId(1),
+            count: messages,
+            got: got.clone(),
+            finished_at: Rc::new(RefCell::new(SimTime::ZERO)),
+        }),
+    );
+    system.spawn(
+        NodeId(1),
+        0,
+        Box::new(ReadingSender {
+            m: Messenger::new(cfg, qp1, NodeId(1), 2, 0),
+            to: NodeId(0),
+            messages,
+            sent: 0,
+            reads,
+            posted: 0,
+            landing: VAddr::new(0),
+            free_slots: (0..4).collect(),
+            in_flight: HashMap::new(),
+            verified: verified.clone(),
+        }),
+    );
+    system.run();
+    assert_eq!(*verified.borrow(), reads, "every read completes once");
+    let msgs = Rc::try_unwrap(got).unwrap().into_inner();
+    assert_eq!(msgs.len(), messages as usize);
+    for (k, m) in msgs.iter().enumerate() {
+        let size = reading_sender_size(k as u32);
         assert_eq!(m, &message_pattern(k as u32, size), "message {k}");
     }
 }

@@ -9,7 +9,8 @@
 //!
 //! No lane can be watched running from here either, so a second check
 //! holds `ci.yml` to the tree: every scenario it runs by `--canned NAME`
-//! is a shipped spec, every repo path it names exists, and every flag it
+//! is a shipped spec, every example it runs by `--example NAME` is an
+//! `examples/NAME.rs`, every repo path it names exists, and every flag it
 //! passes `sonuma-bench` is one the binary parses.
 
 use std::path::{Path, PathBuf};
@@ -71,6 +72,9 @@ fn ci_workflow_names_only_what_the_tree_ships() {
                 "--canned {}: no bench/specs/*.toml has that name",
                 pair[1]
             ));
+        }
+        if pair[0] == "--example" && !root.join(format!("examples/{}.rs", pair[1])).exists() {
+            problems.push(format!("--example {0}: no examples/{0}.rs", pair[1]));
         }
     }
     for word in &words {

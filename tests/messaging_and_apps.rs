@@ -6,7 +6,6 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use sonuma::apps::graph::{Graph, GraphConfig};
-use sonuma::apps::kvstore::{self, KvStoreConfig};
 use sonuma::apps::pagerank::{self, PagerankConfig, Variant};
 use sonuma::core::{
     drain_completions, AppProcess, Messenger, MsgConfig, MsgError, NodeApi, NodeId, RecvPoll, Step,
@@ -183,25 +182,5 @@ fn pagerank_variants_agree_on_reference() {
                 "{variant}: rank {v} diverged ({a} vs {b})"
             );
         }
-    }
-}
-
-/// The KV store stays consistent under a heavier mixed workload.
-#[test]
-fn kvstore_consistency_under_load() {
-    let cfg = KvStoreConfig {
-        buckets: 4096,
-        preload: 512,
-        gets_per_client: 120,
-        puts_per_client: 12,
-        seed: 7,
-    };
-    let reports = kvstore::run(4, &cfg);
-    assert_eq!(reports.len(), 4);
-    for (i, r) in reports.iter().enumerate() {
-        assert_eq!(r.hits + r.misses, 120, "client {i}");
-        assert_eq!(r.put_acks, 12, "client {i}");
-        assert_eq!(r.corrupt, 0, "client {i} observed torn values");
-        assert!(r.hits > r.misses, "client {i}: ~75% of keys are present");
     }
 }
